@@ -331,6 +331,19 @@ def tree_class(kb: KnowledgeBase, node: Iri) -> Iri | None:
     return None
 
 
+def clone_node(kb: KnowledgeBase, node: Iri, layer: LayerTag) -> Iri:
+    """Mint ``node``'s clone in ``layer``, typed with the layer class and
+    every other class of the source; no edges are copied."""
+    clone = Iri(f"{node.value}__{layer.value}__{kb.next_clone_index()}")
+    kb.assert_membership(clone, layer.class_iri)
+    rec = kb.entity(node)
+    if rec is not None:
+        for cls in rec.memberships:
+            if cls not in LAYER_CLASSES:
+                kb.assert_membership(clone, cls)
+    return clone
+
+
 def clone_tree(
     kb: KnowledgeBase, root: Iri, layer: LayerTag
 ) -> dict[Iri, Iri]:
@@ -341,16 +354,7 @@ def clone_tree(
     pointing at the shared targets; nothing else is copied.
     """
     sources = walk_tree(kb, root)
-    mapping: dict[Iri, Iri] = {}
-    for node in sources:
-        clone = Iri(f"{node.value}__{layer.value}__{kb.next_clone_index()}")
-        mapping[node] = clone
-        kb.assert_membership(clone, layer.class_iri)
-        rec = kb.entity(node)
-        if rec is not None:
-            for cls in rec.memberships:
-                if cls not in LAYER_CLASSES:
-                    kb.assert_membership(clone, cls)
+    mapping = {node: clone_node(kb, node, layer) for node in sources}
     for node in sources:
         for pred in CHILD_PREDICATES + (DEPENDS_ON,):
             for child in kb.objects(node, pred):

@@ -6,7 +6,7 @@ error in an input file.
 
 The environment variable OASIS_PREFIX_MAP may name a JSON file of
 additional prefix bindings ({"pfx": "http://..."}) applied to every
-command.
+command; a map that cannot be read or used is an operational error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from importlib import resources
 import jsonschema
 
 from . import builder, engine, rdfio
-from .concurrency import StepKind, detect_races, extract_runs
+from .concurrency import DEFAULT_BOUND, StepKind, detect_races, extract_runs
 from .core import KnowledgeBase
 from .specs import behaviour_from_json, event_from_json, process_from_json
 from .terms import Iri, ModelError
@@ -38,19 +38,54 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+class _Abort(Exception):
+    """Stop the command with a one-line stderr message and an exit code."""
+
+    def __init__(self, message: str, code: int) -> None:
+        super().__init__(message)
+        self.code = code
+
+
 def _apply_env_prefixes(kb: KnowledgeBase) -> None:
     path = os.environ.get("OASIS_PREFIX_MAP")
     if not path:
         return
-    with open(path, "r", encoding="utf-8") as fh:
-        table = json.load(fh)
-    for prefix, base in table.items():
-        kb.register_prefix(prefix, base)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            table = json.load(fh)
+    except (OSError, ValueError) as err:
+        raise _Abort(f"OASIS_PREFIX_MAP: cannot read {path}: {err}", OPERATIONAL)
+    valid = isinstance(table, dict) and all(isinstance(b, str) for b in table.values())
+    if not valid:
+        message = f"OASIS_PREFIX_MAP: {path} is not a JSON object of IRI strings"
+        raise _Abort(message, OPERATIONAL)
+    try:
+        for prefix, base in table.items():
+            kb.register_prefix(prefix, base)
+    except ModelError as err:
+        raise _Abort(f"OASIS_PREFIX_MAP: {path}: {err}", OPERATIONAL)
 
 
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise _Abort(f"cannot read {path}: {err}", OPERATIONAL)
+    except json.JSONDecodeError as err:
+        raise _Abort(f"{path}: {err}", PARSE)
+
+
+def _read_graph(path: str) -> KnowledgeBase:
+    """A graph file, with the OASIS_PREFIX_MAP bindings registered."""
+    try:
+        kb = rdfio.read_graph(path)
+    except OSError as err:
+        raise _Abort(f"cannot read {path}: {err}", OPERATIONAL)
+    except rdfio.ParseError as err:
+        raise _Abort(f"{path}: {err}", PARSE)
+    _apply_env_prefixes(kb)
+    return kb
 
 
 def _schema() -> dict:
@@ -68,12 +103,7 @@ def _schema() -> dict:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    try:
-        doc = _load_json(args.spec)
-    except OSError as err:
-        return _fail(f"cannot read {args.spec}: {err}", OPERATIONAL)
-    except json.JSONDecodeError as err:
-        return _fail(f"{args.spec}: {err}", PARSE)
+    doc = _load_json(args.spec)
     try:
         jsonschema.validate(doc, _schema())
     except jsonschema.ValidationError as err:
@@ -143,13 +173,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        kb = rdfio.read_graph(args.path)
-    except OSError as err:
-        return _fail(f"cannot read {args.path}: {err}", OPERATIONAL)
-    except rdfio.ParseError as err:
-        return _fail(f"{args.path}: {err}", PARSE)
-    _apply_env_prefixes(kb)
+    kb = _read_graph(args.path)
     violations = validate(kb)
     for violation in violations:
         print(violation.render())
@@ -157,19 +181,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        kb = rdfio.read_graph(args.kb)
-    except OSError as err:
-        return _fail(f"cannot read {args.kb}: {err}", OPERATIONAL)
-    except rdfio.ParseError as err:
-        return _fail(f"{args.kb}: {err}", PARSE)
-    _apply_env_prefixes(kb)
-    try:
-        table = _load_json(args.assign)
-    except OSError as err:
-        return _fail(f"cannot read {args.assign}: {err}", OPERATIONAL)
-    except json.JSONDecodeError as err:
-        return _fail(f"{args.assign}: {err}", PARSE)
+    kb = _read_graph(args.kb)
+    table = _load_json(args.assign)
     try:
         assignment = {
             kb.resolve(state): (
@@ -178,10 +191,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
             for state, entry in table.items()
         }
-    except (KeyError, TypeError):
+    except (AttributeError, KeyError, TypeError):
         return _fail(
             f"{args.assign}: every entry needs agent and behaviour", OPERATIONAL
         )
+    except ModelError as err:
+        return _fail(f"{args.assign}: {err}", OPERATIONAL)
 
     try:
         handle = engine.realize_process(kb, kb.resolve(args.process), assignment)
@@ -208,13 +223,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_races(args: argparse.Namespace) -> int:
-    try:
-        kb = rdfio.read_graph(args.kb)
-    except OSError as err:
-        return _fail(f"cannot read {args.kb}: {err}", OPERATIONAL)
-    except rdfio.ParseError as err:
-        return _fail(f"{args.kb}: {err}", PARSE)
-    _apply_env_prefixes(kb)
+    kb = _read_graph(args.kb)
     op_map: dict[str, StepKind] = {}
     for item in args.op_map or ():
         name, _, kind = item.partition("=")
@@ -277,7 +286,12 @@ def _parser() -> argparse.ArgumentParser:
     races.add_argument(
         "--handles", required=True, nargs="+", help="realized process root IRIs"
     )
-    races.add_argument("--bound", type=int, default=12, help="step bound (default 12)")
+    races.add_argument(
+        "--bound",
+        type=int,
+        default=DEFAULT_BOUND,
+        help=f"step bound (default {DEFAULT_BOUND})",
+    )
     races.add_argument(
         "--op-map",
         action="append",
@@ -290,7 +304,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Abort as err:
+        return _fail(str(err), err.code)
 
 
 if __name__ == "__main__":

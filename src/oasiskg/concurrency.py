@@ -7,7 +7,9 @@ would block (requesting a held lock) simply cannot move until the lock
 frees; if nothing can move and work remains the partial schedule is
 flagged as a deadlock.
 
-Race semantics on replay:
+Hazards are found during that one depth-first walk, as each step is
+taken; each is indexed by its position in the schedule.  Race
+semantics:
 
 * Modify while another agent holds the lock, or while unlocked after a
   different agent touched the resource: UnlockedModify.
@@ -22,6 +24,7 @@ the first schedule that exhibits a hazard wins.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -142,12 +145,6 @@ class MixedAgents(ModelError):
         self.handle = handle
 
 
-class IllegalSchedule(ModelError):
-    def __init__(self, position: int) -> None:
-        super().__init__(f"schedule takes a blocked step at position {position}")
-        self.position = position
-
-
 # ---------------------------------------------------------------------------
 # Step semantics
 # ---------------------------------------------------------------------------
@@ -182,110 +179,82 @@ def interpret_step(state: ResourceState, agent: Iri, kind: StepKind) -> StepOutc
 
 
 # ---------------------------------------------------------------------------
-# Enumeration and replay
+# Exploration
 # ---------------------------------------------------------------------------
+
+#: hazards raised along a schedule prefix, in step order, each as
+#: (kind, resource, acting agent, other agent, step index)
+_Hazards = tuple[tuple[RaceKind, Iri, Iri, Iri, int], ...]
+
+
+def _walk(
+    runs: list[ProtocolRun],
+    bound: int,
+    consume: Callable[[Schedule, _Hazards], None],
+    positions: tuple[int, ...],
+    resources: dict[Iri, ResourceState],
+    prefix: tuple[int, ...],
+    hazards: _Hazards,
+) -> None:
+    """Every interleaving of the runs' steps, depth-first with the lowest
+    run index explored first.  Blocked runs cannot move; when no run can
+    move and steps remain, the partial schedule is a deadlock.  Each
+    complete, truncated or deadlocked schedule goes to ``consume`` with
+    the hazards its steps raised."""
+    if all(positions[i] >= len(r.steps) for i, r in enumerate(runs)):
+        consume(Schedule(prefix, "complete"), hazards)
+        return
+    if len(prefix) >= bound:
+        consume(Schedule(prefix, "truncated"), hazards)
+        return
+    moved = False
+    for i, run in enumerate(runs):
+        if positions[i] >= len(run.steps):
+            continue
+        step = run.steps[positions[i]]
+        state = resources.get(step.resource, ResourceState())
+        outcome = interpret_step(state, run.agent, step.kind)
+        if outcome.blocked:
+            continue
+        moved = True
+        raised = hazards
+        if outcome.race is not None and outcome.other is not None:
+            at = len(prefix)
+            raised += ((outcome.race, step.resource, run.agent, outcome.other, at),)
+        after = positions[:i] + (positions[i] + 1,) + positions[i + 1 :]
+        nxt = {**resources, step.resource: outcome.state}
+        _walk(runs, bound, consume, after, nxt, prefix + (i,), raised)
+    if not moved:
+        consume(Schedule(prefix, "deadlock"), hazards)
 
 
 def enumerate_schedules(
     runs: list[ProtocolRun], bound: int = DEFAULT_BOUND
 ) -> list[Schedule]:
-    """Every interleaving of the runs' steps, depth-first with the lowest
-    run index explored first.  Blocked runs cannot move; when no run can
-    move and steps remain, the partial schedule is kept as a deadlock."""
+    """Every schedule within the bound, in depth-first order."""
     schedules: list[Schedule] = []
-
-    def walk(
-        positions: tuple[int, ...],
-        resources: dict[Iri, ResourceState],
-        prefix: tuple[int, ...],
-    ) -> None:
-        if all(positions[i] >= len(r.steps) for i, r in enumerate(runs)):
-            schedules.append(Schedule(prefix, "complete"))
-            return
-        if len(prefix) >= bound:
-            schedules.append(Schedule(prefix, "truncated"))
-            return
-        moved = False
-        for i, run in enumerate(runs):
-            if positions[i] >= len(run.steps):
-                continue
-            step = run.steps[positions[i]]
-            state = resources.get(step.resource, ResourceState())
-            outcome = interpret_step(state, run.agent, step.kind)
-            if outcome.blocked:
-                continue
-            moved = True
-            nxt = dict(resources)
-            nxt[step.resource] = outcome.state
-            walk(
-                positions[:i] + (positions[i] + 1,) + positions[i + 1 :],
-                nxt,
-                prefix + (i,),
-            )
-        if not moved:
-            schedules.append(Schedule(prefix, "deadlock"))
-
-    walk(tuple(0 for _ in runs), {}, ())
+    _walk(runs, bound, lambda s, _: schedules.append(s), (0,) * len(runs), {}, (), ())
     return schedules
-
-
-@dataclass(frozen=True)
-class _Hazard:
-    step_index: int
-    kind: RaceKind
-    resource: Iri
-    actor: Iri
-    other: Iri
-
-
-def replay_schedule(
-    runs: list[ProtocolRun], indices: tuple[int, ...]
-) -> list[_Hazard]:
-    """Replay one schedule and report every hazard along the way."""
-    positions = [0 for _ in runs]
-    resources: dict[Iri, ResourceState] = {}
-    hazards: list[_Hazard] = []
-    for at, i in enumerate(indices):
-        run = runs[i]
-        step = run.steps[positions[i]]
-        state = resources.get(step.resource, ResourceState())
-        outcome = interpret_step(state, run.agent, step.kind)
-        if outcome.blocked:
-            raise IllegalSchedule(at)
-        resources[step.resource] = outcome.state
-        positions[i] += 1
-        if outcome.race is not None and outcome.other is not None:
-            hazards.append(
-                _Hazard(at, outcome.race, step.resource, run.agent, outcome.other)
-            )
-    return hazards
 
 
 def detect_races(
     runs: list[ProtocolRun], bound: int = DEFAULT_BOUND
 ) -> list[RaceReport]:
     """Race reports over every schedule within the bound, deduplicated
-    by (kind, resource, acting agent, other agent)."""
+    by (kind, resource, acting agent, other agent); the first schedule
+    in depth-first order that raises a hazard names it."""
     seen: set[tuple[RaceKind, Iri, Iri, Iri]] = set()
     reports: list[RaceReport] = []
-    for schedule in enumerate_schedules(runs, bound):
-        for hazard in replay_schedule(runs, schedule.indices):
-            key = (hazard.kind, hazard.resource, hazard.actor, hazard.other)
-            if key in seen:
-                continue
-            seen.add(key)
-            reports.append(
-                RaceReport(
-                    schedule=schedule.indices,
-                    conflict=Conflict(
-                        resource=hazard.resource,
-                        agent_a=hazard.actor,
-                        agent_b=hazard.other,
-                        step_index=hazard.step_index,
-                    ),
-                    kind=hazard.kind,
-                )
-            )
+
+    def report(schedule: Schedule, hazards: _Hazards) -> None:
+        for kind, resource, actor, other, at in hazards:
+            key = (kind, resource, actor, other)
+            if key not in seen:
+                seen.add(key)
+                conflict = Conflict(resource, actor, other, at)
+                reports.append(RaceReport(schedule.indices, conflict, kind))
+
+    _walk(runs, bound, report, (0,) * len(runs), {}, (), ())
     return reports
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from .builder import (
     check_capability,
+    clone_node,
     clone_tree,
     deprecated_role_providing,
     tree_class,
@@ -41,7 +42,6 @@ from .vocab import (
     HAS_NEXT_PROCEDURE,
     INITIAL_STATE,
     IS_DESCRIBED_BY,
-    LAYER_CLASSES,
     LayerTag,
     PERFORMS_PLAN_EXECUTION,
     PLAN_EXECUTION_DRAWN_BY,
@@ -240,17 +240,16 @@ def state_chain(kb: KnowledgeBase, procedure: Iri) -> list[Iri]:
 # ---------------------------------------------------------------------------
 
 
-def _layer_clone(kb: KnowledgeBase, source: Iri) -> Iri:
-    clone = Iri(
-        f"{source.value}__{LayerTag.EXECUTION.value}__{kb.next_clone_index()}"
-    )
-    kb.assert_membership(clone, LayerTag.EXECUTION.class_iri)
-    rec = kb.entity(source)
-    if rec is not None:
-        for cls in rec.memberships:
-            if cls not in LAYER_CLASSES:
-                kb.assert_membership(clone, cls)
-    return clone
+def _clone_linked(kb: KnowledgeBase, root: Iri) -> Iri:
+    """Clone a behaviour-shaped tree into the execution layer, link every
+    source node to its clone through the hasExecution family and return
+    the root's clone."""
+    mapping = clone_tree(kb, root, LayerTag.EXECUTION)
+    for source, clone in mapping.items():
+        cls = tree_class(kb, source)
+        if cls is not None:
+            kb.assert_property(source, CLASS_TO_HAS_EXECUTION[cls], clone)
+    return mapping[root]
 
 
 def realize_process(
@@ -286,12 +285,12 @@ def realize_process(
                 raise RoleDeprecatedUse(state, agent, stale)
             raise PerformerLacksCapability(state, agent, behaviour)
 
-    exec_process = _layer_clone(kb, process)
+    exec_process = clone_node(kb, process, LayerTag.EXECUTION)
     kb.assert_property(exec_process, PROCESS_DRAWN_BY, process)
     records: list[StateRecord] = []
     previous_proc: Iri | None = None
     for proc in procedures:
-        exec_proc = _layer_clone(kb, proc)
+        exec_proc = clone_node(kb, proc, LayerTag.EXECUTION)
         kb.assert_property(exec_process, CONSISTS_OF_PROCEDURE, exec_proc)
         kb.assert_property(exec_proc, PROCEDURE_DRAWN_BY, proc)
         if previous_proc is not None:
@@ -300,7 +299,7 @@ def realize_process(
 
         exec_states: list[Iri] = []
         for state in chains[proc]:
-            exec_state = _layer_clone(kb, state)
+            exec_state = clone_node(kb, state, LayerTag.EXECUTION)
             if kb.has_class(state, INITIAL_STATE):
                 kb.assert_property(exec_proc, PROC_CONSISTS_INITIAL, exec_state)
             if kb.has_class(state, FINAL_STATE):
@@ -323,13 +322,7 @@ def realize_process(
             plans = [
                 o for o in kb.objects(state, IS_DESCRIBED_BY) if isinstance(o, Iri)
             ]
-            plan = plans[0]
-            mapping = clone_tree(kb, plan, LayerTag.EXECUTION)
-            for source, clone in mapping.items():
-                cls = tree_class(kb, source)
-                if cls is not None:
-                    kb.assert_property(source, CLASS_TO_HAS_EXECUTION[cls], clone)
-            plan_exec = mapping[plan]
+            plan_exec = _clone_linked(kb, plans[0])
             kb.assert_property(plan_exec, PLAN_EXECUTION_DRAWN_BY, behaviour)
             kb.assert_property(exec_state, IS_DESCRIBED_BY, plan_exec)
             kb.assert_property(agent, PERFORMS_PLAN_EXECUTION, plan_exec)
@@ -349,18 +342,14 @@ def realize_process(
 def _fire_event(kb: KnowledgeBase, exec_state: Iri, event: Iri) -> Iri:
     """Clone a foreseen event (and its action) into the execution layer
     and hang it off the realized state."""
-    exec_event = _layer_clone(kb, event)
+    exec_event = clone_node(kb, event, LayerTag.EXECUTION)
     for pred in (HAS_EVENT_KIND, HAS_EVENT_DURATION, HAS_EVENT_WINDOW):
         for value in kb.objects(event, pred):
             kb.assert_property(exec_event, pred, value)
     for action in kb.objects(event, EVENT_DESCRIBED_BY_ACTION):
         if not isinstance(action, Iri):
             continue
-        mapping = clone_tree(kb, action, LayerTag.EXECUTION)
-        for source, clone in mapping.items():
-            cls = tree_class(kb, source)
-            if cls is not None:
-                kb.assert_property(source, CLASS_TO_HAS_EXECUTION[cls], clone)
-        kb.assert_property(exec_event, EVENT_DESCRIBED_BY_ACTION, mapping[action])
+        action_exec = _clone_linked(kb, action)
+        kb.assert_property(exec_event, EVENT_DESCRIBED_BY_ACTION, action_exec)
     kb.assert_property(exec_state, TRIGGERS_EVENT, exec_event)
     return exec_event

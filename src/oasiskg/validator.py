@@ -310,18 +310,8 @@ def _chains(kb: KnowledgeBase) -> list[Violation]:
             )
         if len(initials) != 1:
             continue
-        # reachability and cycle detection over the successor edges
-        reachable: dict[Iri, None] = {}
-        stack = [initials[0]]
-        while stack:
-            state = stack.pop()
-            if state in reachable:
-                continue
-            reachable[state] = None
-            for nxt in kb.objects(state, vocab.HAS_NEXT, entail=True):
-                if isinstance(nxt, Iri):
-                    stack.append(nxt)
-        if _has_cycle(kb, initials[0]):
+        reachable, looped = _walk_successors(kb, initials[0])
+        if looped:
             out.append(
                 Violation(
                     Code.CHAIN_CYCLE,
@@ -341,23 +331,27 @@ def _chains(kb: KnowledgeBase) -> list[Violation]:
     return out
 
 
-def _has_cycle(kb: KnowledgeBase, start: Iri) -> bool:
-    colors: dict[Iri, int] = {}
-
-    def visit(state: Iri) -> bool:
-        colors[state] = 1
-        for nxt in kb.objects(state, vocab.HAS_NEXT, entail=True):
+def _walk_successors(kb: KnowledgeBase, start: Iri) -> tuple[set[Iri], bool]:
+    """States reachable from ``start`` along successor edges, and whether
+    those edges loop: one iterative depth-first walk that flags an edge
+    back to a state still on the walk's path."""
+    on_path: dict[Iri, bool] = {start: True}
+    stack = [(start, iter(kb.objects(start, vocab.HAS_NEXT, entail=True)))]
+    looped = False
+    while stack:
+        state, nexts = stack[-1]
+        for nxt in nexts:
             if not isinstance(nxt, Iri):
                 continue
-            mark = colors.get(nxt)
-            if mark == 1:
-                return True
-            if mark is None and visit(nxt):
-                return True
-        colors[state] = 2
-        return False
-
-    return visit(start)
+            if nxt not in on_path:
+                on_path[nxt] = True
+                stack.append((nxt, iter(kb.objects(nxt, vocab.HAS_NEXT, entail=True))))
+                break
+            looped = looped or on_path[nxt]
+        else:
+            on_path[state] = False
+            stack.pop()
+    return set(on_path), looped
 
 
 def _states_and_events(kb: KnowledgeBase) -> list[Violation]:

@@ -180,6 +180,38 @@ def test_build_applies_the_env_prefix_map(tmp_path, monkeypatch):
     assert "<http://app.example/agent_a>" in out.read_text()
 
 
+@pytest.mark.parametrize("command", ["build", "validate", "run", "races"])
+@pytest.mark.parametrize(
+    "content",
+    [None, "{oops", "[]", '{"x": 5}', '{"": "http://x/"}'],
+    ids=["missing", "malformed", "not-an-object", "not-an-iri", "empty-prefix"],
+)
+def test_unusable_env_prefix_map_is_operational(
+    command, content, built_kb, tmp_path, monkeypatch, capsys
+):
+    kb_path, _ = built_kb
+    prefixes = tmp_path / "prefixes.json"
+    if content is not None:
+        prefixes.write_text(content)
+    monkeypatch.setenv("OASIS_PREFIX_MAP", str(prefixes))
+    argv = {
+        "build": ["build", "--spec", str(tmp_path / "spec.json")],
+        "validate": ["validate", str(kb_path)],
+        "run": [
+            "run",
+            "--kb", str(kb_path),
+            "--process", "consume_a_process",
+            "--assign", str(tmp_path / "assign.json"),
+        ],
+        "races": ["races", "--kb", str(kb_path), "--handles", "nowhere"],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("OASIS_PREFIX_MAP: ")
+    assert err.count("\n") == 1
+    assert str(prefixes) in err
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -297,6 +329,37 @@ def test_run_rejects_bad_assignment_files(built_kb, tmp_path, capsys):
     assign.write_text(json.dumps({"a_request_state": {"agent": "agent_a"}}))
     assert main(args) == 1
     assert "agent and behaviour" in capsys.readouterr().err
+
+
+def test_run_rejects_assignment_files_that_are_not_objects(built_kb, tmp_path, capsys):
+    kb_path, roots = built_kb
+    assign = tmp_path / "assign.json"
+    assign.write_text("[]")
+    args = [
+        "run",
+        "--kb", str(kb_path),
+        "--process", "consume_a_process",
+        "--assign", str(assign),
+    ]
+    assert main(args) == 1
+    assert "every entry needs agent and behaviour" in capsys.readouterr().err
+
+
+def test_run_rejects_assignments_with_unknown_prefixes(built_kb, tmp_path, capsys):
+    kb_path, roots = built_kb
+    assign = tmp_path / "assign.json"
+    entry = {"agent": "agent_a", "behaviour": behaviour_of(roots, "a")}
+    assign.write_text(json.dumps({"nope:a_request_state": entry}))
+    args = [
+        "run",
+        "--kb", str(kb_path),
+        "--process", "consume_a_process",
+        "--assign", str(assign),
+    ]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "nope" in err
+    assert err.count("\n") == 1
 
 
 def test_run_unknown_process_is_operational(built_kb, tmp_path, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import pytest
 
@@ -29,15 +30,14 @@ from oasiskg import (
     realize_process,
 )
 from oasiskg.concurrency import (
-    IllegalSchedule,
     MixedAgents,
     RaceKind,
     ResourceState,
     UnknownHandle,
     UnknownStepKind,
-    replay_schedule,
 )
 
+import race_oracle
 from conftest import build_protocol_scenario
 
 
@@ -209,24 +209,28 @@ def test_bound_truncates_long_explorations():
 
 
 # ---------------------------------------------------------------------------
-# Replay and race detection
+# Race detection
 # ---------------------------------------------------------------------------
 
 
-def test_replay_reports_hazards_in_schedule_positions():
-    runs = [run_of(A, StepKind.MODIFY), run_of(B, StepKind.MODIFY)]
-    hazards = replay_schedule(runs, (0, 1))
-    assert len(hazards) == 1
-    assert hazards[0].step_index == 1
-    assert hazards[0].actor == B
-    assert hazards[0].other == A
-
-
-def test_replay_rejects_schedules_that_move_blocked_runs():
-    runs = [run_of(A, StepKind.REQUEST), run_of(B, StepKind.REQUEST)]
-    with pytest.raises(IllegalSchedule) as err:
-        replay_schedule(runs, (0, 1))
-    assert err.value.position == 1
+def test_detect_races_reports_hazards_in_schedule_positions():
+    runs = [
+        run_of(A, StepKind.REQUEST, StepKind.RELEASE),
+        run_of(B, StepKind.MODIFY, StepKind.RELEASE),
+    ]
+    reports = detect_races(runs)
+    assert [(r.schedule, r.kind) for r in reports] == [
+        ((0, 1, 0, 1), RaceKind.UNLOCKED_MODIFY),
+        ((0, 1, 1, 0), RaceKind.DOUBLE_LOCK),
+    ]
+    # B writes under A's lock at the second step of the first schedule
+    assert reports[0].conflict.step_index == 1
+    assert reports[0].conflict.agent_a == B
+    assert reports[0].conflict.agent_b == A
+    # B releases A's lock at the third step of the next schedule
+    assert reports[1].conflict.step_index == 2
+    assert reports[1].conflict.agent_a == B
+    assert reports[1].conflict.agent_b == A
 
 
 def test_lockless_writers_race_and_the_first_schedule_wins():
@@ -268,6 +272,74 @@ def test_race_report_json_shape():
     assert list(doc["conflict"]) == ["resource", "agentA", "agentB", "stepIndex"]
     assert doc["kind"] == "UnlockedModify"
     assert " " not in line
+
+
+# ---------------------------------------------------------------------------
+# Differential check against the enumerate-then-replay oracle
+# ---------------------------------------------------------------------------
+
+RESOURCES = (R1, R2, Iri("http://example.org/r3"))
+
+
+def random_runs(rng: random.Random) -> list[ProtocolRun]:
+    """1-4 agents, at most 8 steps in all, over 1-3 resources."""
+    resources = RESOURCES[: rng.randint(1, 3)]
+    agents = [Iri(f"http://example.org/agent_{n}") for n in range(rng.randint(1, 4))]
+    budget = 8
+    runs = []
+    for agent in agents:
+        length = rng.randint(0, min(4, budget))
+        budget -= length
+        steps = tuple(
+            Step(rng.choice(list(StepKind)), rng.choice(resources))
+            for _ in range(length)
+        )
+        runs.append(ProtocolRun(agent, steps))
+    return runs
+
+
+def schedule_rows(schedules) -> list[tuple[tuple[int, ...], str]]:
+    return [(s.indices, s.status) for s in schedules]
+
+
+def test_single_walk_matches_the_replay_oracle_on_seeded_runs():
+    statuses: set[str] = set()
+    with_races = 0
+    for seed in range(240):
+        rng = random.Random(seed)
+        runs = random_runs(rng)
+        bound = rng.choice((2, 3, 6, 12))
+        got = enumerate_schedules(runs, bound)
+        want = race_oracle.enumerate_schedules(runs, bound)
+        assert schedule_rows(got) == schedule_rows(want), f"seed {seed}"
+        lines = [r.json_line() for r in detect_races(runs, bound)]
+        expected = [r.json_line() for r in race_oracle.detect_races(runs, bound)]
+        assert lines == expected, f"seed {seed}"
+        statuses.update(s.status for s in want)
+        with_races += bool(expected)
+    # the seeds cover every leaf kind and plenty of reports
+    assert statuses == {"complete", "deadlock", "truncated"}
+    assert with_races >= 60
+
+
+def test_lock_order_deadlock_and_truncated_race_match_the_oracle():
+    def locked(agent: Iri, first: Iri, second: Iri) -> ProtocolRun:
+        kinds = (StepKind.REQUEST, StepKind.REQUEST, StepKind.MODIFY)
+        kinds += (StepKind.RELEASE, StepKind.RELEASE)
+        order = (first, second, first, second, first)
+        return ProtocolRun(agent, tuple(Step(k, r) for k, r in zip(kinds, order)))
+
+    crossed = [locked(A, R1, R2), locked(B, R2, R1), run_of(C, StepKind.MODIFY)]
+    statuses: set[str] = set()
+    for bound in (3, 7, 12):
+        got = enumerate_schedules(crossed, bound)
+        want = race_oracle.enumerate_schedules(crossed, bound)
+        assert schedule_rows(got) == schedule_rows(want)
+        assert [r.json_line() for r in detect_races(crossed, bound)] == [
+            r.json_line() for r in race_oracle.detect_races(crossed, bound)
+        ]
+        statuses.update(s.status for s in want)
+    assert statuses == {"complete", "deadlock", "truncated"}
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ from oasiskg import (
     Code,
     Iri,
     KnowledgeBase,
+    ProcedureSpec,
+    ProcessSpec,
+    StateSpec,
     Violation,
     build_plan,
     build_process,
@@ -23,7 +26,7 @@ from oasiskg.validator import DanglingRoot
 from oasiskg import vocab
 from oasiskg.vocab import LayerTag
 
-from conftest import build_protocol_scenario, random_behaviour_spec
+from conftest import build_protocol_scenario, lock_step_plan, random_behaviour_spec
 from mutations import MUTATIONS
 
 
@@ -53,6 +56,24 @@ def test_random_derivations_are_clean(kb):
         agent = declare_agent(kb, ex(f"agent{i}"))
         derive_behaviour(kb, template, agent)
     assert validate(kb) == []
+
+
+def test_long_state_chains_validate_in_one_iterative_walk(kb):
+    states = tuple(
+        StateSpec(name=f"long_{i}_state", plan=lock_step_plan(f"long_{i}", "modify"))
+        for i in range(1100)
+    )
+    spec = ProcessSpec(
+        name="long_process",
+        procedures=(ProcedureSpec(name="long_procedure", states=states),),
+    )
+    build_process(kb, spec)
+    assert validate(kb) == []
+    # an edge from the far end back to the start closes a 1,100-state loop
+    kb.assert_property(
+        ex("long_1099_state"), vocab.HAS_NEXT_NON_TERMINATING, ex("long_0_state")
+    )
+    assert Code.CHAIN_CYCLE in {v.code for v in validate(kb)}
 
 
 # ---------------------------------------------------------------------------
