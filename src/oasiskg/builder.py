@@ -134,21 +134,21 @@ def _check_depends(
         for dep in wanted:
             if dep not in known:
                 raise SpecInvalid(path, f"{name} depends on unknown name {dep!r}")
-    # cycle check over the dependency edges
-    state: dict[str, int] = {}
-
-    def visit(name: str) -> None:
-        if state.get(name) == 1:
-            raise SpecInvalid(path, f"dependency cycle through {name!r}")
-        if state.get(name) == 2:
-            return
-        state[name] = 1
-        for dep in deps.get(name, ()):
-            visit(dep)
-        state[name] = 2
-
-    for name in names:
-        visit(name)
+    # cycle check: depth-first, explicit stack, from a root over all names
+    state: dict[str | None, int] = {}
+    stack = [(None, iter(names))]
+    while stack:
+        name, pending = stack[-1]
+        for dep in pending:
+            if state.get(dep) == 1:
+                raise SpecInvalid(path, f"dependency cycle through {dep!r}")
+            if dep not in state:
+                state[dep] = 1
+                stack.append((dep, iter(deps.get(dep, ()))))
+                break
+        else:
+            state[name] = 2
+            stack.pop()
 
 
 def _check_behaviour_spec(spec: BehaviourSpec) -> None:

@@ -15,14 +15,11 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
-
-import jsonschema
 
 from . import builder, engine, rdfio
 from .concurrency import DEFAULT_BOUND, StepKind, detect_races, extract_runs
 from .core import KnowledgeBase
-from .specs import behaviour_from_json, event_from_json, process_from_json
+from .specs import SpecInvalid, document_from_json
 from .terms import Iri, ModelError
 from .validator import validate
 
@@ -72,7 +69,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as err:
         raise _Abort(f"cannot read {path}: {err}", OPERATIONAL)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise _Abort(f"{path}: {err}", PARSE)
 
 
@@ -82,19 +79,10 @@ def _read_graph(path: str) -> KnowledgeBase:
         kb = rdfio.read_graph(path)
     except OSError as err:
         raise _Abort(f"cannot read {path}: {err}", OPERATIONAL)
-    except rdfio.ParseError as err:
+    except (rdfio.ParseError, UnicodeDecodeError) as err:
         raise _Abort(f"{path}: {err}", PARSE)
     _apply_env_prefixes(kb)
     return kb
-
-
-def _schema() -> dict:
-    text = (
-        resources.files("oasiskg")
-        .joinpath("schema/build-spec.schema.json")
-        .read_text(encoding="utf-8")
-    )
-    return json.loads(text)
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +91,13 @@ def _schema() -> dict:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    doc = _load_json(args.spec)
     try:
-        jsonschema.validate(doc, _schema())
-    except jsonschema.ValidationError as err:
-        where = "/".join(str(p) for p in err.absolute_path) or "document"
-        return _fail(f"{args.spec}: {where}: {err.message}", OPERATIONAL)
+        doc = document_from_json(_load_json(args.spec))
+    except SpecInvalid as err:
+        return _fail(f"{args.spec}: {err}", OPERATIONAL)
 
     kb = KnowledgeBase()
     _apply_env_prefixes(kb)
-    for prefix, base in doc.get("prefixes", {}).items():
-        kb.register_prefix(prefix, base)
-
     symbols: dict[str, Iri] = {}
 
     def ref(name: str) -> Iri:
@@ -122,17 +105,17 @@ def cmd_build(args: argparse.Namespace) -> int:
 
     roots: list[Iri] = []
     try:
+        for prefix, base in doc.get("prefixes", {}).items():
+            kb.register_prefix(prefix, base)
         for name in doc.get("classes", ()):
             kb.declare_class(kb.resolve(name))
         for name in doc.get("agents", ()):
             builder.declare_agent(kb, kb.resolve(name))
-        for spec_doc in doc.get("templates", ()):
-            spec = behaviour_from_json(spec_doc, "templates")
+        for spec in doc.get("templates", ()):
             root = builder.build_template(kb, spec)
             symbols[spec.name] = root
             roots.append(root)
-        for spec_doc in doc.get("plans", ()):
-            spec = behaviour_from_json(spec_doc, "plans")
+        for spec in doc.get("plans", ()):
             root = builder.build_plan(kb, spec)
             symbols[spec.name] = root
             roots.append(root)
@@ -144,8 +127,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             roots.append(root)
         for entry in doc.get("submissions", ()):
             builder.submit_plan(kb, ref(entry["plan"]), ref(entry["behaviour"]))
-        for spec_doc in doc.get("processes", ()):
-            spec = process_from_json(spec_doc, "processes")
+        for spec in doc.get("processes", ()):
             root = builder.build_process(kb, spec)
             symbols[spec.name] = root
             roots.append(root)
@@ -160,8 +142,7 @@ def cmd_build(args: argparse.Namespace) -> int:
                 symbols[entry["id"]] = role
             roots.append(role)
         for entry in doc.get("events", ()):
-            spec = event_from_json(entry["event"], "events")
-            roots.append(builder.attach_event(kb, ref(entry["state"]), spec))
+            roots.append(builder.attach_event(kb, ref(entry["state"]), entry["event"]))
     except ModelError as err:
         return _fail(str(err), OPERATIONAL)
 

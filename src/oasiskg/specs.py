@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 from .terms import ModelError
 
 
 class SpecInvalid(ModelError):
-    """A spec value is structurally wrong (bad reference, cycle, dup name)."""
+    """A spec value is malformed: wrong shape, bad reference, cycle, dup name."""
 
     def __init__(self, path: str, detail: str) -> None:
         super().__init__(f"{path}: {detail}")
@@ -106,80 +107,169 @@ class ProcessSpec:
 # ---------------------------------------------------------------------------
 
 
+def _object(
+    doc: Any, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> dict[str, Any]:
+    """``doc`` as an object with every required key and no unknown key."""
+    if not isinstance(doc, dict):
+        raise SpecInvalid(path, "expected an object")
+    for key in required:
+        if key not in doc:
+            raise SpecInvalid(path, f"missing key {key!r}")
+    for key in doc:
+        if key not in required and key not in optional:
+            raise SpecInvalid(path, f"unknown key {key!r}")
+    return doc
+
+
+def _string(doc: Any, path: str) -> str:
+    if not isinstance(doc, str):
+        raise SpecInvalid(path, "expected a string")
+    return doc
+
+
+def _each(convert: Callable[[Any, str], Any], doc: Any, path: str) -> tuple:
+    """``convert`` applied to every item of array ``doc``, with the item's path."""
+    if not isinstance(doc, list):
+        raise SpecInvalid(path, "expected an array")
+    return tuple(convert(item, f"{path}[{i}]") for i, item in enumerate(doc))
+
+
+def _strings(doc: Any, path: str) -> tuple[str, ...]:
+    return _each(_string, doc, path)
+
+
 def ref_from_json(doc: Any, path: str) -> Ref:
     if isinstance(doc, str):
         return Ref.exact(doc)
     if not isinstance(doc, dict) or "iri" not in doc:
         raise SpecInvalid(path, "expected an IRI string or {iri, mode, instanceOf}")
-    mode = RefMode(doc.get("mode", "exact"))
-    instance_of = tuple(doc.get("instanceOf", ()))
-    if instance_of and mode is not RefMode.NEW:
+    _object(doc, path, ("iri",), ("mode", "instanceOf"))
+    mode = doc.get("mode", "exact")
+    if mode not in ("exact", "new"):
+        raise SpecInvalid(f"{path}.mode", "expected exact or new")
+    instance_of = _strings(doc.get("instanceOf", []), f"{path}.instanceOf")
+    if instance_of and mode != "new":
         raise SpecInvalid(path, "instanceOf only applies to mode new")
-    return Ref(doc["iri"], mode, instance_of)
+    return Ref(_string(doc["iri"], f"{path}.iri"), RefMode(mode), instance_of)
 
 
 def task_from_json(doc: dict[str, Any], path: str) -> TaskSpec:
-    inputs = tuple(
-        ref_from_json(r, f"{path}.inputs[{i}]")
-        for i, r in enumerate(doc.get("inputs", ()))
-    )
-    outputs = tuple(
-        ref_from_json(r, f"{path}.outputs[{i}]")
-        for i, r in enumerate(doc.get("outputs", ()))
-    )
+    optional = ("operatorArgument", "object", "inputs", "outputs", "dependsOn")
+    _object(doc, path, ("name", "operatorAction"), optional)
+
+    def ref(key: str) -> Ref | None:
+        return ref_from_json(doc[key], f"{path}.{key}") if key in doc else None
+
     return TaskSpec(
-        name=doc["name"],
-        operator_action=ref_from_json(doc["operatorAction"], f"{path}.operatorAction"),
-        operator_argument=(
-            ref_from_json(doc["operatorArgument"], f"{path}.operatorArgument")
-            if "operatorArgument" in doc
-            else None
-        ),
-        obj=ref_from_json(doc["object"], f"{path}.object") if "object" in doc else None,
-        inputs=inputs,
-        outputs=outputs,
-        depends_on=tuple(doc.get("dependsOn", ())),
+        name=_string(doc["name"], f"{path}.name"),
+        operator_action=ref("operatorAction"),
+        operator_argument=ref("operatorArgument"),
+        obj=ref("object"),
+        inputs=_each(ref_from_json, doc.get("inputs", []), f"{path}.inputs"),
+        outputs=_each(ref_from_json, doc.get("outputs", []), f"{path}.outputs"),
+        depends_on=_strings(doc.get("dependsOn", []), f"{path}.dependsOn"),
+    )
+
+
+def _goal_from_json(doc: Any, path: str) -> GoalSpec:
+    _object(doc, path, ("name", "tasks"), ("dependsOn",))
+    return GoalSpec(
+        name=_string(doc["name"], f"{path}.name"),
+        tasks=_each(task_from_json, doc["tasks"], f"{path}.tasks"),
+        depends_on=_strings(doc.get("dependsOn", []), f"{path}.dependsOn"),
     )
 
 
 def behaviour_from_json(doc: dict[str, Any], path: str) -> BehaviourSpec:
-    goals = tuple(
-        GoalSpec(
-            name=g["name"],
-            tasks=tuple(
-                task_from_json(t, f"{path}.goals[{i}].tasks[{j}]")
-                for j, t in enumerate(g.get("tasks", ()))
-            ),
-            depends_on=tuple(g.get("dependsOn", ())),
-        )
-        for i, g in enumerate(doc.get("goals", ()))
+    _object(doc, path, ("name", "goals"))
+    return BehaviourSpec(
+        name=_string(doc["name"], f"{path}.name"),
+        goals=_each(_goal_from_json, doc["goals"], f"{path}.goals"),
     )
-    return BehaviourSpec(name=doc["name"], goals=goals)
 
 
 def event_from_json(doc: dict[str, Any], path: str) -> EventSpec:
+    literals = ("kind", "duration", "window")
+    _object(doc, path, ("name", "action"), literals)
     return EventSpec(
-        name=doc["name"],
+        name=_string(doc["name"], f"{path}.name"),
         action=task_from_json(doc["action"], f"{path}.action"),
-        kind=doc.get("kind"),
-        duration=doc.get("duration"),
-        window=doc.get("window"),
+        **{k: _string(doc[k], f"{path}.{k}") for k in literals if k in doc},
+    )
+
+
+def _state_from_json(doc: Any, path: str) -> StateSpec:
+    _object(doc, path, ("name", "plan"), ("events",))
+    return StateSpec(
+        name=_string(doc["name"], f"{path}.name"),
+        plan=behaviour_from_json(doc["plan"], f"{path}.plan"),
+        events=_each(event_from_json, doc.get("events", []), f"{path}.events"),
+    )
+
+
+def _procedure_from_json(doc: Any, path: str) -> ProcedureSpec:
+    _object(doc, path, ("name", "states"))
+    return ProcedureSpec(
+        name=_string(doc["name"], f"{path}.name"),
+        states=_each(_state_from_json, doc["states"], f"{path}.states"),
     )
 
 
 def process_from_json(doc: dict[str, Any], path: str) -> ProcessSpec:
-    procedures = []
-    for i, proc in enumerate(doc.get("procedures", ())):
-        states = tuple(
-            StateSpec(
-                name=s["name"],
-                plan=behaviour_from_json(s["plan"], f"{path}.procedures[{i}].states[{j}].plan"),
-                events=tuple(
-                    event_from_json(e, f"{path}.procedures[{i}].states[{j}].events[{k}]")
-                    for k, e in enumerate(s.get("events", ()))
-                ),
-            )
-            for j, s in enumerate(proc.get("states", ()))
-        )
-        procedures.append(ProcedureSpec(name=proc["name"], states=states))
-    return ProcessSpec(name=doc["name"], procedures=tuple(procedures))
+    _object(doc, path, ("name", "procedures"))
+    return ProcessSpec(
+        name=_string(doc["name"], f"{path}.name"),
+        procedures=_each(_procedure_from_json, doc["procedures"], f"{path}.procedures"),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Build documents
+# ---------------------------------------------------------------------------
+
+
+def _prefixes(doc: Any, path: str) -> dict[str, str]:
+    if not isinstance(doc, dict):
+        raise SpecInvalid(path, "expected an object")
+    return {key: _string(base, f"{path}.{key}") for key, base in doc.items()}
+
+
+def _entries(fields: dict[str, Callable], optional: tuple[str, ...] = ()) -> Callable:
+    """A section of objects with exactly these keys, each value converted."""
+    required = tuple(key for key in fields if key not in optional)
+
+    def entry(doc: Any, path: str) -> dict[str, Any]:
+        _object(doc, path, required, optional)
+        return {key: fields[key](value, f"{path}.{key}") for key, value in doc.items()}
+
+    return partial(_each, entry)
+
+
+_SECTIONS: dict[str, Callable[[Any, str], Any]] = {
+    "prefixes": _prefixes,
+    "classes": _strings,
+    "agents": _strings,
+    "templates": partial(_each, behaviour_from_json),
+    "plans": partial(_each, behaviour_from_json),
+    "behaviours": _entries({"id": _string, "template": _string, "agent": _string}),
+    "submissions": _entries({"plan": _string, "behaviour": _string}),
+    "processes": partial(_each, process_from_json),
+    "roles": _entries(
+        {"id": _string, "agent": _string, "roleType": _string, "behaviours": _strings},
+        optional=("id",),
+    ),
+    "events": _entries({"state": _string, "event": event_from_json}),
+}
+
+
+def document_from_json(doc: Any) -> dict[str, Any]:
+    """Check a whole build document and convert the sections it has.
+
+    Templates, plans and processes become specs and ``events[i].event``
+    an ``EventSpec``; the other values stay JSON, checked for their type.
+    Paths name the section index: ``templates[0].goals[1]``.  Empty
+    goal, task, procedure and state arrays are left to the builder.
+    """
+    _object(doc, "document", (), tuple(_SECTIONS))
+    return {name: _SECTIONS[name](value, name) for name, value in doc.items()}

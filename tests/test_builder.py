@@ -30,6 +30,7 @@ from oasiskg import (
     derive_behaviour,
     grant_role,
     submit_plan,
+    validate,
 )
 from oasiskg.builder import (
     LayerError,
@@ -38,6 +39,7 @@ from oasiskg.builder import (
     NotARole,
     NotATemplate,
     StructureMismatch,
+    _check_depends,
     clone_tree,
     deprecated_role_providing,
     pair_trees,
@@ -243,6 +245,94 @@ def test_dependency_cycles_are_rejected(kb):
     )
     with pytest.raises(SpecInvalid):
         build_template(kb, spec)
+
+
+def chained_tasks(count: int, back_to: int | None = None) -> tuple[TaskSpec, ...]:
+    """``t0`` depends on ``t1``, ``t1`` on ``t2`` ... and the last task on
+    nothing, or on ``t<back_to>`` to close a cycle."""
+    last = () if back_to is None else (f"t{back_to}",)
+    return tuple(
+        TaskSpec(
+            name=f"t{i}",
+            operator_action=Ref.exact("act"),
+            depends_on=(f"t{i + 1}",) if i + 1 < count else last,
+        )
+        for i in range(count)
+    )
+
+
+def test_long_depends_on_chains_build_without_recursion(kb):
+    goal = GoalSpec(name="long_g", tasks=chained_tasks(1100))
+    build_template(kb, BehaviourSpec(name="long", goals=(goal,)))
+    assert len(kb.query(predicate=vocab.DEPENDS_ON)) == 1099
+    goals = tuple(
+        GoalSpec(
+            name=f"g{i}",
+            tasks=(TaskSpec(name=f"g{i}_t", operator_action=Ref.exact("act")),),
+            depends_on=(f"g{i + 1}",) if i + 1 < 1100 else (),
+        )
+        for i in range(1100)
+    )
+    build_plan(kb, BehaviourSpec(name="long_goals", goals=goals))
+    assert len(kb.query(predicate=vocab.DEPENDS_ON)) == 2198
+    assert validate(kb) == []
+
+
+def test_long_dependency_cycle_names_the_first_name_met_again(kb):
+    goal = GoalSpec(name="loop_g", tasks=chained_tasks(1100, back_to=500))
+    with pytest.raises(SpecInvalid) as err:
+        build_template(kb, BehaviourSpec(name="loop", goals=(goal,)))
+    assert err.value.detail == "dependency cycle through 't500'"
+
+
+def _recursive_cycle_name(names: list[str], deps: dict[str, tuple[str, ...]]):
+    """The recursive depth-first check the builder once ran: the name it
+    reports in "dependency cycle through ...", or None."""
+    state: dict[str, int] = {}
+
+    class Found(Exception):
+        pass
+
+    def visit(name: str) -> None:
+        if state.get(name) == 1:
+            raise Found(name)
+        if state.get(name) == 2:
+            return
+        state[name] = 1
+        for dep in deps.get(name, ()):
+            visit(dep)
+        state[name] = 2
+
+    try:
+        for name in names:
+            visit(name)
+    except Found as found:
+        return found.args[0]
+    return None
+
+
+def test_dependency_check_matches_the_recursive_walk_on_seeded_graphs():
+    rng = random.Random(7)
+    cycles = 0
+    for _ in range(600):
+        names = [f"n{i}" for i in range(rng.randint(1, 8))]
+        deps = {
+            name: tuple(rng.sample(names, rng.randint(0, min(3, len(names)))))
+            for name in names
+            if rng.random() < 0.7
+        }
+        expected = _recursive_cycle_name(names, deps)
+        try:
+            _check_depends(names, deps, "spec")
+            got = None
+        except SpecInvalid as err:
+            got = err.detail
+        if expected is None:
+            assert got is None, (names, deps)
+        else:
+            cycles += 1
+            assert got == f"dependency cycle through {expected!r}", (names, deps)
+    assert 100 <= cycles <= 500
 
 
 # ---------------------------------------------------------------------------

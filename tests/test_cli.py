@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oasiskg
 from oasiskg import read_graph, validate
 from oasiskg.cli import main
 from oasiskg import vocab
@@ -180,6 +185,36 @@ def test_build_applies_the_env_prefix_map(tmp_path, monkeypatch):
     assert "<http://app.example/agent_a>" in out.read_text()
 
 
+@pytest.mark.parametrize(
+    "prefixes", [{"": "http://x/"}, {"p": ""}], ids=["empty-prefix", "empty-base"]
+)
+def test_build_rejects_unusable_document_prefixes(prefixes, tmp_path, capsys):
+    doc = protocol_doc(tags=("a",))
+    doc["prefixes"] = prefixes
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "kb.nt"
+    assert main(["build", "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_import_leaves_jsonschema_out(tmp_path):
+    package_root = str(Path(oasiskg.__file__).resolve().parents[1])
+    probe = "import sys, oasiskg.cli; print(oasiskg.__file__, 'jsonschema' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": package_root},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    where, loaded = proc.stdout.split()
+    assert Path(where).resolve() == Path(oasiskg.__file__).resolve()
+    assert loaded == "False"
+
+
 @pytest.mark.parametrize("command", ["build", "validate", "run", "races"])
 @pytest.mark.parametrize(
     "content",
@@ -210,6 +245,29 @@ def test_unusable_env_prefix_map_is_operational(
     assert err.startswith("OASIS_PREFIX_MAP: ")
     assert err.count("\n") == 1
     assert str(prefixes) in err
+
+
+@pytest.mark.parametrize(
+    "target", ["build --spec", "validate", "races --kb", "run --kb", "run --assign"]
+)
+def test_non_utf8_input_files_are_parse_errors(target, built_kb, tmp_path, capsys):
+    kb_path, roots = built_kb
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    assign = tmp_path / "assign.json"
+    assign.write_text(json.dumps(assignment_doc(roots, "a")))
+    run = ["run", "--process", "consume_a_process"]
+    argv = {
+        "build --spec": ["build", "--spec", str(bad)],
+        "validate": ["validate", str(bad)],
+        "races --kb": ["races", "--kb", str(bad), "--handles", "nowhere"],
+        "run --kb": [*run, "--kb", str(bad), "--assign", str(assign)],
+        "run --assign": [*run, "--kb", str(kb_path), "--assign", str(bad)],
+    }[target]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"{bad}: ")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
