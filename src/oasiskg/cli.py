@@ -144,7 +144,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         for entry in doc.get("events", ()):
             roots.append(builder.attach_event(kb, ref(entry["state"]), entry["event"]))
     except ModelError as err:
-        return _fail(str(err), OPERATIONAL)
+        return _fail(f"{args.spec}: {err}", OPERATIONAL)
 
     if args.out:
         rdfio.write_graph(kb, args.out)

@@ -21,6 +21,7 @@ from . import vocab
 from .terms import (
     Assertion,
     InvalidLocalName,
+    InvalidPrefix,
     Iri,
     LOCAL_NAME,
     ModelError,
@@ -90,7 +91,7 @@ _Index = dict[Iri, dict[Assertion, None]]
 
 
 class KnowledgeBase:
-    """Assertion store, prefix table and clone counter."""
+    """Assertion store, prefix table, clone counter and change journal."""
 
     def __init__(self, *, strict: bool = False) -> None:
         self.strict = strict
@@ -103,12 +104,15 @@ class KnowledgeBase:
         self._by_p: _Index = {}
         self._by_o: dict[Obj, dict[Assertion, None]] = {}
         self._clone_counter = 0
+        #: assertions added or removed since the last clean validation
+        #: pass, in order; ``None`` until a pass comes back clean
+        self.journal: list[Assertion] | None = None
 
     # -- prefixes and minting -------------------------------------------------
 
     def register_prefix(self, prefix: str, base: str) -> None:
         if not prefix or not base:
-            raise UnknownPrefix(prefix)
+            raise InvalidPrefix(prefix, base)
         self.prefixes[prefix] = base
 
     def mint_iri(self, prefix: str, local: str) -> Iri:
@@ -129,15 +133,6 @@ class KnowledgeBase:
                 raise UnknownPrefix(prefix)
             return Iri(self.prefixes[prefix] + local)
         return self.mint_iri("ex", name)
-
-    def compact(self, iri: Iri) -> str:
-        best: tuple[int, str] | None = None
-        for prefix, base in self.prefixes.items():
-            if iri.value.startswith(base) and (best is None or len(base) > best[0]):
-                best = (len(base), prefix)
-        if best is None:
-            return iri.value
-        return f"{best[1]}:{iri.value[best[0]:]}"
 
     def next_clone_index(self) -> int:
         self._clone_counter += 1
@@ -257,6 +252,8 @@ class KnowledgeBase:
         self._by_s.setdefault(assertion.subject, {})[assertion] = None
         self._by_p.setdefault(assertion.predicate, {})[assertion] = None
         self._by_o.setdefault(assertion.object, {})[assertion] = None
+        if self.journal is not None:
+            self.journal.append(assertion)
 
     def remove(self, assertion: Assertion) -> None:
         """Retract one assertion (memberships included).  No-op if absent."""
@@ -266,6 +263,8 @@ class KnowledgeBase:
         del self._by_s[assertion.subject][assertion]
         del self._by_p[assertion.predicate][assertion]
         del self._by_o[assertion.object][assertion]
+        if self.journal is not None:
+            self.journal.append(assertion)
         if assertion.predicate == RDF_TYPE and isinstance(assertion.object, Iri):
             rec = self.entities.get(assertion.subject)
             if rec is not None:
@@ -352,21 +351,3 @@ class KnowledgeBase:
 
     def __contains__(self, assertion: Assertion) -> bool:
         return assertion in self.assertions
-
-    def copy(self) -> "KnowledgeBase":
-        """Independent replica: same assertions, prefixes and counter."""
-        twin = KnowledgeBase(strict=False)
-        twin.prefixes = dict(self.prefixes)
-        for cls in self.user_classes:
-            twin.declare_class(cls)
-        for iri in self.entities:
-            twin.ensure_entity(iri)
-        for a in self.assertions:
-            if a.predicate == RDF_TYPE and isinstance(a.object, Iri):
-                twin.assert_membership(a.subject, a.object)
-            else:
-                twin.assert_property(a.subject, a.predicate, a.object)
-        twin.undeclared_predicates = dict(self.undeclared_predicates)
-        twin._clone_counter = self._clone_counter
-        twin.strict = self.strict
-        return twin

@@ -21,6 +21,16 @@ class UnknownPrefix(ModelError):
         self.prefix = prefix
 
 
+class InvalidPrefix(ModelError):
+    def __init__(self, prefix: str, base: str) -> None:
+        empty = " and ".join(
+            part for part, value in (("prefix", prefix), ("base IRI", base)) if not value
+        )
+        super().__init__(f"cannot bind prefix {prefix!r} to {base!r}: empty {empty}")
+        self.prefix = prefix
+        self.base = base
+
+
 class InvalidLocalName(ModelError):
     def __init__(self, local: str) -> None:
         super().__init__(f"local name contains reserved characters: {local!r}")

@@ -1,12 +1,16 @@
 """Whole-graph consistency checks.
 
 ``validate`` never raises on graph content; it returns a sorted list of
-violations.  ``check_mirror`` verifies that a linked tree retraces its
-source tree edge by edge through the right family subproperties.
+violations.  After a clean pass it re-checks only what the store's change
+journal can reach, with the same result as a whole-graph pass.
+``check_mirror`` verifies that a linked tree retraces its source tree
+edge by edge through the right family subproperties.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,8 +21,8 @@ from .builder import (
     tree_class,
     walk_tree,
 )
-from .core import KnowledgeBase
-from .terms import Assertion, Iri, ModelError
+from .core import EntityRecord, KnowledgeBase
+from .terms import Assertion, Iri, ModelError, Obj
 from .vocab import RDF_TYPE
 
 
@@ -162,37 +166,155 @@ def check_mirror(
 
 
 # ---------------------------------------------------------------------------
-# Whole-graph validation
+# Validation
 # ---------------------------------------------------------------------------
 
-_MIRROR_SWEEPS: tuple[tuple[Iri, Iri], ...] = (
-    (vocab.term("overloadsBehaviour"), vocab.OVERLOADS),
-    (vocab.term("planDescriptionSubmittedTo"), vocab.SUBMITTED_TO),
-    (vocab.HAS_PLAN_EXECUTION, vocab.HAS_EXECUTION),
-)
+#: root-pair predicate -> the family whose links check_mirror follows
+_MIRROR_ROOTS: dict[Iri, Iri] = {
+    vocab.term("overloadsBehaviour"): vocab.OVERLOADS,
+    vocab.term("planDescriptionSubmittedTo"): vocab.SUBMITTED_TO,
+    vocab.HAS_PLAN_EXECUTION: vocab.HAS_EXECUTION,
+}
+_TREE_EDGES = frozenset(vocab.CHILD_PREDICATES)
+_NEXT_EDGES = vocab.SUB_CLOSURE[vocab.HAS_NEXT]
 
 #: predicates whose endpoints must be typed individuals
 _STRUCTURAL_EXEMPT = frozenset(vocab.REFERS_PREDICATES)
 
 
+@dataclass(frozen=True)
+class _Candidates:
+    """What each check looks at: all of the graph, or what a journal reaches."""
+
+    entities: Iterable[EntityRecord]  # layer mix, states and events, executions
+    assertions: Iterable[Assertion]  # unknown predicate, endpoints, dangling
+    trees: Iterable[tuple[Iri, Iri, Iri]]  # mirrors: source root, target root, family
+    procedures: Iterable[Iri]  # chains
+    performs: Iterable[tuple[Iri, Obj]]  # performers: agent, execution root
+
+
+#: a region pass costs a few times what a whole-graph pass costs per
+#: assertion covered, so it runs only while the journal is shorter than
+#: this share of the graph
+_REGION_SHARE = 4
+
+
 def validate(kb: KnowledgeBase) -> list[Violation]:
-    out: list[Violation] = []
-    out.extend(_layer_mix(kb))
-    out.extend(_unknown_predicates(kb))
-    out.extend(_endpoint_constraints(kb))
-    out.extend(_mirrors(kb))
-    out.extend(_chains(kb))
-    out.extend(_states_and_events(kb))
-    out.extend(_executions(kb))
-    out.extend(_performers(kb))
-    out.extend(_dangling(kb))
+    """Every finding over the whole graph, sorted.
+
+    After a clean pass the store journals its changes.  While the journal
+    is short next to the graph, the next call runs the checks only on
+    what the journal can reach: when that is clean, so is the graph.
+    Otherwise the whole-graph pass runs, and it alone produces findings."""
+    journal = kb.journal
+    if (
+        journal is not None
+        and len(journal) * _REGION_SHARE < len(kb)
+        and not _findings(kb, _reach(kb, journal))
+    ):
+        kb.journal = []
+        return []
+    out = _findings(kb, _whole(kb))
     out.sort(key=Violation.sort_key)
+    kb.journal = None if out else []
     return out
 
 
-def _layer_mix(kb: KnowledgeBase) -> list[Violation]:
+def _findings(kb: KnowledgeBase, c: _Candidates) -> list[Violation]:
+    return [
+        *_layer_mix(c.entities),
+        *_unknown_predicates(c.assertions),
+        *_endpoint_constraints(kb, c.assertions),
+        *_mirrors(kb, c.trees),
+        *_chains(kb, c.procedures),
+        *_states_and_events(kb, c.entities),
+        *_executions(kb, c.entities),
+        *_performers(kb, c.performs),
+        *_dangling(kb, c.assertions),
+    ]
+
+
+def _whole(kb: KnowledgeBase) -> _Candidates:
+    return _Candidates(
+        entities=kb.entities.values(),
+        assertions=kb.assertions,
+        trees=[
+            (a.subject, a.object, family)
+            for root_pred, family in _MIRROR_ROOTS.items()
+            for a in kb.query(predicate=root_pred)
+            if isinstance(a.object, Iri)
+        ],
+        procedures=kb.instances_of(vocab.PROCEDURE),
+        performs=[
+            (a.subject, a.object)
+            for a in kb.query(predicate=vocab.PERFORMS_PLAN_EXECUTION)
+        ],
+    )
+
+
+def _reach(kb: KnowledgeBase, journal: list[Assertion]) -> _Candidates:
+    """Candidates that changes since a clean pass can have touched; a
+    finding the whole graph has now must lie among them."""
+    into = functools.cache(lambda iri: kb.query(obj=iri))
+    out_of = functools.cache(lambda iri: kb.query(subject=iri))
+    subjects = dict.fromkeys(a.subject for a in journal)
+    # repeats are harmless: a region pass only tells clean from dirty
+    assertions = [a for a in journal if a in kb]
+    for iri in {a.subject for a in journal if a.predicate == RDF_TYPE}:
+        # the endpoint checks read the classes of both ends of an edge
+        assertions += out_of(iri) + into(iri)
+    trees: dict[tuple[Iri, Iri, Iri], None] = {}
+    for node in _upward(into, subjects, _TREE_EDGES):
+        for a in out_of(node):
+            if a.predicate in _MIRROR_ROOTS and isinstance(a.object, Iri):
+                trees[(node, a.object, _MIRROR_ROOTS[a.predicate])] = None
+        for a in into(node):
+            if a.predicate in _MIRROR_ROOTS:
+                trees[(a.subject, node, _MIRROR_ROOTS[a.predicate])] = None
+    procedures = dict.fromkeys(subjects)
+    for state in _upward(into, subjects, _NEXT_EDGES):
+        for a in into(state):
+            if a.predicate == vocab.PROC_CONSISTS_INITIAL:
+                procedures[a.subject] = None
+    performs: dict[tuple[Iri, Obj], None] = {}
+    for iri in subjects:
+        for a in into(iri):
+            if a.predicate == vocab.PERFORMS_PLAN_EXECUTION:
+                performs[(a.subject, iri)] = None
+        players = [a.subject for a in into(iri) if a.predicate == vocab.PLAY_ROLE]
+        for agent in (iri, *players):
+            for a in out_of(agent):
+                if a.predicate == vocab.PERFORMS_PLAN_EXECUTION:
+                    performs[(agent, a.object)] = None
+    return _Candidates(
+        entities=[kb.entities[iri] for iri in subjects],
+        assertions=assertions,
+        trees=trees,
+        procedures=[p for p in procedures if kb.has_class(p, vocab.PROCEDURE)],
+        performs=performs,
+    )
+
+
+def _upward(
+    into: Callable[[Iri], list[Assertion]],
+    nodes: Iterable[Iri],
+    predicates: frozenset[Iri],
+) -> set[Iri]:
+    """``nodes`` and every node with a path to one of them along
+    ``predicates`` edges; ``into`` gives a node's incoming assertions."""
+    seen = set(nodes)
+    stack = list(seen)
+    while stack:
+        for a in into(stack.pop()):
+            if a.predicate in predicates and a.subject not in seen:
+                seen.add(a.subject)
+                stack.append(a.subject)
+    return seen
+
+
+def _layer_mix(entities: Iterable[EntityRecord]) -> list[Violation]:
     out = []
-    for rec in kb.entities.values():
+    for rec in entities:
         if rec.mixed_layers:
             names = ", ".join(sorted(c.local for c in rec.layer_classes))
             out.append(
@@ -205,9 +327,9 @@ def _layer_mix(kb: KnowledgeBase) -> list[Violation]:
     return out
 
 
-def _unknown_predicates(kb: KnowledgeBase) -> list[Violation]:
+def _unknown_predicates(assertions: Iterable[Assertion]) -> list[Violation]:
     seen: dict[Iri, None] = {}
-    for a in kb.assertions:
+    for a in assertions:
         if a.predicate != RDF_TYPE and a.predicate not in vocab.PROPERTIES:
             seen[a.predicate] = None
     return [
@@ -227,9 +349,11 @@ _FAMILY_CODES: tuple[tuple[Iri, Code], ...] = (
 )
 
 
-def _endpoint_constraints(kb: KnowledgeBase) -> list[Violation]:
+def _endpoint_constraints(
+    kb: KnowledgeBase, assertions: Iterable[Assertion]
+) -> list[Violation]:
     out = []
-    for a in kb.assertions:
+    for a in assertions:
         if a.predicate == RDF_TYPE:
             continue
         spec = vocab.PROPERTIES.get(a.predicate)
@@ -254,18 +378,18 @@ def _endpoint_constraints(kb: KnowledgeBase) -> list[Violation]:
     return out
 
 
-def _mirrors(kb: KnowledgeBase) -> list[Violation]:
+def _mirrors(
+    kb: KnowledgeBase, trees: Iterable[tuple[Iri, Iri, Iri]]
+) -> list[Violation]:
     out = []
-    for root_pred, family in _MIRROR_SWEEPS:
-        for a in kb.query(predicate=root_pred):
-            if isinstance(a.object, Iri):
-                out.extend(check_mirror(kb, a.subject, a.object, family))
+    for source, target, family in trees:
+        out.extend(check_mirror(kb, source, target, family))
     return out
 
 
-def _chains(kb: KnowledgeBase) -> list[Violation]:
+def _chains(kb: KnowledgeBase, procedures: Iterable[Iri]) -> list[Violation]:
     out = []
-    for proc in kb.instances_of(vocab.PROCEDURE):
+    for proc in procedures:
         members: dict[Iri, None] = {}
         for o in kb.objects(proc, vocab.PROC_CONSISTS_STATE, entail=True):
             if isinstance(o, Iri):
@@ -354,32 +478,39 @@ def _walk_successors(kb: KnowledgeBase, start: Iri) -> tuple[set[Iri], bool]:
     return set(on_path), looped
 
 
-def _states_and_events(kb: KnowledgeBase) -> list[Violation]:
+def _states_and_events(
+    kb: KnowledgeBase, entities: Iterable[EntityRecord]
+) -> list[Violation]:
     out = []
-    for state in kb.instances_of(*vocab.PROCEDURE_STATE_CLASSES):
-        if not kb.objects(state, vocab.IS_DESCRIBED_BY):
+    for rec in entities:
+        if vocab.PROCEDURE_STATE_CLASSES.intersection(
+            rec.memberships
+        ) and not kb.objects(rec.iri, vocab.IS_DESCRIBED_BY):
             out.append(
                 Violation(
                     Code.STATE_WITHOUT_PLAN,
-                    (state,),
+                    (rec.iri,),
                     "procedure state has no describing plan",
                 )
             )
-    for event in kb.instances_of(vocab.EVENT):
-        if not kb.objects(event, vocab.EVENT_DESCRIBED_BY_ACTION):
+        if vocab.EVENT in rec.memberships and not kb.objects(
+            rec.iri, vocab.EVENT_DESCRIBED_BY_ACTION
+        ):
             out.append(
                 Violation(
                     Code.EVENT_WITHOUT_ACTION,
-                    (event,),
+                    (rec.iri,),
                     "event has no describing action",
                 )
             )
     return out
 
 
-def _executions(kb: KnowledgeBase) -> list[Violation]:
+def _executions(
+    kb: KnowledgeBase, entities: Iterable[EntityRecord]
+) -> list[Violation]:
     out = []
-    for rec in kb.entities.values():
+    for rec in entities:
         if (
             vocab.BEHAVIOUR in rec.memberships
             and rec.layer is vocab.LayerTag.EXECUTION
@@ -395,12 +526,13 @@ def _executions(kb: KnowledgeBase) -> list[Violation]:
     return out
 
 
-def _performers(kb: KnowledgeBase) -> list[Violation]:
+def _performers(
+    kb: KnowledgeBase, performs: Iterable[tuple[Iri, Obj]]
+) -> list[Violation]:
     out = []
-    for a in kb.query(predicate=vocab.PERFORMS_PLAN_EXECUTION):
-        if not isinstance(a.object, Iri):
+    for agent, exec_root in performs:
+        if not isinstance(exec_root, Iri):
             continue
-        agent, exec_root = a.subject, a.object
         for b in kb.objects(exec_root, vocab.EXECUTION_DRAWN_BY, entail=True):
             if not isinstance(b, Iri):
                 continue
@@ -426,9 +558,9 @@ def _performers(kb: KnowledgeBase) -> list[Violation]:
     return out
 
 
-def _dangling(kb: KnowledgeBase) -> list[Violation]:
+def _dangling(kb: KnowledgeBase, assertions: Iterable[Assertion]) -> list[Violation]:
     flagged: dict[Iri, Iri] = {}
-    for a in kb.assertions:
+    for a in assertions:
         if a.predicate == RDF_TYPE or a.predicate in _STRUCTURAL_EXEMPT:
             continue
         spec = vocab.PROPERTIES.get(a.predicate)

@@ -186,17 +186,38 @@ def test_build_applies_the_env_prefix_map(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "prefixes", [{"": "http://x/"}, {"p": ""}], ids=["empty-prefix", "empty-base"]
+    "prefixes, empty",
+    [({"": "http://x/"}, "prefix"), ({"p": ""}, "base IRI")],
+    ids=["empty-prefix", "empty-base"],
 )
-def test_build_rejects_unusable_document_prefixes(prefixes, tmp_path, capsys):
+def test_build_rejects_unusable_document_prefixes(prefixes, empty, tmp_path, capsys):
     doc = protocol_doc(tags=("a",))
     doc["prefixes"] = prefixes
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
     out = tmp_path / "kb.nt"
     assert main(["build", "--spec", str(spec), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.count("\n") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.rstrip("\n").endswith(f": empty {empty}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"templates": [{"name": "t", "goals": []}]},
+        {"prefixes": {"p": ""}},
+    ],
+    ids=["goalless-template", "empty-base"],
+)
+def test_build_model_errors_name_the_document(doc, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["build", "--spec", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"{spec}: ")
 
 
 def test_cli_import_leaves_jsonschema_out(tmp_path):
@@ -245,6 +266,8 @@ def test_unusable_env_prefix_map_is_operational(
     assert err.startswith("OASIS_PREFIX_MAP: ")
     assert err.count("\n") == 1
     assert str(prefixes) in err
+    if content == '{"": "http://x/"}':
+        assert err.rstrip("\n").endswith(": empty prefix")
 
 
 @pytest.mark.parametrize(

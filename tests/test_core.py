@@ -6,7 +6,7 @@ import pytest
 
 from oasiskg import Assertion, Iri, KnowledgeBase
 from oasiskg.core import LayerConstraintViolated, LayerMix, UnknownPredicate
-from oasiskg.terms import InvalidLocalName, UnknownPrefix
+from oasiskg.terms import InvalidLocalName, InvalidPrefix, UnknownPrefix
 from oasiskg import vocab
 from oasiskg.vocab import LayerTag, RDF_TYPE
 
@@ -73,12 +73,21 @@ def test_mint_iri_rejects_bad_input(kb: KnowledgeBase):
         kb.mint_iri("ex", "")
 
 
-def test_register_prefix_and_compact(kb: KnowledgeBase):
+def test_register_prefix_binds_a_base_for_resolve(kb: KnowledgeBase):
     kb.register_prefix("zz", "http://zz.example/")
     assert kb.resolve("zz:thing") == Iri("http://zz.example/thing")
-    assert kb.compact(Iri("http://zz.example/thing")) == "zz:thing"
-    assert kb.compact(vocab.AGENT) == "oasis:Agent"
-    assert kb.compact(Iri("http://elsewhere.example/x")).startswith("http://")
+
+
+@pytest.mark.parametrize(
+    "prefix, base, empty",
+    [("", "http://x/", "prefix"), ("p", "", "base IRI"), ("", "", "prefix and base IRI")],
+)
+def test_register_prefix_names_the_empty_part(kb: KnowledgeBase, prefix, base, empty):
+    before = dict(kb.prefixes)
+    with pytest.raises(InvalidPrefix) as caught:
+        kb.register_prefix(prefix, base)
+    assert str(caught.value).endswith(f": empty {empty}")
+    assert kb.prefixes == before
 
 
 def test_clone_counter_is_sequential(kb: KnowledgeBase):
@@ -124,15 +133,6 @@ def test_remove_retracts_assertions_and_memberships(kb: KnowledgeBase):
     assert len(kb) == 0
     assert not kb.has_class(ex("alice"), AGENT)
     assert kb.query() == []
-
-
-def test_copy_is_independent(kb: KnowledgeBase):
-    kb.assert_membership(ex("alice"), AGENT)
-    twin = kb.copy()
-    twin.assert_membership(ex("bob"), AGENT)
-    assert kb.entity(ex("bob")) is None
-    assert twin.has_class(ex("alice"), AGENT)
-    assert twin._clone_counter == kb._clone_counter
 
 
 # ---------------------------------------------------------------------------
