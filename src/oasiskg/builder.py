@@ -127,13 +127,18 @@ def declare_agent(kb: KnowledgeBase, iri: Iri) -> Iri:
 def _check_depends(
     names: list[str], deps: dict[str, tuple[str, ...]], path: str
 ) -> None:
-    known = set(names)
-    if len(known) != len(names):
+    """Names unique, dependencies known and acyclic.  ``path`` names the
+    array; an error names its item as ``path[i]``."""
+    index = {name: i for i, name in enumerate(names)}
+    if len(index) != len(names):
         raise SpecInvalid(path, "duplicate names")
     for name, wanted in deps.items():
-        for dep in wanted:
-            if dep not in known:
-                raise SpecInvalid(path, f"{name} depends on unknown name {dep!r}")
+        for j, dep in enumerate(wanted):
+            if dep not in index:
+                raise SpecInvalid(
+                    f"{path}[{index[name]}].dependsOn[{j}]",
+                    f"{name} depends on unknown name {dep!r}",
+                )
     # cycle check: depth-first, explicit stack, from a root over all names
     state: dict[str | None, int] = {}
     stack = [(None, iter(names))]
@@ -141,7 +146,9 @@ def _check_depends(
         name, pending = stack[-1]
         for dep in pending:
             if state.get(dep) == 1:
-                raise SpecInvalid(path, f"dependency cycle through {dep!r}")
+                raise SpecInvalid(
+                    f"{path}[{index[dep]}]", f"dependency cycle through {dep!r}"
+                )
             if dep not in state:
                 state[dep] = 1
                 stack.append((dep, iter(deps.get(dep, ()))))
@@ -152,22 +159,23 @@ def _check_depends(
 
 
 def _check_behaviour_spec(spec: BehaviourSpec) -> None:
+    where = spec.path or spec.name
     if not spec.goals:
-        raise SpecInvalid(spec.name, "a behaviour needs at least one goal")
+        raise SpecInvalid(f"{where}.goals", "a behaviour needs at least one goal")
     _check_depends(
         [g.name for g in spec.goals],
         {g.name: g.depends_on for g in spec.goals},
-        f"{spec.name}.goals",
+        f"{where}.goals",
     )
-    for goal in spec.goals:
+    for i, goal in enumerate(spec.goals):
         if not goal.tasks:
             raise SpecInvalid(
-                f"{spec.name}.{goal.name}", "a goal needs at least one task"
+                f"{where}.goals[{i}].tasks", "a goal needs at least one task"
             )
         _check_depends(
             [t.name for t in goal.tasks],
             {t.name: t.depends_on for t in goal.tasks},
-            f"{spec.name}.{goal.name}.tasks",
+            f"{where}.goals[{i}].tasks",
         )
 
 
@@ -491,16 +499,20 @@ def submit_plan(kb: KnowledgeBase, plan_root: Iri, behaviour_root: Iri) -> None:
 def build_process(kb: KnowledgeBase, spec: ProcessSpec, prefix: str = "ex") -> Iri:
     """Emit a process: ordered procedures, each a chain of states whose
     plans are built inline and wired up with isDescribedBy."""
+    where = spec.path or spec.name
     if not spec.procedures:
-        raise SpecInvalid(spec.name, "a process needs at least one procedure")
+        raise SpecInvalid(
+            f"{where}.procedures", "a process needs at least one procedure"
+        )
     root = kb.mint_iri(prefix, spec.name)
     kb.assert_membership(root, PROCESS)
     kb.assert_membership(root, LayerTag.PLANNING.class_iri)
     previous_proc: Iri | None = None
-    for proc_spec in spec.procedures:
+    for i, proc_spec in enumerate(spec.procedures):
         if not proc_spec.states:
             raise SpecInvalid(
-                f"{spec.name}.{proc_spec.name}", "a procedure needs at least one state"
+                f"{where}.procedures[{i}].states",
+                "a procedure needs at least one state",
             )
         proc = kb.mint_iri(prefix, proc_spec.name)
         kb.assert_membership(proc, PROCEDURE)

@@ -81,6 +81,8 @@ def _read_graph(path: str) -> KnowledgeBase:
         raise _Abort(f"cannot read {path}: {err}", OPERATIONAL)
     except (rdfio.ParseError, UnicodeDecodeError) as err:
         raise _Abort(f"{path}: {err}", PARSE)
+    except ModelError as err:
+        raise _Abort(f"{path}: {err}", OPERATIONAL)
     _apply_env_prefixes(kb)
     return kb
 

@@ -5,16 +5,20 @@ subject / predicate / object, LF endings, trailing newline.  Equal
 assertion sets always serialize to byte-identical files.
 
 Import accepts a Turtle subset that covers everything the exporter can
-produce plus the usual conveniences: ``@prefix``, prefixed names, ``a``
-for rdf:type, ``;`` and ``,`` lists, ``#`` comments, quoted literals
-with ``\\"``, ``\\\\``, ``\\n``, ``\\r``, ``\\t`` escapes.  No blank
-nodes, no language tags, no datatypes, no multi-line literals.
+produce plus the usual conveniences: ``@prefix``, prefixed names (the
+empty prefix too, as in ``:a``), ``a`` for rdf:type, ``;`` and ``,``
+lists, ``#`` comments, quoted literals with ``\\"``, ``\\\\``, ``\\n``,
+``\\r``, ``\\t`` escapes.  No blank nodes, no language tags, no
+datatypes, no multi-line literals.  Canonical N-Triples is read by the
+same parser.  An IRI that :class:`Iri` refuses (``<>``, or one holding
+a space) is a :class:`ParseError` at its position, like any other
+unparsable input.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import re
 
 from .core import KnowledgeBase
 from .terms import Iri, ModelError, Obj
@@ -74,120 +78,74 @@ def write_graph(kb: KnowledgeBase, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # iri, pname, literal, punct, a, prefix-decl
-    value: str
-    line: int
-    col: int
-
-
-_PUNCT = {".", ";", ","}
-_PNAME_START = set(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
+# One token per match: the token, then the whitespace and comments after
+# it.  The pname local part gives back trailing dots, which close the
+# statement.  No atomic groups or possessive quantifiers (Python 3.10).
+_SKIP = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+_NAME = r"[A-Za-z0-9_.\-]"
+_LITERAL = r'[^"\\\n]*(?:\\[\\"nrt][^"\\\n]*)*'  # up to the closing quote
+_TOKEN = re.compile(
+    rf"(?:<(?P<iri>[^>\n]*)>"
+    rf'|"(?P<literal>{_LITERAL})"'
+    rf"|(?P<punct>[.;,])"
+    rf"|(?P<pname>(?:[A-Za-z_]{_NAME}*)?:(?:{_NAME}*[A-Za-z0-9_\-])?)"
+    rf"|(?P<a>a)(?!{_NAME}|:)"
+    rf"|(?P<prefix_decl>@prefix)(?![^\W\d_])"
+    rf"){_SKIP}"
 )
-_PNAME_CHARS = _PNAME_START | set("0123456789-.")
+_SKIP_RE = re.compile(_SKIP)
+_LITERAL_RE = re.compile(_LITERAL)
+_HEAD = re.compile(f"{_NAME}*")
+_ESCAPE = re.compile(r"\\(.)")
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """A ParseError at the line and column of ``text[offset]``."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(line, offset - text.rfind("\n", 0, offset), message)
 
-    def advance(count: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
 
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        start_line, start_col = line, col
-        if ch == "<":
-            advance()
-            begin = i
-            while i < n and text[i] not in ">\n":
-                advance()
-            if i >= n or text[i] != ">":
-                raise ParseError(start_line, start_col, "unterminated IRI")
-            value = text[begin:i]
-            advance()
-            tokens.append(_Token("iri", value, start_line, start_col))
-            continue
-        if ch == '"':
-            advance()
-            buf: list[str] = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise ParseError(start_line, start_col, "unterminated literal")
-                c = text[i]
-                if c == "\\":
-                    advance()
-                    if i >= n or text[i] not in _UNESCAPES:
-                        raise ParseError(line, col, "unsupported escape")
-                    buf.append(_UNESCAPES[text[i]])
-                    advance()
-                    continue
-                if c == '"':
-                    advance()
-                    break
-                buf.append(c)
-                advance()
-            tokens.append(_Token("literal", "".join(buf), start_line, start_col))
-            continue
-        if ch in _PUNCT:
-            advance()
-            tokens.append(_Token("punct", ch, start_line, start_col))
-            continue
-        if ch == "@":
-            begin = i
-            advance()
-            while i < n and text[i].isalpha():
-                advance()
-            word = text[begin:i]
-            if word != "@prefix":
-                raise ParseError(start_line, start_col, f"unsupported directive {word}")
-            tokens.append(_Token("prefix-decl", word, start_line, start_col))
-            continue
-        if ch in _PNAME_START:
-            begin = i
-            while i < n and text[i] in _PNAME_CHARS:
-                advance()
-            head = text[begin:i]
-            if i < n and text[i] == ":":
-                advance()
-                lbegin = i
-                while i < n and text[i] in _PNAME_CHARS:
-                    advance()
-                local = text[lbegin:i]
-                # a trailing dot belongs to the statement, not the name
-                while local.endswith("."):
-                    local = local[:-1]
-                    i -= 1
-                    col -= 1
-                tokens.append(
-                    _Token("pname", f"{head}:{local}", start_line, start_col)
-                )
-                continue
-            if head == "a":
-                tokens.append(_Token("a", "a", start_line, start_col))
-                continue
-            raise ParseError(start_line, start_col, f"unexpected token {head!r}")
-        raise ParseError(start_line, start_col, f"unexpected character {ch!r}")
+def _reject(text: str, pos: int) -> ParseError:
+    """The ParseError for ``text[pos]``, where no token starts."""
+    ch = text[pos]
+    if ch == "<":
+        return _error(text, pos, "unterminated IRI")
+    if ch == '"':
+        end = _LITERAL_RE.match(text, pos + 1).end()
+        if end == len(text) or text[end] == "\n":
+            return _error(text, pos, "unterminated literal")
+        return _error(text, end + 1, "unsupported escape")  # after a backslash
+    if ch == "@":
+        end = pos + 1
+        while end < len(text) and text[end].isalpha():
+            end += 1
+        if text[pos:end] != "@prefix":
+            return _error(text, pos, f"unsupported directive {text[pos:end]}")
+        # '@prefix²': the lookahead takes '²' for a letter, isalpha() does not
+        pos, ch = end, text[end]
+    elif ch.isascii() and (ch.isalpha() or ch == "_"):
+        head = _HEAD.match(text, pos).group()
+        return _error(text, pos, f"unexpected token {head!r}")
+    return _error(text, pos, f"unexpected character {ch!r}")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, value, offset)`` per token; kind is a group of ``_TOKEN``."""
+    tokens = []
+    seen: dict[str, str] = {}  # one string per distinct value, hashed once
+    pos = _SKIP_RE.match(text).end()
+    for m in _TOKEN.finditer(text, pos):
+        if m.start() != pos:
+            break
+        kind = m.lastgroup
+        value = m.group(kind)
+        if kind == "literal" and "\\" in value:
+            value = _ESCAPE.sub(lambda e: _UNESCAPES[e.group(1)], value)
+        tokens.append((kind, seen.setdefault(value, value), pos))
+        pos = m.end()
+    if pos < len(text):
+        raise _reject(text, pos)
     return tokens
 
 
@@ -204,91 +162,92 @@ def parse_turtle(
         table.update(prefixes)
     tokens = _tokenize(text)
     triples: list[Triple] = []
-    pos = 0
+    iris: dict[str, Iri] = {}  # IRI text -> the one Iri of this call
+    names: dict[str, Iri] = {}  # prefixed name -> Iri, until the next @prefix
 
-    def peek() -> _Token | None:
-        return tokens[pos] if pos < len(tokens) else None
+    def iri(value: str, offset: int) -> Iri:
+        found = iris.get(value)
+        if found is None:
+            try:
+                found = iris[value] = Iri(value)
+            except ModelError:
+                raise _error(text, offset, f"invalid IRI {value!r}") from None
+        return found
 
-    def take() -> _Token:
-        nonlocal pos
-        tok = peek()
-        if tok is None:
-            last = tokens[-1] if tokens else _Token("punct", "", 1, 1)
-            raise ParseError(last.line, last.col, "unexpected end of input")
-        pos += 1
-        return tok
-
-    def expect_punct(value: str) -> None:
-        tok = take()
-        if tok.kind != "punct" or tok.value != value:
-            raise ParseError(tok.line, tok.col, f"expected {value!r}")
-
-    def expand(tok: _Token) -> Iri:
-        prefix, local = tok.value.split(":", 1)
-        base = table.get(prefix)
-        if base is None:
-            raise ParseError(tok.line, tok.col, f"unknown prefix {prefix!r}")
-        return Iri(base + local)
-
-    def term(tok: _Token, *, role: str) -> Obj:
-        if tok.kind == "iri":
-            return Iri(tok.value)
-        if tok.kind == "pname":
-            return expand(tok)
-        if tok.kind == "literal" and role == "object":
-            return tok.value
-        if tok.kind == "a" and role == "predicate":
+    def term(token: tuple[str, str, int], role: str) -> Obj:
+        kind, value, offset = token
+        if kind == "iri":
+            return iris.get(value) or iri(value, offset)
+        if kind == "pname":
+            found = names.get(value)
+            if found is None:
+                prefix, local = value.split(":", 1)
+                if prefix not in table:
+                    raise _error(text, offset, f"unknown prefix {prefix!r}")
+                found = names[value] = iri(table[prefix] + local, offset)
+            return found
+        if kind == "literal" and role == "object":
+            return value
+        if kind == "a" and role == "predicate":
             return RDF_TYPE
-        raise ParseError(tok.line, tok.col, f"unexpected {tok.kind} as {role}")
+        kind = kind.replace("_", "-")  # prefix_decl: a group name needs "_"
+        raise _error(text, offset, f"unexpected {kind} as {role}")
 
-    while (tok := peek()) is not None:
-        if tok.kind == "prefix-decl":
-            take()
-            name_tok = take()
-            if name_tok.kind != "pname" or not name_tok.value.endswith(":"):
-                raise ParseError(name_tok.line, name_tok.col, "expected prefix name")
-            prefix = name_tok.value.split(":", 1)[0]
-            iri_tok = take()
-            if iri_tok.kind != "iri":
-                raise ParseError(iri_tok.line, iri_tok.col, "expected IRI")
-            expect_punct(".")
-            table[prefix] = iri_tok.value
-            continue
-        subject = term(take(), role="subject")
-        if not isinstance(subject, Iri):
-            raise ParseError(tok.line, tok.col, "subject must be an IRI")
-        while True:
-            pred_tok = take()
-            predicate = term(pred_tok, role="predicate")
-            if not isinstance(predicate, Iri):
-                raise ParseError(pred_tok.line, pred_tok.col, "predicate must be an IRI")
+    # reading past the last token is the only IndexError below: the
+    # input ended inside a statement
+    i, n = 0, len(tokens)
+    try:
+        while i < n:
+            if tokens[i][0] == "prefix_decl":
+                name = tokens[i + 1]
+                if name[0] != "pname" or not name[1].endswith(":"):
+                    raise _error(text, name[2], "expected prefix name")
+                base = tokens[i + 2]
+                if base[0] != "iri":
+                    raise _error(text, base[2], "expected IRI")
+                end = tokens[i + 3]
+                if end[:2] != ("punct", "."):
+                    raise _error(text, end[2], "expected '.'")
+                table[name[1][:-1]] = base[1]
+                names.clear()
+                i += 4
+                continue
+            subject = term(tokens[i], "subject")
+            i += 1
             while True:
-                triples.append((subject, predicate, term(take(), role="object")))
-                sep = take()
-                if sep.kind != "punct":
-                    raise ParseError(sep.line, sep.col, "expected , ; or .")
-                if sep.value == ",":
-                    continue
-                break
-            if sep.value == ".":
-                break
-            # after ';' a bare '.' closes the statement
-            nxt = peek()
-            if nxt is not None and nxt.kind == "punct" and nxt.value == ".":
-                take()
-                break
+                predicate = term(tokens[i], "predicate")
+                while True:
+                    triples.append((subject, predicate, term(tokens[i + 1], "object")))
+                    sep = tokens[i + 2]
+                    i += 2
+                    if sep[0] != "punct":
+                        raise _error(text, sep[2], "expected , ; or .")
+                    if sep[1] != ",":
+                        break
+                i += 1
+                if sep[1] == ".":
+                    break
+                # after ';' a bare '.' closes the statement
+                if i < n and tokens[i][:2] == ("punct", "."):
+                    i += 1
+                    break
+    except IndexError:
+        last = tokens[-1][2] if tokens else 0
+        raise _error(text, last, "unexpected end of input") from None
     return triples, table
 
 
 def import_turtle(kb: KnowledgeBase, text: str) -> int:
     """Parse and assert into the knowledge base; returns the triple count.
 
-    Prefixes declared in the document are registered on the kb.  In lax
-    mode unknown predicates are kept for the validator to report.
+    Prefixes declared in the document are registered on the kb, except
+    the empty prefix, which stays local to the document.  In lax mode
+    unknown predicates are kept for the validator to report.
     """
     triples, table = parse_turtle(text, kb.prefixes)
     for prefix, base in table.items():
-        kb.register_prefix(prefix, base)
+        if prefix:
+            kb.register_prefix(prefix, base)
     for subject, predicate, obj in triples:
         kb.assert_property(subject, predicate, obj)
     return len(triples)

@@ -7,7 +7,7 @@ part of the CLI contract (camelCase: ``operatorAction``, ``dependsOn``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import Any, Callable
@@ -72,6 +72,9 @@ class GoalSpec:
 class BehaviourSpec:
     name: str
     goals: tuple[GoalSpec, ...]
+    #: where the spec sits in its build document (``templates[0]``), for
+    #: the builder's error paths; empty when it was not read from one
+    path: str = field(default="", compare=False)
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,8 @@ class ProcedureSpec:
 class ProcessSpec:
     name: str
     procedures: tuple[ProcedureSpec, ...]
+    #: as ``BehaviourSpec.path``
+    path: str = field(default="", compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +191,7 @@ def behaviour_from_json(doc: dict[str, Any], path: str) -> BehaviourSpec:
     return BehaviourSpec(
         name=_string(doc["name"], f"{path}.name"),
         goals=_each(_goal_from_json, doc["goals"], f"{path}.goals"),
+        path=path,
     )
 
 
@@ -221,6 +227,7 @@ def process_from_json(doc: dict[str, Any], path: str) -> ProcessSpec:
     return ProcessSpec(
         name=_string(doc["name"], f"{path}.name"),
         procedures=_each(_procedure_from_json, doc["procedures"], f"{path}.procedures"),
+        path=path,
     )
 
 
@@ -269,7 +276,8 @@ def document_from_json(doc: Any) -> dict[str, Any]:
     Templates, plans and processes become specs and ``events[i].event``
     an ``EventSpec``; the other values stay JSON, checked for their type.
     Paths name the section index: ``templates[0].goals[1]``.  Empty
-    goal, task, procedure and state arrays are left to the builder.
+    goal, task, procedure and state arrays and ``dependsOn`` names are
+    left to the builder, which reports them under the same paths.
     """
     _object(doc, "document", (), tuple(_SECTIONS))
     return {name: _SECTIONS[name](value, name) for name, value in doc.items()}

@@ -241,3 +241,92 @@ def test_error_paths_name_the_section_index(doc, path):
     with pytest.raises(SpecInvalid) as err:
         document_from_json(doc)
     assert err.value.path == path
+
+
+def _render(path: tuple) -> str:
+    """A ``_nodes`` path in the shape checker's form: ``templates[0].goals``."""
+    out = ""
+    for step in path:
+        out += f"[{step}]" if isinstance(step, int) else f".{step}" if out else step
+    return out
+
+
+NOPE = ["nope"]
+
+
+@pytest.mark.parametrize(
+    "edit, value, path, detail",
+    [
+        (
+            ("templates", 0, "goals", 1, "tasks", 1, "dependsOn"),
+            NOPE,
+            "templates[0].goals[1].tasks[1].dependsOn[0]",
+            "work_template_task depends on unknown name 'nope'",
+        ),
+        (
+            ("plans", 0, "goals", 1, "dependsOn"),
+            NOPE,
+            "plans[0].goals[1].dependsOn[0]",
+            "work_plan_goal depends on unknown name 'nope'",
+        ),
+        (
+            ("processes", 0, "procedures", 0, "states", 1, "plan", "goals", 1, "tasks", 1,
+             "dependsOn"),
+            NOPE,
+            "processes[0].procedures[0].states[1].plan.goals[1].tasks[1].dependsOn[0]",
+            "end_plan_task depends on unknown name 'nope'",
+        ),
+        (
+            ("templates", 0, "goals", 1, "tasks", 0, "dependsOn"),
+            ["work_template_task"],
+            "templates[0].goals[1].tasks[0]",
+            "dependency cycle through 'work_template_first_task'",
+        ),
+        (
+            ("templates", 0, "goals", 0, "dependsOn"),
+            ["work_template_goal"],
+            "templates[0].goals[0]",
+            "dependency cycle through 'work_template_prepare_goal'",
+        ),
+        (
+            ("templates", 0, "goals", 1, "tasks", 1, "name"),
+            "work_template_first_task",
+            "templates[0].goals[1].tasks",
+            "duplicate names",
+        ),
+        (
+            ("templates", 0, "goals"),
+            [],
+            "templates[0].goals",
+            "a behaviour needs at least one goal",
+        ),
+        (
+            ("plans", 0, "goals", 0, "tasks"),
+            [],
+            "plans[0].goals[0].tasks",
+            "a goal needs at least one task",
+        ),
+        (
+            ("processes", 0, "procedures"),
+            [],
+            "processes[0].procedures",
+            "a process needs at least one procedure",
+        ),
+        (
+            ("processes", 0, "procedures", 0, "states"),
+            [],
+            "processes[0].procedures[0].states",
+            "a procedure needs at least one state",
+        ),
+    ],
+)
+def test_builder_errors_name_document_paths(edit, value, path, detail, tmp_path, capsys):
+    """Every builder error for a document the shape checker accepts names
+    the offending item by its path in the document."""
+    doc = _set(full_doc(), edit, value)
+    document_from_json(doc)  # the shape is fine; only the builder objects
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["build", "--spec", str(spec)]) == 1
+    assert capsys.readouterr().err == f"{spec}: {path}: {detail}\n"
+    assert path in {_render(p) for p, _ in _nodes(doc)}

@@ -329,6 +329,42 @@ def test_validate_missing_file_is_exit_1(tmp_path):
     assert main(["validate", str(tmp_path / "absent.nt")]) == 1
 
 
+def test_validate_accepts_the_empty_prefix(tmp_path, capsys):
+    graph = tmp_path / "empty_prefix.ttl"
+    graph.write_text(
+        "@prefix : <http://example.org/> .\n:a a <http://example.org/C> .\n"
+    )
+    assert main(["validate", str(graph)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "content, code, detail",
+    [
+        ("<http://x/a> <http://x/p> <> .\n", 4, "line 1, col 27: invalid IRI ''"),
+        (
+            "<http://x/a b> <http://x/p> <http://x/o> .\n",
+            4,
+            "line 1, col 1: invalid IRI 'http://x/a b'",
+        ),
+        ('<http://x/a> a "lit" .\n', 1, "type(http://x/a, lit): class must be an IRI"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "run", "races"])
+def test_graph_files_with_unusable_terms_exit_cleanly(
+    command, content, code, detail, tmp_path, capsys
+):
+    graph = tmp_path / "graph.ttl"
+    graph.write_text(content)
+    argv = {
+        "validate": ["validate", str(graph)],
+        "run": ["run", "--kb", str(graph), "--process", "p", "--assign", "a.json"],
+        "races": ["races", "--kb", str(graph), "--handles", "h"],
+    }[command]
+    assert main(argv) == code
+    assert capsys.readouterr().err == f"{graph}: {detail}\n"
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
