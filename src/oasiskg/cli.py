@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import builder, engine, rdfio
-from .concurrency import DEFAULT_BOUND, StepKind, detect_races, extract_runs
+from .concurrency import DEFAULT_BOUND, StepKind, extract_runs, search_races
 from .core import KnowledgeBase
 from .specs import SpecInvalid, document_from_json
 from .terms import Iri, ModelError
@@ -222,10 +222,18 @@ def cmd_races(args: argparse.Namespace) -> int:
         runs = extract_runs(kb, [kb.resolve(h) for h in args.handles], op_map)
     except ModelError as err:
         return _fail(str(err), OPERATIONAL)
-    reports = detect_races(runs, args.bound)
-    for report in reports:
+    search = search_races(runs, args.bound)
+    for report in search.reports:
         print(report.json_line())
-    return RACES if reports else OK
+    deadlock, truncated = search.schedules["deadlock"], search.schedules["truncated"]
+    if deadlock or truncated:
+        # steps past the bound or behind a deadlock were never searched
+        print(
+            f"races: {deadlock} of {sum(search.schedules.values())} schedules "
+            f"deadlock; {truncated} cut off at --bound {args.bound}",
+            file=sys.stderr,
+        )
+    return RACES if search.reports else OK
 
 
 # ---------------------------------------------------------------------------

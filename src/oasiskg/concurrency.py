@@ -1,15 +1,11 @@
 """Interleaving analysis for lock-protocol runs.
 
 A protocol run is one agent's ordered request / modify / release steps
-against shared resources.  Schedules are run-index sequences.
-Enumeration is exhaustive up to a step bound: a run whose next step
-would block (requesting a held lock) simply cannot move until the lock
-frees; if nothing can move and work remains the partial schedule is
-flagged as a deadlock.
-
-Hazards are found during that one depth-first walk, as each step is
-taken; each is indexed by its position in the schedule.  Race
-semantics:
+against shared resources.  Schedules are run-index sequences, searched
+depth-first, lowest run index first, up to a step bound: a run whose
+next step would block (requesting a held lock) cannot move until the
+lock frees; if nothing can move and work remains the partial schedule
+is a deadlock.  Race semantics:
 
 * Modify while another agent holds the lock, or while unlocked after a
   different agent touched the resource: UnlockedModify.
@@ -19,14 +15,25 @@ semantics:
 Race steps still take effect, so one schedule can surface several
 hazards.  Reports are deduplicated on (kind, resource, agent pair);
 the first schedule that exhibits a hazard wins.
+
+The search visits each distinct state once, interpreting at most
+(distinct states x runs) steps, not one per step of every schedule.  A
+state is the runs' positions plus each resource's holder, last writer
+and last writer other than that one: all ``interpret_step`` reads.
+``sum(positions)`` fixes step indices and the bound cut, so a state
+reached again was searched, at the same depth, before.  Hazards are
+taken on the step that raises them, in pre-order: the order "first
+schedule in depth-first order, then step order" of a walk over every
+schedule.  A report's schedule is its prefix plus the leftmost
+completion below, so reports match that walk's byte for byte.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .builder import plan_tasks
 from .core import KnowledgeBase
@@ -182,80 +189,104 @@ def interpret_step(state: ResourceState, agent: Iri, kind: StepKind) -> StepOutc
 # Exploration
 # ---------------------------------------------------------------------------
 
-#: hazards raised along a schedule prefix, in step order, each as
-#: (kind, resource, acting agent, other agent, step index)
-_Hazards = tuple[tuple[RaceKind, Iri, Iri, Iri, int], ...]
+#: a search state: run positions, then lock states by first-named resource
+_Key = tuple[tuple[int, ...], tuple[ResourceState, ...]]
+_Moves = dict[_Key, list[tuple[int, _Key]]]
+_STATUSES = ("complete", "deadlock", "truncated")
 
 
-def _walk(
-    runs: list[ProtocolRun],
-    bound: int,
-    consume: Callable[[Schedule, _Hazards], None],
-    positions: tuple[int, ...],
-    resources: dict[Iri, ResourceState],
-    prefix: tuple[int, ...],
-    hazards: _Hazards,
-) -> None:
-    """Every interleaving of the runs' steps, depth-first with the lowest
-    run index explored first.  Blocked runs cannot move; when no run can
-    move and steps remain, the partial schedule is a deadlock.  Each
-    complete, truncated or deadlocked schedule goes to ``consume`` with
-    the hazards its steps raised."""
-    if all(positions[i] >= len(r.steps) for i, r in enumerate(runs)):
-        consume(Schedule(prefix, "complete"), hazards)
-        return
-    if len(prefix) >= bound:
-        consume(Schedule(prefix, "truncated"), hazards)
-        return
-    moved = False
-    for i, run in enumerate(runs):
-        if positions[i] >= len(run.steps):
-            continue
-        step = run.steps[positions[i]]
-        state = resources.get(step.resource, ResourceState())
-        outcome = interpret_step(state, run.agent, step.kind)
-        if outcome.blocked:
-            continue
-        moved = True
-        raised = hazards
-        if outcome.race is not None and outcome.other is not None:
-            at = len(prefix)
-            raised += ((outcome.race, step.resource, run.agent, outcome.other, at),)
-        after = positions[:i] + (positions[i] + 1,) + positions[i + 1 :]
-        nxt = {**resources, step.resource: outcome.state}
-        _walk(runs, bound, consume, after, nxt, prefix + (i,), raised)
-    if not moved:
-        consume(Schedule(prefix, "deadlock"), hazards)
+def _trim(state: ResourceState) -> ResourceState:
+    """``state`` with ``modified_by`` cut to what ``interpret_step`` can
+    still read: the last modifier and the last one that differs from it."""
+    last = state.modified_by[-1:]
+    earlier = [m for m in state.modified_by if m not in last][-1:]
+    return ResourceState(state.holder, (*earlier, *last))
+
+
+class RaceSearch(NamedTuple):
+    reports: list[RaceReport]
+    schedules: dict[str, int]  # by status: complete, deadlock, truncated
+
+
+def _search(
+    runs: list[ProtocolRun], bound: int
+) -> tuple[_Key, _Moves, dict[_Key, tuple[int, ...]], list[RaceReport]]:
+    """Depth-first search over distinct states, recursing once per step:
+    the start state, each state's moves as (run index, next state), the
+    schedules below each state counted in ``_STATUSES`` order, reports."""
+    firsts = dict.fromkeys(step.resource for run in runs for step in run.steps)
+    slots = {resource: n for n, resource in enumerate(firsts)}
+    ends = tuple(len(run.steps) for run in runs)
+    moves: _Moves = {}
+    counts: dict[_Key, tuple[int, ...]] = {}
+    #: the first (prefix, next state) to raise each hazard
+    found: dict[tuple[RaceKind, Iri, Iri, Iri], tuple[tuple[int, ...], _Key]] = {}
+
+    def visit(key: _Key, prefix: tuple[int, ...]) -> tuple[int, ...]:
+        positions, states = key
+        out: list[tuple[int, _Key]] = moves.setdefault(key, [])
+        if positions == ends or len(prefix) >= bound:
+            counts[key] = (1, 0, 0) if positions == ends else (0, 0, 1)
+            return counts[key]
+        below = []
+        for i, run in enumerate(runs):
+            if positions[i] == ends[i]:
+                continue
+            step = run.steps[positions[i]]
+            slot = slots[step.resource]
+            outcome = interpret_step(states[slot], run.agent, step.kind)
+            if outcome.blocked:
+                continue
+            now = states[:slot] + (_trim(outcome.state),) + states[slot + 1 :]
+            child = (positions[:i] + (positions[i] + 1,) + positions[i + 1 :], now)
+            out.append((i, child))
+            hazard = (outcome.race, step.resource, run.agent, outcome.other)
+            if outcome.race and outcome.other and hazard not in found:
+                found[hazard] = (prefix + (i,), child)
+            below.append(counts.get(child) or visit(child, prefix + (i,)))
+        counts[key] = tuple(map(sum, zip(*below))) if out else (0, 1, 0)
+        return counts[key]
+
+    root: _Key = ((0,) * len(runs), (ResourceState(),) * len(slots))
+    visit(root, ())
+    reports = []
+    for (kind, resource, actor, other), (schedule, child) in found.items():
+        conflict = Conflict(resource, actor, other, len(schedule) - 1)
+        while moves[child]:  # complete the schedule leftmost below ``child``
+            i, child = moves[child][0]
+            schedule += (i,)
+        reports.append(RaceReport(schedule, conflict, kind))
+    return root, moves, counts, reports
+
+
+def search_races(runs: list[ProtocolRun], bound: int = DEFAULT_BOUND) -> RaceSearch:
+    """Race reports over every schedule within the bound, one per (kind,
+    resource, acting agent, other agent), each named by the first schedule
+    in depth-first order that raises it; and the schedules by status."""
+    root, _, counts, reports = _search(runs, bound)
+    return RaceSearch(reports, dict(zip(_STATUSES, counts[root])))
+
+
+def detect_races(
+    runs: list[ProtocolRun], bound: int = DEFAULT_BOUND
+) -> list[RaceReport]:
+    """The reports of :func:`search_races`."""
+    return search_races(runs, bound).reports
 
 
 def enumerate_schedules(
     runs: list[ProtocolRun], bound: int = DEFAULT_BOUND
 ) -> list[Schedule]:
     """Every schedule within the bound, in depth-first order."""
+    root, moves, counts, _ = _search(runs, bound)
     schedules: list[Schedule] = []
-    _walk(runs, bound, lambda s, _: schedules.append(s), (0,) * len(runs), {}, (), ())
+    stack: list[tuple[_Key, tuple[int, ...]]] = [(root, ())]
+    while stack:
+        key, prefix = stack.pop()
+        if not moves[key]:
+            schedules.append(Schedule(prefix, _STATUSES[counts[key].index(1)]))
+        stack.extend((child, prefix + (i,)) for i, child in reversed(moves[key]))
     return schedules
-
-
-def detect_races(
-    runs: list[ProtocolRun], bound: int = DEFAULT_BOUND
-) -> list[RaceReport]:
-    """Race reports over every schedule within the bound, deduplicated
-    by (kind, resource, acting agent, other agent); the first schedule
-    in depth-first order that raises a hazard names it."""
-    seen: set[tuple[RaceKind, Iri, Iri, Iri]] = set()
-    reports: list[RaceReport] = []
-
-    def report(schedule: Schedule, hazards: _Hazards) -> None:
-        for kind, resource, actor, other, at in hazards:
-            key = (kind, resource, actor, other)
-            if key not in seen:
-                seen.add(key)
-                conflict = Conflict(resource, actor, other, at)
-                reports.append(RaceReport(schedule.indices, conflict, kind))
-
-    _walk(runs, bound, report, (0,) * len(runs), {}, (), ())
-    return reports
 
 
 # ---------------------------------------------------------------------------

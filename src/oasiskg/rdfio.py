@@ -11,8 +11,8 @@ lists, ``#`` comments, quoted literals with ``\\"``, ``\\\\``, ``\\n``,
 ``\\r``, ``\\t`` escapes.  No blank nodes, no language tags, no
 datatypes, no multi-line literals.  Canonical N-Triples is read by the
 same parser.  An IRI that :class:`Iri` refuses (``<>``, or one holding
-a space) is a :class:`ParseError` at its position, like any other
-unparsable input.
+a space), a ``@prefix`` base included, is a :class:`ParseError` at its
+position, like any other unparsable input.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ def parse_turtle(
                 end = tokens[i + 3]
                 if end[:2] != ("punct", "."):
                     raise _error(text, end[2], "expected '.'")
-                table[name[1][:-1]] = base[1]
+                table[name[1][:-1]] = iri(base[1], base[2]).value
                 names.clear()
                 i += 4
                 continue

@@ -347,6 +347,11 @@ def test_validate_accepts_the_empty_prefix(tmp_path, capsys):
             4,
             "line 1, col 1: invalid IRI 'http://x/a b'",
         ),
+        (
+            "@prefix p: <http://x/a b> .\n",
+            4,
+            "line 1, col 12: invalid IRI 'http://x/a b'",
+        ),
         ('<http://x/a> a "lit" .\n', 1, "type(http://x/a, lit): class must be an IRI"),
     ],
 )
@@ -545,6 +550,88 @@ def test_races_lockless_writers_exit_3(tmp_path):
     assert docs[0]["kind"] == "UnlockedModify"
     assert docs[0]["conflict"]["stepIndex"] == 1
     assert docs[0]["conflict"]["resource"] == "http://example.org/shared_resource"
+
+
+def chain_doc(chains: dict[str, list[tuple[str, str]]]) -> dict:
+    """One consumer per tag whose process takes the given (operator,
+    resource) steps, one state each."""
+    doc = protocol_doc(tags=tuple(chains))
+    for process, (tag, steps) in zip(doc["processes"], chains.items()):
+        process["procedures"][0]["states"] = [
+            {
+                "name": f"{tag}_{n}_state",
+                "plan": plan_doc(
+                    f"{tag}_{n}_plan", [task(f"{tag}_{n}_task", op, object=res)]
+                ),
+            }
+            for n, (op, res) in enumerate(steps)
+        ]
+    return doc
+
+
+def realize_chains(tmp_path, chains) -> tuple[Path, list[str]]:
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(chain_doc(chains)))
+    current = tmp_path / "kb.nt"
+    code, roots = run_cli("build", "--spec", str(spec), "--out", str(current))
+    assert code == 0
+    for tag, steps in chains.items():
+        assign = tmp_path / f"assign_{tag}.json"
+        who = {"agent": f"agent_{tag}", "behaviour": behaviour_of(roots, tag)}
+        assign.write_text(json.dumps({f"{tag}_{n}_state": who for n in range(len(steps))}))
+        nxt = tmp_path / f"after_{tag}.nt"
+        code, _ = run_cli(
+            "run",
+            "--kb", str(current),
+            "--process", f"consume_{tag}_process",
+            "--assign", str(assign),
+            "--out", str(nxt),
+        )
+        assert code == 0
+        current = nxt
+    kb = read_graph(current)
+    handles = [
+        next(
+            a.subject.value
+            for a in kb.query(predicate=vocab.PROCESS_DRAWN_BY)
+            if a.object.local == f"consume_{tag}_process"
+        )
+        for tag in chains
+    ]
+    return current, handles
+
+
+def test_races_says_when_schedules_deadlock(tmp_path, capsys):
+    crossed = {
+        "a": [("request", "r1"), ("request", "r2"), ("release", "r2"), ("release", "r1")],
+        "b": [("request", "r2"), ("request", "r1"), ("release", "r1"), ("release", "r2")],
+    }
+    final, handles = realize_chains(tmp_path, crossed)
+    capsys.readouterr()
+    code = main(["races", "--kb", str(final), "--handles", *handles])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert out == ""
+    assert err == "races: 2 of 6 schedules deadlock; 0 cut off at --bound 12\n"
+
+
+def test_races_says_when_the_bound_cuts_the_search(tmp_path, capsys):
+    # a's modify comes after 14 lock steps on another resource
+    hidden = {
+        "a": [("request", "r1"), ("release", "r1")] * 7 + [("modify", "r2")],
+        "b": [("modify", "r2")],
+    }
+    final, handles = realize_chains(tmp_path, hidden)
+    capsys.readouterr()
+    code = main(["races", "--kb", str(final), "--handles", *handles])
+    out, err = capsys.readouterr()
+    assert (code, out) == (0, "")
+    assert err == "races: 0 of 13 schedules deadlock; 13 cut off at --bound 12\n"
+    code = main(["races", "--kb", str(final), "--handles", *handles, "--bound", "16"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert [json.loads(l)["conflict"]["stepIndex"] for l in out.splitlines()] == [15, 15]
+    assert err == ""
 
 
 def test_races_rejects_bad_op_map(built_kb, tmp_path, capsys):

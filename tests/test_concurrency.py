@@ -29,12 +29,14 @@ from oasiskg import (
     interpret_step,
     realize_process,
 )
+from oasiskg import concurrency
 from oasiskg.concurrency import (
     MixedAgents,
     RaceKind,
     ResourceState,
     UnknownHandle,
     UnknownStepKind,
+    search_races,
 )
 
 import race_oracle
@@ -246,6 +248,17 @@ def test_lockless_writers_race_and_the_first_schedule_wins():
     assert first.kind is RaceKind.UNLOCKED_MODIFY
 
 
+def test_a_writer_races_the_writer_before_its_own_locked_write():
+    # A writes unlocked; B then writes under its own lock, releases and
+    # writes again: that last write races A, though B wrote last
+    protocol = (StepKind.REQUEST, StepKind.MODIFY, StepKind.RELEASE, StepKind.MODIFY)
+    runs = [run_of(A, StepKind.MODIFY), run_of(B, *protocol)]
+    first = detect_races(runs)[0]
+    assert first.schedule == (0, 1, 1, 1, 1)
+    assert (first.conflict.agent_a, first.conflict.agent_b) == (B, A)
+    assert first.conflict.step_index == 4
+
+
 def test_detect_races_deduplicates_across_schedules():
     runs = [
         run_of(A, StepKind.MODIFY, StepKind.MODIFY),
@@ -302,6 +315,13 @@ def schedule_rows(schedules) -> list[tuple[tuple[int, ...], str]]:
     return [(s.indices, s.status) for s in schedules]
 
 
+def schedule_counts(schedules) -> dict[str, int]:
+    counts = dict.fromkeys(("complete", "deadlock", "truncated"), 0)
+    for schedule in schedules:
+        counts[schedule.status] += 1
+    return counts
+
+
 def test_single_walk_matches_the_replay_oracle_on_seeded_runs():
     statuses: set[str] = set()
     with_races = 0
@@ -315,6 +335,7 @@ def test_single_walk_matches_the_replay_oracle_on_seeded_runs():
         lines = [r.json_line() for r in detect_races(runs, bound)]
         expected = [r.json_line() for r in race_oracle.detect_races(runs, bound)]
         assert lines == expected, f"seed {seed}"
+        assert search_races(runs, bound).schedules == schedule_counts(want)
         statuses.update(s.status for s in want)
         with_races += bool(expected)
     # the seeds cover every leaf kind and plenty of reports
@@ -338,8 +359,72 @@ def test_lock_order_deadlock_and_truncated_race_match_the_oracle():
         assert [r.json_line() for r in detect_races(crossed, bound)] == [
             r.json_line() for r in race_oracle.detect_races(crossed, bound)
         ]
+        assert search_races(crossed, bound).schedules == schedule_counts(want)
         statuses.update(s.status for s in want)
     assert statuses == {"complete", "deadlock", "truncated"}
+
+
+def revisiting_runs(rng: random.Random) -> list[ProtocolRun]:
+    """2-4 runs, two of them by the same agent, at most 12 steps in all,
+    over 1-3 resources: interleavings that reach one state many ways."""
+    resources = RESOURCES[: rng.randint(1, 3)]
+    count = rng.randint(2, 4)
+    agents = [Iri(f"http://example.org/agent_{n}") for n in range(count - 1)]
+    agents.insert(rng.randrange(count), rng.choice(agents))
+    budget = 12
+    runs = []
+    for agent in agents:
+        length = rng.randint(min(1, budget), min(6, budget))
+        budget -= length
+        steps = tuple(
+            Step(rng.choice(list(StepKind)), rng.choice(resources))
+            for _ in range(length)
+        )
+        runs.append(ProtocolRun(agent, steps))
+    return runs
+
+
+def test_memoized_search_matches_the_oracle_when_states_recur():
+    statuses: set[str] = set()
+    with_races = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        runs = revisiting_runs(rng)
+        assert len({r.agent for r in runs}) < len(runs)
+        # the oracle walks every schedule: at bound 12 keep it to 6k
+        full = interleaving_count(*(len(r.steps) for r in runs)) <= 6_000
+        for bound in (3, 6, 12) if full else (3, 6):
+            got = enumerate_schedules(runs, bound)
+            want = race_oracle.enumerate_schedules(runs, bound)
+            assert schedule_rows(got) == schedule_rows(want), (seed, bound)
+            search = search_races(runs, bound)
+            expected = [r.json_line() for r in race_oracle.detect_races(runs, bound)]
+            assert [r.json_line() for r in search.reports] == expected, seed
+            assert search.schedules == schedule_counts(want), (seed, bound)
+            statuses.update(s.status for s in want)
+            with_races += bool(expected)
+    assert statuses == {"complete", "deadlock", "truncated"}
+    assert with_races >= 60
+
+
+@pytest.mark.parametrize("agents, states", [(4, 1_741), (5, 11_116)])
+def test_search_interprets_each_distinct_state_once(monkeypatch, agents, states):
+    """Three free modifies per agent: 369,600 schedules for 4x3 and
+    40,656,000 cut at 12 steps for 5x3, but only ``states`` distinct
+    states."""
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return interpret_step(*args)
+
+    monkeypatch.setattr(concurrency, "interpret_step", counting)
+    agent_iris = [Iri(f"http://example.org/agent_{n}") for n in range(agents)]
+    runs = [run_of(agent, *(StepKind.MODIFY,) * 3) for agent in agent_iris]
+    reports = detect_races(runs, 12)
+    assert len(reports) == agents * (agents - 1)
+    assert 0 < calls <= agents * states
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,9 @@ def test_empty_prefix_is_accepted_and_stays_in_the_document():
     [
         ("<http://x/a> <http://x/p> <> .", 1, 27, ""),
         ("<http://x/a b> <http://x/p> <http://x/o> .", 1, 1, "http://x/a b"),
-        ('@prefix q: <http://x/"> .\n<http://x/a> q:p <http://x/o> .', 2, 14, 'http://x/"p'),
+        ('@prefix q: <http://x/"> .\n<http://x/a> q:p <http://x/o> .', 1, 12, 'http://x/"'),
+        ("@prefix p: <http://x/a b> .\n", 1, 12, "http://x/a b"),
+        ("@prefix p: <> .\n", 1, 12, ""),
     ],
 )
 def test_iris_that_iri_refuses_are_parse_errors(text, line, col, iri):

@@ -1,7 +1,9 @@
 """Reference Turtle reader: the character-at-a-time tokenizer and parser.
 
 This is the reader ``oasiskg.rdfio`` used before its tokenizer became one
-compiled regex, kept verbatim as the oracle for the differential tests.
+compiled regex, kept as the oracle for the differential tests.  One change
+since: like the package reader, it passes each ``@prefix`` base through
+``Iri``, so both refuse an unusable base where it is declared.
 ``_tokenize`` walks the text one character at a time with ``advance()``,
 tracking line and column as it goes, and returns one ``_Token`` per
 token; ``parse_turtle`` consumes them.  It rejects the empty prefix, and
@@ -195,7 +197,7 @@ def parse_turtle(
             if iri_tok.kind != "iri":
                 raise ParseError(iri_tok.line, iri_tok.col, "expected IRI")
             expect_punct(".")
-            table[prefix] = iri_tok.value
+            table[prefix] = Iri(iri_tok.value).value
             continue
         subject = term(take(), role="subject")
         if not isinstance(subject, Iri):
