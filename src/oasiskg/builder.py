@@ -647,17 +647,9 @@ def check_capability(
     """
     if Assertion(agent, HAS_BEHAVIOUR, behaviour) in kb:
         return CapabilitySource(CapabilityKind.INTRINSIC)
-    candidates = []
-    for role in kb.objects(agent, PLAY_ROLE):
-        if not isinstance(role, Iri):
-            continue
-        rec = kb.entity(role)
-        if rec is None or rec.deprecated:
-            continue
-        if Assertion(role, PROVIDES_BEHAVIOUR, behaviour) in kb:
-            candidates.append(role)
-    if candidates:
-        return CapabilitySource(CapabilityKind.VIA_ROLE, min(candidates))
+    live = _roles_providing(kb, agent, behaviour, deprecated=False)
+    if live:
+        return CapabilitySource(CapabilityKind.VIA_ROLE, min(live))
     return None
 
 
@@ -666,13 +658,22 @@ def deprecated_role_providing(
 ) -> Iri | None:
     """Lowest deprecated role of the agent that would have provided the
     behaviour; used to tell stale grants from plain missing capability."""
-    candidates = []
+    stale = _roles_providing(kb, agent, behaviour, deprecated=True)
+    return min(stale) if stale else None
+
+
+def _roles_providing(
+    kb: KnowledgeBase, agent: Iri, behaviour: Iri, *, deprecated: bool
+) -> list[Iri]:
+    """The agent's played roles, deprecated or live as asked, that
+    provide the behaviour."""
+    out = []
     for role in kb.objects(agent, PLAY_ROLE):
         if not isinstance(role, Iri):
             continue
         rec = kb.entity(role)
-        if rec is None or not rec.deprecated:
+        if rec is None or rec.deprecated != deprecated:
             continue
         if Assertion(role, PROVIDES_BEHAVIOUR, behaviour) in kb:
-            candidates.append(role)
-    return min(candidates) if candidates else None
+            out.append(role)
+    return out

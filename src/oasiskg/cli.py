@@ -12,9 +12,11 @@ command; a map that cannot be read or used is an operational error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+from collections.abc import Iterator
 
 from . import builder, engine, rdfio
 from .concurrency import DEFAULT_BOUND, StepKind, extract_runs, search_races
@@ -41,6 +43,15 @@ class _Abort(Exception):
     def __init__(self, message: str, code: int) -> None:
         super().__init__(message)
         self.code = code
+
+
+@contextlib.contextmanager
+def _writing(path: str) -> Iterator[None]:
+    """Turn a failed write of ``path`` into a one-line operational error."""
+    try:
+        yield
+    except OSError as err:
+        raise _Abort(f"cannot write {path}: {err}", OPERATIONAL)
 
 
 def _apply_env_prefixes(kb: KnowledgeBase) -> None:
@@ -149,7 +160,8 @@ def cmd_build(args: argparse.Namespace) -> int:
         return _fail(f"{args.spec}: {err}", OPERATIONAL)
 
     if args.out:
-        rdfio.write_graph(kb, args.out)
+        with _writing(args.out):
+            rdfio.write_graph(kb, args.out)
     for root in roots:
         print(root.value)
     return OK
@@ -195,11 +207,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     steps = handle.run_to_completion()
     lines = [step.trace_line() for step in steps]
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
+        with _writing(args.trace), open(
+            args.trace, "w", encoding="utf-8", newline="\n"
+        ) as fh:
             for line in lines:
                 fh.write(line + "\n")
     if args.out:
-        rdfio.write_graph(kb, args.out)
+        with _writing(args.out):
+            rdfio.write_graph(kb, args.out)
     for line in lines:
         print(line)
     return OK

@@ -1,16 +1,13 @@
-"""Typed triple store with layer discipline and subproperty entailment.
+"""Typed triple store with derived layer tags and subproperty entailment.
 
 The store keeps one canonical assertion set (``rdf:type`` triples
 included) plus subject/predicate/object indexes.  Class memberships are
 mirrored into per-entity records so layer tags can be derived cheaply;
 they are never stored on their own.
 
-Two modes:
-
-* lax (default): everything is recorded, problems are left for the
-  validator to report;
-* strict: layer mixing, undeclared predicates and endpoint constraint
-  violations raise at assertion time.
+The store records whatever it is given and leaves layer mixing,
+undeclared predicates and endpoint constraints to the validator; it
+refuses only an ``rdf:type`` whose class is a literal.
 """
 
 from __future__ import annotations
@@ -29,21 +26,6 @@ from .terms import (
     UnknownPrefix,
 )
 from .vocab import RDF_TYPE, LayerTag, PropertySpec
-
-
-class LayerMix(ModelError):
-    def __init__(self, iri: Iri, have: Iri, new: Iri) -> None:
-        super().__init__(
-            f"{iri} already carries layer class {have.local}, "
-            f"cannot also carry {new.local}"
-        )
-        self.iri = iri
-
-
-class UnknownPredicate(ModelError):
-    def __init__(self, predicate: Iri) -> None:
-        super().__init__(f"predicate not declared: {predicate}")
-        self.predicate = predicate
 
 
 class LayerConstraintViolated(ModelError):
@@ -93,13 +75,10 @@ _Index = dict[Iri, dict[Assertion, None]]
 class KnowledgeBase:
     """Assertion store, prefix table, clone counter and change journal."""
 
-    def __init__(self, *, strict: bool = False) -> None:
-        self.strict = strict
+    def __init__(self) -> None:
         self.prefixes: dict[str, str] = dict(vocab.DEFAULT_PREFIXES)
         self.entities: dict[Iri, EntityRecord] = {}
         self.assertions: dict[Assertion, None] = {}
-        self.user_classes: dict[Iri, None] = {}
-        self.undeclared_predicates: dict[Iri, None] = {}
         self._by_s: _Index = {}
         self._by_p: _Index = {}
         self._by_o: dict[Obj, dict[Assertion, None]] = {}
@@ -168,9 +147,7 @@ class KnowledgeBase:
         ]
 
     def declare_class(self, cls: Iri) -> None:
-        """Register a user domain class (vocabulary classes are implicit)."""
-        if cls not in vocab.CLASSES.values():
-            self.user_classes[cls] = None
+        """Record a domain class; the same as ``ensure_entity``."""
         self.ensure_entity(cls)
 
     # -- assertions ---------------------------------------------------------------
@@ -179,11 +156,7 @@ class KnowledgeBase:
         rec = self.ensure_entity(iri)
         if cls in rec.memberships:
             return
-        if self.strict and cls in vocab.LAYER_CLASSES:
-            for have in rec.layer_classes:
-                if have != cls:
-                    raise LayerMix(iri, have, cls)
-        self.declare_class(cls)
+        self.ensure_entity(cls)
         rec.memberships[cls] = None
         self._store(Assertion(iri, RDF_TYPE, cls))
 
@@ -195,17 +168,6 @@ class KnowledgeBase:
                 )
             self.assert_membership(subject, obj)
             return
-        spec = vocab.PROPERTIES.get(predicate)
-        if spec is None:
-            if self.strict:
-                raise UnknownPredicate(predicate)
-            self.undeclared_predicates[predicate] = None
-        elif self.strict:
-            problem = self.constraint_problem(spec, subject, obj)
-            if problem is not None:
-                raise LayerConstraintViolated(
-                    Assertion(subject, predicate, obj), problem
-                )
         self.ensure_entity(subject)
         if isinstance(obj, Iri):
             self.ensure_entity(obj)

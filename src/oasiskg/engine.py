@@ -18,16 +18,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .builder import (
-    check_capability,
-    clone_node,
-    clone_tree,
-    deprecated_role_providing,
-    tree_class,
-)
+from .builder import clone_node, clone_tree, tree_class
 from .core import KnowledgeBase
 from .terms import Iri, ModelError
-from .validator import Violation, validate
+from .validator import Code, Violation, capability_gap, validate
 from .vocab import (
     CLASS_TO_HAS_EXECUTION,
     CONSISTS_OF_PROCEDURE,
@@ -99,6 +93,11 @@ class RoleDeprecatedUse(ModelError):
         self.state = state
         self.agent = agent
         self.role = role
+
+
+_CAPABILITY_ERRORS: dict[Code, type[ModelError]] = {
+    Code(cls.code): cls for cls in (PerformerLacksCapability, RoleDeprecatedUse)
+}
 
 
 class CursorCompleted(ModelError):
@@ -279,11 +278,10 @@ def realize_process(
         raise AssignmentIncomplete(missing)
     for state in all_states:
         agent, behaviour = assignment[state]
-        if check_capability(kb, agent, behaviour) is None:
-            stale = deprecated_role_providing(kb, agent, behaviour)
-            if stale is not None:
-                raise RoleDeprecatedUse(state, agent, stale)
-            raise PerformerLacksCapability(state, agent, behaviour)
+        gap = capability_gap(kb, agent, behaviour)
+        if gap is not None:
+            code, named = gap
+            raise _CAPABILITY_ERRORS[code](state, agent, named)
 
     exec_process = clone_node(kb, process, LayerTag.EXECUTION)
     kb.assert_property(exec_process, PROCESS_DRAWN_BY, process)

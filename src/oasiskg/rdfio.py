@@ -241,8 +241,8 @@ def import_turtle(kb: KnowledgeBase, text: str) -> int:
     """Parse and assert into the knowledge base; returns the triple count.
 
     Prefixes declared in the document are registered on the kb, except
-    the empty prefix, which stays local to the document.  In lax mode
-    unknown predicates are kept for the validator to report.
+    the empty prefix, which stays local to the document.  Unknown
+    predicates are kept for the validator to report.
     """
     triples, table = parse_turtle(text, kb.prefixes)
     for prefix, base in table.items():
@@ -253,9 +253,9 @@ def import_turtle(kb: KnowledgeBase, text: str) -> int:
     return len(triples)
 
 
-def read_graph(path: str, *, strict: bool = False) -> KnowledgeBase:
+def read_graph(path: str) -> KnowledgeBase:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    kb = KnowledgeBase(strict=strict)
+    kb = KnowledgeBase()
     import_turtle(kb, text)
     return kb

@@ -171,8 +171,8 @@ def check_mirror(
 
 #: root-pair predicate -> the family whose links check_mirror follows
 _MIRROR_ROOTS: dict[Iri, Iri] = {
-    vocab.term("overloadsBehaviour"): vocab.OVERLOADS,
-    vocab.term("planDescriptionSubmittedTo"): vocab.SUBMITTED_TO,
+    vocab.CLASS_TO_OVERLOAD[vocab.BEHAVIOUR]: vocab.OVERLOADS,
+    vocab.CLASS_TO_SUBMITTED[vocab.BEHAVIOUR]: vocab.SUBMITTED_TO,
     vocab.HAS_PLAN_EXECUTION: vocab.HAS_EXECUTION,
 }
 _TREE_EDGES = frozenset(vocab.CHILD_PREDICATES)
@@ -536,26 +536,37 @@ def _performers(
         for b in kb.objects(exec_root, vocab.EXECUTION_DRAWN_BY, entail=True):
             if not isinstance(b, Iri):
                 continue
-            if check_capability(kb, agent, b) is not None:
-                continue
-            stale = deprecated_role_providing(kb, agent, b)
-            if stale is not None:
-                out.append(
-                    Violation(
-                        Code.ROLE_DEPRECATED_USE,
-                        (agent, stale),
-                        f"capability for {b} comes only from a deprecated role",
-                    )
-                )
-            else:
-                out.append(
-                    Violation(
-                        Code.PERFORMER_LACKS_CAPABILITY,
-                        (agent, b),
-                        "performer has no behaviour and no live role providing it",
-                    )
-                )
+            gap = capability_gap(kb, agent, b)
+            if gap is not None:
+                code, named = gap
+                message = _CAPABILITY_MESSAGES[code].format(behaviour=b)
+                out.append(Violation(code, (agent, named), message))
     return out
+
+
+_CAPABILITY_MESSAGES: dict[Code, str] = {
+    Code.ROLE_DEPRECATED_USE: (
+        "capability for {behaviour} comes only from a deprecated role"
+    ),
+    Code.PERFORMER_LACKS_CAPABILITY: (
+        "performer has no behaviour and no live role providing it"
+    ),
+}
+
+
+def capability_gap(
+    kb: KnowledgeBase, agent: Iri, behaviour: Iri
+) -> tuple[Code, Iri] | None:
+    """``None`` when the agent may perform the behaviour.  Otherwise the
+    finding code and what it names next to the agent: the lowest
+    deprecated role that would have provided the behaviour, or else the
+    behaviour itself."""
+    if check_capability(kb, agent, behaviour) is not None:
+        return None
+    stale = deprecated_role_providing(kb, agent, behaviour)
+    if stale is not None:
+        return Code.ROLE_DEPRECATED_USE, stale
+    return Code.PERFORMER_LACKS_CAPABILITY, behaviour
 
 
 def _dangling(kb: KnowledgeBase, assertions: Iterable[Assertion]) -> list[Violation]:

@@ -156,6 +156,58 @@ TREE_NODE_CLASSES: tuple[Iri, ...] = (
 )
 
 # ---------------------------------------------------------------------------
+# Family maps keyed by tree-node class
+# ---------------------------------------------------------------------------
+
+# Each of the four families links a tree node to its counterpart in the
+# next layer through the member named for the node's class.  The members'
+# property specs are generated from these maps by ``_family`` below.
+
+CLASS_TO_OVERLOAD: dict[Iri, Iri] = {
+    BEHAVIOUR: term("overloadsBehaviour"),
+    GOAL_DESCRIPTION: term("overloadsGoalDescription"),
+    TASK_DESCRIPTION: term("overloadsTaskDescription"),
+    TASK_OPERATOR: term("overloadsTaskOperator"),
+    TASK_OPERATOR_ARGUMENT: term("overloadsTaskOperatorArgument"),
+    TASK_OBJECT: term("overloadsTaskObject"),
+    TASK_INPUT_PARAMETER: term("overloadsTaskInputParameter"),
+    TASK_OUTPUT_PARAMETER: term("overloadsTaskOutputParameter"),
+}
+
+CLASS_TO_SUBMITTED: dict[Iri, Iri] = {
+    BEHAVIOUR: term("planDescriptionSubmittedTo"),
+    GOAL_DESCRIPTION: term("goalDescriptionSubmittedTo"),
+    TASK_DESCRIPTION: term("taskDescriptionSubmittedTo"),
+    TASK_OPERATOR: term("taskOperatorSubmittedTo"),
+    TASK_OPERATOR_ARGUMENT: term("taskOperatorArgumentSubmittedTo"),
+    TASK_OBJECT: term("taskObjectSubmittedTo"),
+    TASK_INPUT_PARAMETER: term("taskInputParameterSubmittedTo"),
+    TASK_OUTPUT_PARAMETER: term("taskOutputParameterSubmittedTo"),
+}
+
+CLASS_TO_HAS_EXECUTION: dict[Iri, Iri] = {
+    BEHAVIOUR: term("hasPlanExecution"),
+    GOAL_DESCRIPTION: term("hasGoalExecution"),
+    TASK_DESCRIPTION: term("hasTaskExecution"),
+    TASK_OPERATOR: term("hasTaskOperatorExecution"),
+    TASK_OPERATOR_ARGUMENT: term("hasTaskOperatorArgumentExecution"),
+    TASK_OBJECT: term("hasTaskObjectExecution"),
+    TASK_INPUT_PARAMETER: term("hasTaskInputParameterExecution"),
+    TASK_OUTPUT_PARAMETER: term("hasTaskOutputParameterExecution"),
+}
+
+CLASS_TO_EXECUTION_DRAWN_BY: dict[Iri, Iri] = {
+    BEHAVIOUR: term("planExecutionDrawnBy"),
+    GOAL_DESCRIPTION: term("goalExecutionDrawnBy"),
+    TASK_DESCRIPTION: term("taskExecutionDrawnBy"),
+    TASK_OPERATOR: term("taskOperatorDrawnBy"),
+    TASK_OPERATOR_ARGUMENT: term("taskOperatorArgumentDrawnBy"),
+    TASK_OBJECT: term("taskObjectDrawnBy"),
+    TASK_INPUT_PARAMETER: term("taskInputParameterDrawnBy"),
+    TASK_OUTPUT_PARAMETER: term("taskOutputParameterDrawnBy"),
+}
+
+# ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
 
@@ -212,6 +264,25 @@ def _one(name: str) -> frozenset[Iri]:
     return frozenset({CLASSES[name]})
 
 
+def _family(root: PropertySpec, members: dict[Iri, Iri]) -> list[PropertySpec]:
+    """A family root followed by its members: each member is a
+    sub-property of the root with the root's layers, linking nodes of its
+    own tree-node class, and only the TaskOperatorArgument member is an
+    extension."""
+    return [root] + [
+        PropertySpec(
+            iri=member,
+            super_property=root.iri,
+            subject_layer=root.subject_layer,
+            object_layer=root.object_layer,
+            subject_classes=frozenset({cls}),
+            object_classes=frozenset({cls}),
+            extension=cls == TASK_OPERATOR_ARGUMENT,
+        )
+        for cls, member in members.items()
+    ]
+
+
 _B = LayerTag.BEHAVIOUR
 _T = LayerTag.TEMPLATE
 _P = LayerTag.PLANNING
@@ -253,206 +324,14 @@ _PROPERTY_LIST: list[PropertySpec] = [
     _p("refersAsNewTo"),
     _p("refersAsInstanceOf"),
     # -- behaviour layer over template layer ---------------------------------
-    _p("overloads", s_layer=_B, o_layer=_T),
-    _p(
-        "overloadsBehaviour",
-        "overloads",
-        s_layer=_B,
-        o_layer=_T,
-        s_cls=_one("Behaviour"),
-        o_cls=_one("Behaviour"),
-    ),
-    _p(
-        "overloadsGoalDescription",
-        "overloads",
-        s_layer=_B,
-        o_layer=_T,
-        s_cls=_one("GoalDescription"),
-        o_cls=_one("GoalDescription"),
-    ),
-    _p(
-        "overloadsTaskDescription",
-        "overloads",
-        s_layer=_B,
-        o_layer=_T,
-        s_cls=_one("TaskDescription"),
-        o_cls=_one("TaskDescription"),
-    ),
-    _p(
-        "overloadsTaskOperator",
-        "overloads",
-        s_layer=_B,
-        o_layer=_T,
-        s_cls=_one("TaskOperator"),
-        o_cls=_one("TaskOperator"),
-    ),
-    _p(
-        "overloadsTaskOperatorArgument",
-        "overloads",
-        s_layer=_B,
-        o_layer=_T,
-        s_cls=_one("TaskOperatorArgument"),
-        o_cls=_one("TaskOperatorArgument"),
-        ext=True,
-    ),
-    _p(
-        "overloadsTaskObject",
-        "overloads",
-        s_layer=_B,
-        o_layer=_T,
-        s_cls=_one("TaskObject"),
-        o_cls=_one("TaskObject"),
-    ),
-    _p(
-        "overloadsTaskInputParameter",
-        "overloads",
-        s_layer=_B,
-        o_layer=_T,
-        s_cls=_one("TaskInputParameter"),
-        o_cls=_one("TaskInputParameter"),
-    ),
-    _p(
-        "overloadsTaskOutputParameter",
-        "overloads",
-        s_layer=_B,
-        o_layer=_T,
-        s_cls=_one("TaskOutputParameter"),
-        o_cls=_one("TaskOutputParameter"),
-    ),
+    *_family(_p("overloads", s_layer=_B, o_layer=_T), CLASS_TO_OVERLOAD),
     # -- planning layer submitted to behaviour layer -------------------------
-    _p("submittedTo", s_layer=_P, o_layer=_B),
-    _p(
-        "planDescriptionSubmittedTo",
-        "submittedTo",
-        s_layer=_P,
-        o_layer=_B,
-        s_cls=_one("Behaviour"),
-        o_cls=_one("Behaviour"),
-    ),
-    _p(
-        "goalDescriptionSubmittedTo",
-        "submittedTo",
-        s_layer=_P,
-        o_layer=_B,
-        s_cls=_one("GoalDescription"),
-        o_cls=_one("GoalDescription"),
-    ),
-    _p(
-        "taskDescriptionSubmittedTo",
-        "submittedTo",
-        s_layer=_P,
-        o_layer=_B,
-        s_cls=_one("TaskDescription"),
-        o_cls=_one("TaskDescription"),
-    ),
-    _p(
-        "taskOperatorSubmittedTo",
-        "submittedTo",
-        s_layer=_P,
-        o_layer=_B,
-        s_cls=_one("TaskOperator"),
-        o_cls=_one("TaskOperator"),
-    ),
-    _p(
-        "taskOperatorArgumentSubmittedTo",
-        "submittedTo",
-        s_layer=_P,
-        o_layer=_B,
-        s_cls=_one("TaskOperatorArgument"),
-        o_cls=_one("TaskOperatorArgument"),
-        ext=True,
-    ),
-    _p(
-        "taskObjectSubmittedTo",
-        "submittedTo",
-        s_layer=_P,
-        o_layer=_B,
-        s_cls=_one("TaskObject"),
-        o_cls=_one("TaskObject"),
-    ),
-    _p(
-        "taskInputParameterSubmittedTo",
-        "submittedTo",
-        s_layer=_P,
-        o_layer=_B,
-        s_cls=_one("TaskInputParameter"),
-        o_cls=_one("TaskInputParameter"),
-    ),
-    _p(
-        "taskOutputParameterSubmittedTo",
-        "submittedTo",
-        s_layer=_P,
-        o_layer=_B,
-        s_cls=_one("TaskOutputParameter"),
-        o_cls=_one("TaskOutputParameter"),
-    ),
+    *_family(_p("submittedTo", s_layer=_P, o_layer=_B), CLASS_TO_SUBMITTED),
     # -- execution layer drawn by earlier layers ------------------------------
     _p("drawnBy", s_layer=_E),
-    _p("executionDrawnBy", "drawnBy", s_layer=_E, o_layer=_B),
-    _p(
-        "planExecutionDrawnBy",
-        "executionDrawnBy",
-        s_layer=_E,
-        o_layer=_B,
-        s_cls=_one("Behaviour"),
-        o_cls=_one("Behaviour"),
-    ),
-    _p(
-        "goalExecutionDrawnBy",
-        "executionDrawnBy",
-        s_layer=_E,
-        o_layer=_B,
-        s_cls=_one("GoalDescription"),
-        o_cls=_one("GoalDescription"),
-    ),
-    _p(
-        "taskExecutionDrawnBy",
-        "executionDrawnBy",
-        s_layer=_E,
-        o_layer=_B,
-        s_cls=_one("TaskDescription"),
-        o_cls=_one("TaskDescription"),
-    ),
-    _p(
-        "taskOperatorDrawnBy",
-        "executionDrawnBy",
-        s_layer=_E,
-        o_layer=_B,
-        s_cls=_one("TaskOperator"),
-        o_cls=_one("TaskOperator"),
-    ),
-    _p(
-        "taskOperatorArgumentDrawnBy",
-        "executionDrawnBy",
-        s_layer=_E,
-        o_layer=_B,
-        s_cls=_one("TaskOperatorArgument"),
-        o_cls=_one("TaskOperatorArgument"),
-        ext=True,
-    ),
-    _p(
-        "taskObjectDrawnBy",
-        "executionDrawnBy",
-        s_layer=_E,
-        o_layer=_B,
-        s_cls=_one("TaskObject"),
-        o_cls=_one("TaskObject"),
-    ),
-    _p(
-        "taskInputParameterDrawnBy",
-        "executionDrawnBy",
-        s_layer=_E,
-        o_layer=_B,
-        s_cls=_one("TaskInputParameter"),
-        o_cls=_one("TaskInputParameter"),
-    ),
-    _p(
-        "taskOutputParameterDrawnBy",
-        "executionDrawnBy",
-        s_layer=_E,
-        o_layer=_B,
-        s_cls=_one("TaskOutputParameter"),
-        o_cls=_one("TaskOutputParameter"),
+    *_family(
+        _p("executionDrawnBy", "drawnBy", s_layer=_E, o_layer=_B),
+        CLASS_TO_EXECUTION_DRAWN_BY,
     ),
     _p(
         "processDrawnBy",
@@ -471,72 +350,7 @@ _PROPERTY_LIST: list[PropertySpec] = [
         o_cls=_one("Procedure"),
     ),
     # -- planning layer pointing at its executions ---------------------------
-    _p("hasExecution", s_layer=_P, o_layer=_E),
-    _p(
-        "hasPlanExecution",
-        "hasExecution",
-        s_layer=_P,
-        o_layer=_E,
-        s_cls=_one("Behaviour"),
-        o_cls=_one("Behaviour"),
-    ),
-    _p(
-        "hasGoalExecution",
-        "hasExecution",
-        s_layer=_P,
-        o_layer=_E,
-        s_cls=_one("GoalDescription"),
-        o_cls=_one("GoalDescription"),
-    ),
-    _p(
-        "hasTaskExecution",
-        "hasExecution",
-        s_layer=_P,
-        o_layer=_E,
-        s_cls=_one("TaskDescription"),
-        o_cls=_one("TaskDescription"),
-    ),
-    _p(
-        "hasTaskOperatorExecution",
-        "hasExecution",
-        s_layer=_P,
-        o_layer=_E,
-        s_cls=_one("TaskOperator"),
-        o_cls=_one("TaskOperator"),
-    ),
-    _p(
-        "hasTaskOperatorArgumentExecution",
-        "hasExecution",
-        s_layer=_P,
-        o_layer=_E,
-        s_cls=_one("TaskOperatorArgument"),
-        o_cls=_one("TaskOperatorArgument"),
-        ext=True,
-    ),
-    _p(
-        "hasTaskObjectExecution",
-        "hasExecution",
-        s_layer=_P,
-        o_layer=_E,
-        s_cls=_one("TaskObject"),
-        o_cls=_one("TaskObject"),
-    ),
-    _p(
-        "hasTaskInputParameterExecution",
-        "hasExecution",
-        s_layer=_P,
-        o_layer=_E,
-        s_cls=_one("TaskInputParameter"),
-        o_cls=_one("TaskInputParameter"),
-    ),
-    _p(
-        "hasTaskOutputParameterExecution",
-        "hasExecution",
-        s_layer=_P,
-        o_layer=_E,
-        s_cls=_one("TaskOutputParameter"),
-        o_cls=_one("TaskOutputParameter"),
-    ),
+    *_family(_p("hasExecution", s_layer=_P, o_layer=_E), CLASS_TO_HAS_EXECUTION),
     # -- agents performing executions ----------------------------------------
     _p("performs", o_layer=_E),
     _p(
@@ -661,7 +475,7 @@ def ancestors(prop: Iri) -> tuple[Iri, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Family maps keyed by tree-node class
+# Family roots and named properties
 # ---------------------------------------------------------------------------
 
 OVERLOADS = term("overloads")
@@ -670,50 +484,6 @@ DRAWN_BY = term("drawnBy")
 EXECUTION_DRAWN_BY = term("executionDrawnBy")
 HAS_EXECUTION = term("hasExecution")
 PERFORMS = term("performs")
-
-CLASS_TO_OVERLOAD: dict[Iri, Iri] = {
-    BEHAVIOUR: term("overloadsBehaviour"),
-    GOAL_DESCRIPTION: term("overloadsGoalDescription"),
-    TASK_DESCRIPTION: term("overloadsTaskDescription"),
-    TASK_OPERATOR: term("overloadsTaskOperator"),
-    TASK_OPERATOR_ARGUMENT: term("overloadsTaskOperatorArgument"),
-    TASK_OBJECT: term("overloadsTaskObject"),
-    TASK_INPUT_PARAMETER: term("overloadsTaskInputParameter"),
-    TASK_OUTPUT_PARAMETER: term("overloadsTaskOutputParameter"),
-}
-
-CLASS_TO_SUBMITTED: dict[Iri, Iri] = {
-    BEHAVIOUR: term("planDescriptionSubmittedTo"),
-    GOAL_DESCRIPTION: term("goalDescriptionSubmittedTo"),
-    TASK_DESCRIPTION: term("taskDescriptionSubmittedTo"),
-    TASK_OPERATOR: term("taskOperatorSubmittedTo"),
-    TASK_OPERATOR_ARGUMENT: term("taskOperatorArgumentSubmittedTo"),
-    TASK_OBJECT: term("taskObjectSubmittedTo"),
-    TASK_INPUT_PARAMETER: term("taskInputParameterSubmittedTo"),
-    TASK_OUTPUT_PARAMETER: term("taskOutputParameterSubmittedTo"),
-}
-
-CLASS_TO_HAS_EXECUTION: dict[Iri, Iri] = {
-    BEHAVIOUR: term("hasPlanExecution"),
-    GOAL_DESCRIPTION: term("hasGoalExecution"),
-    TASK_DESCRIPTION: term("hasTaskExecution"),
-    TASK_OPERATOR: term("hasTaskOperatorExecution"),
-    TASK_OPERATOR_ARGUMENT: term("hasTaskOperatorArgumentExecution"),
-    TASK_OBJECT: term("hasTaskObjectExecution"),
-    TASK_INPUT_PARAMETER: term("hasTaskInputParameterExecution"),
-    TASK_OUTPUT_PARAMETER: term("hasTaskOutputParameterExecution"),
-}
-
-CLASS_TO_EXECUTION_DRAWN_BY: dict[Iri, Iri] = {
-    BEHAVIOUR: term("planExecutionDrawnBy"),
-    GOAL_DESCRIPTION: term("goalExecutionDrawnBy"),
-    TASK_DESCRIPTION: term("taskExecutionDrawnBy"),
-    TASK_OPERATOR: term("taskOperatorDrawnBy"),
-    TASK_OPERATOR_ARGUMENT: term("taskOperatorArgumentDrawnBy"),
-    TASK_OBJECT: term("taskObjectDrawnBy"),
-    TASK_INPUT_PARAMETER: term("taskInputParameterDrawnBy"),
-    TASK_OUTPUT_PARAMETER: term("taskOutputParameterDrawnBy"),
-}
 
 FAMILY_ROOTS: dict[Iri, dict[Iri, Iri]] = {
     OVERLOADS: CLASS_TO_OVERLOAD,
@@ -763,8 +533,8 @@ PROVIDES_BEHAVIOUR = term("providesBehaviour")
 PERFORMS_PLAN_EXECUTION = term("performsPlanExecution")
 PROCESS_DRAWN_BY = term("processDrawnBy")
 PROCEDURE_DRAWN_BY = term("procedureDrawnBy")
-PLAN_EXECUTION_DRAWN_BY = term("planExecutionDrawnBy")
-HAS_PLAN_EXECUTION = term("hasPlanExecution")
+PLAN_EXECUTION_DRAWN_BY = CLASS_TO_EXECUTION_DRAWN_BY[BEHAVIOUR]
+HAS_PLAN_EXECUTION = CLASS_TO_HAS_EXECUTION[BEHAVIOUR]
 REFERS_EXACTLY_TO = term("refersExactlyTo")
 REFERS_AS_NEW_TO = term("refersAsNewTo")
 REFERS_AS_INSTANCE_OF = term("refersAsInstanceOf")

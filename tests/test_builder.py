@@ -108,7 +108,9 @@ def test_template_reference_edges(kb, fig_template_spec):
     assert kb.layer_of(ex("lock")) is LayerTag.TEMPLATE
     assert kb.has_class(ex("lock"), ex("Lock"))
     assert kb.objects(ex("lock"), vocab.REFERS_AS_INSTANCE_OF) == [ex("Lock")]
-    assert ex("Lock") in kb.user_classes
+    assert Assertion(ex("lock"), vocab.RDF_TYPE, ex("Lock")) in kb
+    # the domain class itself is recorded, untyped
+    assert kb.entity(ex("Lock")).memberships == {}
 
 
 def test_plan_is_template_shaped_but_planning_tagged(kb, fig_template_spec):
@@ -693,8 +695,8 @@ def test_grant_role_mints_a_typed_role(kb, fig_template_spec):
     assert kb.has_class(role, vocab.ROLE)
     assert kb.has_class(role, ex("Consumer"))
     # the role type is both a class and an individual
-    assert ex("Consumer") in kb.user_classes
-    assert kb.has_class(ex("Consumer"), vocab.ROLE_TYPE)
+    assert Assertion(role, vocab.RDF_TYPE, ex("Consumer")) in kb
+    assert Assertion(ex("Consumer"), vocab.RDF_TYPE, vocab.ROLE_TYPE) in kb
     assert Assertion(other, vocab.PLAY_ROLE, role) in kb
     assert Assertion(role, vocab.PROVIDES_BEHAVIOUR, behaviour) in kb
 

@@ -151,6 +151,17 @@ def test_build_missing_file_is_operational(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_build_into_a_missing_directory_is_operational(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(protocol_doc(tags=("a",))))
+    out = tmp_path / "missing" / "kb.nt"
+    assert main(["build", "--spec", str(spec), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_build_rejects_documents_off_schema(tmp_path, capsys):
     spec = tmp_path / "off.json"
     spec.write_text(json.dumps({"templates": [{"goals": []}]}))
@@ -398,6 +409,30 @@ def test_run_realizes_and_traces(built_kb, tmp_path):
     after = read_graph(out)
     assert validate(after) == []
     assert len(after.query(predicate=vocab.PROCESS_DRAWN_BY)) == 1
+
+
+@pytest.mark.parametrize("option", ["--trace", "--out"])
+def test_run_into_a_missing_directory_is_operational(
+    option, built_kb, tmp_path, capsys
+):
+    kb_path, roots = built_kb
+    assign = tmp_path / "assign.json"
+    assign.write_text(json.dumps(assignment_doc(roots, "a")))
+    target = tmp_path / "missing" / "file"
+    code = main(
+        [
+            "run",
+            "--kb", str(kb_path),
+            "--process", "consume_a_process",
+            "--assign", str(assign),
+            option, str(target),
+        ]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {target}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_run_without_capability_exits_2(built_kb, tmp_path, capsys):

@@ -4,8 +4,7 @@ import itertools
 
 import pytest
 
-from oasiskg import Assertion, Iri, KnowledgeBase
-from oasiskg.core import LayerConstraintViolated, LayerMix, UnknownPredicate
+from oasiskg import Assertion, Code, Iri, KnowledgeBase, validate
 from oasiskg.terms import InvalidLocalName, InvalidPrefix, UnknownPrefix
 from oasiskg import vocab
 from oasiskg.vocab import LayerTag, RDF_TYPE
@@ -147,16 +146,18 @@ def test_layer_is_derived_from_memberships(kb: KnowledgeBase):
     assert not rec.mixed_layers
 
 
-def test_strict_mode_rejects_every_second_layer_tag():
+def test_validate_reports_every_second_layer_tag():
     # brute force over all ordered pairs of distinct layer tags
     for first, second in itertools.permutations(LayerTag, 2):
-        kb = KnowledgeBase(strict=True)
+        kb = KnowledgeBase()
         kb.assert_membership(ex("x"), first.class_iri)
-        with pytest.raises(LayerMix):
-            kb.assert_membership(ex("x"), second.class_iri)
+        kb.assert_membership(ex("x"), second.class_iri)
+        assert [(v.code, v.subjects) for v in validate(kb)] == [
+            (Code.LAYER_MIX, (ex("x"),))
+        ]
 
 
-def test_lax_mode_records_layer_mixing_for_the_validator(kb: KnowledgeBase):
+def test_store_records_layer_mixing_for_the_validator(kb: KnowledgeBase):
     kb.assert_membership(ex("x"), LayerTag.TEMPLATE.class_iri)
     kb.assert_membership(ex("x"), LayerTag.EXECUTION.class_iri)
     rec = kb.entity(ex("x"))
@@ -164,16 +165,12 @@ def test_lax_mode_records_layer_mixing_for_the_validator(kb: KnowledgeBase):
     assert rec.layer is None
 
 
-def test_strict_mode_rejects_unknown_predicates():
-    kb = KnowledgeBase(strict=True)
-    with pytest.raises(UnknownPredicate):
-        kb.assert_property(ex("a"), ex("madeUp"), ex("b"))
-
-
-def test_lax_mode_keeps_unknown_predicates(kb: KnowledgeBase):
+def test_unknown_predicates_are_stored_and_reported(kb: KnowledgeBase):
     kb.assert_property(ex("a"), ex("madeUp"), ex("b"))
-    assert ex("madeUp") in kb.undeclared_predicates
-    assert len(kb) == 1
+    assert kb.query() == [Assertion(ex("a"), ex("madeUp"), ex("b"))]
+    assert [(v.code, v.subjects) for v in validate(kb)] == [
+        (Code.UNKNOWN_PREDICATE, (ex("madeUp"),))
+    ]
 
 
 def _layer_example(kb: KnowledgeBase, tag: LayerTag, name: str) -> Iri:
@@ -183,38 +180,70 @@ def _layer_example(kb: KnowledgeBase, tag: LayerTag, name: str) -> Iri:
     return node
 
 
-def test_strict_mode_checks_layer_constraints_eagerly():
+def test_validate_reports_overloads_across_the_wrong_layers():
     # overloadsBehaviour wants behaviour-layer subject, template-layer object
+    pred = vocab.term("overloadsBehaviour")
+    illegal = 0
     for s_tag, o_tag in itertools.product(LayerTag, LayerTag):
-        kb = KnowledgeBase(strict=True)
+        kb = KnowledgeBase()
         s = _layer_example(kb, s_tag, "s")
         o = _layer_example(kb, o_tag, "o")
-        pred = vocab.term("overloadsBehaviour")
-        legal = s_tag is LayerTag.BEHAVIOUR and o_tag is LayerTag.TEMPLATE
-        if legal:
-            kb.assert_property(s, pred, o)
-            assert kb.entails(s, pred, o)
+        kb.assert_property(s, pred, o)
+        assert kb.entails(s, pred, o)
+        crossed = [
+            v.subjects for v in validate(kb) if v.code is Code.OVERLOAD_CROSS_LAYER
+        ]
+        if s_tag is LayerTag.BEHAVIOUR and o_tag is LayerTag.TEMPLATE:
+            assert crossed == []
         else:
-            with pytest.raises(LayerConstraintViolated):
-                kb.assert_property(s, pred, o)
+            assert crossed == [(s, o)]
+            illegal += 1
+    assert illegal == 15
 
 
-def test_strict_mode_checks_class_constraints(kb_strict=None):
-    kb = KnowledgeBase(strict=True)
+def _play_role_from_a_non_agent(kb: KnowledgeBase) -> None:
     kb.assert_membership(ex("role"), vocab.ROLE)
-    with pytest.raises(LayerConstraintViolated):
-        # playRole needs an Agent subject
-        kb.assert_property(ex("nobody"), vocab.PLAY_ROLE, ex("role"))
+    kb.assert_property(ex("nobody"), vocab.PLAY_ROLE, ex("role"))
 
 
-def test_strict_mode_checks_literal_against_object_properties():
-    kb = KnowledgeBase(strict=True)
+def _iri_on_a_literal_property(kb: KnowledgeBase) -> None:
     kb.assert_membership(ex("e"), vocab.EVENT)
     kb.assert_property(ex("e"), vocab.HAS_EVENT_KIND, "signal")
-    with pytest.raises(LayerConstraintViolated):
-        kb.assert_property(ex("e"), vocab.HAS_EVENT_KIND, ex("not_a_literal"))
-    with pytest.raises(LayerConstraintViolated):
-        kb.assert_property(ex("e"), vocab.TRIGGERS_EVENT, "literal")
+    kb.assert_property(ex("e"), vocab.HAS_EVENT_KIND, ex("not_a_literal"))
+
+
+def _literal_on_an_object_property(kb: KnowledgeBase) -> None:
+    kb.assert_membership(ex("e"), vocab.EVENT)
+    kb.assert_property(ex("e"), vocab.TRIGGERS_EVENT, "literal")
+
+
+@pytest.mark.parametrize(
+    "populate, subjects, message",
+    [
+        (
+            _play_role_from_a_non_agent,
+            (ex("nobody"), ex("role")),
+            "playRole: subject must be a Agent",
+        ),
+        (
+            _iri_on_a_literal_property,
+            (ex("e"), ex("not_a_literal")),
+            "hasEventKind: object must be a literal",
+        ),
+        (
+            _literal_on_an_object_property,
+            (ex("e"),),
+            "triggersEvent: object must be an IRI",
+        ),
+    ],
+)
+def test_validate_reports_endpoint_constraints(kb, populate, subjects, message):
+    populate(kb)
+    assert [
+        (v.subjects, v.message)
+        for v in validate(kb)
+        if v.code is Code.LAYER_CONSTRAINT
+    ] == [(subjects, message)]
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def test_insertion_order_does_not_change_the_hash(kb: KnowledgeBase):
 
 
 def test_literals_sort_after_iris_under_the_same_predicate(kb: KnowledgeBase):
-    # an undeclared predicate may carry both shapes in lax mode
+    # an undeclared predicate may carry both shapes
     p = ex("p")
     kb.assert_property(ex("e"), p, "signal")
     kb.assert_property(ex("e"), p, ex("signal"))
@@ -169,16 +169,12 @@ def test_import_turtle_registers_prefixes(kb: KnowledgeBase):
     assert len(kb) == 1
 
 
-def test_read_graph_strict_mode_raises_on_unknown_predicate(tmp_path):
+def test_read_graph_keeps_unknown_predicates(tmp_path):
     path = tmp_path / "bad.nt"
     path.write_text(
         "<http://example.org/a> <http://example.org/madeUp> <http://example.org/b> .\n"
     )
-    assert len(read_graph(path)) == 1  # lax default keeps it
-    from oasiskg.core import UnknownPredicate
-
-    with pytest.raises(UnknownPredicate):
-        read_graph(path, strict=True)
+    assert len(read_graph(path)) == 1  # left for the validator to report
 
 
 # ---------------------------------------------------------------------------
