@@ -51,7 +51,38 @@ def _writing(path: str) -> Iterator[None]:
     try:
         yield
     except OSError as err:
-        raise _Abort(f"cannot write {path}: {err}", OPERATIONAL)
+        # strerror alone: ``err`` may name a temporary file, not ``path``
+        raise _Abort(f"cannot write {path}: {err.strerror or err}", OPERATIONAL)
+
+
+def _save(texts: dict[str, str]) -> None:
+    """Write each text to its path, all or none.
+
+    Each text goes to a new file beside its path first; those replace
+    the paths only once every one is written, so an output that cannot
+    be written leaves no other behind.  A symlink is written through,
+    and a path that exists but is not a regular file is never replaced.
+    """
+    staged: dict[str, tuple[str, str]] = {}  # path -> (temporary, target)
+    try:
+        for n, (path, text) in enumerate(texts.items()):
+            target = os.path.realpath(path)
+            folder, name = os.path.split(target)
+            temporary = os.path.join(folder, f".{name}.{os.getpid()}.{n}.tmp")
+            if os.path.exists(target) and not os.path.isfile(target):
+                raise _Abort(f"cannot write {path}: not a regular file", OPERATIONAL)
+            with _writing(path), open(
+                temporary, "x", encoding="utf-8", newline="\n"
+            ) as fh:
+                staged[path] = (temporary, target)
+                fh.write(text)
+        for path, (temporary, target) in staged.items():
+            with _writing(path):
+                os.replace(temporary, target)
+    finally:
+        for temporary, _ in staged.values():
+            with contextlib.suppress(OSError):  # gone once it replaced its path
+                os.remove(temporary)
 
 
 def _apply_env_prefixes(kb: KnowledgeBase) -> None:
@@ -160,8 +191,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         return _fail(f"{args.spec}: {err}", OPERATIONAL)
 
     if args.out:
-        with _writing(args.out):
-            rdfio.write_graph(kb, args.out)
+        _save({args.out: rdfio.export_canonical(kb)})
     for root in roots:
         print(root.value)
     return OK
@@ -206,15 +236,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     steps = handle.run_to_completion()
     lines = [step.trace_line() for step in steps]
+    outputs = {}
     if args.trace:
-        with _writing(args.trace), open(
-            args.trace, "w", encoding="utf-8", newline="\n"
-        ) as fh:
-            for line in lines:
-                fh.write(line + "\n")
+        outputs[args.trace] = "".join(line + "\n" for line in lines)
     if args.out:
-        with _writing(args.out):
-            rdfio.write_graph(kb, args.out)
+        outputs[args.out] = rdfio.export_canonical(kb)
+    _save(outputs)
     for line in lines:
         print(line)
     return OK

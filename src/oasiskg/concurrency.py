@@ -31,6 +31,7 @@ completion below, so reports match that walk's byte for byte.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
@@ -211,9 +212,10 @@ class RaceSearch(NamedTuple):
 def _search(
     runs: list[ProtocolRun], bound: int
 ) -> tuple[_Key, _Moves, dict[_Key, tuple[int, ...]], list[RaceReport]]:
-    """Depth-first search over distinct states, recursing once per step:
-    the start state, each state's moves as (run index, next state), the
-    schedules below each state counted in ``_STATUSES`` order, reports."""
+    """Depth-first search over distinct states, on an explicit stack of
+    one generator per state on the path: the start state, each state's
+    moves as (run index, next state), the schedules below each state
+    counted in ``_STATUSES`` order, reports."""
     firsts = dict.fromkeys(step.resource for run in runs for step in run.steps)
     slots = {resource: n for n, resource in enumerate(firsts)}
     ends = tuple(len(run.steps) for run in runs)
@@ -222,13 +224,17 @@ def _search(
     #: the first (prefix, next state) to raise each hazard
     found: dict[tuple[RaceKind, Iri, Iri, Iri], tuple[tuple[int, ...], _Key]] = {}
 
-    def visit(key: _Key, prefix: tuple[int, ...]) -> tuple[int, ...]:
+    def visit(
+        key: _Key, prefix: tuple[int, ...]
+    ) -> Iterator[tuple[_Key, tuple[int, ...]]]:
+        """Take ``key``'s moves in run order, yielding each next state not
+        yet searched so that it is searched before the next move is
+        taken; then count the schedules below ``key``."""
         positions, states = key
         out: list[tuple[int, _Key]] = moves.setdefault(key, [])
         if positions == ends or len(prefix) >= bound:
             counts[key] = (1, 0, 0) if positions == ends else (0, 0, 1)
-            return counts[key]
-        below = []
+            return
         for i, run in enumerate(runs):
             if positions[i] == ends[i]:
                 continue
@@ -243,12 +249,19 @@ def _search(
             hazard = (outcome.race, step.resource, run.agent, outcome.other)
             if outcome.race and outcome.other and hazard not in found:
                 found[hazard] = (prefix + (i,), child)
-            below.append(counts.get(child) or visit(child, prefix + (i,)))
+            if child not in counts:
+                yield child, prefix + (i,)
+        below = [counts[child] for _, child in out]
         counts[key] = tuple(map(sum, zip(*below))) if out else (0, 1, 0)
-        return counts[key]
 
     root: _Key = ((0,) * len(runs), (ResourceState(),) * len(slots))
-    visit(root, ())
+    stack = [visit(root, ())]
+    while stack:
+        for child, prefix in stack[-1]:
+            stack.append(visit(child, prefix))
+            break
+        else:
+            stack.pop()
     reports = []
     for (kind, resource, actor, other), (schedule, child) in found.items():
         conflict = Conflict(resource, actor, other, len(schedule) - 1)

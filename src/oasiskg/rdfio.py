@@ -162,7 +162,7 @@ def parse_turtle(
         table.update(prefixes)
     tokens = _tokenize(text)
     triples: list[Triple] = []
-    iris: dict[str, Iri] = {}  # IRI text -> the one Iri of this call
+    iris: dict[str, Iri] = {}  # IRI text -> Iri, sparing a call into Iri
     names: dict[str, Iri] = {}  # prefixed name -> Iri, until the next @prefix
 
     def iri(value: str, offset: int) -> Iri:

@@ -1,9 +1,16 @@
-"""Ground value types shared by every module: IRIs, assertions, errors."""
+"""Ground value types shared by every module: IRIs, assertions, errors.
+
+IRIs are interned in a weak term table, one object per distinct value,
+as in the dictionary encoding of HDT (Fernandez et al., J. Web Semantics
+2013).  Every dict or set probe on an IRI, or on an assertion or search
+key made of IRIs, then hashes and compares by identity in C.
+"""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 
 _IRI_BAD = re.compile(r'[\s<>"{}|^`\\]')
 
@@ -37,15 +44,64 @@ class InvalidLocalName(ModelError):
         self.local = local
 
 
-@dataclass(frozen=True, slots=True, order=True)
 class Iri:
-    """An absolute IRI.  Comparison and sorting are plain codepoint order."""
+    """An absolute IRI, interned: ``Iri(value)`` is the one live instance
+    for ``value``.
+
+    Equality and hashing are identity, so they run in C; two IRIs with
+    the same value are the same object.  A value is checked once, when
+    it is first minted.  The table holds weak references only: an IRI
+    nothing else refers to is dropped from it.  Comparison and sorting
+    are plain codepoint order of ``value``.  Instances are immutable,
+    and pickling or copying one gives back the interned instance.
+    """
+
+    __slots__ = ("value", "__weakref__")
 
     value: str
 
-    def __post_init__(self) -> None:
-        if not self.value or _IRI_BAD.search(self.value):
-            raise InvalidLocalName(self.value)
+    def __new__(cls, value: str) -> Iri:
+        found = _INTERNED.get(value)
+        if found is not None:
+            return found
+        if not value or _IRI_BAD.search(value):
+            raise InvalidLocalName(value)
+        iri = object.__new__(cls)
+        object.__setattr__(iri, "value", value)
+        _INTERNED[value] = iri
+        return iri
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type[Iri], tuple[str]]:
+        return (Iri, (self.value,))
+
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, Iri):
+            return NotImplemented
+        return self.value < other.value
+
+    def __le__(self, other: object) -> bool:
+        if not isinstance(other, Iri):
+            return NotImplemented
+        return self.value <= other.value
+
+    def __gt__(self, other: object) -> bool:
+        if not isinstance(other, Iri):
+            return NotImplemented
+        return self.value > other.value
+
+    def __ge__(self, other: object) -> bool:
+        if not isinstance(other, Iri):
+            return NotImplemented
+        return self.value >= other.value
+
+    def __repr__(self) -> str:
+        return f"Iri(value={self.value!r})"
 
     @property
     def local(self) -> str:
@@ -55,6 +111,10 @@ class Iri:
 
     def __str__(self) -> str:
         return self.value
+
+
+#: value -> its one live Iri
+_INTERNED: weakref.WeakValueDictionary[str, Iri] = weakref.WeakValueDictionary()
 
 
 #: Object position of an assertion: an IRI or a plain string literal.

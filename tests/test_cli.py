@@ -435,6 +435,81 @@ def test_run_into_a_missing_directory_is_operational(
     assert captured.err.count("\n") == 1
 
 
+def test_run_leaves_no_trace_when_the_graph_cannot_be_written(
+    built_kb, tmp_path, capsys
+):
+    kb_path, roots = built_kb
+    assign = tmp_path / "assign.json"
+    assign.write_text(json.dumps(assignment_doc(roots, "a")))
+    trace = tmp_path / "trace.jsonl"
+    out = tmp_path / "missing" / "after.nt"
+    before = sorted(tmp_path.iterdir())
+    code = main(
+        [
+            "run",
+            "--kb", str(kb_path),
+            "--process", "consume_a_process",
+            "--assign", str(assign),
+            "--trace", str(trace),
+            "--out", str(out),
+        ]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+    assert not trace.exists()
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_run_keeps_earlier_outputs_when_one_cannot_be_written(
+    built_kb, tmp_path, capsys
+):
+    kb_path, roots = built_kb
+    assign = tmp_path / "assign.json"
+    assign.write_text(json.dumps(assignment_doc(roots, "a")))
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("earlier\n")
+    out = tmp_path / "folder"
+    out.mkdir()
+    before = sorted(tmp_path.iterdir())
+    code = main(
+        [
+            "run",
+            "--kb", str(kb_path),
+            "--process", "consume_a_process",
+            "--assign", str(assign),
+            "--trace", str(trace),
+            "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"cannot write {out}: not a regular file\n"
+    assert trace.read_text() == "earlier\n"
+    assert sorted(tmp_path.iterdir()) == before
+    assert list(out.iterdir()) == []
+
+
+def test_outputs_are_written_through_symlinks(built_kb, tmp_path):
+    kb_path, roots = built_kb
+    assign = tmp_path / "assign.json"
+    assign.write_text(json.dumps(assignment_doc(roots, "a")))
+    real = tmp_path / "real.jsonl"
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(real)
+    code, lines = run_cli(
+        "run",
+        "--kb", str(kb_path),
+        "--process", "consume_a_process",
+        "--assign", str(assign),
+        "--trace", str(link),
+    )
+    assert code == 0
+    assert link.is_symlink()
+    assert real.read_text().splitlines() == lines
+
+
 def test_run_without_capability_exits_2(built_kb, tmp_path, capsys):
     kb_path, roots = built_kb
     assign = tmp_path / "assign.json"

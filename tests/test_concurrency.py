@@ -427,6 +427,31 @@ def test_search_interprets_each_distinct_state_once(monkeypatch, agents, states)
     assert 0 < calls <= agents * states
 
 
+def test_search_runs_schedules_longer_than_the_recursion_limit():
+    """One run of 1,100 modifies: 1,101 states on a single path, deeper
+    than the interpreter's default recursion limit of 1,000 frames."""
+    runs = [run_of(A, *(StepKind.MODIFY,) * 1_100)]
+    search = search_races(runs, 2_000)
+    assert search.reports == []
+    assert search.schedules == {"complete": 1, "deadlock": 0, "truncated": 0}
+    schedules = enumerate_schedules(runs, 2_000)
+    assert [(s.indices, s.status) for s in schedules] == [((0,) * 1_100, "complete")]
+
+
+def test_long_schedules_report_the_races_at_their_ends():
+    """A race after 1,000 lock-protected steps is reported on the
+    leftmost schedule that raises it, as by the oracle's walk."""
+    guarded = (StepKind.REQUEST, *(StepKind.MODIFY,) * 998, StepKind.RELEASE)
+    runs = [run_of(A, *guarded, StepKind.MODIFY), run_of(B, StepKind.MODIFY)]
+    reports = detect_races(runs, 2_000)
+    assert [(r.kind, r.conflict.agent_a, r.conflict.agent_b) for r in reports] == [
+        (RaceKind.UNLOCKED_MODIFY, B, A),
+        (RaceKind.UNLOCKED_MODIFY, A, B),
+    ]
+    assert reports[0].schedule == (0,) * 1_001 + (1,)
+    assert reports[1].schedule == (0,) * 1_000 + (1, 0)
+
+
 # ---------------------------------------------------------------------------
 # Extraction from realized graphs
 # ---------------------------------------------------------------------------
