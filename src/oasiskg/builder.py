@@ -10,13 +10,15 @@ Naming conventions (all deterministic):
 * layer clones append ``__<layer>__<n>`` to the source IRI, where ``n``
   comes from the knowledge base's clone counter;
 * role individuals append ``__role__<n>`` to the role type IRI.
+
+Walking, cloning, ordering and capability queries live in ``trees``;
+they are bound here too, so ``builder.clone_tree`` and the rest keep
+working.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from enum import Enum
 
 from .core import KnowledgeBase
 from .specs import (
@@ -28,7 +30,18 @@ from .specs import (
     SpecInvalid,
     TaskSpec,
 )
-from .terms import Assertion, Iri, ModelError
+from .terms import Iri, ModelError
+from .trees import (  # noqa: F401 - the tree queries are part of this module's API
+    CapabilityKind,
+    CapabilitySource,
+    check_capability,
+    clone_node,
+    clone_tree,
+    deprecated_role_providing,
+    plan_tasks,
+    tree_class,
+    walk_tree,
+)
 from .vocab import (
     ACTION,
     AGENT,
@@ -52,7 +65,6 @@ from .vocab import (
     HAS_NEXT_PROCEDURE,
     INITIAL_STATE,
     IS_DESCRIBED_BY,
-    LAYER_CLASSES,
     LayerTag,
     NON_TERMINATING_STATE,
     PLAY_ROLE,
@@ -66,10 +78,8 @@ from .vocab import (
     REFERS_AS_INSTANCE_OF,
     REFERS_AS_NEW_TO,
     REFERS_EXACTLY_TO,
-    REFERS_PREDICATES,
     ROLE,
     ROLE_TYPE,
-    TREE_NODE_CLASSES,
     TRIGGERS_EVENT,
     term,
 )
@@ -307,73 +317,6 @@ def build_plan(kb: KnowledgeBase, spec: BehaviourSpec, prefix: str = "ex") -> Ir
     return _emit_behaviour(kb, spec, LayerTag.PLANNING, prefix)
 
 
-# ---------------------------------------------------------------------------
-# Tree walking and cloning
-# ---------------------------------------------------------------------------
-
-
-def walk_tree(kb: KnowledgeBase, root: Iri) -> list[Iri]:
-    """Nodes of a behaviour-shaped tree, breadth-first in assertion order."""
-    nodes = [root]
-    seen = {root}
-    i = 0
-    while i < len(nodes):
-        current = nodes[i]
-        i += 1
-        for pred in CHILD_PREDICATES:
-            for child in kb.objects(current, pred):
-                if isinstance(child, Iri) and child not in seen:
-                    seen.add(child)
-                    nodes.append(child)
-    return nodes
-
-
-def tree_class(kb: KnowledgeBase, node: Iri) -> Iri | None:
-    """The tree-node class of ``node`` (behaviour, goal, task, element)."""
-    rec = kb.entity(node)
-    if rec is None:
-        return None
-    for cls in TREE_NODE_CLASSES:
-        if cls in rec.memberships:
-            return cls
-    return None
-
-
-def clone_node(kb: KnowledgeBase, node: Iri, layer: LayerTag) -> Iri:
-    """Mint ``node``'s clone in ``layer``, typed with the layer class and
-    every other class of the source; no edges are copied."""
-    clone = Iri(f"{node.value}__{layer.value}__{kb.next_clone_index()}")
-    kb.assert_membership(clone, layer.class_iri)
-    rec = kb.entity(node)
-    if rec is not None:
-        for cls in rec.memberships:
-            if cls not in LAYER_CLASSES:
-                kb.assert_membership(clone, cls)
-    return clone
-
-
-def clone_tree(
-    kb: KnowledgeBase, root: Iri, layer: LayerTag
-) -> dict[Iri, Iri]:
-    """Copy a behaviour-shaped tree into ``layer``.
-
-    Returns the source-to-clone map.  Intra-tree edges (child predicates
-    and dependsOn) are re-emitted between clones; reference edges keep
-    pointing at the shared targets; nothing else is copied.
-    """
-    sources = walk_tree(kb, root)
-    mapping = {node: clone_node(kb, node, layer) for node in sources}
-    for node in sources:
-        for pred in CHILD_PREDICATES + (DEPENDS_ON,):
-            for child in kb.objects(node, pred):
-                if isinstance(child, Iri) and child in mapping:
-                    kb.assert_property(mapping[node], pred, mapping[child])
-        for pred in REFERS_PREDICATES:
-            for target in kb.objects(node, pred):
-                kb.assert_property(mapping[node], pred, target)
-    return mapping
-
-
 def derive_behaviour(kb: KnowledgeBase, template_root: Iri, agent: Iri) -> Iri:
     """Clone a template into the behaviour layer and hand it to an agent.
 
@@ -397,44 +340,6 @@ def derive_behaviour(kb: KnowledgeBase, template_root: Iri, agent: Iri) -> Iri:
             kb.assert_property(clone, CLASS_TO_OVERLOAD[cls], source)
     kb.assert_property(agent, HAS_BEHAVIOUR, mapping[template_root])
     return mapping[template_root]
-
-
-def plan_tasks(kb: KnowledgeBase, root: Iri) -> list[Iri]:
-    """Tasks of a behaviour-shaped tree in run order: goals in assertion
-    order, tasks within each goal topologically sorted by dependsOn with
-    assertion order breaking ties."""
-    out: list[Iri] = []
-    for goal in kb.objects(root, term("consistsOfGoalDescription")):
-        if not isinstance(goal, Iri):
-            continue
-        tasks = [
-            t
-            for t in kb.objects(goal, term("consistsOfTaskDescription"))
-            if isinstance(t, Iri)
-        ]
-        task_set = set(tasks)
-        placed: dict[Iri, None] = {}
-        while len(placed) < len(tasks):
-            ready = None
-            for task in tasks:
-                if task in placed:
-                    continue
-                deps = [
-                    d
-                    for d in kb.objects(task, DEPENDS_ON)
-                    if isinstance(d, Iri) and d in task_set
-                ]
-                if all(d in placed for d in deps):
-                    ready = task
-                    break
-            if ready is None:
-                # dependency cycle: keep remaining tasks in assertion order
-                for task in tasks:
-                    placed.setdefault(task, None)
-            else:
-                placed[ready] = None
-        out.extend(placed)
-    return out
 
 
 def pair_trees(
@@ -623,57 +528,3 @@ def deprecate_role(kb: KnowledgeBase, role: Iri) -> None:
     if rec is None or ROLE not in rec.memberships:
         raise NotARole(role)
     kb.assert_membership(role, DEPRECATED_THING)
-
-
-class CapabilityKind(Enum):
-    INTRINSIC = "intrinsic"
-    VIA_ROLE = "viaRole"
-
-
-@dataclass(frozen=True)
-class CapabilitySource:
-    kind: CapabilityKind
-    role: Iri | None = None
-
-
-def check_capability(
-    kb: KnowledgeBase, agent: Iri, behaviour: Iri
-) -> CapabilitySource | None:
-    """How the agent may perform the behaviour, or ``None``.
-
-    Own behaviours (hasBehaviour) win over role-provided ones; among
-    live roles providing the behaviour the lowest IRI is picked.
-    Deprecated roles grant nothing.
-    """
-    if Assertion(agent, HAS_BEHAVIOUR, behaviour) in kb:
-        return CapabilitySource(CapabilityKind.INTRINSIC)
-    live = _roles_providing(kb, agent, behaviour, deprecated=False)
-    if live:
-        return CapabilitySource(CapabilityKind.VIA_ROLE, min(live))
-    return None
-
-
-def deprecated_role_providing(
-    kb: KnowledgeBase, agent: Iri, behaviour: Iri
-) -> Iri | None:
-    """Lowest deprecated role of the agent that would have provided the
-    behaviour; used to tell stale grants from plain missing capability."""
-    stale = _roles_providing(kb, agent, behaviour, deprecated=True)
-    return min(stale) if stale else None
-
-
-def _roles_providing(
-    kb: KnowledgeBase, agent: Iri, behaviour: Iri, *, deprecated: bool
-) -> list[Iri]:
-    """The agent's played roles, deprecated or live as asked, that
-    provide the behaviour."""
-    out = []
-    for role in kb.objects(agent, PLAY_ROLE):
-        if not isinstance(role, Iri):
-            continue
-        rec = kb.entity(role)
-        if rec is None or rec.deprecated != deprecated:
-            continue
-        if Assertion(role, PROVIDES_BEHAVIOUR, behaviour) in kb:
-            out.append(role)
-    return out

@@ -1,8 +1,13 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 operational error, 2 validation findings
-(including realize-time capability failures), 3 races found, 4 parse
-error in an input file.
+Exit codes: 0 success, 1 operational error or usage error, 2 validation
+findings (including realize-time capability failures), 3 races found,
+4 parse error in an input file.
+
+Each command imports the modules it runs when it runs: ``validate``
+loads the validator, ``run`` the engine (and the validator under it),
+``races`` the race search and ``build`` the builder.  Only the store,
+its vocabulary and the graph reader load with this module.
 
 The environment variable OASIS_PREFIX_MAP may name a JSON file of
 additional prefix bindings ({"pfx": "http://..."}) applied to every
@@ -17,13 +22,12 @@ import json
 import os
 import sys
 from collections.abc import Iterator
+from typing import NoReturn
 
-from . import builder, engine, rdfio
-from .concurrency import DEFAULT_BOUND, StepKind, extract_runs, search_races
+from . import rdfio
 from .core import KnowledgeBase
-from .specs import SpecInvalid, document_from_json
 from .terms import Iri, ModelError
-from .validator import validate
+from .vocab import DEFAULT_BOUND
 
 OK = 0
 OPERATIONAL = 1
@@ -135,6 +139,9 @@ def _read_graph(path: str) -> KnowledgeBase:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    from . import builder
+    from .specs import SpecInvalid, document_from_json
+
     try:
         doc = document_from_json(_load_json(args.spec))
     except SpecInvalid as err:
@@ -198,6 +205,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .validator import validate
+
     kb = _read_graph(args.path)
     violations = validate(kb)
     for violation in violations:
@@ -206,6 +215,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from . import engine
+
     kb = _read_graph(args.kb)
     table = _load_json(args.assign)
     try:
@@ -248,6 +259,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_races(args: argparse.Namespace) -> int:
+    from .concurrency import StepKind, extract_runs, search_races
+
     kb = _read_graph(args.kb)
     op_map: dict[str, StepKind] = {}
     for item in args.op_map or ():
@@ -283,8 +296,26 @@ def cmd_races(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, not argparse's 2: 2 means findings."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(OPERATIONAL, f"{self.prog}: error: {message}\n")
+
+
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+        if value > 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oasiskg",
         description="Build, validate, realize and analyse layered "
         "agent-behaviour knowledge graphs.",
@@ -321,7 +352,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     races.add_argument(
         "--bound",
-        type=int,
+        type=_positive,
         default=DEFAULT_BOUND,
         help=f"step bound (default {DEFAULT_BOUND})",
     )

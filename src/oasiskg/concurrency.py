@@ -36,11 +36,11 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
-from .builder import plan_tasks
 from .core import KnowledgeBase
-from .engine import procedure_order, state_chain
 from .terms import Iri, ModelError
+from .trees import plan_tasks, procedure_order, state_chain
 from .vocab import (
+    DEFAULT_BOUND,
     IS_DESCRIBED_BY,
     LayerTag,
     PERFORMS_PLAN_EXECUTION,
@@ -49,8 +49,6 @@ from .vocab import (
     REFERS_EXACTLY_TO,
     term,
 )
-
-DEFAULT_BOUND = 12
 
 
 class StepKind(Enum):

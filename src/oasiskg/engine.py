@@ -18,9 +18,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .builder import clone_node, clone_tree, tree_class
 from .core import KnowledgeBase
 from .terms import Iri, ModelError
+from .trees import (
+    clone_node,
+    clone_tree,
+    procedure_order,
+    state_chain,
+    tree_class,
+)
 from .validator import Code, Violation, capability_gap, validate
 from .vocab import (
     CLASS_TO_HAS_EXECUTION,
@@ -31,7 +37,6 @@ from .vocab import (
     HAS_EVENT_KIND,
     HAS_EVENT_WINDOW,
     HAS_FINAL_STATE,
-    HAS_NEXT,
     HAS_NEXT_NON_TERMINATING,
     HAS_NEXT_PROCEDURE,
     INITIAL_STATE,
@@ -178,60 +183,6 @@ class ProcessHandle:
         while not self.completed:
             self.step()
         return list(self._steps)
-
-
-# ---------------------------------------------------------------------------
-# Ordering helpers
-# ---------------------------------------------------------------------------
-
-
-def procedure_order(kb: KnowledgeBase, process: Iri) -> list[Iri]:
-    """Procedures of a process in hasNextProcedure chain order; falls
-    back to assertion order when the chain is absent or broken."""
-    members = [
-        o for o in kb.objects(process, CONSISTS_OF_PROCEDURE) if isinstance(o, Iri)
-    ]
-    if len(members) <= 1:
-        return members
-    member_set = set(members)
-    succ: dict[Iri, Iri] = {}
-    has_pred: set[Iri] = set()
-    for proc in members:
-        for nxt in kb.objects(proc, HAS_NEXT_PROCEDURE):
-            if isinstance(nxt, Iri) and nxt in member_set:
-                succ[proc] = nxt
-                has_pred.add(nxt)
-                break
-    heads = [m for m in members if m not in has_pred]
-    if len(heads) != 1:
-        return members
-    chain = [heads[0]]
-    seen = {heads[0]}
-    while chain[-1] in succ and succ[chain[-1]] not in seen:
-        chain.append(succ[chain[-1]])
-        seen.add(chain[-1])
-    return chain if len(chain) == len(members) else members
-
-
-def state_chain(kb: KnowledgeBase, procedure: Iri) -> list[Iri]:
-    """States of a procedure from its initial state along successor edges."""
-    initials = [
-        o for o in kb.objects(procedure, PROC_CONSISTS_INITIAL) if isinstance(o, Iri)
-    ]
-    if not initials:
-        return []
-    chain = [initials[0]]
-    seen = {initials[0]}
-    while True:
-        nexts = [
-            o
-            for o in kb.objects(chain[-1], HAS_NEXT, entail=True)
-            if isinstance(o, Iri) and o not in seen
-        ]
-        if not nexts:
-            return chain
-        chain.append(nexts[0])
-        seen.add(nexts[0])
 
 
 # ---------------------------------------------------------------------------

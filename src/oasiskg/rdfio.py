@@ -17,7 +17,6 @@ position, like any other unparsable input.
 
 from __future__ import annotations
 
-import hashlib
 import re
 
 from .core import KnowledgeBase
@@ -65,6 +64,8 @@ def export_canonical(kb: KnowledgeBase) -> str:
 
 
 def graph_hash(kb: KnowledgeBase) -> str:
+    import hashlib  # here, not at the top: loading OpenSSL costs every CLI run
+
     return hashlib.sha256(export_canonical(kb).encode("utf-8")).hexdigest()
 
 

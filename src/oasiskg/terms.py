@@ -61,14 +61,18 @@ class Iri:
     value: str
 
     def __new__(cls, value: str) -> Iri:
-        found = _INTERNED.get(value)
-        if found is not None:
-            return found
+        ref = _INTERNED.get(value)
+        if ref is not None:
+            found = ref()
+            if found is not None:
+                return found
         if not value or _IRI_BAD.search(value):
             raise InvalidLocalName(value)
         iri = object.__new__(cls)
         object.__setattr__(iri, "value", value)
-        _INTERNED[value] = iri
+        ref = _Ref(iri, _forget)
+        ref.value = value
+        _INTERNED[value] = ref
         return iri
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -113,8 +117,34 @@ class Iri:
         return self.value
 
 
-#: value -> its one live Iri
-_INTERNED: weakref.WeakValueDictionary[str, Iri] = weakref.WeakValueDictionary()
+class _Ref(weakref.ref):
+    """A weak reference to an interned Iri that keeps its value, so the
+    entry can be found once the Iri is gone."""
+
+    __slots__ = ("value",)
+
+
+class _Table(dict):
+    """value -> weak reference to its one live Iri.
+
+    A plain dict, so lookup and insert run in C (a WeakValueDictionary
+    inserts in Python); subscripting gives the Iri itself.
+    """
+
+    def __getitem__(self, value: str) -> Iri:
+        iri = dict.__getitem__(self, value)()
+        if iri is None:
+            raise KeyError(value)
+        return iri
+
+
+_INTERNED = _Table()
+
+
+def _forget(ref: _Ref, table: _Table = _INTERNED) -> None:
+    """Drop a collected IRI's entry, unless a new one has taken it."""
+    if table.get(ref.value) is ref:
+        del table[ref.value]
 
 
 #: Object position of an assertion: an IRI or a plain string literal.

@@ -15,14 +15,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import vocab
-from .builder import (
-    check_capability,
-    deprecated_role_providing,
-    tree_class,
-    walk_tree,
-)
 from .core import EntityRecord, KnowledgeBase
 from .terms import Assertion, Iri, ModelError, Obj
+from .trees import check_capability, deprecated_role_providing, tree_class, walk_tree
 from .vocab import RDF_TYPE
 
 

@@ -539,6 +539,11 @@ REFERS_EXACTLY_TO = term("refersExactlyTo")
 REFERS_AS_NEW_TO = term("refersAsNewTo")
 REFERS_AS_INSTANCE_OF = term("refersAsInstanceOf")
 
+#: Steps per schedule a race search explores unless told otherwise.  It
+#: lives here, not in ``concurrency``, so the CLI parser can show it
+#: without loading the search.
+DEFAULT_BOUND = 12
+
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------

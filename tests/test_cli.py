@@ -247,6 +247,64 @@ def test_cli_import_leaves_jsonschema_out(tmp_path):
     assert loaded == "False"
 
 
+# the package modules above the store that each command loads; it loads
+# none of the others
+_LAYERS = {
+    "build": ("builder", "specs", "trees"),
+    "validate": ("validator", "trees"),
+    "run": ("engine", "validator", "trees"),
+    "races": ("concurrency", "trees"),
+}
+
+_PROBE = """
+import json, sys
+from oasiskg.cli import main
+code = None if len(sys.argv) == 2 else main(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    json.dump({"code": code, "modules": sorted(sys.modules)}, fh)
+"""
+
+
+def loaded_modules(tmp_path, *argv: str) -> tuple[int | None, set[str]]:
+    """Exit code and loaded modules of one CLI command in a fresh
+    interpreter (no command: just ``import oasiskg.cli``)."""
+    package_root = str(Path(oasiskg.__file__).resolve().parents[1])
+    report = tmp_path / "modules.json"
+    subprocess.run(
+        [sys.executable, "-c", _PROBE, str(report), *argv],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": package_root},
+        capture_output=True,
+        check=True,
+    )
+    data = json.loads(report.read_text())
+    return data["code"], set(data["modules"])
+
+
+def test_each_command_loads_only_its_own_modules(built_kb, tmp_path):
+    kb_path, roots = built_kb
+    spec = tmp_path / "spec.json"
+    final, handles = realize_both(tmp_path, kb_path, roots)
+    assign = tmp_path / "assign_a.json"
+    commands = {
+        None: (),
+        "build": ("build", "--spec", str(spec)),
+        "validate": ("validate", str(kb_path)),
+        "run": (
+            "run", "--kb", str(kb_path), "--process", "consume_a_process",
+            "--assign", str(assign),
+        ),
+        "races": ("races", "--kb", str(final), "--handles", *handles),
+    }
+    modules = set(_LAYERS["build"] + _LAYERS["run"] + _LAYERS["races"])
+    for command, argv in commands.items():
+        code, loaded = loaded_modules(tmp_path, *argv)
+        assert code == (None if command is None else 0)
+        wanted = set(_LAYERS.get(command, ()))
+        assert {m for m in modules if f"oasiskg.{m}" in loaded} == wanted, command
+        assert "hashlib" not in loaded, command
+
+
 @pytest.mark.parametrize("command", ["build", "validate", "run", "races"])
 @pytest.mark.parametrize(
     "content",
@@ -760,3 +818,56 @@ def test_races_unknown_handle_is_operational(built_kb, capsys):
     code = main(["races", "--kb", str(kb_path), "--handles", "nowhere"])
     assert code == 1
     assert "nowhere" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# usage errors
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["build"],
+        ["validate"],
+        ["run", "--kb", "kb.nt", "--process", "p"],
+        ["races", "--handles", "h"],
+        ["races", "--kb", "kb.nt"],
+        ["races", "--kb", "kb.nt", "--handles", "h", "--bound", "abc"],
+        ["races", "--kb", "kb.nt", "--handles", "h", "--bound", "1.5"],
+        ["races", "--kb", "kb.nt", "--handles", "h", "--bound", "0"],
+        ["races", "--kb", "kb.nt", "--handles", "h", "--bound", "-1"],
+        ["launch"],
+        ["validate", "kb.nt", "--strict"],
+    ],
+    ids=[
+        "no-command", "build-without-spec", "validate-without-path",
+        "run-without-assign", "races-without-kb", "races-without-handles",
+        "bound-abc", "bound-fraction", "bound-0", "bound-minus-1",
+        "unknown-command", "unknown-option",
+    ],
+)
+def test_usage_errors_exit_1_with_the_usage(argv, capsys):
+    # 2 is the exit code for findings, so a usage error must not take it
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: oasiskg")
+    assert "error: " in err
+
+
+@pytest.mark.parametrize("argv", [[], ["build"], ["validate"], ["run"], ["races"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: oasiskg")
+
+
+def test_races_help_names_the_default_bound(capsys):
+    with pytest.raises(SystemExit):
+        main(["races", "--help"])
+    assert "step bound (default 12)" in capsys.readouterr().out

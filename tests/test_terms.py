@@ -35,6 +35,22 @@ def test_the_table_drops_an_iri_nothing_refers_to():
     assert Iri(value).value == value
 
 
+def test_a_collected_iri_is_minted_afresh_and_held_once():
+    value = "http://x/minted-twice"
+    first = Iri(value)
+    gone = weakref.ref(first)
+    stale = dict.get(terms._INTERNED, value)
+    del first
+    gc.collect()
+    assert gone() is None
+    again = Iri(value)
+    assert terms._INTERNED[value] is again is Iri(value)
+    assert [v for v in terms._INTERNED if v == value] == [value]
+    # a late callback of the collected IRI leaves the new entry alone
+    terms._forget(stale)
+    assert terms._INTERNED[value] is again
+
+
 @pytest.mark.parametrize(
     "clone",
     [lambda i: pickle.loads(pickle.dumps(i)), copy.copy, copy.deepcopy],
