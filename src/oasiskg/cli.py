@@ -319,8 +319,8 @@ def _parser() -> argparse.ArgumentParser:
         prog="oasiskg",
         description="Build, validate, realize and analyse layered "
         "agent-behaviour knowledge graphs.",
-        epilog="exit codes: 0 ok, 1 operational error, 2 validation "
-        "findings, 3 races found, 4 parse error",
+        epilog="exit codes: 0 ok, 1 operational error or usage error, "
+        "2 validation findings, 3 races found, 4 parse error",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -16,16 +16,21 @@ Race steps still take effect, so one schedule can surface several
 hazards.  Reports are deduplicated on (kind, resource, agent pair);
 the first schedule that exhibits a hazard wins.
 
-The search visits each distinct state once, interpreting at most
-(distinct states x runs) steps, not one per step of every schedule.  A
-state is the runs' positions plus each resource's holder, last writer
-and last writer other than that one: all ``interpret_step`` reads.
-``sum(positions)`` fixes step indices and the bound cut, so a state
-reached again was searched, at the same depth, before.  Hazards are
-taken on the step that raises them, in pre-order: the order "first
-schedule in depth-first order, then step order" of a walk over every
-schedule.  A report's schedule is its prefix plus the leftmost
-completion below, so reports match that walk's byte for byte.
+The search visits each distinct state once.  A resource's lock state
+is trimmed to what ``interpret_step`` reads (the holder, the last
+writer and the last writer other than that one) and given a small int
+id when first seen, so a search state is a flat tuple of ints: the
+runs' positions, then each resource's lock-state id.  Each state is
+numbered when first reached and its moves are kept by number, so one
+copy of each state is stored.  A transition table maps (lock-state
+id, agent, step kind) to the next id, or blocked, and the hazard
+raised, so ``interpret_step`` runs once per distinct transition, not
+once per state and run.  ``sum(positions)`` fixes step indices and the
+bound cut, so a state reached again was searched, at the same depth,
+before.  Hazards are taken on the step that raises them, in pre-order:
+the order "first schedule in depth-first order, then step order" of a
+walk over every schedule.  A report's schedule is its prefix plus the
+leftmost completion below, so reports match that walk's byte for byte.
 """
 
 from __future__ import annotations
@@ -188,9 +193,10 @@ def interpret_step(state: ResourceState, agent: Iri, kind: StepKind) -> StepOutc
 # Exploration
 # ---------------------------------------------------------------------------
 
-#: a search state: run positions, then lock states by first-named resource
-_Key = tuple[tuple[int, ...], tuple[ResourceState, ...]]
-_Moves = dict[_Key, list[tuple[int, _Key]]]
+#: a search state: run positions, then lock-state ids by first-named resource
+_Key = tuple[int, ...]
+#: by state number: each move as (run index, next state's number)
+_Moves = list[tuple[tuple[int, int], ...]]
 _STATUSES = ("complete", "deadlock", "truncated")
 
 
@@ -205,77 +211,133 @@ def _trim(state: ResourceState) -> ResourceState:
 class RaceSearch(NamedTuple):
     reports: list[RaceReport]
     schedules: dict[str, int]  # by status: complete, deadlock, truncated
+    states: int  # distinct states searched
 
 
 def _search(
     runs: list[ProtocolRun], bound: int
-) -> tuple[_Key, _Moves, dict[_Key, tuple[int, ...]], list[RaceReport]]:
+) -> tuple[_Moves, list[tuple[int, ...]], list[RaceReport]]:
     """Depth-first search over distinct states, on an explicit stack of
-    one generator per state on the path: the start state, each state's
-    moves as (run index, next state), the schedules below each state
-    counted in ``_STATUSES`` order, reports."""
-    firsts = dict.fromkeys(step.resource for run in runs for step in run.steps)
-    slots = {resource: n for n, resource in enumerate(firsts)}
-    ends = tuple(len(run.steps) for run in runs)
-    moves: _Moves = {}
-    counts: dict[_Key, tuple[int, ...]] = {}
-    #: the first (prefix, next state) to raise each hazard
-    found: dict[tuple[RaceKind, Iri, Iri, Iri], tuple[tuple[int, ...], _Key]] = {}
+    one generator per state on the path.  States are numbered in the
+    order they are first reached, the start state 0.  Returns by state
+    number the moves and the schedules below counted in ``_STATUSES``
+    order, then the reports."""
+    resources = list(dict.fromkeys(s.resource for run in runs for s in run.steps))
+    #: each resource's lock-state id sits in the key after the positions
+    cell_of = {resource: len(runs) + n for n, resource in enumerate(resources)}
+    #: each distinct (agent, step kind), numbered in order of appearance
+    actions: dict[tuple[Iri, StepKind], int] = {}
+    #: per run, each step as (key cell of its resource, action), then None
+    plans = [
+        [
+            (cell_of[s.resource], actions.setdefault((run.agent, s.kind), len(actions)))
+            for s in run.steps
+        ]
+        + [None]
+        for run in runs
+    ]
+    agent_kinds = list(actions)
+    total = sum(len(run.steps) for run in runs)
+    #: each distinct trimmed lock state by id, and ids by state
+    lock_states = [ResourceState()]
+    lock_ids = {ResourceState(): 0}
+    #: each distinct (race kind, agent, other agent), numbered
+    hazards: dict[tuple[RaceKind, Iri, Iri], int] = {}
+    #: (lock-state id, action) -> (next lock-state id or -1 if the step
+    #: blocks, hazard or -1)
+    table: dict[tuple[int, int], tuple[int, int]] = {}
+    root: _Key = (0,) * (len(runs) + len(resources))
+    #: each state reached by number; its moves and counts, by number,
+    #: are filled in when its search ends
+    numbers = {root: 0}
+    moves: _Moves = [()]
+    counts: list[tuple[int, ...]] = [()]
+    #: the first (prefix, next state) to raise each (hazard, key cell)
+    found: dict[tuple[int, int], tuple[tuple[int, ...], _Key]] = {}
+
+    def transition(lid: int, action: int) -> tuple[int, int]:
+        """The entry of ``table`` for ``action`` on lock state ``lid``."""
+        agent, kind = agent_kinds[action]
+        outcome = interpret_step(lock_states[lid], agent, kind)
+        if outcome.blocked:
+            return -1, -1
+        state = _trim(outcome.state)
+        if state not in lock_ids:
+            lock_ids[state] = len(lock_states)
+            lock_states.append(state)
+        hazard = -1
+        if outcome.race and outcome.other:
+            triple = (outcome.race, agent, outcome.other)
+            hazard = hazards.setdefault(triple, len(hazards))
+        return lock_ids[state], hazard
 
     def visit(
-        key: _Key, prefix: tuple[int, ...]
-    ) -> Iterator[tuple[_Key, tuple[int, ...]]]:
-        """Take ``key``'s moves in run order, yielding each next state not
-        yet searched so that it is searched before the next move is
-        taken; then count the schedules below ``key``."""
-        positions, states = key
-        out: list[tuple[int, _Key]] = moves.setdefault(key, [])
-        if positions == ends or len(prefix) >= bound:
-            counts[key] = (1, 0, 0) if positions == ends else (0, 0, 1)
+        key: _Key, number: int, prefix: tuple[int, ...]
+    ) -> Iterator[tuple[_Key, int, tuple[int, ...]]]:
+        """Take ``key``'s moves in run order, yielding each next state
+        reached for the first time so that it is searched before the
+        next move is taken; then count the schedules below ``key``."""
+        depth = len(prefix)  # the sum of the run positions
+        if depth == total or depth >= bound:
+            counts[number] = (1, 0, 0) if depth == total else (0, 0, 1)
             return
-        for i, run in enumerate(runs):
-            if positions[i] == ends[i]:
+        out: list[tuple[int, int]] = []
+        for i, plan in enumerate(plans):
+            step = plan[key[i]]
+            if step is None:
                 continue
-            step = run.steps[positions[i]]
-            slot = slots[step.resource]
-            outcome = interpret_step(states[slot], run.agent, step.kind)
-            if outcome.blocked:
+            cell, action = step
+            move = table.get((key[cell], action))
+            if move is None:
+                move = table[key[cell], action] = transition(key[cell], action)
+            lid, hazard = move
+            if lid < 0:
                 continue
-            now = states[:slot] + (_trim(outcome.state),) + states[slot + 1 :]
-            child = (positions[:i] + (positions[i] + 1,) + positions[i + 1 :], now)
-            out.append((i, child))
-            hazard = (outcome.race, step.resource, run.agent, outcome.other)
-            if outcome.race and outcome.other and hazard not in found:
-                found[hazard] = (prefix + (i,), child)
-            if child not in counts:
-                yield child, prefix + (i,)
-        below = [counts[child] for _, child in out]
-        counts[key] = tuple(map(sum, zip(*below))) if out else (0, 1, 0)
+            cells = list(key)
+            cells[i] += 1
+            cells[cell] = lid
+            child = tuple(cells)
+            if hazard >= 0 and (hazard, cell) not in found:
+                found[hazard, cell] = (prefix + (i,), child)
+            n = numbers.get(child)
+            if n is None:  # reached for the first time: search it now
+                n = numbers[child] = len(moves)
+                moves.append(())
+                counts.append(())
+                yield child, n, prefix + (i,)
+            out.append((i, n))
+        moves[number] = tuple(out)
+        below = [counts[n] for _, n in out]
+        counts[number] = tuple(map(sum, zip(*below))) if out else (0, 1, 0)
 
-    root: _Key = ((0,) * len(runs), (ResourceState(),) * len(slots))
-    stack = [visit(root, ())]
+    stack = [visit(root, 0, ())]
     while stack:
-        for child, prefix in stack[-1]:
-            stack.append(visit(child, prefix))
+        for child, number, prefix in stack[-1]:
+            stack.append(visit(child, number, prefix))
             break
         else:
             stack.pop()
     reports = []
-    for (kind, resource, actor, other), (schedule, child) in found.items():
+    triples = list(hazards)
+    for (hazard, cell), (schedule, child) in found.items():
+        kind, actor, other = triples[hazard]
+        resource = resources[cell - len(runs)]
         conflict = Conflict(resource, actor, other, len(schedule) - 1)
-        while moves[child]:  # complete the schedule leftmost below ``child``
-            i, child = moves[child][0]
+        number = numbers[child]
+        while moves[number]:  # complete the schedule leftmost below ``child``
+            i, number = moves[number][0]
             schedule += (i,)
         reports.append(RaceReport(schedule, conflict, kind))
-    return root, moves, counts, reports
+    return moves, counts, reports
 
 
 def search_races(runs: list[ProtocolRun], bound: int = DEFAULT_BOUND) -> RaceSearch:
     """Race reports over every schedule within the bound, one per (kind,
     resource, acting agent, other agent), each named by the first schedule
-    in depth-first order that raises it; and the schedules by status."""
-    root, _, counts, reports = _search(runs, bound)
-    return RaceSearch(reports, dict(zip(_STATUSES, counts[root])))
+    in depth-first order that raises it; the schedules by status; and
+    how many distinct states were searched."""
+    _, counts, reports = _search(runs, bound)
+    return RaceSearch(reports, dict(zip(_STATUSES, counts[0])), len(counts))
 
 
 def detect_races(
@@ -289,14 +351,15 @@ def enumerate_schedules(
     runs: list[ProtocolRun], bound: int = DEFAULT_BOUND
 ) -> list[Schedule]:
     """Every schedule within the bound, in depth-first order."""
-    root, moves, counts, _ = _search(runs, bound)
+    moves, counts, _ = _search(runs, bound)
     schedules: list[Schedule] = []
-    stack: list[tuple[_Key, tuple[int, ...]]] = [(root, ())]
+    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     while stack:
-        key, prefix = stack.pop()
-        if not moves[key]:
-            schedules.append(Schedule(prefix, _STATUSES[counts[key].index(1)]))
-        stack.extend((child, prefix + (i,)) for i, child in reversed(moves[key]))
+        number, prefix = stack.pop()
+        if not moves[number]:
+            status = _STATUSES[counts[number].index(1)]
+            schedules.append(Schedule(prefix, status))
+        stack.extend((n, prefix + (i,)) for i, n in reversed(moves[number]))
     return schedules
 
 

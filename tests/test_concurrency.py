@@ -427,6 +427,46 @@ def test_search_interprets_each_distinct_state_once(monkeypatch, agents, states)
     assert 0 < calls <= agents * states
 
 
+def free_chains(agents: int) -> list[ProtocolRun]:
+    """``agents`` runs of three modifies each on one resource, no locks."""
+    agent_iris = [Iri(f"http://example.org/agent_{n}") for n in range(agents)]
+    return [run_of(agent, *(StepKind.MODIFY,) * 3) for agent in agent_iris]
+
+
+@pytest.mark.parametrize("agents, transitions", [(4, 68), (5, 130)])
+def test_search_interprets_each_distinct_transition_once(
+    monkeypatch, agents, transitions
+):
+    """Free modify chains reach 1 + n + n(n-1) trimmed lock states (none
+    modified, one last writer, or a last writer and the one before it),
+    each stepped by n agents' modifies: 17 x 4 and 26 x 5 transitions."""
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return interpret_step(*args)
+
+    monkeypatch.setattr(concurrency, "interpret_step", counting)
+    detect_races(free_chains(agents), 12)
+    assert calls == transitions
+
+
+@pytest.mark.parametrize(
+    "agents, bound, states", [(4, 12, 1_741), (5, 12, 11_116), (5, 15, 11_536)]
+)
+def test_search_counts_the_distinct_states_it_searched(agents, bound, states):
+    search = search_races(free_chains(agents), bound)
+    assert search.states == states
+    if bound == 15:  # every schedule of 5 x 3 steps: 15! / 3!^5
+        assert len(search.reports) == 20
+        assert search.schedules == {
+            "complete": 168_168_000,
+            "deadlock": 0,
+            "truncated": 0,
+        }
+
+
 def test_search_runs_schedules_longer_than_the_recursion_limit():
     """One run of 1,100 modifies: 1,101 states on a single path, deeper
     than the interpreter's default recursion limit of 1,000 frames."""
