@@ -11,9 +11,9 @@ Naming conventions (all deterministic):
   comes from the knowledge base's clone counter;
 * role individuals append ``__role__<n>`` to the role type IRI.
 
-Walking, cloning, ordering and capability queries live in ``trees``;
-they are bound here too, so ``builder.clone_tree`` and the rest keep
-working.
+Walking, cloning, ordering, capability queries and the layer rules
+(``link_states``, ``link_pairs``, ``is_root``) live in ``trees``; they
+are bound here too, so ``builder.clone_tree`` and the rest keep working.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ from .trees import (  # noqa: F401 - the tree queries are part of this module's 
     clone_node,
     clone_tree,
     deprecated_role_providing,
+    is_root,
+    link_pairs,
+    link_states,
     plan_tasks,
     tree_class,
     walk_tree,
@@ -49,28 +52,30 @@ from .vocab import (
     CHILD_PREDICATES,
     CLASS_TO_OVERLOAD,
     CLASS_TO_SUBMITTED,
-    CLASSES,
+    CONSISTS_OF_GOAL,
     CONSISTS_OF_PROCEDURE,
+    CONSISTS_OF_TASK,
     DEPENDS_ON,
     DEPRECATED_THING,
     EVENT,
     EVENT_DESCRIBED_BY_ACTION,
     FINAL_STATE,
+    GOAL_DESCRIPTION,
     HAS_BEHAVIOUR,
     HAS_EVENT_DURATION,
     HAS_EVENT_KIND,
     HAS_EVENT_WINDOW,
-    HAS_FINAL_STATE,
-    HAS_NEXT_NON_TERMINATING,
     HAS_NEXT_PROCEDURE,
+    HAS_TASK_INPUT_PARAMETER,
+    HAS_TASK_OBJECT,
+    HAS_TASK_OPERATOR,
+    HAS_TASK_OPERATOR_ARGUMENT,
+    HAS_TASK_OUTPUT_PARAMETER,
     INITIAL_STATE,
     IS_DESCRIBED_BY,
     LayerTag,
     NON_TERMINATING_STATE,
     PLAY_ROLE,
-    PROC_CONSISTS_FINAL,
-    PROC_CONSISTS_INITIAL,
-    PROC_CONSISTS_NON_TERMINATING,
     PROCEDURE,
     PROCEDURE_STATE_CLASSES,
     PROCESS,
@@ -80,8 +85,13 @@ from .vocab import (
     REFERS_EXACTLY_TO,
     ROLE,
     ROLE_TYPE,
+    TASK_DESCRIPTION,
+    TASK_INPUT_PARAMETER,
+    TASK_OBJECT,
+    TASK_OPERATOR,
+    TASK_OPERATOR_ARGUMENT,
+    TASK_OUTPUT_PARAMETER,
     TRIGGERS_EVENT,
-    term,
 )
 
 
@@ -235,28 +245,28 @@ def _emit_task(
 
     suffix = "_template" if template_names else ""
     task = kb.mint_iri(prefix, spec.name)
-    typed(task, CLASSES["TaskDescription"])
+    typed(task, TASK_DESCRIPTION)
 
     operator = kb.mint_iri(prefix, f"{spec.name}_operator")
-    typed(operator, CLASSES["TaskOperator"])
-    kb.assert_property(task, term("hasTaskOperator"), operator)
+    typed(operator, TASK_OPERATOR)
+    kb.assert_property(task, HAS_TASK_OPERATOR, operator)
     _emit_ref(kb, operator, spec.operator_action, layer_cls, as_action=True)
 
     if spec.operator_argument is not None:
         argument = kb.mint_iri(prefix, f"{spec.name}_operator_argument")
-        typed(argument, CLASSES["TaskOperatorArgument"])
-        kb.assert_property(task, term("hasTaskOperatorArgument"), argument)
+        typed(argument, TASK_OPERATOR_ARGUMENT)
+        kb.assert_property(task, HAS_TASK_OPERATOR_ARGUMENT, argument)
         _emit_ref(kb, argument, spec.operator_argument, layer_cls)
 
     if spec.obj is not None:
         obj = kb.mint_iri(prefix, f"{spec.name}_object{suffix}")
-        typed(obj, CLASSES["TaskObject"])
-        kb.assert_property(task, term("hasTaskObject"), obj)
+        typed(obj, TASK_OBJECT)
+        kb.assert_property(task, HAS_TASK_OBJECT, obj)
         _emit_ref(kb, obj, spec.obj, layer_cls)
 
     for kind, cls, pred, refs in (
-        ("input", CLASSES["TaskInputParameter"], term("hasTaskInputParameter"), spec.inputs),
-        ("output", CLASSES["TaskOutputParameter"], term("hasTaskOutputParameter"), spec.outputs),
+        ("input", TASK_INPUT_PARAMETER, HAS_TASK_INPUT_PARAMETER, spec.inputs),
+        ("output", TASK_OUTPUT_PARAMETER, HAS_TASK_OUTPUT_PARAMETER, spec.outputs),
     ):
         for i, ref in enumerate(refs, start=1):
             nth = "" if i == 1 else f"_{i}"
@@ -280,16 +290,16 @@ def _emit_behaviour(
     task_nodes: dict[str, dict[str, Iri]] = {}
     for goal in spec.goals:
         node = kb.mint_iri(prefix, goal.name)
-        kb.assert_membership(node, CLASSES["GoalDescription"])
+        kb.assert_membership(node, GOAL_DESCRIPTION)
         kb.assert_membership(node, layer_cls)
-        kb.assert_property(root, term("consistsOfGoalDescription"), node)
+        kb.assert_property(root, CONSISTS_OF_GOAL, node)
         goal_nodes[goal.name] = node
         task_nodes[goal.name] = {}
         for task_spec in goal.tasks:
             task = _emit_task(
                 kb, task_spec, layer_cls, prefix, template_names=template_names
             )
-            kb.assert_property(node, term("consistsOfTaskDescription"), task)
+            kb.assert_property(node, CONSISTS_OF_TASK, task)
             task_nodes[goal.name][task_spec.name] = task
     # dependency edges once every node exists
     for goal in spec.goals:
@@ -323,21 +333,13 @@ def derive_behaviour(kb: KnowledgeBase, template_root: Iri, agent: Iri) -> Iri:
     Every clone overloads its source through the subproperty matching its
     class, and the agent is linked with hasBehaviour.
     """
-    rec = kb.entity(template_root)
-    if (
-        rec is None
-        or BEHAVIOUR not in rec.memberships
-        or rec.layer is not LayerTag.TEMPLATE
-    ):
+    if not is_root(kb, template_root, BEHAVIOUR, LayerTag.TEMPLATE):
         raise NotATemplate(template_root)
-    agent_rec = kb.entity(agent)
-    if agent_rec is None or AGENT not in agent_rec.memberships:
+    if not kb.has_class(agent, AGENT):
         raise MissingAgent(agent)
     mapping = clone_tree(kb, template_root, LayerTag.BEHAVIOUR)
-    for source, clone in mapping.items():
-        cls = tree_class(kb, source)
-        if cls is not None:
-            kb.assert_property(clone, CLASS_TO_OVERLOAD[cls], source)
+    overloads = {clone: source for source, clone in mapping.items()}
+    link_pairs(kb, overloads, CLASS_TO_OVERLOAD)
     kb.assert_property(agent, HAS_BEHAVIOUR, mapping[template_root])
     return mapping[template_root]
 
@@ -375,25 +377,11 @@ def submit_plan(kb: KnowledgeBase, plan_root: Iri, behaviour_root: Iri) -> None:
 
     Emits one submittedTo-family edge per paired node.
     """
-    plan_rec = kb.entity(plan_root)
-    if (
-        plan_rec is None
-        or BEHAVIOUR not in plan_rec.memberships
-        or plan_rec.layer is not LayerTag.PLANNING
-    ):
+    if not is_root(kb, plan_root, BEHAVIOUR, LayerTag.PLANNING):
         raise LayerError(plan_root, "planning-layer behaviour root")
-    beh_rec = kb.entity(behaviour_root)
-    if (
-        beh_rec is None
-        or BEHAVIOUR not in beh_rec.memberships
-        or beh_rec.layer is not LayerTag.BEHAVIOUR
-    ):
+    if not is_root(kb, behaviour_root, BEHAVIOUR, LayerTag.BEHAVIOUR):
         raise LayerError(behaviour_root, "behaviour-layer behaviour root")
-    pairs = pair_trees(kb, plan_root, behaviour_root)
-    for plan_node, beh_node in pairs.items():
-        cls = tree_class(kb, plan_node)
-        if cls is not None:
-            kb.assert_property(plan_node, CLASS_TO_SUBMITTED[cls], beh_node)
+    link_pairs(kb, pair_trees(kb, plan_root, behaviour_root), CLASS_TO_SUBMITTED)
 
 
 # ---------------------------------------------------------------------------
@@ -429,24 +417,20 @@ def build_process(kb: KnowledgeBase, spec: ProcessSpec, prefix: str = "ex") -> I
 
         last = len(proc_spec.states) - 1
         states: list[Iri] = []
-        for i, state_spec in enumerate(proc_spec.states):
+        for j, state_spec in enumerate(proc_spec.states):
             state = kb.mint_iri(prefix, state_spec.name)
-            if i == 0:
+            # a state at two positions would carry both positions' classes
+            if any(kb.has_class(state, cls) for cls in PROCEDURE_STATE_CLASSES):
+                raise SpecInvalid(f"{where}.procedures[{i}].states", "duplicate names")
+            if j == 0:
                 kb.assert_membership(state, INITIAL_STATE)
-                kb.assert_property(proc, PROC_CONSISTS_INITIAL, state)
-            if i == last:
+            if j == last:
                 kb.assert_membership(state, FINAL_STATE)
-                kb.assert_property(proc, PROC_CONSISTS_FINAL, state)
-            if 0 < i < last:
+            if 0 < j < last:
                 kb.assert_membership(state, NON_TERMINATING_STATE)
-                kb.assert_property(proc, PROC_CONSISTS_NON_TERMINATING, state)
             kb.assert_membership(state, LayerTag.PLANNING.class_iri)
             states.append(state)
-        for left, right in zip(states, states[1:]):
-            if kb.has_class(right, FINAL_STATE):
-                kb.assert_property(left, HAS_FINAL_STATE, right)
-            else:
-                kb.assert_property(left, HAS_NEXT_NON_TERMINATING, right)
+        link_states(kb, proc, states)
         for state, state_spec in zip(states, proc_spec.states):
             plan_root = build_plan(kb, state_spec.plan, prefix)
             kb.assert_property(state, IS_DESCRIBED_BY, plan_root)
@@ -501,15 +485,9 @@ def grant_role(
     individual typed RoleType.
     """
     for behaviour in behaviours:
-        rec = kb.entity(behaviour)
-        if (
-            rec is None
-            or BEHAVIOUR not in rec.memberships
-            or rec.layer is not LayerTag.BEHAVIOUR
-        ):
+        if not is_root(kb, behaviour, BEHAVIOUR, LayerTag.BEHAVIOUR):
             raise LayerError(behaviour, "behaviour-layer behaviour root")
-    agent_rec = kb.entity(agent)
-    if agent_rec is None or AGENT not in agent_rec.memberships:
+    if not kb.has_class(agent, AGENT):
         raise MissingAgent(agent)
     kb.declare_class(role_type)
     kb.assert_membership(role_type, ROLE_TYPE)
@@ -524,7 +502,6 @@ def grant_role(
 
 def deprecate_role(kb: KnowledgeBase, role: Iri) -> None:
     """Mark a role deprecated.  Idempotent; never removed."""
-    rec = kb.entity(role)
-    if rec is None or ROLE not in rec.memberships:
+    if not kb.has_class(role, ROLE):
         raise NotARole(role)
     kb.assert_membership(role, DEPRECATED_THING)

@@ -265,6 +265,9 @@ def cmd_races(args: argparse.Namespace) -> int:
     op_map: dict[str, StepKind] = {}
     for item in args.op_map or ():
         name, _, kind = item.partition("=")
+        if not name:
+            # an empty name would match every action as a substring
+            return _fail(f"--op-map {item!r}: NAME must not be empty", OPERATIONAL)
         try:
             op_map[name] = StepKind(kind)
         except ValueError:

@@ -43,16 +43,19 @@ from typing import NamedTuple
 
 from .core import KnowledgeBase
 from .terms import Iri, ModelError
-from .trees import plan_tasks, procedure_order, state_chain
+from .trees import is_root, plan_tasks, procedure_order, state_chain
 from .vocab import (
     DEFAULT_BOUND,
+    HAS_TASK_INPUT_PARAMETER,
+    HAS_TASK_OBJECT,
+    HAS_TASK_OPERATOR,
+    HAS_TASK_OUTPUT_PARAMETER,
     IS_DESCRIBED_BY,
     LayerTag,
     PERFORMS_PLAN_EXECUTION,
     PROCESS,
     REFERS_AS_NEW_TO,
     REFERS_EXACTLY_TO,
-    term,
 )
 
 
@@ -373,11 +376,8 @@ DEFAULT_OP_MAP: dict[str, StepKind] = {
     "release": StepKind.RELEASE,
 }
 
-_HAS_TASK_OPERATOR = term("hasTaskOperator")
 _RESOURCE_BEARING = (
-    term("hasTaskObject"),
-    term("hasTaskOutputParameter"),
-    term("hasTaskInputParameter"),
+    HAS_TASK_OBJECT, HAS_TASK_OUTPUT_PARAMETER, HAS_TASK_INPUT_PARAMETER
 )
 
 
@@ -390,7 +390,7 @@ def _refs(kb: KnowledgeBase, node: Iri) -> list[Iri]:
 
 def _step_kind(kb: KnowledgeBase, task: Iri, op_map: dict[str, StepKind]) -> StepKind:
     targets: list[Iri] = []
-    for operator in kb.objects(task, _HAS_TASK_OPERATOR):
+    for operator in kb.objects(task, HAS_TASK_OPERATOR):
         if isinstance(operator, Iri):
             targets.extend(_refs(kb, operator))
     local = targets[0].local.lower() if targets else ""
@@ -434,12 +434,7 @@ def extract_runs(
         mapping.update({k.lower(): v for k, v in op_map.items()})
     runs: list[ProtocolRun] = []
     for handle in handles:
-        rec = kb.entity(handle)
-        if (
-            rec is None
-            or PROCESS not in rec.memberships
-            or rec.layer is not LayerTag.EXECUTION
-        ):
+        if not is_root(kb, handle, PROCESS, LayerTag.EXECUTION):
             raise UnknownHandle(handle)
         agent: Iri | None = None
         steps: list[Step] = []

@@ -23,30 +23,25 @@ from .terms import Iri, ModelError
 from .trees import (
     clone_node,
     clone_tree,
+    is_root,
+    link_pairs,
+    link_states,
     procedure_order,
     state_chain,
-    tree_class,
 )
 from .validator import Code, Violation, capability_gap, validate
 from .vocab import (
     CLASS_TO_HAS_EXECUTION,
     CONSISTS_OF_PROCEDURE,
     EVENT_DESCRIBED_BY_ACTION,
-    FINAL_STATE,
     HAS_EVENT_DURATION,
     HAS_EVENT_KIND,
     HAS_EVENT_WINDOW,
-    HAS_FINAL_STATE,
-    HAS_NEXT_NON_TERMINATING,
     HAS_NEXT_PROCEDURE,
-    INITIAL_STATE,
     IS_DESCRIBED_BY,
     LayerTag,
     PERFORMS_PLAN_EXECUTION,
     PLAN_EXECUTION_DRAWN_BY,
-    PROC_CONSISTS_FINAL,
-    PROC_CONSISTS_INITIAL,
-    PROC_CONSISTS_NON_TERMINATING,
     PROCEDURE_DRAWN_BY,
     PROCESS,
     PROCESS_DRAWN_BY,
@@ -195,10 +190,7 @@ def _clone_linked(kb: KnowledgeBase, root: Iri) -> Iri:
     source node to its clone through the hasExecution family and return
     the root's clone."""
     mapping = clone_tree(kb, root, LayerTag.EXECUTION)
-    for source, clone in mapping.items():
-        cls = tree_class(kb, source)
-        if cls is not None:
-            kb.assert_property(source, CLASS_TO_HAS_EXECUTION[cls], clone)
+    link_pairs(kb, mapping, CLASS_TO_HAS_EXECUTION)
     return mapping[root]
 
 
@@ -213,12 +205,7 @@ def realize_process(
     violations = validate(kb)
     if violations:
         raise ValidationFailed(violations)
-    rec = kb.entity(process)
-    if (
-        rec is None
-        or PROCESS not in rec.memberships
-        or rec.layer is not LayerTag.PLANNING
-    ):
+    if not is_root(kb, process, PROCESS, LayerTag.PLANNING):
         raise NotAProcess(process)
 
     procedures = procedure_order(kb, process)
@@ -246,27 +233,11 @@ def realize_process(
             kb.assert_property(previous_proc, HAS_NEXT_PROCEDURE, exec_proc)
         previous_proc = exec_proc
 
-        exec_states: list[Iri] = []
-        for state in chains[proc]:
-            exec_state = clone_node(kb, state, LayerTag.EXECUTION)
-            if kb.has_class(state, INITIAL_STATE):
-                kb.assert_property(exec_proc, PROC_CONSISTS_INITIAL, exec_state)
-            if kb.has_class(state, FINAL_STATE):
-                kb.assert_property(exec_proc, PROC_CONSISTS_FINAL, exec_state)
-            if not kb.has_class(state, INITIAL_STATE) and not kb.has_class(
-                state, FINAL_STATE
-            ):
-                kb.assert_property(
-                    exec_proc, PROC_CONSISTS_NON_TERMINATING, exec_state
-                )
-            exec_states.append(exec_state)
-        for left, right in zip(exec_states, exec_states[1:]):
-            if kb.has_class(right, FINAL_STATE):
-                kb.assert_property(left, HAS_FINAL_STATE, right)
-            else:
-                kb.assert_property(left, HAS_NEXT_NON_TERMINATING, right)
+        states = chains[proc]
+        exec_states = [clone_node(kb, s, LayerTag.EXECUTION) for s in states]
+        link_states(kb, exec_proc, exec_states)
 
-        for state, exec_state in zip(chains[proc], exec_states):
+        for state, exec_state in zip(states, exec_states):
             agent, behaviour = assignment[state]
             plans = [
                 o for o in kb.objects(state, IS_DESCRIBED_BY) if isinstance(o, Iri)

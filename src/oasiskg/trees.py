@@ -1,11 +1,12 @@
-"""Walking, ordering and cloning behaviour-shaped trees.
+"""Walking, ordering, cloning and linking behaviour-shaped trees.
 
 The tree queries and primitives that the builder, the validator, the
 engine and the race search share.  It sits over ``core`` only, so the
 validator and the race search read trees without loading the builder
-or the engine.  The clone primitives write, but they belong here: the
-builder derives behaviours with them and the engine realizes processes
-with them, and neither should import the other.
+or the engine.  The write rules of the layers live here, each once:
+cloning, family links, procedure state chains and the root guard.  The
+builder and the engine both write with them, so their layers cannot
+drift apart, and neither imports the other.
 """
 
 from __future__ import annotations
@@ -18,23 +19,30 @@ from .core import KnowledgeBase
 from .terms import Assertion, Iri
 from .vocab import (
     CHILD_PREDICATES,
+    CONSISTS_OF_GOAL,
     CONSISTS_OF_PROCEDURE,
+    CONSISTS_OF_TASK,
     DEPENDS_ON,
+    FINAL_STATE,
     HAS_BEHAVIOUR,
+    HAS_FINAL_STATE,
     HAS_NEXT,
+    HAS_NEXT_NON_TERMINATING,
     HAS_NEXT_PROCEDURE,
+    INITIAL_STATE,
     LAYER_CLASSES,
     LayerTag,
     PLAY_ROLE,
+    PROC_CONSISTS_FINAL,
     PROC_CONSISTS_INITIAL,
+    PROC_CONSISTS_NON_TERMINATING,
     PROVIDES_BEHAVIOUR,
     REFERS_PREDICATES,
     TREE_NODE_CLASSES,
-    term,
 )
 
 # ---------------------------------------------------------------------------
-# Tree walking and cloning
+# Tree walking, cloning and the layer rules
 # ---------------------------------------------------------------------------
 
 
@@ -100,6 +108,42 @@ def clone_tree(
     return mapping
 
 
+def is_root(kb: KnowledgeBase, iri: Iri, cls: Iri, layer: LayerTag) -> bool:
+    """Whether ``iri`` is typed ``cls`` and tagged with ``layer`` alone."""
+    rec = kb.entity(iri)
+    return rec is not None and cls in rec.memberships and rec.layer is layer
+
+
+def link_pairs(
+    kb: KnowledgeBase, pairs: dict[Iri, Iri], members: dict[Iri, Iri]
+) -> None:
+    """Link each ``subject -> object`` pair through the family member that
+    ``members`` names for the subject's tree-node class."""
+    for subject, obj in pairs.items():
+        cls = tree_class(kb, subject)
+        if cls is not None:
+            kb.assert_property(subject, members[cls], obj)
+
+
+def link_states(kb: KnowledgeBase, procedure: Iri, states: list[Iri]) -> None:
+    """Join a procedure to its states, which already carry their initial,
+    final or non-terminating class, and chain each to the one before."""
+    for state in states:
+        initial = kb.has_class(state, INITIAL_STATE)
+        final = kb.has_class(state, FINAL_STATE)
+        if initial:
+            kb.assert_property(procedure, PROC_CONSISTS_INITIAL, state)
+        if final:
+            kb.assert_property(procedure, PROC_CONSISTS_FINAL, state)
+        if not (initial or final):
+            kb.assert_property(procedure, PROC_CONSISTS_NON_TERMINATING, state)
+    for left, right in zip(states, states[1:]):
+        if kb.has_class(right, FINAL_STATE):
+            kb.assert_property(left, HAS_FINAL_STATE, right)
+        else:
+            kb.assert_property(left, HAS_NEXT_NON_TERMINATING, right)
+
+
 # ---------------------------------------------------------------------------
 # Run order
 # ---------------------------------------------------------------------------
@@ -116,14 +160,10 @@ def plan_tasks(kb: KnowledgeBase, root: Iri) -> list[Iri]:
     leave the goal are ignored.
     """
     out: list[Iri] = []
-    for goal in kb.objects(root, term("consistsOfGoalDescription")):
+    for goal in kb.objects(root, CONSISTS_OF_GOAL):
         if not isinstance(goal, Iri):
             continue
-        tasks = [
-            t
-            for t in kb.objects(goal, term("consistsOfTaskDescription"))
-            if isinstance(t, Iri)
-        ]
+        tasks = [t for t in kb.objects(goal, CONSISTS_OF_TASK) if isinstance(t, Iri)]
         index = {task: i for i, task in enumerate(tasks)}
         waiting = [0] * len(tasks)  # unplaced in-goal dependencies per task
         dependents: list[list[int]] = [[] for _ in tasks]

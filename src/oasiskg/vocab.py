@@ -492,21 +492,32 @@ FAMILY_ROOTS: dict[Iri, dict[Iri, Iri]] = {
     EXECUTION_DRAWN_BY: CLASS_TO_EXECUTION_DRAWN_BY,
 }
 
+CONSISTS_OF_GOAL = term("consistsOfGoalDescription")
+CONSISTS_OF_TASK = term("consistsOfTaskDescription")
+HAS_TASK_OPERATOR = term("hasTaskOperator")
+HAS_TASK_OPERATOR_ARGUMENT = term("hasTaskOperatorArgument")
+HAS_TASK_OBJECT = term("hasTaskObject")
+HAS_TASK_INPUT_PARAMETER = term("hasTaskInputParameter")
+HAS_TASK_OUTPUT_PARAMETER = term("hasTaskOutputParameter")
+
 #: Edges that make up a behaviour-shaped tree, in traversal order.
 CHILD_PREDICATES: tuple[Iri, ...] = (
-    term("consistsOfGoalDescription"),
-    term("consistsOfTaskDescription"),
-    term("hasTaskOperator"),
-    term("hasTaskOperatorArgument"),
-    term("hasTaskObject"),
-    term("hasTaskInputParameter"),
-    term("hasTaskOutputParameter"),
+    CONSISTS_OF_GOAL,
+    CONSISTS_OF_TASK,
+    HAS_TASK_OPERATOR,
+    HAS_TASK_OPERATOR_ARGUMENT,
+    HAS_TASK_OBJECT,
+    HAS_TASK_INPUT_PARAMETER,
+    HAS_TASK_OUTPUT_PARAMETER,
 )
 
+REFERS_EXACTLY_TO = term("refersExactlyTo")
+REFERS_AS_NEW_TO = term("refersAsNewTo")
+REFERS_AS_INSTANCE_OF = term("refersAsInstanceOf")
 REFERS_PREDICATES: tuple[Iri, ...] = (
-    term("refersExactlyTo"),
-    term("refersAsNewTo"),
-    term("refersAsInstanceOf"),
+    REFERS_EXACTLY_TO,
+    REFERS_AS_NEW_TO,
+    REFERS_AS_INSTANCE_OF,
 )
 
 DEPENDS_ON = term("dependsOn")
@@ -535,9 +546,6 @@ PROCESS_DRAWN_BY = term("processDrawnBy")
 PROCEDURE_DRAWN_BY = term("procedureDrawnBy")
 PLAN_EXECUTION_DRAWN_BY = CLASS_TO_EXECUTION_DRAWN_BY[BEHAVIOUR]
 HAS_PLAN_EXECUTION = CLASS_TO_HAS_EXECUTION[BEHAVIOUR]
-REFERS_EXACTLY_TO = term("refersExactlyTo")
-REFERS_AS_NEW_TO = term("refersAsNewTo")
-REFERS_AS_INSTANCE_OF = term("refersAsInstanceOf")
 
 #: Steps per schedule a race search explores unless told otherwise.  It
 #: lives here, not in ``concurrency``, so the CLI parser can show it

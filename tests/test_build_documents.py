@@ -318,6 +318,12 @@ NOPE = ["nope"]
             "processes[0].procedures[0].states",
             "a procedure needs at least one state",
         ),
+        (
+            ("processes", 0, "procedures", 0, "states", 1, "name"),
+            "start_state",
+            "processes[0].procedures[0].states",
+            "duplicate names",
+        ),
     ],
 )
 def test_builder_errors_name_document_paths(edit, value, path, detail, tmp_path, capsys):

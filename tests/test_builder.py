@@ -584,6 +584,34 @@ def test_build_process_types_and_chains_states(kb):
         assert kb.layer_of(plans[0]) is LayerTag.PLANNING
 
 
+def test_build_process_refuses_a_state_name_already_used(kb):
+    # a state at two chain positions would carry both positions' classes
+    def process(name, *procedures):
+        return ProcessSpec(
+            name=name,
+            procedures=tuple(
+                ProcedureSpec(
+                    name=f"{name}_p{i}",
+                    states=tuple(
+                        StateSpec(name=state, plan=simple_spec(f"{name}_{i}_{state}"))
+                        for state in states
+                    ),
+                )
+                for i, states in enumerate(procedures)
+            ),
+        )
+
+    with pytest.raises(SpecInvalid) as err:
+        build_process(kb, process("across", ("s", "t"), ("u", "s", "v")))
+    assert (err.value.path, err.value.detail) == (
+        "across.procedures[1].states",
+        "duplicate names",
+    )
+    with pytest.raises(SpecInvalid) as err:
+        build_process(kb, process("again", ("t",)))
+    assert err.value.path == "again.procedures[0].states"
+
+
 def test_single_state_procedure_is_both_initial_and_final(kb):
     spec = ProcessSpec(
         name="solo",

@@ -802,15 +802,17 @@ def test_races_says_when_the_bound_cuts_the_search(tmp_path, capsys):
     assert err == ""
 
 
-def test_races_rejects_bad_op_map(built_kb, tmp_path, capsys):
+@pytest.mark.parametrize("item", ["grab=Steal", "=Modify"])
+def test_races_rejects_bad_op_map(built_kb, tmp_path, capsys, item):
     kb_path, roots = built_kb
     final, handles = realize_both(tmp_path, kb_path, roots)
     capsys.readouterr()
-    code = main(
-        ["races", "--kb", str(final), "--handles", *handles, "--op-map", "grab=Steal"]
-    )
+    code = main(["races", "--kb", str(final), "--handles", *handles, "--op-map", item])
     assert code == 1
-    assert "Steal" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert repr(item) in captured.err
 
 
 def test_races_unknown_handle_is_operational(built_kb, capsys):

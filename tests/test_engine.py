@@ -39,7 +39,12 @@ from oasiskg.engine import (
 )
 from oasiskg import vocab
 
-from conftest import build_protocol_scenario, protocol_process_spec
+from conftest import (
+    build_protocol_scenario,
+    consumer_template,
+    lock_step_plan,
+    protocol_process_spec,
+)
 
 
 def ex(local: str) -> Iri:
@@ -88,6 +93,66 @@ def test_realize_mirrors_the_state_chain(kb, scenario):
     exec_proc = kb.objects(handle.exec_process, vocab.CONSISTS_OF_PROCEDURE)[0]
     assert kb.objects(exec_proc, vocab.PROC_CONSISTS_INITIAL) == [exec_states[0]]
     assert kb.objects(exec_proc, vocab.PROC_CONSISTS_FINAL) == [exec_states[2]]
+
+
+def test_realize_chains_one_and_two_state_procedures_like_the_plan(kb):
+    agent = declare_agent(kb, ex("agent_short"))
+    template = build_template(kb, consumer_template("short"))
+    behaviour = derive_behaviour(kb, template, agent)
+    steps = {"short_p1": ("request",), "short_p2": ("modify", "release")}
+    spec = ProcessSpec(
+        name="short_process",
+        procedures=tuple(
+            ProcedureSpec(
+                name=proc,
+                states=tuple(
+                    StateSpec(name=f"{proc}_{step}", plan=lock_step_plan(proc, step))
+                    for step in kinds
+                ),
+            )
+            for proc, kinds in steps.items()
+        ),
+    )
+    process = build_process(kb, spec)
+    assignment = {
+        ex(f"{proc}_{step}"): (agent, behaviour)
+        for proc, kinds in steps.items()
+        for step in kinds
+    }
+    handle = realize_process(kb, process, assignment)
+    exec_of = {r.planning_state: r.exec_state for r in handle.records}
+    exec_procs = kb.objects(handle.exec_process, vocab.CONSISTS_OF_PROCEDURE)
+    assert len(exec_procs) == 2
+    for proc, exec_proc in zip(procedure_order(kb, process), exec_procs):
+        states = state_chain(kb, proc)
+        exec_states = state_chain(kb, exec_proc)
+        assert exec_states == [exec_of[s] for s in states]
+        for pred in (
+            vocab.PROC_CONSISTS_INITIAL,
+            vocab.PROC_CONSISTS_FINAL,
+            vocab.PROC_CONSISTS_NON_TERMINATING,
+        ):
+            planned = [states.index(o) for o in kb.objects(proc, pred)]
+            realized = [exec_states.index(o) for o in kb.objects(exec_proc, pred)]
+            assert realized == planned
+        for state, exec_state in zip(states, exec_states):
+            for pred in (vocab.HAS_FINAL_STATE, vocab.HAS_NEXT_NON_TERMINATING):
+                planned = [states.index(o) for o in kb.objects(state, pred)]
+                realized = [
+                    exec_states.index(o) for o in kb.objects(exec_state, pred)
+                ]
+                assert realized == planned
+
+    single = exec_of[ex("short_p1_request")]
+    first, second = exec_of[ex("short_p2_modify")], exec_of[ex("short_p2_release")]
+    assert kb.objects(exec_procs[0], vocab.PROC_CONSISTS_INITIAL) == [single]
+    assert kb.objects(exec_procs[0], vocab.PROC_CONSISTS_FINAL) == [single]
+    assert kb.objects(exec_procs[0], vocab.PROC_CONSISTS_NON_TERMINATING) == []
+    assert kb.objects(first, vocab.HAS_FINAL_STATE) == [second]
+    assert kb.objects(first, vocab.HAS_NEXT_NON_TERMINATING) == []
+    assert kb.objects(exec_procs[1], vocab.PROC_CONSISTS_INITIAL) == [first]
+    assert kb.objects(exec_procs[1], vocab.PROC_CONSISTS_FINAL) == [second]
+    assert validate(kb) == []
 
 
 def test_realize_links_each_plan_to_one_execution(kb, scenario):
