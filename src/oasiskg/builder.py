@@ -37,6 +37,7 @@ from .trees import (  # noqa: F401 - the tree queries are part of this module's 
     check_capability,
     clone_node,
     clone_tree,
+    depth_first,
     deprecated_role_providing,
     is_root,
     link_pairs,
@@ -159,23 +160,11 @@ def _check_depends(
                     f"{path}[{index[name]}].dependsOn[{j}]",
                     f"{name} depends on unknown name {dep!r}",
                 )
-    # cycle check: depth-first, explicit stack, from a root over all names
-    state: dict[str | None, int] = {}
-    stack = [(None, iter(names))]
-    while stack:
-        name, pending = stack[-1]
-        for dep in pending:
-            if state.get(dep) == 1:
-                raise SpecInvalid(
-                    f"{path}[{index[dep]}]", f"dependency cycle through {dep!r}"
-                )
-            if dep not in state:
-                state[dep] = 1
-                stack.append((dep, iter(deps.get(dep, ()))))
-                break
-        else:
-            state[name] = 2
-            stack.pop()
+    _, back = depth_first(names, lambda name: deps.get(name, ()))
+    if back is not None:
+        raise SpecInvalid(
+            f"{path}[{index[back]}]", f"dependency cycle through {back!r}"
+        )
 
 
 def _check_behaviour_spec(spec: BehaviourSpec) -> None:
@@ -234,7 +223,6 @@ def _emit_task(
     kb: KnowledgeBase,
     spec: TaskSpec,
     layer_cls: Iri | None,
-    prefix: str,
     *,
     template_names: bool,
 ) -> Iri:
@@ -244,22 +232,22 @@ def _emit_task(
             kb.assert_membership(node, layer_cls)
 
     suffix = "_template" if template_names else ""
-    task = kb.mint_iri(prefix, spec.name)
+    task = kb.mint_iri("ex", spec.name)
     typed(task, TASK_DESCRIPTION)
 
-    operator = kb.mint_iri(prefix, f"{spec.name}_operator")
+    operator = kb.mint_iri("ex", f"{spec.name}_operator")
     typed(operator, TASK_OPERATOR)
     kb.assert_property(task, HAS_TASK_OPERATOR, operator)
     _emit_ref(kb, operator, spec.operator_action, layer_cls, as_action=True)
 
     if spec.operator_argument is not None:
-        argument = kb.mint_iri(prefix, f"{spec.name}_operator_argument")
+        argument = kb.mint_iri("ex", f"{spec.name}_operator_argument")
         typed(argument, TASK_OPERATOR_ARGUMENT)
         kb.assert_property(task, HAS_TASK_OPERATOR_ARGUMENT, argument)
         _emit_ref(kb, argument, spec.operator_argument, layer_cls)
 
     if spec.obj is not None:
-        obj = kb.mint_iri(prefix, f"{spec.name}_object{suffix}")
+        obj = kb.mint_iri("ex", f"{spec.name}_object{suffix}")
         typed(obj, TASK_OBJECT)
         kb.assert_property(task, HAS_TASK_OBJECT, obj)
         _emit_ref(kb, obj, spec.obj, layer_cls)
@@ -270,35 +258,31 @@ def _emit_task(
     ):
         for i, ref in enumerate(refs, start=1):
             nth = "" if i == 1 else f"_{i}"
-            param = kb.mint_iri(prefix, f"{spec.name}_{kind}{nth}{suffix}")
+            param = kb.mint_iri("ex", f"{spec.name}_{kind}{nth}{suffix}")
             typed(param, cls)
             kb.assert_property(task, pred, param)
             _emit_ref(kb, param, ref, layer_cls)
     return task
 
 
-def _emit_behaviour(
-    kb: KnowledgeBase, spec: BehaviourSpec, layer: LayerTag, prefix: str
-) -> Iri:
+def _emit_behaviour(kb: KnowledgeBase, spec: BehaviourSpec, layer: LayerTag) -> Iri:
     _check_behaviour_spec(spec)
     layer_cls = layer.class_iri
     template_names = layer is LayerTag.TEMPLATE
-    root = kb.mint_iri(prefix, spec.name)
+    root = kb.mint_iri("ex", spec.name)
     kb.assert_membership(root, BEHAVIOUR)
     kb.assert_membership(root, layer_cls)
     goal_nodes: dict[str, Iri] = {}
     task_nodes: dict[str, dict[str, Iri]] = {}
     for goal in spec.goals:
-        node = kb.mint_iri(prefix, goal.name)
+        node = kb.mint_iri("ex", goal.name)
         kb.assert_membership(node, GOAL_DESCRIPTION)
         kb.assert_membership(node, layer_cls)
         kb.assert_property(root, CONSISTS_OF_GOAL, node)
         goal_nodes[goal.name] = node
         task_nodes[goal.name] = {}
         for task_spec in goal.tasks:
-            task = _emit_task(
-                kb, task_spec, layer_cls, prefix, template_names=template_names
-            )
+            task = _emit_task(kb, task_spec, layer_cls, template_names=template_names)
             kb.assert_property(node, CONSISTS_OF_TASK, task)
             task_nodes[goal.name][task_spec.name] = task
     # dependency edges once every node exists
@@ -315,16 +299,14 @@ def _emit_behaviour(
     return root
 
 
-def build_template(
-    kb: KnowledgeBase, spec: BehaviourSpec, prefix: str = "ex"
-) -> Iri:
+def build_template(kb: KnowledgeBase, spec: BehaviourSpec) -> Iri:
     """Emit a behaviour template (everything tagged as template layer)."""
-    return _emit_behaviour(kb, spec, LayerTag.TEMPLATE, prefix)
+    return _emit_behaviour(kb, spec, LayerTag.TEMPLATE)
 
 
-def build_plan(kb: KnowledgeBase, spec: BehaviourSpec, prefix: str = "ex") -> Iri:
+def build_plan(kb: KnowledgeBase, spec: BehaviourSpec) -> Iri:
     """Emit a plan: behaviour-shaped, tagged as planning layer."""
-    return _emit_behaviour(kb, spec, LayerTag.PLANNING, prefix)
+    return _emit_behaviour(kb, spec, LayerTag.PLANNING)
 
 
 def derive_behaviour(kb: KnowledgeBase, template_root: Iri, agent: Iri) -> Iri:
@@ -389,7 +371,7 @@ def submit_plan(kb: KnowledgeBase, plan_root: Iri, behaviour_root: Iri) -> None:
 # ---------------------------------------------------------------------------
 
 
-def build_process(kb: KnowledgeBase, spec: ProcessSpec, prefix: str = "ex") -> Iri:
+def build_process(kb: KnowledgeBase, spec: ProcessSpec) -> Iri:
     """Emit a process: ordered procedures, each a chain of states whose
     plans are built inline and wired up with isDescribedBy."""
     where = spec.path or spec.name
@@ -397,7 +379,7 @@ def build_process(kb: KnowledgeBase, spec: ProcessSpec, prefix: str = "ex") -> I
         raise SpecInvalid(
             f"{where}.procedures", "a process needs at least one procedure"
         )
-    root = kb.mint_iri(prefix, spec.name)
+    root = kb.mint_iri("ex", spec.name)
     kb.assert_membership(root, PROCESS)
     kb.assert_membership(root, LayerTag.PLANNING.class_iri)
     previous_proc: Iri | None = None
@@ -407,7 +389,10 @@ def build_process(kb: KnowledgeBase, spec: ProcessSpec, prefix: str = "ex") -> I
                 f"{where}.procedures[{i}].states",
                 "a procedure needs at least one state",
             )
-        proc = kb.mint_iri(prefix, proc_spec.name)
+        proc = kb.mint_iri("ex", proc_spec.name)
+        # a second procedure of that name would merge into the first
+        if kb.has_class(proc, PROCEDURE):
+            raise SpecInvalid(f"{where}.procedures", "duplicate names")
         kb.assert_membership(proc, PROCEDURE)
         kb.assert_membership(proc, LayerTag.PLANNING.class_iri)
         kb.assert_property(root, CONSISTS_OF_PROCEDURE, proc)
@@ -418,7 +403,7 @@ def build_process(kb: KnowledgeBase, spec: ProcessSpec, prefix: str = "ex") -> I
         last = len(proc_spec.states) - 1
         states: list[Iri] = []
         for j, state_spec in enumerate(proc_spec.states):
-            state = kb.mint_iri(prefix, state_spec.name)
+            state = kb.mint_iri("ex", state_spec.name)
             # a state at two positions would carry both positions' classes
             if any(kb.has_class(state, cls) for cls in PROCEDURE_STATE_CLASSES):
                 raise SpecInvalid(f"{where}.procedures[{i}].states", "duplicate names")
@@ -432,16 +417,14 @@ def build_process(kb: KnowledgeBase, spec: ProcessSpec, prefix: str = "ex") -> I
             states.append(state)
         link_states(kb, proc, states)
         for state, state_spec in zip(states, proc_spec.states):
-            plan_root = build_plan(kb, state_spec.plan, prefix)
+            plan_root = build_plan(kb, state_spec.plan)
             kb.assert_property(state, IS_DESCRIBED_BY, plan_root)
             for event_spec in state_spec.events:
-                attach_event(kb, state, event_spec, prefix)
+                attach_event(kb, state, event_spec)
     return root
 
 
-def attach_event(
-    kb: KnowledgeBase, state: Iri, spec: EventSpec, prefix: str = "ex"
-) -> Iri:
+def attach_event(kb: KnowledgeBase, state: Iri, spec: EventSpec) -> Iri:
     """Attach an event (with its task-shaped action) to a procedure state.
 
     The event inherits the state's layer tag.
@@ -450,12 +433,12 @@ def attach_event(
     if rec is None or not PROCEDURE_STATE_CLASSES.intersection(rec.memberships):
         raise NotAProcedureState(state)
     layer = rec.layer
-    event = kb.mint_iri(prefix, spec.name)
+    event = kb.mint_iri("ex", spec.name)
     kb.assert_membership(event, EVENT)
     layer_cls = layer.class_iri if layer is not None else None
     if layer_cls is not None:
         kb.assert_membership(event, layer_cls)
-    action = _emit_task(kb, spec.action, layer_cls, prefix, template_names=False)
+    action = _emit_task(kb, spec.action, layer_cls, template_names=False)
     kb.assert_property(state, TRIGGERS_EVENT, event)
     kb.assert_property(event, EVENT_DESCRIBED_BY_ACTION, action)
     if spec.kind is not None:

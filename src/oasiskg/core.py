@@ -295,18 +295,9 @@ class KnowledgeBase:
             if a.predicate in preds
         ]
 
-    def subjects(self, predicate: Iri, obj: Obj, *, entail: bool = False) -> list[Iri]:
+    def subjects(self, predicate: Iri, obj: Obj) -> list[Iri]:
         """Subjects of ``(?, predicate, obj)`` in assertion order."""
-        preds = (
-            vocab.SUB_CLOSURE.get(predicate, frozenset((predicate,)))
-            if entail
-            else frozenset((predicate,))
-        )
-        return [
-            a.subject
-            for a in self._by_o.get(obj, {})
-            if a.predicate in preds
-        ]
+        return [a.subject for a in self._by_o.get(obj, {}) if a.predicate == predicate]
 
     def __len__(self) -> int:
         return len(self.assertions)

@@ -1,17 +1,19 @@
 """Walking, ordering, cloning and linking behaviour-shaped trees.
 
 The tree queries and primitives that the builder, the validator, the
-engine and the race search share.  It sits over ``core`` only, so the
-validator and the race search read trees without loading the builder
-or the engine.  The write rules of the layers live here, each once:
-cloning, family links, procedure state chains and the root guard.  The
-builder and the engine both write with them, so their layers cannot
-drift apart, and neither imports the other.
+engine and the race search share, and the one depth-first walk under
+the builder's dependency check and the validator's chain check.  It
+sits over ``core`` only, so the validator and the race search read
+trees without loading the builder or the engine.  The write rules of
+the layers live here, each once: cloning, family links, procedure state
+chains and the root guard.  The builder and the engine both write with
+them, so their layers cannot drift apart, and neither imports the other.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable, Hashable, Iterable, Iterator, KeysView
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,6 +62,33 @@ def walk_tree(kb: KnowledgeBase, root: Iri) -> list[Iri]:
                     seen.add(child)
                     nodes.append(child)
     return nodes
+
+
+def depth_first(
+    starts: Iterable[Hashable], successors: Callable[[Hashable], Iterable[Hashable]]
+) -> tuple[KeysView[Hashable], Hashable | None]:
+    """Nodes reached from ``starts`` in pre-order, and the first node met
+    again on an edge back into the walk's current path (``None`` when the
+    graph reached has no cycle).  The walk keeps an explicit stack, so a
+    deep graph needs no recursion, and goes on past a back edge, so the
+    reached nodes are all of them."""
+    on_path: dict[Hashable, bool] = {}
+    back = None
+    stack: list[tuple[Hashable, Iterator[Hashable]]] = [(None, iter(starts))]
+    while stack:
+        node, pending = stack[-1]
+        for nxt in pending:
+            if nxt not in on_path:
+                on_path[nxt] = True
+                stack.append((nxt, iter(successors(nxt))))
+                break
+            if back is None and on_path[nxt]:
+                back = nxt
+        else:
+            stack.pop()
+            if stack:  # the bottom entry holds the starts, not a node
+                on_path[node] = False
+    return on_path.keys(), back
 
 
 def tree_class(kb: KnowledgeBase, node: Iri) -> Iri | None:

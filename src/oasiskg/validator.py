@@ -1,7 +1,9 @@
 """Whole-graph consistency checks.
 
 ``validate`` never raises on graph content; it returns a sorted list of
-violations.  After a clean pass it re-checks only what the store's change
+violations.  The checks run in one pass per kind of candidate: one over
+entities, one over assertions, then trees, procedure chains and
+performers.  After a clean pass they run only on what the store's change
 journal can reach, with the same result as a whole-graph pass.
 ``check_mirror`` verifies that a linked tree retraces its source tree
 edge by edge through the right family subproperties.
@@ -17,7 +19,13 @@ from enum import Enum
 from . import vocab
 from .core import EntityRecord, KnowledgeBase
 from .terms import Assertion, Iri, ModelError, Obj
-from .trees import check_capability, deprecated_role_providing, tree_class, walk_tree
+from .trees import (
+    check_capability,
+    depth_first,
+    deprecated_role_providing,
+    tree_class,
+    walk_tree,
+)
 from .vocab import RDF_TYPE
 
 
@@ -36,6 +44,7 @@ class Code(Enum):
     CHAIN_CYCLE = "CHAIN_CYCLE"
     CHAIN_UNREACHABLE_STATE = "CHAIN_UNREACHABLE_STATE"
     STATE_WITHOUT_PLAN = "STATE_WITHOUT_PLAN"
+    STATE_POSITION_CONFLICT = "STATE_POSITION_CONFLICT"
     EXEC_WITHOUT_BEHAVIOUR = "EXEC_WITHOUT_BEHAVIOUR"
     PERFORMER_LACKS_CAPABILITY = "PERFORMER_LACKS_CAPABILITY"
     ROLE_DEPRECATED_USE = "ROLE_DEPRECATED_USE"
@@ -173,7 +182,7 @@ _MIRROR_ROOTS: dict[Iri, Iri] = {
 _TREE_EDGES = frozenset(vocab.CHILD_PREDICATES)
 _NEXT_EDGES = vocab.SUB_CLOSURE[vocab.HAS_NEXT]
 
-#: predicates whose endpoints must be typed individuals
+#: reference predicates, whose endpoints need not be typed individuals
 _STRUCTURAL_EXEMPT = frozenset(vocab.REFERS_PREDICATES)
 
 
@@ -181,7 +190,7 @@ _STRUCTURAL_EXEMPT = frozenset(vocab.REFERS_PREDICATES)
 class _Candidates:
     """What each check looks at: all of the graph, or what a journal reaches."""
 
-    entities: Iterable[EntityRecord]  # layer mix, states and events, executions
+    entities: Iterable[EntityRecord]  # layer mix, states, events, executions
     assertions: Iterable[Assertion]  # unknown predicate, endpoints, dangling
     trees: Iterable[tuple[Iri, Iri, Iri]]  # mirrors: source root, target root, family
     procedures: Iterable[Iri]  # chains
@@ -217,15 +226,11 @@ def validate(kb: KnowledgeBase) -> list[Violation]:
 
 def _findings(kb: KnowledgeBase, c: _Candidates) -> list[Violation]:
     return [
-        *_layer_mix(c.entities),
-        *_unknown_predicates(c.assertions),
-        *_endpoint_constraints(kb, c.assertions),
+        *_entity_checks(kb, c.entities),
+        *_assertion_checks(kb, c.assertions),
         *_mirrors(kb, c.trees),
         *_chains(kb, c.procedures),
-        *_states_and_events(kb, c.entities),
-        *_executions(kb, c.entities),
         *_performers(kb, c.performs),
-        *_dangling(kb, c.assertions),
     ]
 
 
@@ -307,68 +312,122 @@ def _upward(
     return seen
 
 
-def _layer_mix(entities: Iterable[EntityRecord]) -> list[Violation]:
+def _entity_checks(
+    kb: KnowledgeBase, entities: Iterable[EntityRecord]
+) -> list[Violation]:
     out = []
     for rec in entities:
+        iri, memberships = rec.iri, rec.memberships
         if rec.mixed_layers:
             names = ", ".join(sorted(c.local for c in rec.layer_classes))
             out.append(
                 Violation(
                     Code.LAYER_MIX,
-                    (rec.iri,),
+                    (iri,),
                     f"entity carries several layer classes: {names}",
+                )
+            )
+        if vocab.PROCEDURE_STATE_CLASSES.intersection(memberships):
+            if not kb.objects(iri, vocab.IS_DESCRIBED_BY):
+                out.append(
+                    Violation(
+                        Code.STATE_WITHOUT_PLAN,
+                        (iri,),
+                        "procedure state has no describing plan",
+                    )
+                )
+            if vocab.NON_TERMINATING_STATE in memberships and (
+                vocab.INITIAL_STATE in memberships or vocab.FINAL_STATE in memberships
+            ):
+                out.append(
+                    Violation(
+                        Code.STATE_POSITION_CONFLICT,
+                        (iri,),
+                        "state is typed both terminating and non-terminating",
+                    )
+                )
+        if vocab.EVENT in memberships and not kb.objects(
+            iri, vocab.EVENT_DESCRIBED_BY_ACTION
+        ):
+            out.append(
+                Violation(
+                    Code.EVENT_WITHOUT_ACTION, (iri,), "event has no describing action"
+                )
+            )
+        if (
+            vocab.BEHAVIOUR in memberships
+            and rec.layer is vocab.LayerTag.EXECUTION
+            and not kb.objects(iri, vocab.EXECUTION_DRAWN_BY, entail=True)
+        ):
+            out.append(
+                Violation(
+                    Code.EXEC_WITHOUT_BEHAVIOUR,
+                    (iri,),
+                    "plan execution is not drawn by any behaviour",
                 )
             )
     return out
 
 
-def _unknown_predicates(assertions: Iterable[Assertion]) -> list[Violation]:
-    seen: dict[Iri, None] = {}
-    for a in assertions:
-        if a.predicate != RDF_TYPE and a.predicate not in vocab.PROPERTIES:
-            seen[a.predicate] = None
-    return [
-        Violation(
-            Code.UNKNOWN_PREDICATE,
-            (pred,),
-            "assertions use a predicate that is not declared",
-        )
-        for pred in seen
-    ]
+#: family member -> the code of its endpoint problems; other predicates
+#: report LAYER_CONSTRAINT
+_FAMILY_CODES: dict[Iri, Code] = {
+    pred: code
+    for family, code in (
+        (vocab.OVERLOADS, Code.OVERLOAD_CROSS_LAYER),
+        (vocab.SUBMITTED_TO, Code.SUBMIT_CROSS_LAYER),
+        (vocab.DRAWN_BY, Code.DRAWNBY_CROSS_LAYER),
+    )
+    for pred in vocab.SUB_CLOSURE[family]
+}
 
 
-_FAMILY_CODES: tuple[tuple[Iri, Code], ...] = (
-    (vocab.OVERLOADS, Code.OVERLOAD_CROSS_LAYER),
-    (vocab.SUBMITTED_TO, Code.SUBMIT_CROSS_LAYER),
-    (vocab.DRAWN_BY, Code.DRAWNBY_CROSS_LAYER),
-)
-
-
-def _endpoint_constraints(
+def _assertion_checks(
     kb: KnowledgeBase, assertions: Iterable[Assertion]
 ) -> list[Violation]:
+    """Undeclared predicates, endpoint constraints and dangling endpoints.
+    An undeclared predicate has no constraints to check, and literal
+    objects and reference edges have no endpoints that must be typed."""
     out = []
+    unknown: dict[Iri, None] = {}
+    flagged: dict[Iri, Iri] = {}  # dangling endpoint -> first edge's predicate
     for a in assertions:
         if a.predicate == RDF_TYPE:
             continue
         spec = vocab.PROPERTIES.get(a.predicate)
         if spec is None:
+            unknown[a.predicate] = None
             continue
         problem = kb.constraint_problem(spec, a.subject, a.object)
-        if problem is None:
+        if problem is not None:
+            code = _FAMILY_CODES.get(a.predicate, Code.LAYER_CONSTRAINT)
+            subjects: tuple[Iri, ...] = (a.subject,)
+            if isinstance(a.object, Iri):
+                subjects = (a.subject, a.object)
+            out.append(Violation(code, subjects, f"{a.predicate.local}: {problem}"))
+        if spec.literal_object or a.predicate in _STRUCTURAL_EXEMPT:
             continue
-        code = Code.LAYER_CONSTRAINT
-        for family, family_code in _FAMILY_CODES:
-            if a.predicate in vocab.SUB_CLOSURE[family]:
-                code = family_code
-                break
-        subjects: tuple[Iri, ...]
-        if isinstance(a.object, Iri):
-            subjects = (a.subject, a.object)
-        else:
-            subjects = (a.subject,)
+        for endpoint in (a.subject, a.object):
+            if not isinstance(endpoint, Iri) or endpoint in flagged:
+                continue
+            rec = kb.entity(endpoint)
+            if rec is None or not rec.memberships:
+                flagged[endpoint] = a.predicate
+    for pred in unknown:
         out.append(
-            Violation(code, subjects, f"{a.predicate.local}: {problem}")
+            Violation(
+                Code.UNKNOWN_PREDICATE,
+                (pred,),
+                "assertions use a predicate that is not declared",
+            )
+        )
+    for iri, pred in flagged.items():
+        out.append(
+            Violation(
+                Code.DANGLING_REFERENCE,
+                (iri,),
+                f"untyped entity on a {pred.local} edge",
+            )
         )
     return out
 
@@ -429,8 +488,15 @@ def _chains(kb: KnowledgeBase, procedures: Iterable[Iri]) -> list[Violation]:
             )
         if len(initials) != 1:
             continue
-        reachable, looped = _walk_successors(kb, initials[0])
-        if looped:
+        reachable, back = depth_first(
+            initials,
+            lambda state: [
+                o
+                for o in kb.objects(state, vocab.HAS_NEXT, entail=True)
+                if isinstance(o, Iri)
+            ],
+        )
+        if back is not None:
             out.append(
                 Violation(
                     Code.CHAIN_CYCLE,
@@ -447,77 +513,6 @@ def _chains(kb: KnowledgeBase, procedures: Iterable[Iri]) -> list[Violation]:
                         "state cannot be reached from the initial state",
                     )
                 )
-    return out
-
-
-def _walk_successors(kb: KnowledgeBase, start: Iri) -> tuple[set[Iri], bool]:
-    """States reachable from ``start`` along successor edges, and whether
-    those edges loop: one iterative depth-first walk that flags an edge
-    back to a state still on the walk's path."""
-    on_path: dict[Iri, bool] = {start: True}
-    stack = [(start, iter(kb.objects(start, vocab.HAS_NEXT, entail=True)))]
-    looped = False
-    while stack:
-        state, nexts = stack[-1]
-        for nxt in nexts:
-            if not isinstance(nxt, Iri):
-                continue
-            if nxt not in on_path:
-                on_path[nxt] = True
-                stack.append((nxt, iter(kb.objects(nxt, vocab.HAS_NEXT, entail=True))))
-                break
-            looped = looped or on_path[nxt]
-        else:
-            on_path[state] = False
-            stack.pop()
-    return set(on_path), looped
-
-
-def _states_and_events(
-    kb: KnowledgeBase, entities: Iterable[EntityRecord]
-) -> list[Violation]:
-    out = []
-    for rec in entities:
-        if vocab.PROCEDURE_STATE_CLASSES.intersection(
-            rec.memberships
-        ) and not kb.objects(rec.iri, vocab.IS_DESCRIBED_BY):
-            out.append(
-                Violation(
-                    Code.STATE_WITHOUT_PLAN,
-                    (rec.iri,),
-                    "procedure state has no describing plan",
-                )
-            )
-        if vocab.EVENT in rec.memberships and not kb.objects(
-            rec.iri, vocab.EVENT_DESCRIBED_BY_ACTION
-        ):
-            out.append(
-                Violation(
-                    Code.EVENT_WITHOUT_ACTION,
-                    (rec.iri,),
-                    "event has no describing action",
-                )
-            )
-    return out
-
-
-def _executions(
-    kb: KnowledgeBase, entities: Iterable[EntityRecord]
-) -> list[Violation]:
-    out = []
-    for rec in entities:
-        if (
-            vocab.BEHAVIOUR in rec.memberships
-            and rec.layer is vocab.LayerTag.EXECUTION
-            and not kb.objects(rec.iri, vocab.EXECUTION_DRAWN_BY, entail=True)
-        ):
-            out.append(
-                Violation(
-                    Code.EXEC_WITHOUT_BEHAVIOUR,
-                    (rec.iri,),
-                    "plan execution is not drawn by any behaviour",
-                )
-            )
     return out
 
 
@@ -562,27 +557,3 @@ def capability_gap(
     if stale is not None:
         return Code.ROLE_DEPRECATED_USE, stale
     return Code.PERFORMER_LACKS_CAPABILITY, behaviour
-
-
-def _dangling(kb: KnowledgeBase, assertions: Iterable[Assertion]) -> list[Violation]:
-    flagged: dict[Iri, Iri] = {}
-    for a in assertions:
-        if a.predicate == RDF_TYPE or a.predicate in _STRUCTURAL_EXEMPT:
-            continue
-        spec = vocab.PROPERTIES.get(a.predicate)
-        if spec is None or spec.literal_object:
-            continue
-        for endpoint in (a.subject, a.object):
-            if not isinstance(endpoint, Iri) or endpoint in flagged:
-                continue
-            rec = kb.entity(endpoint)
-            if rec is None or not rec.memberships:
-                flagged[endpoint] = a.predicate
-    return [
-        Violation(
-            Code.DANGLING_REFERENCE,
-            (iri,),
-            f"untyped entity on a {pred.local} edge",
-        )
-        for iri, pred in flagged.items()
-    ]

@@ -94,18 +94,27 @@ def _chain_no_final(kb, ctx):
     _remove_edge(kb, proc, vocab.PROC_CONSISTS_FINAL, kb.resolve("a_s3"))
 
 
+def _extra_state(kb: KnowledgeBase, name: str, cls: Iri) -> tuple[Iri, Iri]:
+    """A new planning-layer state of class ``cls``, described by a_s1's
+    plan, and the procedure it is to join."""
+    state = kb.resolve(name)
+    kb.assert_membership(state, cls)
+    kb.assert_membership(state, LayerTag.PLANNING.class_iri)
+    plan = _plan_of_state(kb, kb.resolve("a_s1"))
+    kb.assert_property(state, vocab.IS_DESCRIBED_BY, plan)
+    return kb.resolve("consume_a_procedure"), state
+
+
 def _chain_multiple_initial(kb, ctx):
-    proc = kb.resolve("consume_a_procedure")
-    s2 = kb.resolve("a_s2")
-    kb.assert_membership(s2, vocab.INITIAL_STATE)
-    kb.assert_property(proc, vocab.PROC_CONSISTS_INITIAL, s2)
+    proc, entry = _extra_state(kb, "a_s0", vocab.INITIAL_STATE)
+    kb.assert_property(proc, vocab.PROC_CONSISTS_INITIAL, entry)
 
 
 def _chain_multiple_final(kb, ctx):
-    proc = kb.resolve("consume_a_procedure")
-    s2 = kb.resolve("a_s2")
-    kb.assert_membership(s2, vocab.FINAL_STATE)
-    kb.assert_property(proc, vocab.PROC_CONSISTS_FINAL, s2)
+    proc, exit_ = _extra_state(kb, "a_s2_exit", vocab.FINAL_STATE)
+    kb.assert_property(proc, vocab.PROC_CONSISTS_FINAL, exit_)
+    # reachable from the entry, so only the number of exits is wrong
+    kb.assert_property(kb.resolve("a_s2"), vocab.HAS_FINAL_STATE, exit_)
 
 
 def _chain_cycle(kb, ctx):
@@ -115,12 +124,18 @@ def _chain_cycle(kb, ctx):
 
 
 def _chain_unreachable(kb, ctx):
-    proc = kb.resolve("consume_a_procedure")
-    s4 = kb.resolve("a_s4")
-    kb.assert_membership(s4, vocab.NON_TERMINATING_STATE)
-    kb.assert_membership(s4, LayerTag.PLANNING.class_iri)
-    kb.assert_property(proc, vocab.PROC_CONSISTS_NON_TERMINATING, s4)
-    kb.assert_property(s4, vocab.IS_DESCRIBED_BY, _plan_of_state(kb, kb.resolve("a_s2")))
+    proc, island = _extra_state(kb, "a_s4", vocab.NON_TERMINATING_STATE)
+    kb.assert_property(proc, vocab.PROC_CONSISTS_NON_TERMINATING, island)
+
+
+def _state_layer_mix(kb, ctx):
+    # the state that state-lost-its-plan and middle-also-final damage too,
+    # so that combining them shows whether one check hides another
+    kb.assert_membership(kb.resolve("a_s2"), LayerTag.EXECUTION.class_iri)
+
+
+def _state_position_conflict(kb, ctx):
+    kb.assert_membership(kb.resolve("a_s2"), vocab.FINAL_STATE)
 
 
 def _state_without_plan(kb, ctx):
@@ -164,6 +179,7 @@ def _dangling_reference(kb, ctx):
 
 MUTATIONS: tuple[Mutation, ...] = (
     Mutation("template-also-tagged-execution", Code.LAYER_MIX, _layer_mix),
+    Mutation("state-also-tagged-execution", Code.LAYER_MIX, _state_layer_mix),
     Mutation("made-up-predicate", Code.UNKNOWN_PREDICATE, _unknown_predicate),
     Mutation("agent-owns-a-template", Code.LAYER_CONSTRAINT, _layer_constraint),
     Mutation(
@@ -185,6 +201,7 @@ MUTATIONS: tuple[Mutation, ...] = (
     Mutation("chain-loops-back", Code.CHAIN_CYCLE, _chain_cycle),
     Mutation("chain-island-state", Code.CHAIN_UNREACHABLE_STATE, _chain_unreachable),
     Mutation("state-lost-its-plan", Code.STATE_WITHOUT_PLAN, _state_without_plan),
+    Mutation("middle-also-final", Code.STATE_POSITION_CONFLICT, _state_position_conflict),
     Mutation(
         "execution-lost-its-source", Code.EXEC_WITHOUT_BEHAVIOUR, _exec_without_behaviour
     ),

@@ -324,6 +324,12 @@ NOPE = ["nope"]
             "processes[0].procedures[0].states",
             "duplicate names",
         ),
+        (
+            ("processes", 0, "procedures"),
+            full_doc()["processes"][0]["procedures"] * 2,
+            "processes[0].procedures",
+            "duplicate names",
+        ),
     ],
 )
 def test_builder_errors_name_document_paths(edit, value, path, detail, tmp_path, capsys):

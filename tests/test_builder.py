@@ -585,19 +585,21 @@ def test_build_process_types_and_chains_states(kb):
 
 
 def test_build_process_refuses_a_state_name_already_used(kb):
-    # a state at two chain positions would carry both positions' classes
-    def process(name, *procedures):
+    # a state at two chain positions would carry both positions' classes,
+    # and two procedures of one name would merge into a self-looped one
+    def process(name, *procedures, proc_names=None):
+        names = proc_names or [f"{name}_p{i}" for i in range(len(procedures))]
         return ProcessSpec(
             name=name,
             procedures=tuple(
                 ProcedureSpec(
-                    name=f"{name}_p{i}",
+                    name=proc_name,
                     states=tuple(
                         StateSpec(name=state, plan=simple_spec(f"{name}_{i}_{state}"))
                         for state in states
                     ),
                 )
-                for i, states in enumerate(procedures)
+                for i, (proc_name, states) in enumerate(zip(names, procedures))
             ),
         )
 
@@ -610,6 +612,13 @@ def test_build_process_refuses_a_state_name_already_used(kb):
     with pytest.raises(SpecInvalid) as err:
         build_process(kb, process("again", ("t",)))
     assert err.value.path == "again.procedures[0].states"
+    with pytest.raises(SpecInvalid) as err:
+        build_process(kb, process("twice", ("w",), ("x",), proc_names=("pp", "pp")))
+    assert (err.value.path, err.value.detail) == ("twice.procedures", "duplicate names")
+    assert Assertion(ex("pp"), vocab.HAS_NEXT_PROCEDURE, ex("pp")) not in kb
+    with pytest.raises(SpecInvalid) as err:
+        build_process(kb, process("later", ("y",), proc_names=("across_p0",)))
+    assert (err.value.path, err.value.detail) == ("later.procedures", "duplicate names")
 
 
 def test_single_state_procedure_is_both_initial_and_final(kb):

@@ -1,4 +1,5 @@
-"""Tree queries: ``plan_tasks`` against the quadratic ordering it replaced."""
+"""Tree queries: ``plan_tasks`` against the quadratic ordering it replaced,
+and ``depth_first`` against a recursive walk."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import pytest
 
 from oasiskg.core import KnowledgeBase
 from oasiskg.terms import Iri
-from oasiskg.trees import plan_tasks
+from oasiskg.trees import depth_first, plan_tasks
 from oasiskg.vocab import DEPENDS_ON, term
 
 import plan_oracle
@@ -86,3 +87,73 @@ def test_plan_tasks_orders_a_long_reversed_chain():
     kb, root = goal_tree([n], [(0, i, 0, i + 1) for i in range(n - 1)])
     order = plan_tasks(kb, root)
     assert [t.local for t in order] == [f"g0_t{i}" for i in reversed(range(n))]
+
+
+# ---------------------------------------------------------------------------
+# depth_first
+# ---------------------------------------------------------------------------
+
+
+def walk(starts, edges):
+    reached, back = depth_first(starts, lambda node: edges.get(node, ()))
+    return list(reached), back
+
+
+def test_depth_first_visits_in_pre_order_once_per_node():
+    edges = {"a": ("c",), "b": ("a", "d")}
+    assert walk(["a", "b", "a"], edges) == (["a", "c", "b", "d"], None)
+
+
+def test_depth_first_finds_no_back_edge_in_a_dag():
+    edges = {"a": ("b", "c"), "b": ("d",), "c": ("d",), "d": ()}
+    assert walk(["a"], edges) == (["a", "b", "d", "c"], None)
+
+
+def test_depth_first_names_the_first_back_edge_of_two_cycles():
+    edges = {"a": ("b", "c"), "b": ("a",), "c": ("c",)}
+    assert walk(["a"], edges) == (["a", "b", "c"], "a")
+    assert walk(["c", "a"], edges) == (["c", "a", "b"], "c")
+
+
+def test_depth_first_reaches_everything_past_a_cycle():
+    edges = {"a": ("b",), "b": ("a", "c"), "c": ("d",)}
+    assert walk(["a"], edges) == (["a", "b", "c", "d"], "a")
+
+
+def test_depth_first_walks_long_chains_without_recursion():
+    edges = {i: (i + 1,) for i in range(1999)}
+    edges[1999] = (0,)
+    reached, back = walk([0], edges)
+    assert reached == list(range(2000))
+    assert back == 0
+
+
+def recursive_walk(starts, edges):
+    """The same walk written recursively, on small graphs only."""
+    order: list = []
+    on_path: set = set()
+    backs: list = []
+
+    def visit(node) -> None:
+        order.append(node)
+        on_path.add(node)
+        for nxt in edges.get(node, ()):
+            if nxt in on_path:
+                backs.append(nxt)
+            elif nxt not in order:
+                visit(nxt)
+        on_path.discard(node)
+
+    for start in starts:
+        if start not in order:
+            visit(start)
+    return order, backs[0] if backs else None
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_depth_first_matches_a_recursive_walk(seed):
+    rng = random.Random(seed)
+    nodes = list(range(rng.randint(1, 9)))
+    edges = {n: tuple(rng.choices(nodes, k=rng.randint(0, 3))) for n in nodes}
+    starts = rng.choices(nodes, k=rng.randint(1, 4))
+    assert walk(starts, edges) == recursive_walk(starts, edges)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from oasiskg import (
     validate,
 )
 from oasiskg.builder import clone_tree, walk_tree
+from oasiskg import validator
 from oasiskg.validator import DanglingRoot
 from oasiskg import vocab
 from oasiskg.vocab import LayerTag
@@ -104,6 +106,65 @@ def test_every_mutation_raises_exactly_one_kind(kb):
         mutation.apply(fresh, ctx)
         codes = {v.code for v in validate(fresh)}
         assert codes == {mutation.expected}, mutation.name
+
+
+#: pairs of entries that hide each other's finding by design: a chain
+#: with no or several initial states is not walked, so its loops and
+#: islands go unseen; a removed exit and an added one cancel; a template
+#: in two layers has no layer for hasBehaviour's range to reject
+MASKING = {
+    frozenset(pair)
+    for pair in (
+        ("chain-missing-entry", "chain-two-entries"),
+        ("chain-missing-entry", "chain-loops-back"),
+        ("chain-missing-entry", "chain-island-state"),
+        ("chain-two-entries", "chain-loops-back"),
+        ("chain-two-entries", "chain-island-state"),
+        ("chain-missing-exit", "chain-two-exits"),
+        ("template-also-tagged-execution", "agent-owns-a-template"),
+    )
+}
+
+
+def test_combined_mutations_each_keep_their_finding():
+    """Entries applied together to one graph, every pair and seeded sets
+    of three and four: no check's early exit hides another entry's
+    finding, and the region pass finds what the whole pass does."""
+    rng = random.Random(14)
+    combos = [
+        *itertools.combinations(MUTATIONS, 2),
+        *(rng.sample(MUTATIONS, rng.randint(3, 4)) for _ in range(60)),
+    ]
+    tried = 0
+    for combo in combos:
+        if any(
+            frozenset((a.name, b.name)) in MASKING
+            for a, b in itertools.combinations(combo, 2)
+        ):
+            continue
+        # this entry realizes a process, which a graph with findings refuses
+        picked = sorted(combo, key=lambda m: m.name != "performer-role-went-stale")
+        kb = KnowledgeBase()
+        ctx = build_protocol_scenario(kb, with_events=True)
+        assert validate(kb) == []
+        for mutation in picked:
+            mutation.apply(kb, ctx)
+        names = [m.name for m in picked]
+        region = validator._findings(kb, validator._reach(kb, kb.journal))
+        whole = validate(kb)
+        assert {m.expected for m in picked} <= {v.code for v in whole}, names
+        assert set(region) == set(whole), names
+        tried += 1
+    assert tried >= 200
+
+
+def test_an_edge_can_break_its_range_and_dangle_at_once(kb):
+    agent = declare_agent(kb, ex("agent"))
+    kb.assert_property(agent, vocab.HAS_BEHAVIOUR, ex("ghost"))
+    assert [(v.code, v.subjects) for v in validate(kb)] == [
+        (Code.DANGLING_REFERENCE, (ex("ghost"),)),
+        (Code.LAYER_CONSTRAINT, (agent, ex("ghost"))),
+    ]
 
 
 # ---------------------------------------------------------------------------
