@@ -12,8 +12,9 @@ Naming conventions (all deterministic):
 * role individuals append ``__role__<n>`` to the role type IRI.
 
 Walking, cloning, ordering, capability queries and the layer rules
-(``link_states``, ``link_pairs``, ``is_root``) live in ``trees``; they
-are bound here too, so ``builder.clone_tree`` and the rest keep working.
+(``link_procedures``, ``link_states``, ``link_pairs``, ``is_root``) live
+in ``trees``; they are bound here too, so ``builder.clone_tree`` and the
+rest keep working.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .trees import (  # noqa: F401 - the tree queries are part of this module's 
     deprecated_role_providing,
     is_root,
     link_pairs,
+    link_procedures,
     link_states,
     plan_tasks,
     tree_class,
@@ -54,7 +56,6 @@ from .vocab import (
     CLASS_TO_OVERLOAD,
     CLASS_TO_SUBMITTED,
     CONSISTS_OF_GOAL,
-    CONSISTS_OF_PROCEDURE,
     CONSISTS_OF_TASK,
     DEPENDS_ON,
     DEPRECATED_THING,
@@ -66,7 +67,6 @@ from .vocab import (
     HAS_EVENT_DURATION,
     HAS_EVENT_KIND,
     HAS_EVENT_WINDOW,
-    HAS_NEXT_PROCEDURE,
     HAS_TASK_INPUT_PARAMETER,
     HAS_TASK_OBJECT,
     HAS_TASK_OPERATOR,
@@ -373,16 +373,16 @@ def submit_plan(kb: KnowledgeBase, plan_root: Iri, behaviour_root: Iri) -> None:
 
 def build_process(kb: KnowledgeBase, spec: ProcessSpec) -> Iri:
     """Emit a process: ordered procedures, each a chain of states whose
-    plans are built inline and wired up with isDescribedBy."""
+    plans are built inline and wired up with isDescribedBy.  The whole
+    spec is checked before the first write."""
     where = spec.path or spec.name
     if not spec.procedures:
         raise SpecInvalid(
             f"{where}.procedures", "a process needs at least one procedure"
         )
     root = kb.mint_iri("ex", spec.name)
-    kb.assert_membership(root, PROCESS)
-    kb.assert_membership(root, LayerTag.PLANNING.class_iri)
-    previous_proc: Iri | None = None
+    chains: dict[Iri, list[Iri]] = {}  # each procedure's states
+    seen: set[Iri] = set()
     for i, proc_spec in enumerate(spec.procedures):
         if not proc_spec.states:
             raise SpecInvalid(
@@ -391,22 +391,26 @@ def build_process(kb: KnowledgeBase, spec: ProcessSpec) -> Iri:
             )
         proc = kb.mint_iri("ex", proc_spec.name)
         # a second procedure of that name would merge into the first
-        if kb.has_class(proc, PROCEDURE):
+        if proc in chains or kb.has_class(proc, PROCEDURE):
             raise SpecInvalid(f"{where}.procedures", "duplicate names")
+        chains[proc] = [kb.mint_iri("ex", s.name) for s in proc_spec.states]
+        for state in chains[proc]:
+            # a state at two positions would carry both positions' classes
+            if state in seen or any(
+                kb.has_class(state, cls) for cls in PROCEDURE_STATE_CLASSES
+            ):
+                raise SpecInvalid(f"{where}.procedures[{i}].states", "duplicate names")
+            seen.add(state)
+        for state_spec in proc_spec.states:
+            _check_behaviour_spec(state_spec.plan)
+
+    kb.assert_membership(root, PROCESS)
+    kb.assert_membership(root, LayerTag.PLANNING.class_iri)
+    for (proc, states), proc_spec in zip(chains.items(), spec.procedures):
         kb.assert_membership(proc, PROCEDURE)
         kb.assert_membership(proc, LayerTag.PLANNING.class_iri)
-        kb.assert_property(root, CONSISTS_OF_PROCEDURE, proc)
-        if previous_proc is not None:
-            kb.assert_property(previous_proc, HAS_NEXT_PROCEDURE, proc)
-        previous_proc = proc
-
-        last = len(proc_spec.states) - 1
-        states: list[Iri] = []
-        for j, state_spec in enumerate(proc_spec.states):
-            state = kb.mint_iri("ex", state_spec.name)
-            # a state at two positions would carry both positions' classes
-            if any(kb.has_class(state, cls) for cls in PROCEDURE_STATE_CLASSES):
-                raise SpecInvalid(f"{where}.procedures[{i}].states", "duplicate names")
+        last = len(states) - 1
+        for j, state in enumerate(states):
             if j == 0:
                 kb.assert_membership(state, INITIAL_STATE)
             if j == last:
@@ -414,13 +418,13 @@ def build_process(kb: KnowledgeBase, spec: ProcessSpec) -> Iri:
             if 0 < j < last:
                 kb.assert_membership(state, NON_TERMINATING_STATE)
             kb.assert_membership(state, LayerTag.PLANNING.class_iri)
-            states.append(state)
         link_states(kb, proc, states)
         for state, state_spec in zip(states, proc_spec.states):
             plan_root = build_plan(kb, state_spec.plan)
             kb.assert_property(state, IS_DESCRIBED_BY, plan_root)
             for event_spec in state_spec.events:
                 attach_event(kb, state, event_spec)
+    link_procedures(kb, root, list(chains))
     return root
 
 

@@ -17,12 +17,13 @@ hazards.  Reports are deduplicated on (kind, resource, agent pair);
 the first schedule that exhibits a hazard wins.
 
 The search visits each distinct state once.  A resource's lock state
-is trimmed to what ``interpret_step`` reads (the holder, the last
-writer and the last writer other than that one) and given a small int
-id when first seen, so a search state is a flat tuple of ints: the
-runs' positions, then each resource's lock-state id.  Each state is
-numbered when first reached and its moves are kept by number, so one
-copy of each state is stored.  A transition table maps (lock-state
+holds only what ``interpret_step`` reads: the holder, the last writer
+and the latest writer before it other than that one, so a Modify keeps
+at most two writers, not the whole history.  Each lock state is given
+a small int id when first seen, so a search state is a flat tuple of
+ints: the runs' positions, then each resource's lock-state id.  Each
+state is numbered when first reached and its moves are kept by number,
+so one copy of each state is stored.  A transition table maps (lock-state
 id, agent, step kind) to the next id, or blocked, and the hazard
 raised, so ``interpret_step`` runs once per distinct transition, not
 once per state and run.  ``sum(positions)`` fixes step indices and the
@@ -85,6 +86,8 @@ class ProtocolRun:
 @dataclass(frozen=True)
 class ResourceState:
     holder: Iri | None = None
+    #: after a Modify: the latest earlier writer other than the last one,
+    #: if any, then the last writer; all that ``interpret_step`` reads
     modified_by: tuple[Iri, ...] = ()
 
 
@@ -171,14 +174,14 @@ def interpret_step(state: ResourceState, agent: Iri, kind: StepKind) -> StepOutc
             return StepOutcome(replace(state, holder=agent))
         return StepOutcome(state, blocked=True)
     if kind is StepKind.MODIFY:
-        touched = replace(state, modified_by=state.modified_by + (agent,))
+        others = [m for m in reversed(state.modified_by) if m != agent]
+        touched = replace(state, modified_by=(*others[:1], agent))
         if state.holder == agent:
             return StepOutcome(touched)
         if state.holder is not None:
             return StepOutcome(
                 touched, race=RaceKind.UNLOCKED_MODIFY, other=state.holder
             )
-        others = [m for m in reversed(state.modified_by) if m != agent]
         if others:
             return StepOutcome(
                 touched, race=RaceKind.UNLOCKED_MODIFY, other=others[0]
@@ -201,14 +204,6 @@ _Key = tuple[int, ...]
 #: by state number: each move as (run index, next state's number)
 _Moves = list[tuple[tuple[int, int], ...]]
 _STATUSES = ("complete", "deadlock", "truncated")
-
-
-def _trim(state: ResourceState) -> ResourceState:
-    """``state`` with ``modified_by`` cut to what ``interpret_step`` can
-    still read: the last modifier and the last one that differs from it."""
-    last = state.modified_by[-1:]
-    earlier = [m for m in state.modified_by if m not in last][-1:]
-    return ResourceState(state.holder, (*earlier, *last))
 
 
 class RaceSearch(NamedTuple):
@@ -241,7 +236,7 @@ def _search(
     ]
     agent_kinds = list(actions)
     total = sum(len(run.steps) for run in runs)
-    #: each distinct trimmed lock state by id, and ids by state
+    #: each distinct lock state by id, and ids by state
     lock_states = [ResourceState()]
     lock_ids = {ResourceState(): 0}
     #: each distinct (race kind, agent, other agent), numbered
@@ -264,15 +259,14 @@ def _search(
         outcome = interpret_step(lock_states[lid], agent, kind)
         if outcome.blocked:
             return -1, -1
-        state = _trim(outcome.state)
-        if state not in lock_ids:
-            lock_ids[state] = len(lock_states)
-            lock_states.append(state)
+        if outcome.state not in lock_ids:
+            lock_ids[outcome.state] = len(lock_states)
+            lock_states.append(outcome.state)
         hazard = -1
         if outcome.race and outcome.other:
             triple = (outcome.race, agent, outcome.other)
             hazard = hazards.setdefault(triple, len(hazards))
-        return lock_ids[state], hazard
+        return lock_ids[outcome.state], hazard
 
     def visit(
         key: _Key, number: int, prefix: tuple[int, ...]

@@ -25,6 +25,7 @@ from .trees import (
     clone_tree,
     is_root,
     link_pairs,
+    link_procedures,
     link_states,
     procedure_order,
     state_chain,
@@ -32,12 +33,10 @@ from .trees import (
 from .validator import Code, Violation, capability_gap, validate
 from .vocab import (
     CLASS_TO_HAS_EXECUTION,
-    CONSISTS_OF_PROCEDURE,
     EVENT_DESCRIBED_BY_ACTION,
     HAS_EVENT_DURATION,
     HAS_EVENT_KIND,
     HAS_EVENT_WINDOW,
-    HAS_NEXT_PROCEDURE,
     IS_DESCRIBED_BY,
     LayerTag,
     PERFORMS_PLAN_EXECUTION,
@@ -224,14 +223,11 @@ def realize_process(
     exec_process = clone_node(kb, process, LayerTag.EXECUTION)
     kb.assert_property(exec_process, PROCESS_DRAWN_BY, process)
     records: list[StateRecord] = []
-    previous_proc: Iri | None = None
+    exec_procs: list[Iri] = []
     for proc in procedures:
         exec_proc = clone_node(kb, proc, LayerTag.EXECUTION)
-        kb.assert_property(exec_process, CONSISTS_OF_PROCEDURE, exec_proc)
         kb.assert_property(exec_proc, PROCEDURE_DRAWN_BY, proc)
-        if previous_proc is not None:
-            kb.assert_property(previous_proc, HAS_NEXT_PROCEDURE, exec_proc)
-        previous_proc = exec_proc
+        exec_procs.append(exec_proc)
 
         states = chains[proc]
         exec_states = [clone_node(kb, s, LayerTag.EXECUTION) for s in states]
@@ -256,6 +252,7 @@ def realize_process(
                     behaviour=behaviour,
                 )
             )
+    link_procedures(kb, exec_process, exec_procs)
     return ProcessHandle(kb=kb, process=process, exec_process=exec_process, records=records)
 
 

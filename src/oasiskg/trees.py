@@ -5,9 +5,10 @@ engine and the race search share, and the one depth-first walk under
 the builder's dependency check and the validator's chain check.  It
 sits over ``core`` only, so the validator and the race search read
 trees without loading the builder or the engine.  The write rules of
-the layers live here, each once: cloning, family links, procedure state
-chains and the root guard.  The builder and the engine both write with
-them, so their layers cannot drift apart, and neither imports the other.
+the layers live here, each once: cloning, family links, a process's
+procedure chain, each procedure's state chain and the root guard.  The
+builder and the engine both write with them, so their layers cannot
+drift apart, and neither imports the other.
 """
 
 from __future__ import annotations
@@ -152,6 +153,14 @@ def link_pairs(
         cls = tree_class(kb, subject)
         if cls is not None:
             kb.assert_property(subject, members[cls], obj)
+
+
+def link_procedures(kb: KnowledgeBase, process: Iri, procedures: list[Iri]) -> None:
+    """Join a process to its procedures and chain each to the one before."""
+    for procedure in procedures:
+        kb.assert_property(process, CONSISTS_OF_PROCEDURE, procedure)
+    for left, right in zip(procedures, procedures[1:]):
+        kb.assert_property(left, HAS_NEXT_PROCEDURE, right)
 
 
 def link_states(kb: KnowledgeBase, procedure: Iri, states: list[Iri]) -> None:

@@ -441,6 +441,13 @@ def _mirrors(
     return out
 
 
+#: each chain end: its edge, its name, and the codes for none and several
+_CHAIN_ENDS = (
+    (vocab.PROC_CONSISTS_INITIAL, "initial", Code.CHAIN_NO_INITIAL, Code.CHAIN_MULTIPLE_INITIAL),
+    (vocab.PROC_CONSISTS_FINAL, "final", Code.CHAIN_NO_FINAL, Code.CHAIN_MULTIPLE_FINAL),
+)
+
+
 def _chains(kb: KnowledgeBase, procedures: Iterable[Iri]) -> list[Violation]:
     out = []
     for proc in procedures:
@@ -448,44 +455,19 @@ def _chains(kb: KnowledgeBase, procedures: Iterable[Iri]) -> list[Violation]:
         for o in kb.objects(proc, vocab.PROC_CONSISTS_STATE, entail=True):
             if isinstance(o, Iri):
                 members[o] = None
-        initials = sorted(
-            {
-                o
-                for o in kb.objects(proc, vocab.PROC_CONSISTS_INITIAL)
-                if isinstance(o, Iri)
-            }
-        )
-        finals = sorted(
-            {
-                o
-                for o in kb.objects(proc, vocab.PROC_CONSISTS_FINAL)
-                if isinstance(o, Iri)
-            }
-        )
-        if not initials:
-            out.append(
-                Violation(Code.CHAIN_NO_INITIAL, (proc,), "procedure has no initial state")
-            )
-        elif len(initials) > 1:
-            out.append(
-                Violation(
-                    Code.CHAIN_MULTIPLE_INITIAL,
-                    (proc, *initials),
-                    "procedure has several initial states",
+        ends = []
+        for pred, end, none, several in _CHAIN_ENDS:
+            states = sorted({o for o in kb.objects(proc, pred) if isinstance(o, Iri)})
+            if not states:
+                out.append(Violation(none, (proc,), f"procedure has no {end} state"))
+            elif len(states) > 1:
+                out.append(
+                    Violation(
+                        several, (proc, *states), f"procedure has several {end} states"
+                    )
                 )
-            )
-        if not finals:
-            out.append(
-                Violation(Code.CHAIN_NO_FINAL, (proc,), "procedure has no final state")
-            )
-        elif len(finals) > 1:
-            out.append(
-                Violation(
-                    Code.CHAIN_MULTIPLE_FINAL,
-                    (proc, *finals),
-                    "procedure has several final states",
-                )
-            )
+            ends.append(states)
+        initials = ends[0]
         if len(initials) != 1:
             continue
         reachable, back = depth_first(

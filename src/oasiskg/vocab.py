@@ -439,39 +439,29 @@ DECLARED_SUB_PAIRS: tuple[tuple[Iri, Iri], ...] = tuple(
 )
 
 
-def _closure() -> dict[Iri, frozenset[Iri]]:
-    children: dict[Iri, list[Iri]] = {}
-    for child, parent in DECLARED_SUB_PAIRS:
-        children.setdefault(parent, []).append(child)
-    out: dict[Iri, frozenset[Iri]] = {}
-
-    def descend(prop: Iri, seen: set[Iri]) -> set[Iri]:
-        if prop in seen:
-            raise ValueError(f"cycle in property hierarchy at {prop}")
-        seen.add(prop)
-        acc = {prop}
-        for c in children.get(prop, ()):
-            acc |= descend(c, seen)
-        seen.discard(prop)
-        return acc
-
-    for prop in PROPERTIES:
-        out[prop] = frozenset(descend(prop, set()))
-    return out
-
-
-#: property -> itself plus all transitive subproperties.
-SUB_CLOSURE: dict[Iri, frozenset[Iri]] = _closure()
-
-
 def ancestors(prop: Iri) -> tuple[Iri, ...]:
-    """Super-property chain from ``prop`` upward, excluding ``prop``."""
+    """Super-property chain from ``prop`` upward, excluding ``prop``;
+    ``ValueError`` once it grows longer than the table, on a cycle."""
     chain: list[Iri] = []
     cur = PROPERTIES[prop].super_property
     while cur is not None:
         chain.append(cur)
+        if len(chain) > len(PROPERTIES):
+            raise ValueError(f"cycle in property hierarchy at {cur}")
         cur = PROPERTIES[cur].super_property
     return tuple(chain)
+
+
+def _closure() -> dict[Iri, frozenset[Iri]]:
+    out: dict[Iri, set[Iri]] = {prop: {prop} for prop in PROPERTIES}
+    for prop in PROPERTIES:
+        for parent in ancestors(prop):
+            out[parent].add(prop)
+    return {prop: frozenset(subs) for prop, subs in out.items()}
+
+
+#: property -> itself plus all transitive subproperties.
+SUB_CLOSURE: dict[Iri, frozenset[Iri]] = _closure()
 
 
 # ---------------------------------------------------------------------------

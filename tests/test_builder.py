@@ -28,6 +28,7 @@ from oasiskg import (
     declare_agent,
     deprecate_role,
     derive_behaviour,
+    export_canonical,
     grant_role,
     submit_plan,
     validate,
@@ -586,8 +587,10 @@ def test_build_process_types_and_chains_states(kb):
 
 def test_build_process_refuses_a_state_name_already_used(kb):
     # a state at two chain positions would carry both positions' classes,
-    # and two procedures of one name would merge into a self-looped one
-    def process(name, *procedures, proc_names=None):
+    # and two procedures of one name would merge into a self-looped one;
+    # every check runs before the first write, so a refused spec leaves
+    # the graph as it was
+    def process(name, *procedures, proc_names=None, plan=None):
         names = proc_names or [f"{name}_p{i}" for i in range(len(procedures))]
         return ProcessSpec(
             name=name,
@@ -595,7 +598,10 @@ def test_build_process_refuses_a_state_name_already_used(kb):
                 ProcedureSpec(
                     name=proc_name,
                     states=tuple(
-                        StateSpec(name=state, plan=simple_spec(f"{name}_{i}_{state}"))
+                        StateSpec(
+                            name=state,
+                            plan=plan or simple_spec(f"{name}_{i}_{state}"),
+                        )
                         for state in states
                     ),
                 )
@@ -603,22 +609,42 @@ def test_build_process_refuses_a_state_name_already_used(kb):
             ),
         )
 
-    with pytest.raises(SpecInvalid) as err:
-        build_process(kb, process("across", ("s", "t"), ("u", "s", "v")))
-    assert (err.value.path, err.value.detail) == (
-        "across.procedures[1].states",
-        "duplicate names",
-    )
-    with pytest.raises(SpecInvalid) as err:
-        build_process(kb, process("again", ("t",)))
-    assert err.value.path == "again.procedures[0].states"
-    with pytest.raises(SpecInvalid) as err:
-        build_process(kb, process("twice", ("w",), ("x",), proc_names=("pp", "pp")))
-    assert (err.value.path, err.value.detail) == ("twice.procedures", "duplicate names")
+    build_process(kb, process("built", ("b",)))
+    refused = [
+        (
+            process("across", ("s", "t"), ("u", "s", "v")),
+            "across.procedures[1].states",
+            "duplicate names",
+        ),
+        (process("again", ("b",)), "again.procedures[0].states", "duplicate names"),
+        (
+            process("twice", ("w",), ("x",), proc_names=("pp", "pp")),
+            "twice.procedures",
+            "duplicate names",
+        ),
+        (
+            process("later", ("y",), proc_names=("built_p0",)),
+            "later.procedures",
+            "duplicate names",
+        ),
+        (
+            process("hollow", ("h",), ()),
+            "hollow.procedures[1].states",
+            "a procedure needs at least one state",
+        ),
+        (
+            process("aimless", ("a",), plan=BehaviourSpec(name="aimless_plan", goals=())),
+            "aimless_plan.goals",
+            "a behaviour needs at least one goal",
+        ),
+    ]
+    for spec, path, detail in refused:
+        before = (export_canonical(kb), len(kb.entities))
+        with pytest.raises(SpecInvalid) as err:
+            build_process(kb, spec)
+        assert (err.value.path, err.value.detail) == (path, detail)
+        assert (export_canonical(kb), len(kb.entities)) == before, spec.name
     assert Assertion(ex("pp"), vocab.HAS_NEXT_PROCEDURE, ex("pp")) not in kb
-    with pytest.raises(SpecInvalid) as err:
-        build_process(kb, process("later", ("y",), proc_names=("across_p0",)))
-    assert (err.value.path, err.value.detail) == ("later.procedures", "duplicate names")
 
 
 def test_single_state_procedure_is_both_initial_and_final(kb):

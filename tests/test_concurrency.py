@@ -95,6 +95,11 @@ def test_unlocked_modify_races_with_the_latest_other_writer():
     assert interpret_step(ResourceState(), A, StepKind.MODIFY).race is None
     solo = ResourceState(modified_by=(A,))
     assert interpret_step(solo, A, StepKind.MODIFY).race is None
+    # the history keeps what a later Modify reads: the latest other
+    # writer, then the last one
+    for before, after in (((B, C), (C, A)), ((A, B, A), (B, A)), ((A,), (A,))):
+        touched = interpret_step(ResourceState(modified_by=before), A, StepKind.MODIFY)
+        assert touched.state.modified_by == after, before
 
 
 def test_release_by_the_holder_frees_the_resource():
@@ -437,7 +442,7 @@ def free_chains(agents: int) -> list[ProtocolRun]:
 def test_search_interprets_each_distinct_transition_once(
     monkeypatch, agents, transitions
 ):
-    """Free modify chains reach 1 + n + n(n-1) trimmed lock states (none
+    """Free modify chains reach 1 + n + n(n-1) distinct lock states (none
     modified, one last writer, or a last writer and the one before it),
     each stepped by n agents' modifies: 17 x 4 and 26 x 5 transitions."""
     calls = 0

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from oasiskg import vocab
 from oasiskg.terms import Iri
 from oasiskg.vocab import LayerTag
@@ -91,6 +93,17 @@ def test_sub_closure_matches_fixpoint_iteration():
     assert set(vocab.SUB_CLOSURE) == set(naive)
     for prop, members in naive.items():
         assert vocab.SUB_CLOSURE[prop] == members, prop
+
+
+def test_closure_refuses_a_cyclic_hierarchy(monkeypatch):
+    a, b = vocab.HAS_NEXT, vocab.HAS_NEXT_PROCEDURE
+    cycle = {
+        a: vocab.PropertySpec(a, super_property=b),
+        b: vocab.PropertySpec(b, super_property=a),
+    }
+    monkeypatch.setattr(vocab, "PROPERTIES", cycle)
+    with pytest.raises(ValueError, match="cycle"):
+        vocab._closure()
 
 
 def test_ancestors_walk_terminates_and_excludes_self():
