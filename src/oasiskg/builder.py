@@ -20,6 +20,7 @@ rest keep working.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 
 from .core import KnowledgeBase
 from .specs import (
@@ -222,17 +223,17 @@ def _emit_ref(
 def _emit_task(
     kb: KnowledgeBase,
     spec: TaskSpec,
+    task: Iri,
     layer_cls: Iri | None,
     *,
     template_names: bool,
-) -> Iri:
+) -> None:
     def typed(node: Iri, cls: Iri) -> None:
         kb.assert_membership(node, cls)
         if layer_cls is not None:
             kb.assert_membership(node, layer_cls)
 
     suffix = "_template" if template_names else ""
-    task = kb.mint_iri("ex", spec.name)
     typed(task, TASK_DESCRIPTION)
 
     operator = kb.mint_iri("ex", f"{spec.name}_operator")
@@ -262,29 +263,31 @@ def _emit_task(
             typed(param, cls)
             kb.assert_property(task, pred, param)
             _emit_ref(kb, param, ref, layer_cls)
-    return task
 
 
 def _emit_behaviour(kb: KnowledgeBase, spec: BehaviourSpec, layer: LayerTag) -> Iri:
     _check_behaviour_spec(spec)
     layer_cls = layer.class_iri
     template_names = layer is LayerTag.TEMPLATE
+    # every name is minted before the first write, so a bad one leaves
+    # the graph as it was; task element names only add suffixes
     root = kb.mint_iri("ex", spec.name)
+    goal_nodes = {goal.name: kb.mint_iri("ex", goal.name) for goal in spec.goals}
+    task_nodes = {
+        goal.name: {task.name: kb.mint_iri("ex", task.name) for task in goal.tasks}
+        for goal in spec.goals
+    }
     kb.assert_membership(root, BEHAVIOUR)
     kb.assert_membership(root, layer_cls)
-    goal_nodes: dict[str, Iri] = {}
-    task_nodes: dict[str, dict[str, Iri]] = {}
     for goal in spec.goals:
-        node = kb.mint_iri("ex", goal.name)
+        node = goal_nodes[goal.name]
         kb.assert_membership(node, GOAL_DESCRIPTION)
         kb.assert_membership(node, layer_cls)
         kb.assert_property(root, CONSISTS_OF_GOAL, node)
-        goal_nodes[goal.name] = node
-        task_nodes[goal.name] = {}
         for task_spec in goal.tasks:
-            task = _emit_task(kb, task_spec, layer_cls, template_names=template_names)
+            task = task_nodes[goal.name][task_spec.name]
+            _emit_task(kb, task_spec, task, layer_cls, template_names=template_names)
             kb.assert_property(node, CONSISTS_OF_TASK, task)
-            task_nodes[goal.name][task_spec.name] = task
     # dependency edges once every node exists
     for goal in spec.goals:
         for dep in goal.depends_on:
@@ -374,7 +377,9 @@ def submit_plan(kb: KnowledgeBase, plan_root: Iri, behaviour_root: Iri) -> None:
 def build_process(kb: KnowledgeBase, spec: ProcessSpec) -> Iri:
     """Emit a process: ordered procedures, each a chain of states whose
     plans are built inline and wired up with isDescribedBy.  The whole
-    spec is checked before the first write."""
+    spec is checked before the first write, every name minted; a name
+    that stands for two kinds of node (process, procedure, state, plan,
+    goal, task, event) is refused, as they would be one IRI."""
     where = spec.path or spec.name
     if not spec.procedures:
         raise SpecInvalid(
@@ -403,6 +408,12 @@ def build_process(kb: KnowledgeBase, spec: ProcessSpec) -> Iri:
             seen.add(state)
         for state_spec in proc_spec.states:
             _check_behaviour_spec(state_spec.plan)
+    # one name for two kinds of node would merge them into one node
+    kinds: dict[Iri, tuple[str, str]] = {}
+    for name, kind, path in _process_names(spec, where):
+        first, at = kinds.setdefault(kb.mint_iri("ex", name), (kind, path))
+        if first != kind:
+            raise SpecInvalid(path, f"{name!r} already names the {first} at {at}")
 
     kb.assert_membership(root, PROCESS)
     kb.assert_membership(root, LayerTag.PLANNING.class_iri)
@@ -428,6 +439,27 @@ def build_process(kb: KnowledgeBase, spec: ProcessSpec) -> Iri:
     return root
 
 
+def _process_names(spec: ProcessSpec, where: str) -> Iterator[tuple[str, str, str]]:
+    """``(name, kind, path)`` for every node the process spec names, in
+    document order; actions are tasks."""
+    yield spec.name, "process", where
+    for i, proc in enumerate(spec.procedures):
+        at = f"{where}.procedures[{i}]"
+        yield proc.name, "procedure", at
+        for j, state in enumerate(proc.states):
+            at_state = f"{at}.states[{j}]"
+            yield state.name, "state", at_state
+            yield state.plan.name, "plan", f"{at_state}.plan"
+            for k, goal in enumerate(state.plan.goals):
+                at_goal = f"{at_state}.plan.goals[{k}]"
+                yield goal.name, "goal", at_goal
+                for m, task in enumerate(goal.tasks):
+                    yield task.name, "task", f"{at_goal}.tasks[{m}]"
+            for k, event in enumerate(state.events):
+                yield event.name, "event", f"{at_state}.events[{k}]"
+                yield event.action.name, "task", f"{at_state}.events[{k}].action"
+
+
 def attach_event(kb: KnowledgeBase, state: Iri, spec: EventSpec) -> Iri:
     """Attach an event (with its task-shaped action) to a procedure state.
 
@@ -438,11 +470,12 @@ def attach_event(kb: KnowledgeBase, state: Iri, spec: EventSpec) -> Iri:
         raise NotAProcedureState(state)
     layer = rec.layer
     event = kb.mint_iri("ex", spec.name)
+    action = kb.mint_iri("ex", spec.action.name)  # both before the first write
     kb.assert_membership(event, EVENT)
     layer_cls = layer.class_iri if layer is not None else None
     if layer_cls is not None:
         kb.assert_membership(event, layer_cls)
-    action = _emit_task(kb, spec.action, layer_cls, template_names=False)
+    _emit_task(kb, spec.action, action, layer_cls, template_names=False)
     kb.assert_property(state, TRIGGERS_EVENT, event)
     kb.assert_property(event, EVENT_DESCRIBED_BY_ACTION, action)
     if spec.kind is not None:

@@ -5,6 +5,14 @@ included) plus subject/predicate/object indexes.  Class memberships are
 mirrored into per-entity records so layer tags can be derived cheaply;
 they are never stored on their own.
 
+Each index maps a term to a list of its assertions in insertion order.
+An insert hashes its assertion once, in ``assertions.setdefault``, and
+appends it to the three lists only when it is new, so no list holds an
+assertion twice.  ``remove`` takes an assertion out of its three lists,
+in time linear in their length; nothing in the pipeline removes, only
+tests and their mutations do.  An assertion removed and added again goes
+to the end of each list, as it does in ``assertions``.
+
 The store records whatever it is given and leaves layer mixing,
 undeclared predicates and endpoint constraints to the validator; it
 refuses only an ``rdf:type`` whose class is a literal.
@@ -69,7 +77,7 @@ class EntityRecord:
         return cls in self.memberships
 
 
-_Index = dict[Iri, dict[Assertion, None]]
+_Index = dict[Iri, list[Assertion]]
 
 
 class KnowledgeBase:
@@ -81,7 +89,7 @@ class KnowledgeBase:
         self.assertions: dict[Assertion, None] = {}
         self._by_s: _Index = {}
         self._by_p: _Index = {}
-        self._by_o: dict[Obj, dict[Assertion, None]] = {}
+        self._by_o: dict[Obj, list[Assertion]] = {}
         self._clone_counter = 0
         #: assertions added or removed since the last clean validation
         #: pass, in order; ``None`` until a pass comes back clean
@@ -153,10 +161,14 @@ class KnowledgeBase:
     # -- assertions ---------------------------------------------------------------
 
     def assert_membership(self, iri: Iri, cls: Iri) -> None:
-        rec = self.ensure_entity(iri)
+        entities = self.entities
+        rec = entities.get(iri)
+        if rec is None:
+            rec = entities[iri] = EntityRecord(iri)
         if cls in rec.memberships:
             return
-        self.ensure_entity(cls)
+        if cls not in entities:
+            entities[cls] = EntityRecord(cls)
         rec.memberships[cls] = None
         self._store(Assertion(iri, RDF_TYPE, cls))
 
@@ -168,9 +180,11 @@ class KnowledgeBase:
                 )
             self.assert_membership(subject, obj)
             return
-        self.ensure_entity(subject)
-        if isinstance(obj, Iri):
-            self.ensure_entity(obj)
+        entities = self.entities
+        if subject not in entities:
+            entities[subject] = EntityRecord(subject)
+        if isinstance(obj, Iri) and obj not in entities:
+            entities[obj] = EntityRecord(obj)
         self._store(Assertion(subject, predicate, obj))
 
     def constraint_problem(
@@ -208,12 +222,14 @@ class KnowledgeBase:
         return None
 
     def _store(self, assertion: Assertion) -> None:
-        if assertion in self.assertions:
+        assertions = self.assertions
+        size = len(assertions)
+        assertions.setdefault(assertion)  # the one hash of the assertion
+        if len(assertions) == size:
             return
-        self.assertions[assertion] = None
-        self._by_s.setdefault(assertion.subject, {})[assertion] = None
-        self._by_p.setdefault(assertion.predicate, {})[assertion] = None
-        self._by_o.setdefault(assertion.object, {})[assertion] = None
+        self._by_s.setdefault(assertion.subject, []).append(assertion)
+        self._by_p.setdefault(assertion.predicate, []).append(assertion)
+        self._by_o.setdefault(assertion.object, []).append(assertion)
         if self.journal is not None:
             self.journal.append(assertion)
 
@@ -222,9 +238,9 @@ class KnowledgeBase:
         if assertion not in self.assertions:
             return
         del self.assertions[assertion]
-        del self._by_s[assertion.subject][assertion]
-        del self._by_p[assertion.predicate][assertion]
-        del self._by_o[assertion.object][assertion]
+        self._by_s[assertion.subject].remove(assertion)
+        self._by_p[assertion.predicate].remove(assertion)
+        self._by_o[assertion.object].remove(assertion)
         if self.journal is not None:
             self.journal.append(assertion)
         if assertion.predicate == RDF_TYPE and isinstance(assertion.object, Iri):
@@ -237,12 +253,9 @@ class KnowledgeBase:
     def entails(self, subject: Iri, predicate: Iri, obj: Obj) -> bool:
         """True when the triple is asserted directly or via a declared
         subproperty of ``predicate``."""
-        group = self._by_s.get(subject)
-        if not group:
-            return False
-        preds = vocab.SUB_CLOSURE.get(predicate, frozenset((predicate,)))
+        preds = vocab.SUB_CLOSURE.get(predicate, (predicate,))
         for p in preds:
-            if Assertion(subject, p, obj) in group:
+            if Assertion(subject, p, obj) in self.assertions:
                 return True
         return False
 
@@ -265,11 +278,11 @@ class KnowledgeBase:
                 preds = frozenset((predicate,))
         pool: dict[Assertion, None] | list[Assertion]
         if subject is not None:
-            pool = self._by_s.get(subject, {})
+            pool = self._by_s.get(subject, [])
         elif obj is not None:
-            pool = self._by_o.get(obj, {})
+            pool = self._by_o.get(obj, [])
         elif preds is not None and len(preds) == 1:
-            pool = self._by_p.get(next(iter(preds)), {})
+            pool = self._by_p.get(next(iter(preds)), [])
         else:
             pool = self.assertions
         out = [
@@ -291,13 +304,13 @@ class KnowledgeBase:
         )
         return [
             a.object
-            for a in self._by_s.get(subject, {})
+            for a in self._by_s.get(subject, [])
             if a.predicate in preds
         ]
 
     def subjects(self, predicate: Iri, obj: Obj) -> list[Iri]:
         """Subjects of ``(?, predicate, obj)`` in assertion order."""
-        return [a.subject for a in self._by_o.get(obj, {}) if a.predicate == predicate]
+        return [a.subject for a in self._by_o.get(obj, []) if a.predicate == predicate]
 
     def __len__(self) -> int:
         return len(self.assertions)

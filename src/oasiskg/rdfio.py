@@ -9,10 +9,22 @@ produce plus the usual conveniences: ``@prefix``, prefixed names (the
 empty prefix too, as in ``:a``), ``a`` for rdf:type, ``;`` and ``,``
 lists, ``#`` comments, quoted literals with ``\\"``, ``\\\\``, ``\\n``,
 ``\\r``, ``\\t`` escapes.  No blank nodes, no language tags, no
-datatypes, no multi-line literals.  Canonical N-Triples is read by the
-same parser.  An IRI that :class:`Iri` refuses (``<>``, or one holding
-a space), a ``@prefix`` base included, is a :class:`ParseError` at its
-position, like any other unparsable input.
+datatypes, no multi-line literals.  An IRI that :class:`Iri` refuses
+(``<>``, or one holding a space), a ``@prefix`` base included, is a
+:class:`ParseError` at its position, like any other unparsable input.
+
+The reader makes one pass over the text.  Where a statement starts, one
+compiled match first tries a whole N-Triples statement, ``<s> <p> <o> .``
+or ``<s> <p> "literal" .`` with spaces or tabs between the terms, which
+is how canonical N-Triples is read.  Anything else (``@prefix``,
+prefixed names, ``a``, ``;`` and ``,`` lists, a line break inside a
+statement) is read one token at a time by the same grammar.  Errors keep
+the precedence of a reader that lexes the whole text before it parses:
+an unparsable character anywhere beats any grammar error, so on a
+grammar error the rest of the text is lexed before it is raised.  The
+character-at-a-time reader this replaced, ``tests/turtle_oracle.py``,
+is the oracle the differential tests hold it to, line, column and
+message.
 """
 
 from __future__ import annotations
@@ -94,11 +106,23 @@ _TOKEN = re.compile(
     rf"|(?P<prefix_decl>@prefix)(?![^\W\d_])"
     rf"){_SKIP}"
 )
+# One N-Triples statement per match: the four tokens (IRI, IRI, IRI or
+# literal, '.') that _TOKEN would give one by one.  Its IRIs are [^>]*,
+# which scans about twice as fast as _TOKEN's [^>\n]* but lets an IRI
+# span a line break; Iri refuses such a value, and parse_turtle's error
+# path then reports the unterminated IRI at its '<', as _TOKEN would.
+_STATEMENT = re.compile(
+    rf'<([^>]*)>[ \t]+<([^>]*)>[ \t]+(?:<([^>]*)>|"({_LITERAL})")[ \t]+\.{_SKIP}'
+)
 _SKIP_RE = re.compile(_SKIP)
 _LITERAL_RE = re.compile(_LITERAL)
 _HEAD = re.compile(f"{_NAME}*")
 _ESCAPE = re.compile(r"\\(.)")
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+
+
+def _unescape(literal: str) -> str:
+    return _ESCAPE.sub(lambda e: _UNESCAPES[e.group(1)], literal)
 
 
 def _error(text: str, offset: int, message: str) -> ParseError:
@@ -131,23 +155,14 @@ def _reject(text: str, pos: int) -> ParseError:
     return _error(text, pos, f"unexpected character {ch!r}")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """``(kind, value, offset)`` per token; kind is a group of ``_TOKEN``."""
-    tokens = []
-    seen: dict[str, str] = {}  # one string per distinct value, hashed once
-    pos = _SKIP_RE.match(text).end()
-    for m in _TOKEN.finditer(text, pos):
-        if m.start() != pos:
-            break
-        kind = m.lastgroup
-        value = m.group(kind)
-        if kind == "literal" and "\\" in value:
-            value = _ESCAPE.sub(lambda e: _UNESCAPES[e.group(1)], value)
-        tokens.append((kind, seen.setdefault(value, value), pos))
+def _lexed_to(text: str, pos: int) -> int:
+    """Where tokens starting at ``pos`` run out: ``len(text)``, or the
+    first offset where no token starts."""
+    m = _TOKEN.match(text, pos)
+    while m is not None:
         pos = m.end()
-    if pos < len(text):
-        raise _reject(text, pos)
-    return tokens
+        m = _TOKEN.match(text, pos)
+    return pos
 
 
 Triple = tuple[Iri, Iri, Obj]
@@ -161,10 +176,12 @@ def parse_turtle(
     table = dict(DEFAULT_PREFIXES)
     if prefixes:
         table.update(prefixes)
-    tokens = _tokenize(text)
     triples: list[Triple] = []
     iris: dict[str, Iri] = {}  # IRI text -> Iri, sparing a call into Iri
     names: dict[str, Iri] = {}  # prefixed name -> Iri, until the next @prefix
+    end = len(text)
+    pos = _SKIP_RE.match(text).end()  # where the next token starts
+    last = 0  # where the last token taken one by one started
 
     def iri(value: str, offset: int) -> Iri:
         found = iris.get(value)
@@ -174,6 +191,22 @@ def parse_turtle(
             except ModelError:
                 raise _error(text, offset, f"invalid IRI {value!r}") from None
         return found
+
+    def take() -> tuple[str, str, int]:
+        """The next token as ``(kind, value, offset)``; kind is a group
+        of ``_TOKEN``."""
+        nonlocal pos, last
+        if pos == end:
+            raise _error(text, last, "unexpected end of input")
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise _reject(text, pos)
+        kind = m.lastgroup
+        value = m.group(kind)
+        if kind == "literal" and "\\" in value:
+            value = _unescape(value)
+        last, pos = pos, m.end()
+        return kind, value, last
 
     def term(token: tuple[str, str, int], role: str) -> Obj:
         kind, value, offset = token
@@ -194,47 +227,57 @@ def parse_turtle(
         kind = kind.replace("_", "-")  # prefix_decl: a group name needs "_"
         raise _error(text, offset, f"unexpected {kind} as {role}")
 
-    # reading past the last token is the only IndexError below: the
-    # input ended inside a statement
-    i, n = 0, len(tokens)
+    statement = _STATEMENT.match
     try:
-        while i < n:
-            if tokens[i][0] == "prefix_decl":
-                name = tokens[i + 1]
+        while pos < end:
+            m = statement(text, pos)
+            if m is not None:
+                s, p, o, literal = m.groups()
+                subject = iris.get(s) or iri(s, pos)
+                predicate = iris.get(p) or iri(p, m.start(2) - 1)
+                if literal is None:
+                    obj = iris.get(o) or iri(o, m.start(3) - 1)
+                else:
+                    obj = _unescape(literal) if "\\" in literal else literal
+                triples.append((subject, predicate, obj))
+                pos = m.end()
+                continue
+            token = take()
+            if token[0] == "prefix_decl":
+                name = take()
                 if name[0] != "pname" or not name[1].endswith(":"):
                     raise _error(text, name[2], "expected prefix name")
-                base = tokens[i + 2]
+                base = take()
                 if base[0] != "iri":
                     raise _error(text, base[2], "expected IRI")
-                end = tokens[i + 3]
-                if end[:2] != ("punct", "."):
-                    raise _error(text, end[2], "expected '.'")
+                dot = take()
+                if dot[:2] != ("punct", "."):
+                    raise _error(text, dot[2], "expected '.'")
                 table[name[1][:-1]] = iri(base[1], base[2]).value
                 names.clear()
-                i += 4
                 continue
-            subject = term(tokens[i], "subject")
-            i += 1
+            subject = term(token, "subject")
             while True:
-                predicate = term(tokens[i], "predicate")
+                predicate = term(take(), "predicate")
                 while True:
-                    triples.append((subject, predicate, term(tokens[i + 1], "object")))
-                    sep = tokens[i + 2]
-                    i += 2
-                    if sep[0] != "punct":
-                        raise _error(text, sep[2], "expected , ; or .")
-                    if sep[1] != ",":
+                    triples.append((subject, predicate, term(take(), "object")))
+                    kind, sep, offset = take()
+                    if kind != "punct":
+                        raise _error(text, offset, "expected , ; or .")
+                    if sep != ",":
                         break
-                i += 1
-                if sep[1] == ".":
+                if sep == ".":
                     break
                 # after ';' a bare '.' closes the statement
-                if i < n and tokens[i][:2] == ("punct", "."):
-                    i += 1
+                if text.startswith(".", pos):
+                    take()
                     break
-    except IndexError:
-        last = tokens[-1][2] if tokens else 0
-        raise _error(text, last, "unexpected end of input") from None
+    except ParseError:
+        # an unparsable character anywhere beats a grammar error
+        stop = _lexed_to(text, pos)
+        if stop < end:
+            raise _reject(text, stop) from None
+        raise
     return triples, table
 
 

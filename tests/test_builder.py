@@ -49,6 +49,7 @@ from oasiskg.builder import (
     walk_tree,
 )
 from oasiskg.specs import SpecInvalid
+from oasiskg.terms import InvalidLocalName
 from oasiskg import vocab
 
 from conftest import random_behaviour_spec
@@ -645,6 +646,104 @@ def test_build_process_refuses_a_state_name_already_used(kb):
         assert (err.value.path, err.value.detail) == (path, detail)
         assert (export_canonical(kb), len(kb.entities)) == before, spec.name
     assert Assertion(ex("pp"), vocab.HAS_NEXT_PROCEDURE, ex("pp")) not in kb
+
+
+def one_state_process(
+    proc="one_proc", state="one_s", plan="one_plan", goal="one_g", task="one_t", events=()
+) -> ProcessSpec:
+    tasks = (TaskSpec(name=task, operator_action=Ref.exact("act")),)
+    plan_spec = BehaviourSpec(name=plan, goals=(GoalSpec(name=goal, tasks=tasks),))
+    states = (StateSpec(name=state, plan=plan_spec, events=events),)
+    return ProcessSpec(name="one", procedures=(ProcedureSpec(name=proc, states=states),))
+
+
+def one_event(name="one_event", action="one_action") -> EventSpec:
+    return EventSpec(name=name, action=TaskSpec(name=action, operator_action=Ref.exact("notify")))
+
+
+def test_a_bad_name_is_refused_before_the_first_write(kb):
+    # every goal, task, event and action name is minted before anything
+    # is written, so an unusable one leaves the graph as it was
+    build_process(kb, three_state_process("p"))
+    state = ex("p_s1")
+    plan = one_state_process().procedures[0].states[0].plan
+    bad_task = one_state_process(task="bad name").procedures[0].states[0].plan
+    bad_goal = one_state_process(goal="bad name").procedures[0].states[0].plan
+    attempts = [
+        lambda: build_template(kb, bad_task),
+        lambda: build_plan(kb, bad_goal),
+        lambda: build_template(kb, BehaviourSpec(name="bad name", goals=plan.goals)),
+        lambda: build_process(kb, one_state_process(task="bad name")),
+        lambda: build_process(kb, one_state_process(goal="bad name")),
+        lambda: build_process(kb, one_state_process(events=(one_event(name="bad name"),))),
+        lambda: build_process(kb, one_state_process(events=(one_event(action="bad name"),))),
+        lambda: attach_event(kb, state, one_event(name="bad name")),
+        lambda: attach_event(kb, state, one_event(action="bad name")),
+    ]
+    for i, attempt in enumerate(attempts):
+        before = (export_canonical(kb), len(kb.entities))
+        with pytest.raises(InvalidLocalName):
+            attempt()
+        assert (export_canonical(kb), len(kb.entities)) == before, i
+
+
+def test_build_process_refuses_a_name_shared_across_kinds(kb):
+    # a procedure, its state and the state's plan named alike would merge
+    # into one node typed Procedure, both chain ends and Behaviour, and
+    # validate would accept it
+    at = "one.procedures[0].states[0]"
+    refused = [
+        (
+            one_state_process("s", "s", "s"),
+            at,
+            "'s' already names the procedure at one.procedures[0]",
+        ),
+        (one_state_process(plan="one"), f"{at}.plan", "'one' already names the process at one"),
+        (
+            one_state_process(goal="one_s"),
+            f"{at}.plan.goals[0]",
+            f"'one_s' already names the state at {at}",
+        ),
+        (
+            one_state_process(task="one_g"),
+            f"{at}.plan.goals[0].tasks[0]",
+            f"'one_g' already names the goal at {at}.plan.goals[0]",
+        ),
+        (
+            one_state_process(events=(one_event(name="one_plan"),)),
+            f"{at}.events[0]",
+            f"'one_plan' already names the plan at {at}.plan",
+        ),
+        (
+            one_state_process(events=(one_event(action="one_proc"),)),
+            f"{at}.events[0].action",
+            "'one_proc' already names the procedure at one.procedures[0]",
+        ),
+    ]
+    for spec, path, detail in refused:
+        before = (export_canonical(kb), len(kb.entities))
+        with pytest.raises(SpecInvalid) as err:
+            build_process(kb, spec)
+        assert (err.value.path, err.value.detail) == (path, detail)
+        assert (export_canonical(kb), len(kb.entities)) == before
+    # one name for nodes of one kind is not refused: two states may share
+    # a plan, and an event's action may share a plan task's name
+    plan = one_state_process(task="one_action").procedures[0].states[0].plan
+    twice = ProcessSpec(
+        name="twice",
+        procedures=(
+            ProcedureSpec(
+                name="twice_proc",
+                states=(
+                    StateSpec(name="twice_a", plan=plan),
+                    StateSpec(name="twice_b", plan=plan, events=(one_event(),)),
+                ),
+            ),
+        ),
+    )
+    build_process(kb, twice)
+    assert kb.objects(ex("twice_a"), vocab.IS_DESCRIBED_BY) == [ex("one_plan")]
+    assert kb.objects(ex("twice_b"), vocab.IS_DESCRIBED_BY) == [ex("one_plan")]
 
 
 def test_single_state_procedure_is_both_initial_and_final(kb):

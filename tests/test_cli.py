@@ -231,6 +231,22 @@ def test_build_model_errors_name_the_document(doc, tmp_path, capsys):
     assert err.startswith(f"{spec}: ")
 
 
+def test_build_refuses_a_name_shared_across_kinds(tmp_path, capsys):
+    task = {"name": "t", "operatorAction": "act"}
+    plan = {"name": "s", "goals": [{"name": "g", "tasks": [task]}]}
+    process = {"name": "p", "procedures": [{"name": "s", "states": [{"name": "s", "plan": plan}]}]}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"processes": [process]}))
+    out = tmp_path / "g.nt"
+    assert main(["build", "--spec", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"{spec}: processes[0].procedures[0].states[0]: "
+        "'s' already names the procedure at processes[0].procedures[0]\n"
+    )
+    assert not out.exists()
+
+
 def test_cli_import_leaves_jsonschema_out(tmp_path):
     package_root = str(Path(oasiskg.__file__).resolve().parents[1])
     probe = "import sys, oasiskg.cli; print(oasiskg.__file__, 'jsonschema' in sys.modules)"

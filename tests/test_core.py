@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -295,3 +296,59 @@ def test_objects_and_subjects_keep_assertion_order(kb: KnowledgeBase):
     assert kb.objects(ex("root"), vocab.DEPENDS_ON) == [ex("c"), ex("a"), ex("b")]
     kb.assert_property(ex("z"), vocab.DEPENDS_ON, ex("c"))
     assert kb.subjects(vocab.DEPENDS_ON, ex("c")) == [ex("root"), ex("z")]
+
+
+def test_indexes_match_a_scan_of_the_assertions_step_by_step():
+    # after each insert, repeated insert, typing, remove or re-add, every
+    # lookup gives what a scan over kb.assertions gives, in its order: the
+    # buckets hold each assertion once, in insertion order, and a re-add
+    # goes to the end
+    rng = random.Random(20261019)
+    kb = KnowledgeBase()
+    nodes = [ex(f"n{i}") for i in range(5)]
+    classes = [AGENT, vocab.BEHAVIOUR, ex("Widget")]
+    # hasNext and two of its subproperties give entailment work to do
+    predicates = [
+        vocab.HAS_NEXT,
+        vocab.HAS_FINAL_STATE,
+        vocab.HAS_NEXT_NON_TERMINATING,
+        vocab.DEPENDS_ON,
+    ]
+    literals = ["signal", "n0", ""]
+    removed: list[Assertion] = []
+    done = {op: 0 for op in ("insert", "again", "type", "literal", "remove", "re-add")}
+    for step in range(2000):
+        op = rng.choice(tuple(done))
+        if op in ("again", "remove") and kb.assertions:
+            a = rng.choice(list(kb.assertions))
+        elif op == "re-add" and removed:
+            a = removed.pop(rng.randrange(len(removed)))
+        elif op == "type":
+            a = Assertion(rng.choice(nodes), RDF_TYPE, rng.choice(classes))
+        elif op == "literal":
+            a = Assertion(rng.choice(nodes), vocab.HAS_EVENT_KIND, rng.choice(literals))
+        else:
+            op = "insert"
+            a = Assertion(rng.choice(nodes), rng.choice(predicates), rng.choice(nodes))
+        done[op] += 1
+        if op == "remove":
+            kb.remove(a)
+            removed.append(a)
+        else:
+            kb.assert_property(a.subject, a.predicate, a.object)
+        probe = Assertion(rng.choice(nodes), rng.choice(predicates + [RDF_TYPE]), rng.choice(nodes))
+        for t in (a, probe):
+            s, p, o = t.subject, t.predicate, t.object
+            for pattern in itertools.product((None, s), (None, p), (None, o)):
+                for entail in (False, True):
+                    got = kb.query(*pattern, entail=entail)
+                    assert got == _naive_query(kb, *pattern, entail), (step, pattern, entail)
+            closure = vocab.SUB_CLOSURE.get(p, {p})
+            direct = [x for x in kb.assertions if x.subject is s and x.predicate is p]
+            entailed = [x for x in kb.assertions if x.subject is s and x.predicate in closure]
+            into = [x for x in kb.assertions if x.predicate is p and x.object == o]
+            assert kb.objects(s, p) == [x.object for x in direct], step
+            assert kb.objects(s, p, entail=True) == [x.object for x in entailed], step
+            assert kb.entails(s, p, o) == any(x.object == o for x in entailed), step
+            assert kb.subjects(p, o) == [x.subject for x in into], step
+    assert min(done.values()) >= 200, done

@@ -11,6 +11,7 @@ escape, the new reader raises a ``ParseError`` at the token).
 
 from __future__ import annotations
 
+import ast
 import random
 import re
 
@@ -18,7 +19,7 @@ import pytest
 
 import turtle_oracle
 from conftest import build_protocol_scenario, random_behaviour_spec, random_process_spec
-from oasiskg import Iri, KnowledgeBase, export_canonical, import_turtle, vocab
+from oasiskg import Iri, KnowledgeBase, export_canonical, import_turtle, rdfio, vocab
 from oasiskg.builder import build_plan, build_process
 from oasiskg.rdfio import ParseError, parse_turtle
 from oasiskg.terms import InvalidLocalName, ModelError
@@ -164,6 +165,101 @@ def test_seeded_mutations_match_the_oracle():
     assert seen["invalid IRI"] >= 10, seen
 
 
+#: N-Triples-shaped statements, which the reader takes one match each,
+#: between Turtle that it reads token by token: tabs and runs of spaces
+#: between terms, comments between statements, every escape, a full
+#: triple followed by ';' and ',' lists, '@prefix' lines in between
+STATEMENTS = (
+    "<http://example.org/a> <http://example.org/oasis#dependsOn> <http://example.org/b> .\n"
+    "# between statements, with <http://example.org/x> and \"q\" . ;\n"
+    "<http://example.org/a>\t<http://example.org/oasis#dependsOn>\t\t<http://example.org/c>   .  # after\n"
+    '<http://example.org/e>  \t <http://example.org/oasis#hasEventKind> "tab\\there \\"q\\" back\\\\slash\\nnl\\rcr" .\r\n'
+    "<http://example.org/a> <http://example.org/oasis#dependsOn> <http://example.org/d> ;\n"
+    "\t<http://example.org/oasis#dependsOn> <http://example.org/e> , <http://example.org/f> .\n"
+    "@prefix ex: <http://example.org/> .\n"
+    "<http://example.org/g> <http://example.org/oasis#dependsOn> ex:h .\n"
+    "ex:i <http://example.org/oasis#dependsOn> <http://example.org/j>.\n"
+    "<http://example.org/k> a <http://example.org/oasis#Agent> .\n"
+    "@prefix oasis: <http://example.org/oasis#> .\n"
+    '<http://example.org/l> <http://example.org/oasis#hasEventKind> "plain" .\n'
+    "@prefix q: <http://example.org/q/> .\n"
+    "<http://example.org/m> oasis:dependsOn <http://example.org/n> .\n"
+    "@prefix r: <http://example.org/r/> .\n"
+    "<http://example.org/o> <http://example.org/oasis#dependsOn> q:p .\n"
+)
+
+
+#: a short document, where an edit often lands on the '@prefix' line or
+#: cuts the last statement short
+SHORT = (
+    "<http://example.org/a> <http://example.org/oasis#dependsOn> <http://example.org/b> .\n"
+    "@prefix ex: <http://example.org/> .\n"
+    "ex:b\t<http://example.org/oasis#dependsOn>  <http://example.org/c> .\n"
+)
+
+
+def spaced_export() -> str:
+    """Every 40th line of an export, with tabs and runs of spaces
+    between terms and, after every second statement, a comment or an
+    ``@prefix`` line."""
+    gaps = (" ", "\t", "  ", " \t ")
+    lines = []
+    for i, line in enumerate(exports()[0].splitlines()[::40]):
+        subject, predicate, rest = line.split(" ", 2)
+        obj = rest[: -len(" .")]
+        lines.append(gaps[i % 4].join((subject, predicate, obj, ".")))
+        if i % 4 == 1:
+            lines.append(f"# comment {i} <not-an-iri> .")
+        elif i % 4 == 3:
+            lines.append(f"@prefix p{i}: <{EX}p{i}/> .")
+    return "\n".join(lines) + "\n"
+
+
+class CountingMatch:
+    """A compiled pattern that counts the matches it finds."""
+
+    def __init__(self, pattern: re.Pattern) -> None:
+        self.pattern = pattern
+        self.found = 0
+
+    def match(self, text: str, pos: int):
+        m = self.pattern.match(text, pos)
+        self.found += m is not None
+        return m
+
+
+def test_seeded_statement_mutations_match_the_oracle(monkeypatch):
+    statements = CountingMatch(rdfio._STATEMENT)
+    tokens = CountingMatch(rdfio._TOKEN)
+    monkeypatch.setattr(rdfio, "_STATEMENT", statements)
+    monkeypatch.setattr(rdfio, "_TOKEN", tokens)
+    rng = random.Random(20261019)
+    bases = [STATEMENTS, spaced_export(), SHORT]
+    seen: dict[str, int] = {}
+    paths = {"statement": 0, "token": 0, "both": 0}  # among cases read whole
+    for i in range(3003):
+        text = bases[i % 3]
+        if i >= 3:
+            for _ in range(rng.choice((1, 1, 2))):
+                text = mutate(rng, text)
+        statements.found = tokens.found = 0
+        got = outcome(parse_turtle, text)
+        if got[0] == "ok":
+            paths["statement"] += statements.found > 0
+            paths["token"] += tokens.found > 0
+            paths["both"] += statements.found > 0 and tokens.found > 0
+        elif got[0] == "parse" and got[3].startswith("invalid IRI "):
+            # the oracle gives no position here: it must be the IRI's '<'
+            iri = ast.literal_eval(got[3][len("invalid IRI ") :])
+            offset = sum(len(line) + 1 for line in text.split("\n")[: got[1] - 1]) + got[2] - 1
+            assert text.startswith(f"<{iri}>", offset), (text, got)
+        assert_same(text, seen)
+    missing = [kind for kind in ORACLE_ERRORS if not seen.get(kind)]
+    assert not missing, seen
+    assert seen["ok"] >= 500 and seen["invalid IRI"] >= 10, seen
+    assert min(paths.values()) >= 100, paths
+
+
 # ---------------------------------------------------------------------------
 # The two deliberate divergences
 # ---------------------------------------------------------------------------
@@ -189,6 +285,8 @@ def test_empty_prefix_is_accepted_and_stays_in_the_document():
     [
         ("<http://x/a> <http://x/p> <> .", 1, 27, ""),
         ("<http://x/a b> <http://x/p> <http://x/o> .", 1, 1, "http://x/a b"),
+        ('<http://x/a>\t<http://x/p q>  "o" .', 1, 14, "http://x/p q"),
+        ("<http://x/a> <http://x/p> <http://x/o> .\n<http://x/a> <http://x/p> <o\t> .", 2, 27, "o\t"),
         ('@prefix q: <http://x/"> .\n<http://x/a> q:p <http://x/o> .', 1, 12, 'http://x/"'),
         ("@prefix p: <http://x/a b> .\n", 1, 12, "http://x/a b"),
         ("@prefix p: <> .\n", 1, 12, ""),
