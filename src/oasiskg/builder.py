@@ -20,7 +20,7 @@ rest keep working.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .core import KnowledgeBase
 from .specs import (
@@ -34,6 +34,7 @@ from .specs import (
 )
 from .terms import Iri, ModelError
 from .trees import (  # noqa: F401 - the tree queries are part of this module's API
+    CHILD_RANK,
     CapabilityKind,
     CapabilitySource,
     check_capability,
@@ -47,13 +48,13 @@ from .trees import (  # noqa: F401 - the tree queries are part of this module's 
     link_states,
     plan_tasks,
     tree_class,
+    tree_edges,
     walk_tree,
 )
 from .vocab import (
     ACTION,
     AGENT,
     BEHAVIOUR,
-    CHILD_PREDICATES,
     CLASS_TO_OVERLOAD,
     CLASS_TO_SUBMITTED,
     CONSISTS_OF_GOAL,
@@ -194,15 +195,38 @@ def _check_behaviour_spec(spec: BehaviourSpec) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _task_refs(spec: TaskSpec) -> Iterator[Ref]:
+    yield spec.operator_action
+    if spec.operator_argument is not None:
+        yield spec.operator_argument
+    if spec.obj is not None:
+        yield spec.obj
+    yield from spec.inputs
+    yield from spec.outputs
+
+
+def _resolve_refs(kb: KnowledgeBase, tasks: Iterable[TaskSpec]) -> dict[str, Iri]:
+    """Each reference target and ``instanceOf`` class the tasks name, by
+    name.  Callers resolve them before the first write, so a bad one
+    leaves the graph as it was."""
+    return {
+        name: kb.resolve(name)
+        for task in tasks
+        for ref in _task_refs(task)
+        for name in (ref.target, *ref.instance_of)
+    }
+
+
 def _emit_ref(
     kb: KnowledgeBase,
     node: Iri,
     ref: Ref,
     layer_cls: Iri | None,
+    iris: dict[str, Iri],
     *,
     as_action: bool = False,
 ) -> None:
-    target = kb.resolve(ref.target)
+    target = iris[ref.target]
     kb.ensure_entity(target)
     if as_action:
         kb.assert_membership(target, ACTION)
@@ -214,7 +238,7 @@ def _emit_ref(
         kb.assert_membership(target, layer_cls)
     kb.assert_property(node, REFERS_AS_NEW_TO, target)
     for name in ref.instance_of:
-        cls = kb.resolve(name)
+        cls = iris[name]
         kb.declare_class(cls)
         kb.assert_membership(target, cls)
         kb.assert_property(target, REFERS_AS_INSTANCE_OF, cls)
@@ -225,6 +249,7 @@ def _emit_task(
     spec: TaskSpec,
     task: Iri,
     layer_cls: Iri | None,
+    iris: dict[str, Iri],
     *,
     template_names: bool,
 ) -> None:
@@ -239,19 +264,19 @@ def _emit_task(
     operator = kb.mint_iri("ex", f"{spec.name}_operator")
     typed(operator, TASK_OPERATOR)
     kb.assert_property(task, HAS_TASK_OPERATOR, operator)
-    _emit_ref(kb, operator, spec.operator_action, layer_cls, as_action=True)
+    _emit_ref(kb, operator, spec.operator_action, layer_cls, iris, as_action=True)
 
     if spec.operator_argument is not None:
         argument = kb.mint_iri("ex", f"{spec.name}_operator_argument")
         typed(argument, TASK_OPERATOR_ARGUMENT)
         kb.assert_property(task, HAS_TASK_OPERATOR_ARGUMENT, argument)
-        _emit_ref(kb, argument, spec.operator_argument, layer_cls)
+        _emit_ref(kb, argument, spec.operator_argument, layer_cls, iris)
 
     if spec.obj is not None:
         obj = kb.mint_iri("ex", f"{spec.name}_object{suffix}")
         typed(obj, TASK_OBJECT)
         kb.assert_property(task, HAS_TASK_OBJECT, obj)
-        _emit_ref(kb, obj, spec.obj, layer_cls)
+        _emit_ref(kb, obj, spec.obj, layer_cls, iris)
 
     for kind, cls, pred, refs in (
         ("input", TASK_INPUT_PARAMETER, HAS_TASK_INPUT_PARAMETER, spec.inputs),
@@ -262,21 +287,23 @@ def _emit_task(
             param = kb.mint_iri("ex", f"{spec.name}_{kind}{nth}{suffix}")
             typed(param, cls)
             kb.assert_property(task, pred, param)
-            _emit_ref(kb, param, ref, layer_cls)
+            _emit_ref(kb, param, ref, layer_cls, iris)
 
 
 def _emit_behaviour(kb: KnowledgeBase, spec: BehaviourSpec, layer: LayerTag) -> Iri:
     _check_behaviour_spec(spec)
     layer_cls = layer.class_iri
     template_names = layer is LayerTag.TEMPLATE
-    # every name is minted before the first write, so a bad one leaves
-    # the graph as it was; task element names only add suffixes
+    # every name is minted and every reference resolved before the first
+    # write, so a bad one leaves the graph as it was; task element names
+    # only add suffixes
     root = kb.mint_iri("ex", spec.name)
     goal_nodes = {goal.name: kb.mint_iri("ex", goal.name) for goal in spec.goals}
     task_nodes = {
         goal.name: {task.name: kb.mint_iri("ex", task.name) for task in goal.tasks}
         for goal in spec.goals
     }
+    iris = _resolve_refs(kb, (task for goal in spec.goals for task in goal.tasks))
     kb.assert_membership(root, BEHAVIOUR)
     kb.assert_membership(root, layer_cls)
     for goal in spec.goals:
@@ -286,7 +313,9 @@ def _emit_behaviour(kb: KnowledgeBase, spec: BehaviourSpec, layer: LayerTag) -> 
         kb.assert_property(root, CONSISTS_OF_GOAL, node)
         for task_spec in goal.tasks:
             task = task_nodes[goal.name][task_spec.name]
-            _emit_task(kb, task_spec, task, layer_cls, template_names=template_names)
+            _emit_task(
+                kb, task_spec, task, layer_cls, iris, template_names=template_names
+            )
             kb.assert_property(node, CONSISTS_OF_TASK, task)
     # dependency edges once every node exists
     for goal in spec.goals:
@@ -344,9 +373,9 @@ def pair_trees(
         if tree_class(kb, left) != tree_class(kb, right):
             raise StructureMismatch(left, right, "node classes differ")
         pairs[left] = right
-        for pred in CHILD_PREDICATES:
-            lc = [o for o in kb.objects(left, pred) if isinstance(o, Iri)]
-            rc = [o for o in kb.objects(right, pred) if isinstance(o, Iri)]
+        lg, rg = _children(kb, left), _children(kb, right)
+        for pred in sorted(lg.keys() | rg.keys(), key=CHILD_RANK.__getitem__):
+            lc, rc = lg.get(pred, []), rg.get(pred, [])
             if len(lc) != len(rc):
                 raise StructureMismatch(
                     left,
@@ -355,6 +384,15 @@ def pair_trees(
                 )
             queue.extend(zip(lc, rc))
     return pairs
+
+
+def _children(kb: KnowledgeBase, node: Iri) -> dict[Iri, list[Iri]]:
+    """``node``'s tree children grouped by child predicate."""
+    groups: dict[Iri, list[Iri]] = {}
+    for a in tree_edges(kb, node):
+        if isinstance(a.object, Iri):
+            groups.setdefault(a.predicate, []).append(a.object)
+    return groups
 
 
 def submit_plan(kb: KnowledgeBase, plan_root: Iri, behaviour_root: Iri) -> None:
@@ -377,9 +415,10 @@ def submit_plan(kb: KnowledgeBase, plan_root: Iri, behaviour_root: Iri) -> None:
 def build_process(kb: KnowledgeBase, spec: ProcessSpec) -> Iri:
     """Emit a process: ordered procedures, each a chain of states whose
     plans are built inline and wired up with isDescribedBy.  The whole
-    spec is checked before the first write, every name minted; a name
-    that stands for two kinds of node (process, procedure, state, plan,
-    goal, task, event) is refused, as they would be one IRI."""
+    spec is checked before the first write, every name minted and every
+    reference resolved; a name that stands for two kinds of node
+    (process, procedure, state, plan, goal, task, event) is refused, as
+    they would be one IRI."""
     where = spec.path or spec.name
     if not spec.procedures:
         raise SpecInvalid(
@@ -408,6 +447,11 @@ def build_process(kb: KnowledgeBase, spec: ProcessSpec) -> Iri:
             seen.add(state)
         for state_spec in proc_spec.states:
             _check_behaviour_spec(state_spec.plan)
+            _resolve_refs(
+                kb,
+                [task for goal in state_spec.plan.goals for task in goal.tasks]
+                + [event.action for event in state_spec.events],
+            )
     # one name for two kinds of node would merge them into one node
     kinds: dict[Iri, tuple[str, str]] = {}
     for name, kind, path in _process_names(spec, where):
@@ -470,12 +514,13 @@ def attach_event(kb: KnowledgeBase, state: Iri, spec: EventSpec) -> Iri:
         raise NotAProcedureState(state)
     layer = rec.layer
     event = kb.mint_iri("ex", spec.name)
-    action = kb.mint_iri("ex", spec.action.name)  # both before the first write
+    action = kb.mint_iri("ex", spec.action.name)  # all before the first write
+    iris = _resolve_refs(kb, (spec.action,))
     kb.assert_membership(event, EVENT)
     layer_cls = layer.class_iri if layer is not None else None
     if layer_cls is not None:
         kb.assert_membership(event, layer_cls)
-    _emit_task(kb, spec.action, action, layer_cls, template_names=False)
+    _emit_task(kb, spec.action, action, layer_cls, iris, template_names=False)
     kb.assert_property(state, TRIGGERS_EVENT, event)
     kb.assert_property(event, EVENT_DESCRIBED_BY_ACTION, action)
     if spec.kind is not None:

@@ -13,6 +13,10 @@ in time linear in their length; nothing in the pipeline removes, only
 tests and their mutations do.  An assertion removed and added again goes
 to the end of each list, as it does in ``assertions``.
 
+``query`` alone sorts its results.  ``edges`` and ``in_edges`` hand out a
+subject's or an object's bucket itself, in insertion order: callers read
+it and must not mutate it, nor write to the store while iterating it.
+
 The store records whatever it is given and leaves layer mixing,
 undeclared predicates and endpoint constraints to the validator; it
 refuses only an ``rdf:type`` whose class is a literal.
@@ -20,6 +24,7 @@ refuses only an ``rdf:type`` whose class is a literal.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import vocab
@@ -75,6 +80,14 @@ class EntityRecord:
 
     def has_class(self, cls: Iri) -> bool:
         return cls in self.memberships
+
+
+def _off_layer(rec: EntityRecord | None, layer: LayerTag) -> bool:
+    """Whether an edge's endpoint is outside ``layer``.  An endpoint with
+    several layer classes is not: mixed endpoints are reported on their
+    own, not per edge.  Reads the layer classes once."""
+    tags = rec.layer_classes if rec is not None else []
+    return len(tags) < 2 and (not tags or vocab.LAYER_TAG_OF_CLASS[tags[0]] is not layer)
 
 
 _Index = dict[Iri, list[Assertion]]
@@ -198,10 +211,8 @@ class KnowledgeBase:
                 else "object must be an IRI"
             )
         s_rec = self.entities.get(subject)
-        if spec.subject_layer is not None and not (s_rec and s_rec.mixed_layers):
-            # mixed endpoints are reported on their own, not per edge
-            if s_rec is None or s_rec.layer != spec.subject_layer:
-                return f"subject must be in the {spec.subject_layer.value} layer"
+        if spec.subject_layer is not None and _off_layer(s_rec, spec.subject_layer):
+            return f"subject must be in the {spec.subject_layer.value} layer"
         if spec.subject_classes is not None:
             if s_rec is None or not spec.subject_classes.intersection(
                 s_rec.memberships
@@ -210,9 +221,8 @@ class KnowledgeBase:
                 return f"subject must be a {names}"
         if isinstance(obj, Iri):
             o_rec = self.entities.get(obj)
-            if spec.object_layer is not None and not (o_rec and o_rec.mixed_layers):
-                if o_rec is None or o_rec.layer != spec.object_layer:
-                    return f"object must be in the {spec.object_layer.value} layer"
+            if spec.object_layer is not None and _off_layer(o_rec, spec.object_layer):
+                return f"object must be in the {spec.object_layer.value} layer"
             if spec.object_classes is not None:
                 if o_rec is None or not spec.object_classes.intersection(
                     o_rec.memberships
@@ -294,6 +304,16 @@ class KnowledgeBase:
         ]
         out.sort(key=Assertion.sort_key)
         return out
+
+    def edges(self, subject: Iri) -> Sequence[Assertion]:
+        """Assertions with ``subject`` as subject, in insertion order;
+        the store's own bucket, not a copy."""
+        return self._by_s.get(subject, ())
+
+    def in_edges(self, obj: Obj) -> Sequence[Assertion]:
+        """Assertions with ``obj`` as object, in insertion order; the
+        store's own bucket, not a copy."""
+        return self._by_o.get(obj, ())
 
     def objects(self, subject: Iri, predicate: Iri, *, entail: bool = False) -> list[Obj]:
         """Objects of ``(subject, predicate, ?)`` in assertion order."""

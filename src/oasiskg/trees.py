@@ -49,6 +49,29 @@ from .vocab import (
 # ---------------------------------------------------------------------------
 
 
+#: each child predicate's rank: a node's children are its child-predicate
+#: edges in this order, and in assertion order under one predicate
+CHILD_RANK: dict[Iri, int] = {pred: i for i, pred in enumerate(CHILD_PREDICATES)}
+#: the edges a clone copies: children, then dependsOn, then references
+_CLONE_RANK: dict[Iri, int] = {
+    pred: i
+    for i, pred in enumerate(CHILD_PREDICATES + (DEPENDS_ON,) + REFERS_PREDICATES)
+}
+#: reference edges, whose clones keep pointing at the shared targets
+_REFERS = frozenset(REFERS_PREDICATES)
+
+
+def tree_edges(
+    kb: KnowledgeBase, node: Iri, ranks: dict[Iri, int] = CHILD_RANK
+) -> list[Assertion]:
+    """``node``'s edges whose predicate ``ranks`` holds, by predicate rank
+    and in assertion order under one predicate (the sort is stable); one
+    pass over the node's edges."""
+    edges = [a for a in kb.edges(node) if a.predicate in ranks]
+    edges.sort(key=lambda a: ranks[a.predicate])
+    return edges
+
+
 def walk_tree(kb: KnowledgeBase, root: Iri) -> list[Iri]:
     """Nodes of a behaviour-shaped tree, breadth-first in assertion order."""
     nodes = [root]
@@ -57,11 +80,11 @@ def walk_tree(kb: KnowledgeBase, root: Iri) -> list[Iri]:
     while i < len(nodes):
         current = nodes[i]
         i += 1
-        for pred in CHILD_PREDICATES:
-            for child in kb.objects(current, pred):
-                if isinstance(child, Iri) and child not in seen:
-                    seen.add(child)
-                    nodes.append(child)
+        for a in tree_edges(kb, current):
+            child = a.object
+            if isinstance(child, Iri) and child not in seen:
+                seen.add(child)
+                nodes.append(child)
     return nodes
 
 
@@ -128,13 +151,12 @@ def clone_tree(
     sources = walk_tree(kb, root)
     mapping = {node: clone_node(kb, node, layer) for node in sources}
     for node in sources:
-        for pred in CHILD_PREDICATES + (DEPENDS_ON,):
-            for child in kb.objects(node, pred):
-                if isinstance(child, Iri) and child in mapping:
-                    kb.assert_property(mapping[node], pred, mapping[child])
-        for pred in REFERS_PREDICATES:
-            for target in kb.objects(node, pred):
-                kb.assert_property(mapping[node], pred, target)
+        clone = mapping[node]
+        for a in tree_edges(kb, node, _CLONE_RANK):
+            if a.predicate in _REFERS:
+                kb.assert_property(clone, a.predicate, a.object)
+            elif isinstance(a.object, Iri) and a.object in mapping:
+                kb.assert_property(clone, a.predicate, mapping[a.object])
     return mapping
 
 

@@ -11,8 +11,7 @@ edge by edge through the right family subproperties.
 
 from __future__ import annotations
 
-import functools
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Container, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,10 +19,12 @@ from . import vocab
 from .core import EntityRecord, KnowledgeBase
 from .terms import Assertion, Iri, ModelError, Obj
 from .trees import (
+    CHILD_RANK,
     check_capability,
     depth_first,
     deprecated_role_providing,
     tree_class,
+    tree_edges,
     walk_tree,
 )
 from .vocab import RDF_TYPE
@@ -149,22 +150,22 @@ def check_mirror(
         mine = counterpart.get(node)
         if mine is None:
             continue
-        for pred in vocab.CHILD_PREDICATES:
-            for child in kb.objects(node, pred):
-                if not isinstance(child, Iri):
-                    continue
-                theirs = counterpart.get(child)
-                if theirs is None:
-                    continue
-                if Assertion(mine, pred, theirs) not in kb:
-                    out.append(
-                        Violation(
-                            Code.STRUCTURE_MISMATCH,
-                            (node, child),
-                            f"{pred.local} edge has no mirrored edge "
-                            f"between the counterparts",
-                        )
+        for a in tree_edges(kb, node):
+            child = a.object
+            if not isinstance(child, Iri):
+                continue
+            theirs = counterpart.get(child)
+            if theirs is None:
+                continue
+            if Assertion(mine, a.predicate, theirs) not in kb:
+                out.append(
+                    Violation(
+                        Code.STRUCTURE_MISMATCH,
+                        (node, child),
+                        f"{a.predicate.local} edge has no mirrored edge "
+                        f"between the counterparts",
                     )
+                )
     out.sort(key=Violation.sort_key)
     return out
 
@@ -179,7 +180,7 @@ _MIRROR_ROOTS: dict[Iri, Iri] = {
     vocab.CLASS_TO_SUBMITTED[vocab.BEHAVIOUR]: vocab.SUBMITTED_TO,
     vocab.HAS_PLAN_EXECUTION: vocab.HAS_EXECUTION,
 }
-_TREE_EDGES = frozenset(vocab.CHILD_PREDICATES)
+_TREE_EDGES = CHILD_RANK.keys()
 _NEXT_EDGES = vocab.SUB_CLOSURE[vocab.HAS_NEXT]
 
 #: reference predicates, whose endpoints need not be typed individuals
@@ -255,14 +256,15 @@ def _whole(kb: KnowledgeBase) -> _Candidates:
 def _reach(kb: KnowledgeBase, journal: list[Assertion]) -> _Candidates:
     """Candidates that changes since a clean pass can have touched; a
     finding the whole graph has now must lie among them."""
-    into = functools.cache(lambda iri: kb.query(obj=iri))
-    out_of = functools.cache(lambda iri: kb.query(subject=iri))
+    # a region pass only tells clean from dirty, so candidates may repeat
+    # and come in any order: the buckets are read as they stand
+    into, out_of = kb.in_edges, kb.edges
     subjects = dict.fromkeys(a.subject for a in journal)
-    # repeats are harmless: a region pass only tells clean from dirty
     assertions = [a for a in journal if a in kb]
     for iri in {a.subject for a in journal if a.predicate == RDF_TYPE}:
         # the endpoint checks read the classes of both ends of an edge
-        assertions += out_of(iri) + into(iri)
+        assertions.extend(out_of(iri))
+        assertions.extend(into(iri))
     trees: dict[tuple[Iri, Iri, Iri], None] = {}
     for node in _upward(into, subjects, _TREE_EDGES):
         for a in out_of(node):
@@ -296,9 +298,9 @@ def _reach(kb: KnowledgeBase, journal: list[Assertion]) -> _Candidates:
 
 
 def _upward(
-    into: Callable[[Iri], list[Assertion]],
+    into: Callable[[Iri], Sequence[Assertion]],
     nodes: Iterable[Iri],
-    predicates: frozenset[Iri],
+    predicates: Container[Iri],
 ) -> set[Iri]:
     """``nodes`` and every node with a path to one of them along
     ``predicates`` edges; ``into`` gives a node's incoming assertions."""

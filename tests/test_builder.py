@@ -687,6 +687,48 @@ def test_a_bad_name_is_refused_before_the_first_write(kb):
         assert (export_canonical(kb), len(kb.entities)) == before, i
 
 
+BAD_REFERENCES = {
+    "target": TaskSpec(name="t1", operator_action=Ref.exact("bad name")),
+    "class": TaskSpec(
+        name="t1",
+        operator_action=Ref.exact("act"),
+        inputs=(Ref.new("in", ("bad cls",)),),
+    ),
+}
+
+
+@pytest.mark.parametrize("task", BAD_REFERENCES.values(), ids=BAD_REFERENCES)
+def test_a_bad_reference_is_refused_before_the_first_write(task):
+    # reference targets and instanceOf classes are resolved before
+    # anything is written too, in plans and in event actions alike
+    def process(plan, events=()):
+        state = StateSpec(name="s1", plan=plan, events=events)
+        return ProcessSpec(
+            name="p1", procedures=(ProcedureSpec(name="pr1", states=(state,)),)
+        )
+
+    plan = BehaviourSpec(name="plan_x", goals=(GoalSpec(name="g1", tasks=(task,)),))
+    good = one_state_process().procedures[0].states[0].plan
+    event = EventSpec(name="e1", action=task)
+    attempts = [
+        lambda kb: build_template(kb, plan),
+        lambda kb: build_plan(kb, plan),
+        lambda kb: build_process(kb, process(plan)),
+        lambda kb: build_process(kb, process(good, events=(event,))),
+    ]
+    for i, attempt in enumerate(attempts):
+        kb = KnowledgeBase()
+        with pytest.raises(InvalidLocalName):
+            attempt(kb)
+        assert (len(kb), len(kb.entities)) == (0, 0), i
+    kb = KnowledgeBase()
+    build_process(kb, process(good))
+    before = (export_canonical(kb), len(kb.entities))
+    with pytest.raises(InvalidLocalName):
+        attach_event(kb, ex("s1"), event)
+    assert (export_canonical(kb), len(kb.entities)) == before
+
+
 def test_build_process_refuses_a_name_shared_across_kinds(kb):
     # a procedure, its state and the state's plan named alike would merge
     # into one node typed Procedure, both chain ends and Behaviour, and

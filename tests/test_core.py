@@ -300,9 +300,9 @@ def test_objects_and_subjects_keep_assertion_order(kb: KnowledgeBase):
 
 def test_indexes_match_a_scan_of_the_assertions_step_by_step():
     # after each insert, repeated insert, typing, remove or re-add, every
-    # lookup gives what a scan over kb.assertions gives, in its order: the
-    # buckets hold each assertion once, in insertion order, and a re-add
-    # goes to the end
+    # lookup and bucket read gives what a scan over kb.assertions gives, in
+    # its order: the buckets hold each assertion once, in insertion order,
+    # and a re-add goes to the end
     rng = random.Random(20261019)
     kb = KnowledgeBase()
     nodes = [ex(f"n{i}") for i in range(5)]
@@ -351,4 +351,6 @@ def test_indexes_match_a_scan_of_the_assertions_step_by_step():
             assert kb.objects(s, p, entail=True) == [x.object for x in entailed], step
             assert kb.entails(s, p, o) == any(x.object == o for x in entailed), step
             assert kb.subjects(p, o) == [x.subject for x in into], step
+            assert list(kb.edges(s)) == [x for x in kb.assertions if x.subject is s], step
+            assert list(kb.in_edges(o)) == [x for x in kb.assertions if x.object == o], step
     assert min(done.values()) >= 200, done

@@ -1,5 +1,6 @@
 """Tree queries: ``plan_tasks`` against the quadratic ordering it replaced,
-and ``depth_first`` against a recursive walk."""
+``depth_first`` against a recursive walk, and the one-read tree walks
+against the per-predicate scans they replaced."""
 
 from __future__ import annotations
 
@@ -7,12 +8,16 @@ import random
 
 import pytest
 
+from oasiskg import vocab
+from oasiskg.builder import StructureMismatch, pair_trees
 from oasiskg.core import KnowledgeBase
-from oasiskg.terms import Iri
-from oasiskg.trees import depth_first, plan_tasks
-from oasiskg.vocab import DEPENDS_ON, term
+from oasiskg.terms import Assertion, Iri
+from oasiskg.trees import clone_tree, depth_first, link_pairs, plan_tasks, walk_tree
+from oasiskg.validator import check_mirror
+from oasiskg.vocab import DEPENDS_ON, LayerTag, term
 
 import plan_oracle
+import tree_oracle
 
 GOAL_OF = term("consistsOfGoalDescription")
 TASK_OF = term("consistsOfTaskDescription")
@@ -157,3 +162,130 @@ def test_depth_first_matches_a_recursive_walk(seed):
     edges = {n: tuple(rng.choices(nodes, k=rng.randint(0, 3))) for n in nodes}
     starts = rng.choices(nodes, k=rng.randint(1, 4))
     assert walk(starts, edges) == recursive_walk(starts, edges)
+
+
+# ---------------------------------------------------------------------------
+# walk_tree, clone_tree, pair_trees and check_mirror against tree_oracle
+# ---------------------------------------------------------------------------
+
+#: each child predicate with the class of the nodes it leads to
+CHILDREN = tuple(zip(vocab.CHILD_PREDICATES, vocab.TREE_NODE_CLASSES[1:]))
+
+
+def shaped_tree(seed: int) -> tuple[KnowledgeBase, Iri]:
+    """A behaviour-shaped tree whose edges go in shuffled, so one node's
+    predicates interleave: several children under several predicates,
+    literal children, shared children, dependsOn inside and out of the
+    tree, reference edges, and edges removed, some of them added again."""
+    rng = random.Random(seed)
+    kb = KnowledgeBase()
+    root = Iri("http://x/root")
+    kb.assert_membership(root, vocab.BEHAVIOUR)
+    kb.assert_membership(root, LayerTag.PLANNING.class_iri)
+    edges: list[tuple[Iri, Iri, object]] = []
+    frontier = [(root, 0)]  # node and the rank of the predicates below it
+    nodes = [root]
+    while frontier:
+        node, depth = frontier.pop()
+        for pred, cls in CHILDREN[depth:]:
+            if depth < 2 and pred is not CHILDREN[depth][0]:
+                break  # behaviours hold goals, goals hold tasks
+            for _ in range(rng.choice((0, 1, 1, 2, 3)) if node != root else 2):
+                child = Iri(f"http://x/n{len(nodes)}")
+                nodes.append(child)
+                kb.assert_membership(child, cls)
+                edges.append((node, pred, child))
+                if depth < 2:
+                    frontier.append((child, depth + 1))
+        if rng.random() < 0.3:
+            edges.append((node, rng.choice(vocab.CHILD_PREDICATES), f"lit{len(edges)}"))
+        if rng.random() < 0.4:
+            pred = rng.choice(vocab.REFERS_PREDICATES)
+            edges.append((node, pred, rng.choice((Iri("http://x/shared"), "text"))))
+    for _ in range(rng.randint(0, len(nodes))):
+        a, b = rng.choice(nodes), rng.choice(nodes + [Iri("http://x/outside")])
+        edges.append((a, DEPENDS_ON, b))
+    for _ in range(rng.randint(0, 2)):
+        # a child under a second parent, minted before it: pair_trees
+        # follows child edges without a visited set, so no cycles
+        _, pred, child = rng.choice([e for e in edges if e[1] in CHILD_RANKS and e[2] in nodes])
+        edges.append((rng.choice(nodes[: nodes.index(child)]), pred, child))
+    rng.shuffle(edges)
+    for s, p, o in edges:
+        kb.assert_property(s, p, o)
+    for a in rng.sample(list(kb.assertions), k=len(kb) // 5):
+        kb.remove(a)
+        if rng.random() < 0.7:
+            kb.assert_property(a.subject, a.predicate, a.object)  # to the end
+    return kb, root
+
+
+CHILD_RANKS = frozenset(vocab.CHILD_PREDICATES)
+
+
+def reshape(kb: KnowledgeBase, rng: random.Random, nodes: list[Iri]) -> None:
+    """One change to the tree under ``nodes`` or its family links: a child
+    added, removed or moved to another predicate, a link removed or one
+    added to the wrong node."""
+    node = rng.choice(nodes)
+    edges = [a for a in kb.edges(node) if a.predicate in CHILD_RANKS]
+    links = [a for a in kb.edges(node) if a.predicate in vocab.SUB_CLOSURE[vocab.OVERLOADS]]
+    kind = rng.choice(("add", "remove", "move", "unlink", "relink"))
+    if kind == "add" or not edges and kind in ("remove", "move"):
+        pred, cls = rng.choice(CHILDREN)
+        child = Iri(f"http://x/extra{len(kb)}")
+        kb.assert_membership(child, cls)
+        kb.assert_property(node, pred, child)
+    elif kind in ("remove", "move"):
+        a = rng.choice(edges)
+        kb.remove(a)
+        if kind == "move":
+            kb.assert_property(node, rng.choice(vocab.CHILD_PREDICATES), a.object)
+    elif kind == "unlink" and links:
+        kb.remove(rng.choice(links))
+    else:
+        member = rng.choice(sorted(vocab.SUB_CLOSURE[vocab.OVERLOADS]))
+        kb.assert_property(node, member, rng.choice(nodes))
+
+
+def outcome(pair, kb: KnowledgeBase, left: Iri, right: Iri):
+    try:
+        return pair(kb, left, right)
+    except StructureMismatch as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_tree_reads_match_the_per_predicate_oracle(seed):
+    kb, root = shaped_tree(seed)
+    twin, _ = shaped_tree(seed)
+    assert list(kb.assertions) == list(twin.assertions)
+    nodes = walk_tree(kb, root)
+    assert nodes == tree_oracle.walk_tree(kb, root)
+    # the same clone indices, so the same minted IRIs, in the same order
+    mapping = clone_tree(kb, root, LayerTag.BEHAVIOUR)
+    assert mapping == tree_oracle.clone_tree(twin, root, LayerTag.BEHAVIOUR)
+    assert list(kb.assertions) == list(twin.assertions)
+    clone = mapping[root]
+    assert outcome(pair_trees, kb, root, clone) == tree_oracle.pair_trees(kb, root, clone)
+    link_pairs(kb, {c: s for s, c in mapping.items()}, vocab.CLASS_TO_OVERLOAD)
+    assert check_mirror(kb, clone, root, vocab.OVERLOADS) == tree_oracle.check_mirror(
+        kb, clone, root, vocab.OVERLOADS
+    )
+    rng = random.Random(seed)
+    clones = list(mapping.values())
+    # a child the source lacks: the pair fails, on both sides alike
+    pred, cls = rng.choice(CHILDREN)
+    kb.assert_membership(Iri("http://x/stray"), cls)
+    kb.assert_property(rng.choice(clones), pred, Iri("http://x/stray"))
+    with pytest.raises(StructureMismatch):
+        pair_trees(kb, root, clone)
+    for step in range(12):
+        for left, right in ((root, clone), (clone, root)):
+            got = outcome(pair_trees, kb, left, right)
+            assert got == outcome(tree_oracle.pair_trees, kb, left, right), step
+        assert walk_tree(kb, clone) == tree_oracle.walk_tree(kb, clone), step
+        assert check_mirror(kb, clone, root, vocab.OVERLOADS) == tree_oracle.check_mirror(
+            kb, clone, root, vocab.OVERLOADS
+        ), step
+        reshape(kb, rng, rng.choice((clones, nodes)))
