@@ -11,7 +11,7 @@ import pytest
 from oasiskg import vocab
 from oasiskg.builder import StructureMismatch, pair_trees
 from oasiskg.core import KnowledgeBase
-from oasiskg.terms import Assertion, Iri
+from oasiskg.terms import Iri
 from oasiskg.trees import clone_tree, depth_first, link_pairs, plan_tasks, walk_tree
 from oasiskg.validator import check_mirror
 from oasiskg.vocab import DEPENDS_ON, LayerTag, term
@@ -170,6 +170,7 @@ def test_depth_first_matches_a_recursive_walk(seed):
 
 #: each child predicate with the class of the nodes it leads to
 CHILDREN = tuple(zip(vocab.CHILD_PREDICATES, vocab.TREE_NODE_CLASSES[1:]))
+CHILD_RANKS = frozenset(vocab.CHILD_PREDICATES)
 
 
 def shaped_tree(seed: int) -> tuple[KnowledgeBase, Iri]:
@@ -208,7 +209,8 @@ def shaped_tree(seed: int) -> tuple[KnowledgeBase, Iri]:
     for _ in range(rng.randint(0, 2)):
         # a child under a second parent, minted before it: pair_trees
         # follows child edges without a visited set, so no cycles
-        _, pred, child = rng.choice([e for e in edges if e[1] in CHILD_RANKS and e[2] in nodes])
+        children = [e for e in edges if e[1] in CHILD_RANKS and e[2] in nodes]
+        _, pred, child = rng.choice(children)
         edges.append((rng.choice(nodes[: nodes.index(child)]), pred, child))
     rng.shuffle(edges)
     for s, p, o in edges:
@@ -218,9 +220,6 @@ def shaped_tree(seed: int) -> tuple[KnowledgeBase, Iri]:
         if rng.random() < 0.7:
             kb.assert_property(a.subject, a.predicate, a.object)  # to the end
     return kb, root
-
-
-CHILD_RANKS = frozenset(vocab.CHILD_PREDICATES)
 
 
 def reshape(kb: KnowledgeBase, rng: random.Random, nodes: list[Iri]) -> None:
