@@ -19,7 +19,7 @@ rest keep working.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from collections.abc import Iterable, Iterator
 
 from .core import KnowledgeBase
@@ -361,38 +361,39 @@ def derive_behaviour(kb: KnowledgeBase, template_root: Iri, agent: Iri) -> Iri:
 def pair_trees(
     kb: KnowledgeBase, left_root: Iri, right_root: Iri
 ) -> dict[Iri, Iri]:
-    """Positional pairing of two behaviour-shaped trees.
+    """Positional pairing of two behaviour-shaped trees: their walks,
+    zipped.
 
-    Children are matched index by index within each child-predicate
-    group; any shape difference raises StructureMismatch.
+    Each pair must share its tree class and its fan-out under every
+    child predicate, and the walks their length; any shape difference
+    raises StructureMismatch.
     """
-    pairs: dict[Iri, Iri] = {}
-    queue: deque[tuple[Iri, Iri]] = deque([(left_root, right_root)])
-    while queue:
-        left, right = queue.popleft()
+    left_nodes, right_nodes = walk_tree(kb, left_root), walk_tree(kb, right_root)
+    for left, right in zip(left_nodes, right_nodes):
         if tree_class(kb, left) != tree_class(kb, right):
             raise StructureMismatch(left, right, "node classes differ")
-        pairs[left] = right
-        lg, rg = _children(kb, left), _children(kb, right)
-        for pred in sorted(lg.keys() | rg.keys(), key=CHILD_RANK.__getitem__):
-            lc, rc = lg.get(pred, []), rg.get(pred, [])
-            if len(lc) != len(rc):
+        lf, rf = _fan_out(kb, left), _fan_out(kb, right)
+        for pred in CHILD_RANK:
+            if lf[pred] != rf[pred]:
                 raise StructureMismatch(
                     left,
                     right,
-                    f"{pred.local} fan-out differs ({len(lc)} vs {len(rc)})",
+                    f"{pred.local} fan-out differs ({lf[pred]} vs {rf[pred]})",
                 )
-            queue.extend(zip(lc, rc))
-    return pairs
+    if len(left_nodes) != len(right_nodes):
+        raise StructureMismatch(
+            left_root,
+            right_root,
+            f"tree sizes differ ({len(left_nodes)} vs {len(right_nodes)})",
+        )
+    return dict(zip(left_nodes, right_nodes))
 
 
-def _children(kb: KnowledgeBase, node: Iri) -> dict[Iri, list[Iri]]:
-    """``node``'s tree children grouped by child predicate."""
-    groups: dict[Iri, list[Iri]] = {}
-    for a in tree_edges(kb, node):
-        if isinstance(a.object, Iri):
-            groups.setdefault(a.predicate, []).append(a.object)
-    return groups
+def _fan_out(kb: KnowledgeBase, node: Iri) -> Counter[Iri]:
+    """``node``'s tree children counted by child predicate."""
+    return Counter(
+        a.predicate for a in tree_edges(kb, node) if isinstance(a.object, Iri)
+    )
 
 
 def submit_plan(kb: KnowledgeBase, plan_root: Iri, behaviour_root: Iri) -> None:

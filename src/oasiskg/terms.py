@@ -124,24 +124,12 @@ class _Ref(weakref.ref):
     __slots__ = ("value",)
 
 
-class _Table(dict):
-    """value -> weak reference to its one live Iri.
-
-    A plain dict, so lookup and insert run in C (a WeakValueDictionary
-    inserts in Python); subscripting gives the Iri itself.
-    """
-
-    def __getitem__(self, value: str) -> Iri:
-        iri = dict.__getitem__(self, value)()
-        if iri is None:
-            raise KeyError(value)
-        return iri
+#: value -> weak reference to its one live Iri.  A plain dict, so lookup
+#: and insert run in C (a WeakValueDictionary inserts in Python).
+_INTERNED: dict[str, _Ref] = {}
 
 
-_INTERNED = _Table()
-
-
-def _forget(ref: _Ref, table: _Table = _INTERNED) -> None:
+def _forget(ref: _Ref, table: dict[str, _Ref] = _INTERNED) -> None:
     """Drop a collected IRI's entry, unless a new one has taken it."""
     if table.get(ref.value) is ref:
         del table[ref.value]

@@ -1,13 +1,17 @@
 """Vocabulary tables: classes, layers and the object-property hierarchy.
 
 Everything downstream (builder, validator, engine, serialization) works
-off these tables, so the module is deliberately declarative: plain dicts
-and frozen dataclasses, no behaviour beyond closure computation and a
-markdown rendering of the tables.
+off these tables, so the module is deliberately declarative.  Each class
+and each property is declared once, by a ``_c`` or ``_p`` call that
+registers it in ``CLASSES`` or ``PROPERTIES`` and returns the IRI its
+constant is bound to; ``_family`` declares a family root's members the
+same way.  Beyond that registration the module only closes the two
+hierarchies and renders the tables as markdown.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,7 +41,7 @@ def term(local: str) -> Iri:
 
 
 # ---------------------------------------------------------------------------
-# Layers
+# Classes and layers
 # ---------------------------------------------------------------------------
 
 
@@ -54,11 +58,49 @@ class LayerTag(Enum):
         return LAYER_CLASS_OF_TAG[self]
 
 
+#: local name -> class, in declaration order
+CLASSES: dict[str, Iri] = {}
+#: class -> its parent, for the classes that have one
+CLASS_PARENT: dict[Iri, Iri] = {}
+
+
+def _c(name: str, parent: Iri | None = None) -> Iri:
+    """Declare a class, under ``parent`` if given, and return its IRI."""
+    assert name not in CLASSES, f"duplicate class declaration: {name}"
+    iri = CLASSES[name] = term(name)
+    if parent is not None:
+        CLASS_PARENT[iri] = parent
+    return iri
+
+
+AGENT = _c("Agent")
+BEHAVIOUR = _c("Behaviour")
+GOAL_DESCRIPTION = _c("GoalDescription")
+TASK_DESCRIPTION = _c("TaskDescription")
+TASK_OPERATOR = _c("TaskOperator")
+TASK_OPERATOR_ARGUMENT = _c("TaskOperatorArgument")
+TASK_OBJECT = _c("TaskObject")
+TASK_PARAMETER = _c("TaskParameter")
+TASK_INPUT_PARAMETER = _c("TaskInputParameter", TASK_PARAMETER)
+TASK_OUTPUT_PARAMETER = _c("TaskOutputParameter", TASK_PARAMETER)
+ACTION = _c("Action")
+ACTIVITY = _c("Activity")
+PROCESS = _c("Process")
+PROCEDURE = _c("Procedure", ACTIVITY)
+PROCEDURE_STATE = _c("ProcedureState")
+TERMINATING_STATE = _c("TerminatingProcedureState", PROCEDURE_STATE)
+INITIAL_STATE = _c("InitialProcedureState", TERMINATING_STATE)
+FINAL_STATE = _c("FinalProcedureState", TERMINATING_STATE)
+NON_TERMINATING_STATE = _c("NonTerminatingProcedureState", PROCEDURE_STATE)
+EVENT = _c("Event")
+ROLE = _c("Role")
+ROLE_TYPE = _c("RoleType")
+
 LAYER_CLASS_OF_TAG: dict[LayerTag, Iri] = {
-    LayerTag.TEMPLATE: term("TemplateThing"),
-    LayerTag.BEHAVIOUR: term("BehaviourThing"),
-    LayerTag.PLANNING: term("PlanningThing"),
-    LayerTag.EXECUTION: term("ExecutionThing"),
+    LayerTag.TEMPLATE: _c("TemplateThing"),
+    LayerTag.BEHAVIOUR: _c("BehaviourThing"),
+    LayerTag.PLANNING: _c("PlanningThing"),
+    LayerTag.EXECUTION: _c("ExecutionThing"),
 }
 
 LAYER_TAG_OF_CLASS: dict[Iri, LayerTag] = {
@@ -67,83 +109,41 @@ LAYER_TAG_OF_CLASS: dict[Iri, LayerTag] = {
 
 LAYER_CLASSES: frozenset[Iri] = frozenset(LAYER_CLASS_OF_TAG.values())
 
-DEPRECATED_THING = term("DeprecatedThing")
+DEPRECATED_THING = _c("DeprecatedThing")
 
-# ---------------------------------------------------------------------------
-# Classes
-# ---------------------------------------------------------------------------
 
-# local name -> parent local name (None for roots of the small taxonomy)
-_CLASS_TABLE: dict[str, str | None] = {
-    "Agent": None,
-    "Behaviour": None,
-    "GoalDescription": None,
-    "TaskDescription": None,
-    "TaskOperator": None,
-    "TaskOperatorArgument": None,
-    "TaskObject": None,
-    "TaskParameter": None,
-    "TaskInputParameter": "TaskParameter",
-    "TaskOutputParameter": "TaskParameter",
-    "Action": None,
-    "Activity": None,
-    "Process": None,
-    "Procedure": "Activity",
-    "ProcedureState": None,
-    "TerminatingProcedureState": "ProcedureState",
-    "InitialProcedureState": "TerminatingProcedureState",
-    "FinalProcedureState": "TerminatingProcedureState",
-    "NonTerminatingProcedureState": "ProcedureState",
-    "Event": None,
-    "Role": None,
-    "RoleType": None,
-    "TemplateThing": None,
-    "BehaviourThing": None,
-    "PlanningThing": None,
-    "ExecutionThing": None,
-    "DeprecatedThing": None,
-}
+def ancestors(node: Iri, parent: Mapping[Iri, Iri]) -> tuple[Iri, ...]:
+    """Chain of ``parent`` links from ``node`` upward, excluding ``node``;
+    ``ValueError`` once it grows longer than ``parent``, on a cycle."""
+    chain: list[Iri] = []
+    cur = parent.get(node)
+    while cur is not None:
+        chain.append(cur)
+        if len(chain) > len(parent):
+            raise ValueError(f"cycle in hierarchy at {cur}")
+        cur = parent.get(cur)
+    return tuple(chain)
 
-CLASSES: dict[str, Iri] = {name: term(name) for name in _CLASS_TABLE}
 
-CLASS_PARENT: dict[Iri, Iri] = {
-    term(name): term(parent)
-    for name, parent in _CLASS_TABLE.items()
-    if parent is not None
-}
+def _closure(
+    parent: Mapping[Iri, Iri], nodes: Iterable[Iri]
+) -> dict[Iri, frozenset[Iri]]:
+    """Each of ``nodes`` -> itself plus everything below it under ``parent``."""
+    out: dict[Iri, set[Iri]] = {node: {node} for node in nodes}
+    for node in out:
+        for above in ancestors(node, parent):
+            out[above].add(node)
+    return {node: frozenset(below) for node, below in out.items()}
 
-AGENT = CLASSES["Agent"]
-BEHAVIOUR = CLASSES["Behaviour"]
-GOAL_DESCRIPTION = CLASSES["GoalDescription"]
-TASK_DESCRIPTION = CLASSES["TaskDescription"]
-TASK_OPERATOR = CLASSES["TaskOperator"]
-TASK_OPERATOR_ARGUMENT = CLASSES["TaskOperatorArgument"]
-TASK_OBJECT = CLASSES["TaskObject"]
-TASK_INPUT_PARAMETER = CLASSES["TaskInputParameter"]
-TASK_OUTPUT_PARAMETER = CLASSES["TaskOutputParameter"]
-ACTION = CLASSES["Action"]
-PROCESS = CLASSES["Process"]
-PROCEDURE = CLASSES["Procedure"]
-EVENT = CLASSES["Event"]
-ROLE = CLASSES["Role"]
-ROLE_TYPE = CLASSES["RoleType"]
-INITIAL_STATE = CLASSES["InitialProcedureState"]
-FINAL_STATE = CLASSES["FinalProcedureState"]
-NON_TERMINATING_STATE = CLASSES["NonTerminatingProcedureState"]
 
-#: Concrete state classes plus their abstract parents; membership in any of
-#: them marks an individual as a procedure state.
-PROCEDURE_STATE_CLASSES: frozenset[Iri] = frozenset(
-    {
-        CLASSES["ProcedureState"],
-        CLASSES["TerminatingProcedureState"],
-        INITIAL_STATE,
-        FINAL_STATE,
-        NON_TERMINATING_STATE,
-    }
-)
+#: class -> itself plus all transitive subclasses.
+SUBCLASS_CLOSURE: dict[Iri, frozenset[Iri]] = _closure(CLASS_PARENT, CLASSES.values())
 
-# The eight node classes a behaviour-shaped tree is made of.
+#: Membership in any of these marks an individual as a procedure state.
+PROCEDURE_STATE_CLASSES: frozenset[Iri] = SUBCLASS_CLOSURE[PROCEDURE_STATE]
+
+#: The eight node classes a behaviour-shaped tree is made of; each family
+#: below has one member per class, in this order.
 TREE_NODE_CLASSES: tuple[Iri, ...] = (
     BEHAVIOUR,
     GOAL_DESCRIPTION,
@@ -154,58 +154,6 @@ TREE_NODE_CLASSES: tuple[Iri, ...] = (
     TASK_INPUT_PARAMETER,
     TASK_OUTPUT_PARAMETER,
 )
-
-# ---------------------------------------------------------------------------
-# Family maps keyed by tree-node class
-# ---------------------------------------------------------------------------
-
-# Each of the four families links a tree node to its counterpart in the
-# next layer through the member named for the node's class.  The members'
-# property specs are generated from these maps by ``_family`` below.
-
-CLASS_TO_OVERLOAD: dict[Iri, Iri] = {
-    BEHAVIOUR: term("overloadsBehaviour"),
-    GOAL_DESCRIPTION: term("overloadsGoalDescription"),
-    TASK_DESCRIPTION: term("overloadsTaskDescription"),
-    TASK_OPERATOR: term("overloadsTaskOperator"),
-    TASK_OPERATOR_ARGUMENT: term("overloadsTaskOperatorArgument"),
-    TASK_OBJECT: term("overloadsTaskObject"),
-    TASK_INPUT_PARAMETER: term("overloadsTaskInputParameter"),
-    TASK_OUTPUT_PARAMETER: term("overloadsTaskOutputParameter"),
-}
-
-CLASS_TO_SUBMITTED: dict[Iri, Iri] = {
-    BEHAVIOUR: term("planDescriptionSubmittedTo"),
-    GOAL_DESCRIPTION: term("goalDescriptionSubmittedTo"),
-    TASK_DESCRIPTION: term("taskDescriptionSubmittedTo"),
-    TASK_OPERATOR: term("taskOperatorSubmittedTo"),
-    TASK_OPERATOR_ARGUMENT: term("taskOperatorArgumentSubmittedTo"),
-    TASK_OBJECT: term("taskObjectSubmittedTo"),
-    TASK_INPUT_PARAMETER: term("taskInputParameterSubmittedTo"),
-    TASK_OUTPUT_PARAMETER: term("taskOutputParameterSubmittedTo"),
-}
-
-CLASS_TO_HAS_EXECUTION: dict[Iri, Iri] = {
-    BEHAVIOUR: term("hasPlanExecution"),
-    GOAL_DESCRIPTION: term("hasGoalExecution"),
-    TASK_DESCRIPTION: term("hasTaskExecution"),
-    TASK_OPERATOR: term("hasTaskOperatorExecution"),
-    TASK_OPERATOR_ARGUMENT: term("hasTaskOperatorArgumentExecution"),
-    TASK_OBJECT: term("hasTaskObjectExecution"),
-    TASK_INPUT_PARAMETER: term("hasTaskInputParameterExecution"),
-    TASK_OUTPUT_PARAMETER: term("hasTaskOutputParameterExecution"),
-}
-
-CLASS_TO_EXECUTION_DRAWN_BY: dict[Iri, Iri] = {
-    BEHAVIOUR: term("planExecutionDrawnBy"),
-    GOAL_DESCRIPTION: term("goalExecutionDrawnBy"),
-    TASK_DESCRIPTION: term("taskExecutionDrawnBy"),
-    TASK_OPERATOR: term("taskOperatorDrawnBy"),
-    TASK_OPERATOR_ARGUMENT: term("taskOperatorArgumentDrawnBy"),
-    TASK_OBJECT: term("taskObjectDrawnBy"),
-    TASK_INPUT_PARAMETER: term("taskInputParameterDrawnBy"),
-    TASK_OUTPUT_PARAMETER: term("taskOutputParameterDrawnBy"),
-}
 
 # ---------------------------------------------------------------------------
 # Properties
@@ -237,9 +185,15 @@ class PropertySpec:
         return self.iri.local
 
 
+#: property -> its spec, in declaration order
+PROPERTIES: dict[Iri, PropertySpec] = {}
+#: family root -> tree-node class -> the member linking nodes of that class
+FAMILY_ROOTS: dict[Iri, dict[Iri, Iri]] = {}
+
+
 def _p(
     local: str,
-    sup: str | None = None,
+    sup: Iri | None = None,
     *,
     s_layer: LayerTag | None = None,
     o_layer: LayerTag | None = None,
@@ -247,10 +201,13 @@ def _p(
     o_cls: frozenset[Iri] | None = None,
     ext: bool = False,
     lit: bool = False,
-) -> PropertySpec:
-    return PropertySpec(
-        iri=term(local),
-        super_property=term(sup) if sup else None,
+) -> Iri:
+    """Declare a property, under ``sup`` if given, and return its IRI."""
+    iri = term(local)
+    assert iri not in PROPERTIES, f"duplicate property declaration: {local}"
+    PROPERTIES[iri] = PropertySpec(
+        iri=iri,
+        super_property=sup,
         subject_layer=s_layer,
         object_layer=o_layer,
         subject_classes=s_cls,
@@ -258,29 +215,33 @@ def _p(
         extension=ext,
         literal_object=lit,
     )
+    return iri
 
 
-def _one(name: str) -> frozenset[Iri]:
-    return frozenset({CLASSES[name]})
+def _one(cls: Iri) -> frozenset[Iri]:
+    return frozenset({cls})
 
 
-def _family(root: PropertySpec, members: dict[Iri, Iri]) -> list[PropertySpec]:
-    """A family root followed by its members: each member is a
+def _family(root: Iri, *members: str) -> Iri:
+    """Declare a family root's members, one per tree-node class in
+    ``TREE_NODE_CLASSES`` order, and return the root.  Each member is a
     sub-property of the root with the root's layers, linking nodes of its
-    own tree-node class, and only the TaskOperatorArgument member is an
-    extension."""
-    return [root] + [
-        PropertySpec(
-            iri=member,
-            super_property=root.iri,
-            subject_layer=root.subject_layer,
-            object_layer=root.object_layer,
-            subject_classes=frozenset({cls}),
-            object_classes=frozenset({cls}),
-            extension=cls == TASK_OPERATOR_ARGUMENT,
+    own class, and only the TaskOperatorArgument member is an extension.
+    Each family links a tree node to its counterpart in the next layer."""
+    spec = PROPERTIES[root]
+    FAMILY_ROOTS[root] = {
+        cls: _p(
+            member,
+            root,
+            s_layer=spec.subject_layer,
+            o_layer=spec.object_layer,
+            s_cls=_one(cls),
+            o_cls=_one(cls),
+            ext=cls == TASK_OPERATOR_ARGUMENT,
         )
-        for cls, member in members.items()
-    ]
+        for cls, member in zip(TREE_NODE_CLASSES, members, strict=True)
+    }
+    return root
 
 
 _B = LayerTag.BEHAVIOUR
@@ -288,207 +249,198 @@ _T = LayerTag.TEMPLATE
 _P = LayerTag.PLANNING
 _E = LayerTag.EXECUTION
 
-_PROPERTY_LIST: list[PropertySpec] = [
-    # -- structural tree edges ---------------------------------------------
-    _p("hasBehaviour", o_layer=_B, s_cls=_one("Agent"), o_cls=_one("Behaviour")),
-    _p(
-        "consistsOfGoalDescription",
-        s_cls=_one("Behaviour"),
-        o_cls=_one("GoalDescription"),
-    ),
-    _p(
-        "consistsOfTaskDescription",
-        s_cls=_one("GoalDescription"),
-        o_cls=_one("TaskDescription"),
-    ),
-    _p("hasTaskOperator", s_cls=_one("TaskDescription"), o_cls=_one("TaskOperator")),
-    _p(
-        "hasTaskOperatorArgument",
-        s_cls=_one("TaskDescription"),
-        o_cls=_one("TaskOperatorArgument"),
-    ),
-    _p("hasTaskObject", s_cls=_one("TaskDescription"), o_cls=_one("TaskObject")),
-    _p(
-        "hasTaskInputParameter",
-        s_cls=_one("TaskDescription"),
-        o_cls=_one("TaskInputParameter"),
-    ),
-    _p(
-        "hasTaskOutputParameter",
-        s_cls=_one("TaskDescription"),
-        o_cls=_one("TaskOutputParameter"),
-    ),
-    _p("dependsOn"),
-    # -- reference edges -----------------------------------------------------
-    _p("refersExactlyTo"),
-    _p("refersAsNewTo"),
-    _p("refersAsInstanceOf"),
-    # -- behaviour layer over template layer ---------------------------------
-    *_family(_p("overloads", s_layer=_B, o_layer=_T), CLASS_TO_OVERLOAD),
-    # -- planning layer submitted to behaviour layer -------------------------
-    *_family(_p("submittedTo", s_layer=_P, o_layer=_B), CLASS_TO_SUBMITTED),
-    # -- execution layer drawn by earlier layers ------------------------------
-    _p("drawnBy", s_layer=_E),
-    *_family(
-        _p("executionDrawnBy", "drawnBy", s_layer=_E, o_layer=_B),
-        CLASS_TO_EXECUTION_DRAWN_BY,
-    ),
-    _p(
-        "processDrawnBy",
-        "drawnBy",
-        s_layer=_E,
-        o_layer=_P,
-        s_cls=_one("Process"),
-        o_cls=_one("Process"),
-    ),
-    _p(
-        "procedureDrawnBy",
-        "drawnBy",
-        s_layer=_E,
-        o_layer=_P,
-        s_cls=_one("Procedure"),
-        o_cls=_one("Procedure"),
-    ),
-    # -- planning layer pointing at its executions ---------------------------
-    *_family(_p("hasExecution", s_layer=_P, o_layer=_E), CLASS_TO_HAS_EXECUTION),
-    # -- agents performing executions ----------------------------------------
-    _p("performs", o_layer=_E),
-    _p(
-        "performsPlanExecution",
-        "performs",
-        o_layer=_E,
-        s_cls=_one("Agent"),
-        o_cls=_one("Behaviour"),
-    ),
-    # -- processes, procedures and their states -------------------------------
-    _p(
-        "consistsOfProcedure",
-        s_cls=_one("Process"),
-        o_cls=_one("Procedure"),
-        ext=True,
-    ),
-    _p("hasNextProcedure", s_cls=_one("Procedure"), o_cls=_one("Procedure")),
-    _p(
-        "procedureConsistsOfProcedureState",
-        s_cls=_one("Procedure"),
-        o_cls=PROCEDURE_STATE_CLASSES,
-    ),
-    _p(
-        "procedureConsistsOfTerminatingProcedureState",
-        "procedureConsistsOfProcedureState",
-        s_cls=_one("Procedure"),
-        o_cls=frozenset(
-            {CLASSES["TerminatingProcedureState"], INITIAL_STATE, FINAL_STATE}
-        ),
-    ),
-    _p(
-        "procedureConsistsOfInitialProcedureState",
-        "procedureConsistsOfTerminatingProcedureState",
-        s_cls=_one("Procedure"),
-        o_cls=_one("InitialProcedureState"),
-    ),
-    _p(
-        "procedureConsistsOfFinalProcedureState",
-        "procedureConsistsOfTerminatingProcedureState",
-        s_cls=_one("Procedure"),
-        o_cls=_one("FinalProcedureState"),
-    ),
-    _p(
-        "procedureConsistsOfNonTerminatingProcedureState",
-        "procedureConsistsOfProcedureState",
-        s_cls=_one("Procedure"),
-        o_cls=_one("NonTerminatingProcedureState"),
-    ),
-    _p("hasNext", s_cls=PROCEDURE_STATE_CLASSES, o_cls=PROCEDURE_STATE_CLASSES),
-    _p(
-        "hasNextNonTerminatingProcedureState",
-        "hasNext",
-        s_cls=PROCEDURE_STATE_CLASSES,
-        o_cls=_one("NonTerminatingProcedureState"),
-    ),
-    _p(
-        "hasFinalProcedureState",
-        "hasNext",
-        s_cls=PROCEDURE_STATE_CLASSES,
-        o_cls=_one("FinalProcedureState"),
-    ),
-    _p("isDescribedBy", s_cls=PROCEDURE_STATE_CLASSES, o_cls=_one("Behaviour")),
-    # -- events ----------------------------------------------------------------
-    _p("triggersEvent", s_cls=PROCEDURE_STATE_CLASSES, o_cls=_one("Event")),
-    _p(
-        "eventDescribedByAction",
-        s_cls=_one("Event"),
-        o_cls=_one("TaskDescription"),
-        ext=True,
-    ),
-    _p("hasEventKind", s_cls=_one("Event"), ext=True, lit=True),
-    _p("hasEventDuration", s_cls=_one("Event"), ext=True, lit=True),
-    _p("hasEventWindow", s_cls=_one("Event"), ext=True, lit=True),
-    # -- roles -------------------------------------------------------------------
-    _p("playRole", s_cls=_one("Agent"), o_cls=_one("Role")),
-    _p("providesBehaviour", o_layer=_B, s_cls=_one("Role"), o_cls=_one("Behaviour")),
-]
+# -- structural tree edges -------------------------------------------------
+HAS_BEHAVIOUR = _p("hasBehaviour", o_layer=_B, s_cls=_one(AGENT), o_cls=_one(BEHAVIOUR))
+CONSISTS_OF_GOAL = _p(
+    "consistsOfGoalDescription", s_cls=_one(BEHAVIOUR), o_cls=_one(GOAL_DESCRIPTION)
+)
+CONSISTS_OF_TASK = _p(
+    "consistsOfTaskDescription",
+    s_cls=_one(GOAL_DESCRIPTION),
+    o_cls=_one(TASK_DESCRIPTION),
+)
+HAS_TASK_OPERATOR = _p(
+    "hasTaskOperator", s_cls=_one(TASK_DESCRIPTION), o_cls=_one(TASK_OPERATOR)
+)
+HAS_TASK_OPERATOR_ARGUMENT = _p(
+    "hasTaskOperatorArgument",
+    s_cls=_one(TASK_DESCRIPTION),
+    o_cls=_one(TASK_OPERATOR_ARGUMENT),
+)
+HAS_TASK_OBJECT = _p(
+    "hasTaskObject", s_cls=_one(TASK_DESCRIPTION), o_cls=_one(TASK_OBJECT)
+)
+HAS_TASK_INPUT_PARAMETER = _p(
+    "hasTaskInputParameter",
+    s_cls=_one(TASK_DESCRIPTION),
+    o_cls=_one(TASK_INPUT_PARAMETER),
+)
+HAS_TASK_OUTPUT_PARAMETER = _p(
+    "hasTaskOutputParameter",
+    s_cls=_one(TASK_DESCRIPTION),
+    o_cls=_one(TASK_OUTPUT_PARAMETER),
+)
+DEPENDS_ON = _p("dependsOn")
+# -- reference edges ---------------------------------------------------------
+REFERS_EXACTLY_TO = _p("refersExactlyTo")
+REFERS_AS_NEW_TO = _p("refersAsNewTo")
+REFERS_AS_INSTANCE_OF = _p("refersAsInstanceOf")
+# -- behaviour layer over template layer -------------------------------------
+OVERLOADS = _family(
+    _p("overloads", s_layer=_B, o_layer=_T),
+    "overloadsBehaviour",
+    "overloadsGoalDescription",
+    "overloadsTaskDescription",
+    "overloadsTaskOperator",
+    "overloadsTaskOperatorArgument",
+    "overloadsTaskObject",
+    "overloadsTaskInputParameter",
+    "overloadsTaskOutputParameter",
+)
+# -- planning layer submitted to behaviour layer -----------------------------
+SUBMITTED_TO = _family(
+    _p("submittedTo", s_layer=_P, o_layer=_B),
+    "planDescriptionSubmittedTo",
+    "goalDescriptionSubmittedTo",
+    "taskDescriptionSubmittedTo",
+    "taskOperatorSubmittedTo",
+    "taskOperatorArgumentSubmittedTo",
+    "taskObjectSubmittedTo",
+    "taskInputParameterSubmittedTo",
+    "taskOutputParameterSubmittedTo",
+)
+# -- execution layer drawn by earlier layers ----------------------------------
+DRAWN_BY = _p("drawnBy", s_layer=_E)
+EXECUTION_DRAWN_BY = _family(
+    _p("executionDrawnBy", DRAWN_BY, s_layer=_E, o_layer=_B),
+    "planExecutionDrawnBy",
+    "goalExecutionDrawnBy",
+    "taskExecutionDrawnBy",
+    "taskOperatorDrawnBy",
+    "taskOperatorArgumentDrawnBy",
+    "taskObjectDrawnBy",
+    "taskInputParameterDrawnBy",
+    "taskOutputParameterDrawnBy",
+)
+PROCESS_DRAWN_BY = _p(
+    "processDrawnBy",
+    DRAWN_BY,
+    s_layer=_E,
+    o_layer=_P,
+    s_cls=_one(PROCESS),
+    o_cls=_one(PROCESS),
+)
+PROCEDURE_DRAWN_BY = _p(
+    "procedureDrawnBy",
+    DRAWN_BY,
+    s_layer=_E,
+    o_layer=_P,
+    s_cls=_one(PROCEDURE),
+    o_cls=_one(PROCEDURE),
+)
+# -- planning layer pointing at its executions -------------------------------
+HAS_EXECUTION = _family(
+    _p("hasExecution", s_layer=_P, o_layer=_E),
+    "hasPlanExecution",
+    "hasGoalExecution",
+    "hasTaskExecution",
+    "hasTaskOperatorExecution",
+    "hasTaskOperatorArgumentExecution",
+    "hasTaskObjectExecution",
+    "hasTaskInputParameterExecution",
+    "hasTaskOutputParameterExecution",
+)
+# -- agents performing executions --------------------------------------------
+PERFORMS = _p("performs", o_layer=_E)
+PERFORMS_PLAN_EXECUTION = _p(
+    "performsPlanExecution",
+    PERFORMS,
+    o_layer=_E,
+    s_cls=_one(AGENT),
+    o_cls=_one(BEHAVIOUR),
+)
+# -- processes, procedures and their states -----------------------------------
+CONSISTS_OF_PROCEDURE = _p(
+    "consistsOfProcedure", s_cls=_one(PROCESS), o_cls=_one(PROCEDURE), ext=True
+)
+HAS_NEXT_PROCEDURE = _p(
+    "hasNextProcedure", s_cls=_one(PROCEDURE), o_cls=_one(PROCEDURE)
+)
+PROC_CONSISTS_STATE = _p(
+    "procedureConsistsOfProcedureState",
+    s_cls=_one(PROCEDURE),
+    o_cls=PROCEDURE_STATE_CLASSES,
+)
+PROC_CONSISTS_TERMINATING = _p(
+    "procedureConsistsOfTerminatingProcedureState",
+    PROC_CONSISTS_STATE,
+    s_cls=_one(PROCEDURE),
+    o_cls=SUBCLASS_CLOSURE[TERMINATING_STATE],
+)
+PROC_CONSISTS_INITIAL = _p(
+    "procedureConsistsOfInitialProcedureState",
+    PROC_CONSISTS_TERMINATING,
+    s_cls=_one(PROCEDURE),
+    o_cls=_one(INITIAL_STATE),
+)
+PROC_CONSISTS_FINAL = _p(
+    "procedureConsistsOfFinalProcedureState",
+    PROC_CONSISTS_TERMINATING,
+    s_cls=_one(PROCEDURE),
+    o_cls=_one(FINAL_STATE),
+)
+PROC_CONSISTS_NON_TERMINATING = _p(
+    "procedureConsistsOfNonTerminatingProcedureState",
+    PROC_CONSISTS_STATE,
+    s_cls=_one(PROCEDURE),
+    o_cls=_one(NON_TERMINATING_STATE),
+)
+HAS_NEXT = _p("hasNext", s_cls=PROCEDURE_STATE_CLASSES, o_cls=PROCEDURE_STATE_CLASSES)
+HAS_NEXT_NON_TERMINATING = _p(
+    "hasNextNonTerminatingProcedureState",
+    HAS_NEXT,
+    s_cls=PROCEDURE_STATE_CLASSES,
+    o_cls=_one(NON_TERMINATING_STATE),
+)
+HAS_FINAL_STATE = _p(
+    "hasFinalProcedureState",
+    HAS_NEXT,
+    s_cls=PROCEDURE_STATE_CLASSES,
+    o_cls=_one(FINAL_STATE),
+)
+IS_DESCRIBED_BY = _p(
+    "isDescribedBy", s_cls=PROCEDURE_STATE_CLASSES, o_cls=_one(BEHAVIOUR)
+)
+# -- events --------------------------------------------------------------------
+TRIGGERS_EVENT = _p("triggersEvent", s_cls=PROCEDURE_STATE_CLASSES, o_cls=_one(EVENT))
+EVENT_DESCRIBED_BY_ACTION = _p(
+    "eventDescribedByAction", s_cls=_one(EVENT), o_cls=_one(TASK_DESCRIPTION), ext=True
+)
+HAS_EVENT_KIND = _p("hasEventKind", s_cls=_one(EVENT), ext=True, lit=True)
+HAS_EVENT_DURATION = _p("hasEventDuration", s_cls=_one(EVENT), ext=True, lit=True)
+HAS_EVENT_WINDOW = _p("hasEventWindow", s_cls=_one(EVENT), ext=True, lit=True)
+# -- roles ---------------------------------------------------------------------
+PLAY_ROLE = _p("playRole", s_cls=_one(AGENT), o_cls=_one(ROLE))
+PROVIDES_BEHAVIOUR = _p(
+    "providesBehaviour", o_layer=_B, s_cls=_one(ROLE), o_cls=_one(BEHAVIOUR)
+)
 
-PROPERTIES: dict[Iri, PropertySpec] = {p.iri: p for p in _PROPERTY_LIST}
-
-assert len(PROPERTIES) == len(_PROPERTY_LIST), "duplicate property declaration"
+CLASS_TO_OVERLOAD = FAMILY_ROOTS[OVERLOADS]
+CLASS_TO_SUBMITTED = FAMILY_ROOTS[SUBMITTED_TO]
+CLASS_TO_HAS_EXECUTION = FAMILY_ROOTS[HAS_EXECUTION]
+CLASS_TO_EXECUTION_DRAWN_BY = FAMILY_ROOTS[EXECUTION_DRAWN_BY]
+PLAN_EXECUTION_DRAWN_BY = CLASS_TO_EXECUTION_DRAWN_BY[BEHAVIOUR]
+HAS_PLAN_EXECUTION = CLASS_TO_HAS_EXECUTION[BEHAVIOUR]
 
 #: Declared (child, parent) pairs, in declaration order.
 DECLARED_SUB_PAIRS: tuple[tuple[Iri, Iri], ...] = tuple(
-    (p.iri, p.super_property) for p in _PROPERTY_LIST if p.super_property is not None
+    (p.iri, p.super_property)
+    for p in PROPERTIES.values()
+    if p.super_property is not None
 )
 
-
-def ancestors(prop: Iri) -> tuple[Iri, ...]:
-    """Super-property chain from ``prop`` upward, excluding ``prop``;
-    ``ValueError`` once it grows longer than the table, on a cycle."""
-    chain: list[Iri] = []
-    cur = PROPERTIES[prop].super_property
-    while cur is not None:
-        chain.append(cur)
-        if len(chain) > len(PROPERTIES):
-            raise ValueError(f"cycle in property hierarchy at {cur}")
-        cur = PROPERTIES[cur].super_property
-    return tuple(chain)
-
-
-def _closure() -> dict[Iri, frozenset[Iri]]:
-    out: dict[Iri, set[Iri]] = {prop: {prop} for prop in PROPERTIES}
-    for prop in PROPERTIES:
-        for parent in ancestors(prop):
-            out[parent].add(prop)
-    return {prop: frozenset(subs) for prop, subs in out.items()}
-
-
 #: property -> itself plus all transitive subproperties.
-SUB_CLOSURE: dict[Iri, frozenset[Iri]] = _closure()
-
-
-# ---------------------------------------------------------------------------
-# Family roots and named properties
-# ---------------------------------------------------------------------------
-
-OVERLOADS = term("overloads")
-SUBMITTED_TO = term("submittedTo")
-DRAWN_BY = term("drawnBy")
-EXECUTION_DRAWN_BY = term("executionDrawnBy")
-HAS_EXECUTION = term("hasExecution")
-PERFORMS = term("performs")
-
-FAMILY_ROOTS: dict[Iri, dict[Iri, Iri]] = {
-    OVERLOADS: CLASS_TO_OVERLOAD,
-    SUBMITTED_TO: CLASS_TO_SUBMITTED,
-    HAS_EXECUTION: CLASS_TO_HAS_EXECUTION,
-    EXECUTION_DRAWN_BY: CLASS_TO_EXECUTION_DRAWN_BY,
-}
-
-CONSISTS_OF_GOAL = term("consistsOfGoalDescription")
-CONSISTS_OF_TASK = term("consistsOfTaskDescription")
-HAS_TASK_OPERATOR = term("hasTaskOperator")
-HAS_TASK_OPERATOR_ARGUMENT = term("hasTaskOperatorArgument")
-HAS_TASK_OBJECT = term("hasTaskObject")
-HAS_TASK_INPUT_PARAMETER = term("hasTaskInputParameter")
-HAS_TASK_OUTPUT_PARAMETER = term("hasTaskOutputParameter")
+SUB_CLOSURE: dict[Iri, frozenset[Iri]] = _closure(dict(DECLARED_SUB_PAIRS), PROPERTIES)
 
 #: Edges that make up a behaviour-shaped tree, in traversal order.
 CHILD_PREDICATES: tuple[Iri, ...] = (
@@ -501,41 +453,11 @@ CHILD_PREDICATES: tuple[Iri, ...] = (
     HAS_TASK_OUTPUT_PARAMETER,
 )
 
-REFERS_EXACTLY_TO = term("refersExactlyTo")
-REFERS_AS_NEW_TO = term("refersAsNewTo")
-REFERS_AS_INSTANCE_OF = term("refersAsInstanceOf")
 REFERS_PREDICATES: tuple[Iri, ...] = (
     REFERS_EXACTLY_TO,
     REFERS_AS_NEW_TO,
     REFERS_AS_INSTANCE_OF,
 )
-
-DEPENDS_ON = term("dependsOn")
-HAS_BEHAVIOUR = term("hasBehaviour")
-HAS_NEXT_PROCEDURE = term("hasNextProcedure")
-CONSISTS_OF_PROCEDURE = term("consistsOfProcedure")
-PROC_CONSISTS_STATE = term("procedureConsistsOfProcedureState")
-PROC_CONSISTS_INITIAL = term("procedureConsistsOfInitialProcedureState")
-PROC_CONSISTS_FINAL = term("procedureConsistsOfFinalProcedureState")
-PROC_CONSISTS_NON_TERMINATING = term(
-    "procedureConsistsOfNonTerminatingProcedureState"
-)
-HAS_NEXT = term("hasNext")
-HAS_NEXT_NON_TERMINATING = term("hasNextNonTerminatingProcedureState")
-HAS_FINAL_STATE = term("hasFinalProcedureState")
-IS_DESCRIBED_BY = term("isDescribedBy")
-TRIGGERS_EVENT = term("triggersEvent")
-EVENT_DESCRIBED_BY_ACTION = term("eventDescribedByAction")
-HAS_EVENT_KIND = term("hasEventKind")
-HAS_EVENT_DURATION = term("hasEventDuration")
-HAS_EVENT_WINDOW = term("hasEventWindow")
-PLAY_ROLE = term("playRole")
-PROVIDES_BEHAVIOUR = term("providesBehaviour")
-PERFORMS_PLAN_EXECUTION = term("performsPlanExecution")
-PROCESS_DRAWN_BY = term("processDrawnBy")
-PROCEDURE_DRAWN_BY = term("procedureDrawnBy")
-PLAN_EXECUTION_DRAWN_BY = CLASS_TO_EXECUTION_DRAWN_BY[BEHAVIOUR]
-HAS_PLAN_EXECUTION = CLASS_TO_HAS_EXECUTION[BEHAVIOUR]
 
 #: Steps per schedule a race search explores unless told otherwise.  It
 #: lives here, not in ``concurrency``, so the CLI parser can show it
@@ -558,9 +480,9 @@ def vocabulary_markdown() -> str:
     lines.append("")
     lines.append("| Class | Parent |")
     lines.append("| --- | --- |")
-    for name in sorted(_CLASS_TABLE):
-        parent = _CLASS_TABLE[name]
-        lines.append(f"| `{term(name).value}` | {f'`{term(parent).value}`' if parent else ''} |")
+    for name, cls in sorted(CLASSES.items()):
+        parent = CLASS_PARENT.get(cls)
+        lines.append(f"| `{cls.value}` | {f'`{parent.value}`' if parent else ''} |")
     lines.append("")
     lines.append("## Properties")
     lines.append("")
@@ -569,7 +491,7 @@ def vocabulary_markdown() -> str:
         "| Subject classes | Object classes | Extension | Literal |"
     )
     lines.append("| --- | --- | --- | --- | --- | --- | --- | --- |")
-    for spec in _PROPERTY_LIST:
+    for spec in PROPERTIES.values():
         sup = f"`{spec.super_property.value}`" if spec.super_property else ""
         s_layer = spec.subject_layer.value if spec.subject_layer else ""
         o_layer = spec.object_layer.value if spec.object_layer else ""

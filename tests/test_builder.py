@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import signal
 
 import networkx as nx
 import pytest
@@ -538,6 +539,46 @@ def test_pair_trees_matches_nodes_positionally(kb, fig_template_spec):
     mapping = clone_tree(kb, template, LayerTag.PLANNING)
     pairs = pair_trees(kb, mapping[template], template)
     assert dict(pairs) == {clone: src for src, clone in mapping.items()}
+
+
+def _goal_trees(kb, shapes):
+    """One behaviour per entry of ``shapes``: ``(root, {goal: tasks})``."""
+    for root, goals in shapes:
+        kb.assert_membership(root, vocab.BEHAVIOUR)
+        for goal, tasks in goals.items():
+            kb.assert_membership(goal, vocab.GOAL_DESCRIPTION)
+            kb.assert_property(root, vocab.CONSISTS_OF_GOAL, goal)
+            for task in tasks:
+                kb.assert_membership(task, vocab.TASK_DESCRIPTION)
+                kb.assert_property(goal, vocab.CONSISTS_OF_TASK, task)
+
+
+def test_pair_trees_returns_on_a_child_edge_cycle(kb):
+    a, b, ga, gb = (Iri(f"http://x/{n}") for n in ("a", "b", "ga", "gb"))
+    _goal_trees(kb, ((a, {ga: ()}), (b, {gb: ()})))
+    kb.assert_property(ga, vocab.CONSISTS_OF_GOAL, ga)
+    kb.assert_property(gb, vocab.CONSISTS_OF_GOAL, gb)
+
+    def hang(signum, frame):
+        raise TimeoutError("pair_trees did not return")
+
+    before = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        assert pair_trees(kb, a, b) == {a: b, ga: gb}
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, before)
+
+
+def test_pair_trees_refuses_walks_of_different_length(kb):
+    a, b, g1, g2, h1, h2, t, u1, u2 = (
+        Iri(f"http://x/{n}") for n in "a b g1 g2 h1 h2 t u1 u2".split()
+    )
+    # t sits under both of a's goals, so a's walk meets it once
+    _goal_trees(kb, ((a, {g1: (t,), g2: (t,)}), (b, {h1: (u1,), h2: (u2,)})))
+    with pytest.raises(StructureMismatch, match=r"tree sizes differ \(4 vs 5\)"):
+        pair_trees(kb, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ def test_the_table_drops_an_iri_nothing_refers_to():
     value = "http://x/only-here"
     iri = Iri(value)
     ref = weakref.ref(iri)
-    assert terms._INTERNED[value] is iri
+    assert terms._INTERNED[value]() is iri
     del iri
     gc.collect()
     assert ref() is None
@@ -39,16 +39,16 @@ def test_a_collected_iri_is_minted_afresh_and_held_once():
     value = "http://x/minted-twice"
     first = Iri(value)
     gone = weakref.ref(first)
-    stale = dict.get(terms._INTERNED, value)
+    stale = terms._INTERNED[value]
     del first
     gc.collect()
     assert gone() is None
     again = Iri(value)
-    assert terms._INTERNED[value] is again is Iri(value)
+    assert terms._INTERNED[value]() is again is Iri(value)
     assert [v for v in terms._INTERNED if v == value] == [value]
     # a late callback of the collected IRI leaves the new entry alone
     terms._forget(stale)
-    assert terms._INTERNED[value] is again
+    assert terms._INTERNED[value]() is again
 
 
 @pytest.mark.parametrize(

@@ -207,8 +207,8 @@ def shaped_tree(seed: int) -> tuple[KnowledgeBase, Iri]:
         a, b = rng.choice(nodes), rng.choice(nodes + [Iri("http://x/outside")])
         edges.append((a, DEPENDS_ON, b))
     for _ in range(rng.randint(0, 2)):
-        # a child under a second parent, minted before it: pair_trees
-        # follows child edges without a visited set, so no cycles
+        # a child under a second parent, minted before it, so no cycles:
+        # the oracle's pair_trees follows child edges without a visited set
         children = [e for e in edges if e[1] in CHILD_RANKS and e[2] in nodes]
         _, pred, child = rng.choice(children)
         edges.append((rng.choice(nodes[: nodes.index(child)]), pred, child))

@@ -45,6 +45,24 @@ def test_procedure_state_taxonomy():
     assert vocab.CLASS_PARENT[vocab.INITIAL_STATE] == terminating
     assert vocab.CLASS_PARENT[vocab.FINAL_STATE] == terminating
     assert vocab.CLASS_PARENT[vocab.NON_TERMINATING_STATE] == state
+    terminating_spec = vocab.PROPERTIES[vocab.PROC_CONSISTS_TERMINATING]
+    assert terminating_spec.object_classes == frozenset(
+        {terminating, vocab.INITIAL_STATE, vocab.FINAL_STATE}
+    )
+
+
+def test_every_vocabulary_constant_is_declared():
+    """A constant spelled by hand, rather than bound by ``_p`` or ``_c``,
+    could name a predicate or class nothing declares."""
+    declared = set(vocab.PROPERTIES) | set(vocab.CLASSES.values()) | {vocab.RDF_TYPE}
+    constants = {
+        name: value
+        for name, value in vars(vocab).items()
+        if name.isupper() and isinstance(value, Iri)
+    }
+    assert len(constants) >= 60
+    for name, value in constants.items():
+        assert value in declared, name
 
 
 # ---------------------------------------------------------------------------
@@ -74,13 +92,13 @@ def test_declared_subproperty_pairs_match_a_recount():
     assert len(recount) >= 35
 
 
-def _naive_closure() -> dict[Iri, frozenset[Iri]]:
-    """Fixpoint iteration over the declared pairs, written independently."""
-    down: dict[Iri, set[Iri]] = {p: {p} for p in vocab.PROPERTIES}
+def _naive_closure(nodes, pairs) -> dict[Iri, frozenset[Iri]]:
+    """Fixpoint iteration over (child, parent) pairs, written independently."""
+    down: dict[Iri, set[Iri]] = {p: {p} for p in nodes}
     changed = True
     while changed:
         changed = False
-        for child, parent in vocab.DECLARED_SUB_PAIRS:
+        for child, parent in pairs:
             before = len(down[parent])
             down[parent] |= down[child]
             if len(down[parent]) != before:
@@ -89,28 +107,35 @@ def _naive_closure() -> dict[Iri, frozenset[Iri]]:
 
 
 def test_sub_closure_matches_fixpoint_iteration():
-    naive = _naive_closure()
+    naive = _naive_closure(vocab.PROPERTIES, vocab.DECLARED_SUB_PAIRS)
     assert set(vocab.SUB_CLOSURE) == set(naive)
     for prop, members in naive.items():
         assert vocab.SUB_CLOSURE[prop] == members, prop
 
 
-def test_closure_refuses_a_cyclic_hierarchy(monkeypatch):
+def test_subclass_closure_matches_fixpoint_iteration():
+    naive = _naive_closure(vocab.CLASSES.values(), vocab.CLASS_PARENT.items())
+    assert set(vocab.SUBCLASS_CLOSURE) == set(naive)
+    for cls, members in naive.items():
+        assert vocab.SUBCLASS_CLOSURE[cls] == members, cls
+    assert vocab.SUBCLASS_CLOSURE[vocab.ACTIVITY] == {vocab.ACTIVITY, vocab.PROCEDURE}
+
+
+def test_closure_refuses_a_cyclic_hierarchy():
     a, b = vocab.HAS_NEXT, vocab.HAS_NEXT_PROCEDURE
-    cycle = {
-        a: vocab.PropertySpec(a, super_property=b),
-        b: vocab.PropertySpec(b, super_property=a),
-    }
-    monkeypatch.setattr(vocab, "PROPERTIES", cycle)
     with pytest.raises(ValueError, match="cycle"):
-        vocab._closure()
+        vocab._closure({a: b, b: a}, (a, b))
 
 
 def test_ancestors_walk_terminates_and_excludes_self():
-    for prop in vocab.PROPERTIES:
-        chain = vocab.ancestors(prop)
-        assert prop not in chain
-        assert len(set(chain)) == len(chain)
+    for nodes, parent in (
+        (vocab.PROPERTIES, dict(vocab.DECLARED_SUB_PAIRS)),
+        (vocab.CLASSES.values(), vocab.CLASS_PARENT),
+    ):
+        for node in nodes:
+            chain = vocab.ancestors(node, parent)
+            assert node not in chain
+            assert len(set(chain)) == len(chain)
 
 
 def test_family_roots_cover_their_maps():
