@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
 from .core import KnowledgeBase
-from .terms import Iri, ModelError
+from .terms import Frozen, Iri, ModelError, set_field
 from .trees import is_root, plan_tasks, procedure_order, state_chain
 from .vocab import (
     DEFAULT_BOUND,
@@ -71,57 +70,80 @@ class RaceKind(Enum):
     DOUBLE_LOCK = "DoubleLock"
 
 
-@dataclass(frozen=True)
-class Step:
-    kind: StepKind
-    resource: Iri
+class Step(Frozen):
+    __slots__ = ("kind", "resource")
+
+    def __init__(self, kind: StepKind, resource: Iri) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "resource", resource)
 
 
-@dataclass(frozen=True)
-class ProtocolRun:
-    agent: Iri
-    steps: tuple[Step, ...]
+class ProtocolRun(Frozen):
+    __slots__ = ("agent", "steps")
+
+    def __init__(self, agent: Iri, steps: tuple[Step, ...]) -> None:
+        set_field(self, "agent", agent)
+        set_field(self, "steps", steps)
 
 
-@dataclass(frozen=True)
-class ResourceState:
-    holder: Iri | None = None
-    #: after a Modify: the latest earlier writer other than the last one,
-    #: if any, then the last writer; all that ``interpret_step`` reads
-    modified_by: tuple[Iri, ...] = ()
+class ResourceState(Frozen):
+    __slots__ = ("holder", "modified_by")
+
+    def __init__(
+        self, holder: Iri | None = None, modified_by: tuple[Iri, ...] = ()
+    ) -> None:
+        set_field(self, "holder", holder)
+        # after a Modify: the latest earlier writer other than the last one,
+        # if any, then the last writer; all that ``interpret_step`` reads
+        set_field(self, "modified_by", modified_by)
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    state: ResourceState
-    blocked: bool = False
-    race: RaceKind | None = None
-    other: Iri | None = None
+class StepOutcome(Frozen):
+    __slots__ = ("state", "blocked", "race", "other")
+
+    def __init__(
+        self, state: ResourceState, blocked: bool = False, race: RaceKind | None = None,
+        other: Iri | None = None,
+    ) -> None:
+        set_field(self, "state", state)
+        set_field(self, "blocked", blocked)
+        set_field(self, "race", race)
+        set_field(self, "other", other)
 
 
-@dataclass(frozen=True)
-class Schedule:
-    indices: tuple[int, ...]
-    status: str  # complete, deadlock or truncated
+class Schedule(Frozen):
+    __slots__ = ("indices", "status")
+
+    def __init__(self, indices: tuple[int, ...], status: str) -> None:
+        set_field(self, "indices", indices)
+        set_field(self, "status", status)  # complete, deadlock or truncated
 
     @property
     def complete(self) -> bool:
         return self.status == "complete"
 
 
-@dataclass(frozen=True)
-class Conflict:
-    resource: Iri
-    agent_a: Iri
-    agent_b: Iri
-    step_index: int
+class Conflict(Frozen):
+    __slots__ = ("resource", "agent_a", "agent_b", "step_index")
+
+    def __init__(
+        self, resource: Iri, agent_a: Iri, agent_b: Iri, step_index: int
+    ) -> None:
+        set_field(self, "resource", resource)
+        set_field(self, "agent_a", agent_a)
+        set_field(self, "agent_b", agent_b)
+        set_field(self, "step_index", step_index)
 
 
-@dataclass(frozen=True)
-class RaceReport:
-    schedule: tuple[int, ...]
-    conflict: Conflict
-    kind: RaceKind
+class RaceReport(Frozen):
+    __slots__ = ("schedule", "conflict", "kind")
+
+    def __init__(
+        self, schedule: tuple[int, ...], conflict: Conflict, kind: RaceKind
+    ) -> None:
+        set_field(self, "schedule", schedule)
+        set_field(self, "conflict", conflict)
+        set_field(self, "kind", kind)
 
     def json_line(self) -> str:
         return json.dumps(
@@ -171,11 +193,11 @@ def interpret_step(state: ResourceState, agent: Iri, kind: StepKind) -> StepOutc
     """Outcome of one step against one resource's lock state."""
     if kind is StepKind.REQUEST:
         if state.holder is None:
-            return StepOutcome(replace(state, holder=agent))
+            return StepOutcome(ResourceState(agent, state.modified_by))
         return StepOutcome(state, blocked=True)
     if kind is StepKind.MODIFY:
         others = [m for m in reversed(state.modified_by) if m != agent]
-        touched = replace(state, modified_by=(*others[:1], agent))
+        touched = ResourceState(state.holder, (*others[:1], agent))
         if state.holder == agent:
             return StepOutcome(touched)
         if state.holder is not None:
@@ -189,7 +211,7 @@ def interpret_step(state: ResourceState, agent: Iri, kind: StepKind) -> StepOutc
         return StepOutcome(touched)
     # release
     if state.holder == agent:
-        return StepOutcome(replace(state, holder=None))
+        return StepOutcome(ResourceState(None, state.modified_by))
     if state.holder is None:
         return StepOutcome(state)
     return StepOutcome(state, race=RaceKind.DOUBLE_LOCK, other=state.holder)

@@ -25,7 +25,6 @@ refuses only an ``rdf:type`` whose class is a literal.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from . import vocab
 from .terms import (
@@ -36,6 +35,7 @@ from .terms import (
     LOCAL_NAME,
     ModelError,
     Obj,
+    Record,
     UnknownPrefix,
 )
 from .vocab import RDF_TYPE, LayerTag, PropertySpec
@@ -51,12 +51,14 @@ class LayerConstraintViolated(ModelError):
         self.detail = detail
 
 
-@dataclass(slots=True)
-class EntityRecord:
+class EntityRecord(Record):
     """Per-IRI bookkeeping: memberships in insertion order."""
 
-    iri: Iri
-    memberships: dict[Iri, None] = field(default_factory=dict)
+    __slots__ = ("iri", "memberships")
+
+    def __init__(self, iri: Iri, memberships: dict[Iri, None] | None = None) -> None:
+        self.iri = iri
+        self.memberships = {} if memberships is None else memberships
 
     @property
     def layer_classes(self) -> list[Iri]:

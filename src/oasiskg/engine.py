@@ -16,10 +16,9 @@ performsPlanExecution from the agent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .core import KnowledgeBase
-from .terms import Iri, ModelError
+from .terms import Frozen, Iri, ModelError, Record, set_field
 from .trees import (
     clone_node,
     clone_tree,
@@ -108,23 +107,35 @@ class CursorCompleted(ModelError):
 Assignment = dict[Iri, tuple[Iri, Iri]]
 
 
-@dataclass(frozen=True)
-class StateRecord:
-    index: int
-    planning_state: Iri
-    exec_state: Iri
-    plan_exec: Iri
-    agent: Iri
-    behaviour: Iri
+class StateRecord(Frozen):
+    __slots__ = (
+        "index", "planning_state", "exec_state", "plan_exec", "agent", "behaviour"
+    )
+
+    def __init__(
+        self, index: int, planning_state: Iri, exec_state: Iri, plan_exec: Iri,
+        agent: Iri, behaviour: Iri,
+    ) -> None:
+        set_field(self, "index", index)
+        set_field(self, "planning_state", planning_state)
+        set_field(self, "exec_state", exec_state)
+        set_field(self, "plan_exec", plan_exec)
+        set_field(self, "agent", agent)
+        set_field(self, "behaviour", behaviour)
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    state: Iri
-    plan_exec: Iri
-    agent: Iri
-    events: tuple[Iri, ...]
-    index: int
+class StepRecord(Frozen):
+    __slots__ = ("state", "plan_exec", "agent", "events", "index")
+
+    def __init__(
+        self, state: Iri, plan_exec: Iri, agent: Iri, events: tuple[Iri, ...],
+        index: int,
+    ) -> None:
+        set_field(self, "state", state)
+        set_field(self, "plan_exec", plan_exec)
+        set_field(self, "agent", agent)
+        set_field(self, "events", events)
+        set_field(self, "index", index)
 
     def trace_line(self) -> str:
         return json.dumps(
@@ -139,14 +150,19 @@ class StepRecord:
         )
 
 
-@dataclass
-class ProcessHandle:
-    kb: KnowledgeBase
-    process: Iri
-    exec_process: Iri
-    records: list[StateRecord]
-    cursor: int = 0
-    _steps: list[StepRecord] = field(default_factory=list)
+class ProcessHandle(Record):
+    __slots__ = ("kb", "process", "exec_process", "records", "cursor", "_steps")
+
+    def __init__(
+        self, kb: KnowledgeBase, process: Iri, exec_process: Iri,
+        records: list[StateRecord], cursor: int = 0, _steps: list[StepRecord] | None = None,
+    ) -> None:
+        self.kb = kb
+        self.process = process
+        self.exec_process = exec_process
+        self.records = records
+        self.cursor = cursor
+        self._steps = [] if _steps is None else _steps
 
     @property
     def completed(self) -> bool:

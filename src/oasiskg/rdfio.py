@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 
 from .core import KnowledgeBase
-from .terms import Iri, ModelError, Obj
+from .terms import Assertion, Iri, ModelError, Obj
 from .vocab import DEFAULT_PREFIXES, RDF_TYPE
 
 
@@ -70,7 +70,7 @@ def _render_object(obj: Obj) -> str:
 def export_canonical(kb: KnowledgeBase) -> str:
     lines = [
         f"<{a.subject.value}> <{a.predicate.value}> {_render_object(a.object)} ."
-        for a in sorted(kb.assertions, key=lambda a: a.sort_key())
+        for a in sorted(kb.assertions, key=Assertion.sort_key)
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 

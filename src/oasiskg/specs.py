@@ -1,18 +1,19 @@
 """Input descriptions the builder turns into graph structure.
 
-These are plain dataclasses plus JSON converters.  JSON field names are
-part of the CLI contract (camelCase: ``operatorAction``, ``dependsOn``,
-``instanceOf``); the dataclass attributes follow Python convention.
+These are frozen records (:class:`~oasiskg.terms.Frozen`) plus JSON
+converters.  JSON field names are part of the CLI contract (camelCase:
+``operatorAction``, ``dependsOn``, ``instanceOf``); the records'
+attributes follow Python convention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from operator import attrgetter
 from typing import Any, Callable
 
-from .terms import ModelError
+from .terms import Frozen, ModelError, set_field
 
 
 class SpecInvalid(ModelError):
@@ -29,17 +30,22 @@ class RefMode(Enum):
     NEW = "new"
 
 
-@dataclass(frozen=True)
-class Ref:
+class Ref(Frozen):
     """Reference from a task element to a domain individual.
 
     ``exact`` points at something that already exists; ``new`` introduces
     the individual, optionally typed by the classes in ``instance_of``.
     """
 
-    target: str
-    mode: RefMode = RefMode.EXACT
-    instance_of: tuple[str, ...] = ()
+    __slots__ = ("target", "mode", "instance_of")
+
+    def __init__(
+        self, target: str, mode: RefMode = RefMode.EXACT,
+        instance_of: tuple[str, ...] = (),
+    ) -> None:
+        set_field(self, "target", target)
+        set_field(self, "mode", mode)
+        set_field(self, "instance_of", instance_of)
 
     @classmethod
     def exact(cls, target: str) -> "Ref":
@@ -50,61 +56,92 @@ class Ref:
         return cls(target, RefMode.NEW, tuple(instance_of))
 
 
-@dataclass(frozen=True)
-class TaskSpec:
-    name: str
-    operator_action: Ref
-    operator_argument: Ref | None = None
-    obj: Ref | None = None
-    inputs: tuple[Ref, ...] = ()
-    outputs: tuple[Ref, ...] = ()
-    depends_on: tuple[str, ...] = ()
+class TaskSpec(Frozen):
+    __slots__ = ("name", "operator_action", "operator_argument", "obj",
+                 "inputs", "outputs", "depends_on")
+
+    def __init__(
+        self, name: str, operator_action: Ref, operator_argument: Ref | None = None,
+        obj: Ref | None = None, inputs: tuple[Ref, ...] = (),
+        outputs: tuple[Ref, ...] = (), depends_on: tuple[str, ...] = (),
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "operator_action", operator_action)
+        set_field(self, "operator_argument", operator_argument)
+        set_field(self, "obj", obj)
+        set_field(self, "inputs", inputs)
+        set_field(self, "outputs", outputs)
+        set_field(self, "depends_on", depends_on)
 
 
-@dataclass(frozen=True)
-class GoalSpec:
-    name: str
-    tasks: tuple[TaskSpec, ...]
-    depends_on: tuple[str, ...] = ()
+class GoalSpec(Frozen):
+    __slots__ = ("name", "tasks", "depends_on")
+
+    def __init__(
+        self, name: str, tasks: tuple[TaskSpec, ...], depends_on: tuple[str, ...] = ()
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "tasks", tasks)
+        set_field(self, "depends_on", depends_on)
 
 
-@dataclass(frozen=True)
-class BehaviourSpec:
-    name: str
-    goals: tuple[GoalSpec, ...]
-    #: where the spec sits in its build document (``templates[0]``), for
-    #: the builder's error paths; empty when it was not read from one
-    path: str = field(default="", compare=False)
+class BehaviourSpec(Frozen):
+    __slots__ = ("name", "goals", "path")
+
+    def __init__(self, name: str, goals: tuple[GoalSpec, ...], path: str = "") -> None:
+        set_field(self, "name", name)
+        set_field(self, "goals", goals)
+        # where the spec sits in its build document (``templates[0]``), for
+        # the builder's error paths; empty when it was not read from one
+        set_field(self, "path", path)
+
+    _key = attrgetter("name", "goals")  # not the path
 
 
-@dataclass(frozen=True)
-class EventSpec:
-    name: str
-    action: TaskSpec
-    kind: str | None = None
-    duration: str | None = None
-    window: str | None = None
+class EventSpec(Frozen):
+    __slots__ = ("name", "action", "kind", "duration", "window")
+
+    def __init__(
+        self, name: str, action: TaskSpec, kind: str | None = None,
+        duration: str | None = None, window: str | None = None,
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "action", action)
+        set_field(self, "kind", kind)
+        set_field(self, "duration", duration)
+        set_field(self, "window", window)
 
 
-@dataclass(frozen=True)
-class StateSpec:
-    name: str
-    plan: BehaviourSpec
-    events: tuple[EventSpec, ...] = ()
+class StateSpec(Frozen):
+    __slots__ = ("name", "plan", "events")
+
+    def __init__(
+        self, name: str, plan: BehaviourSpec, events: tuple[EventSpec, ...] = ()
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "plan", plan)
+        set_field(self, "events", events)
 
 
-@dataclass(frozen=True)
-class ProcedureSpec:
-    name: str
-    states: tuple[StateSpec, ...]
+class ProcedureSpec(Frozen):
+    __slots__ = ("name", "states")
+
+    def __init__(self, name: str, states: tuple[StateSpec, ...]) -> None:
+        set_field(self, "name", name)
+        set_field(self, "states", states)
 
 
-@dataclass(frozen=True)
-class ProcessSpec:
-    name: str
-    procedures: tuple[ProcedureSpec, ...]
-    #: as ``BehaviourSpec.path``
-    path: str = field(default="", compare=False)
+class ProcessSpec(Frozen):
+    __slots__ = ("name", "procedures", "path")
+
+    def __init__(
+        self, name: str, procedures: tuple[ProcedureSpec, ...], path: str = ""
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "procedures", procedures)
+        set_field(self, "path", path)  # as ``BehaviourSpec.path``
+
+    _key = attrgetter("name", "procedures")  # not the path
 
 
 # ---------------------------------------------------------------------------

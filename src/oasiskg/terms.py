@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
+from operator import attrgetter
 
 _IRI_BAD = re.compile(r'[\s<>"{}|^`\\]')
 
@@ -44,6 +44,67 @@ class InvalidLocalName(ModelError):
         self.local = local
 
 
+class Record:
+    """Base of the package's records.  A subclass names its fields, two
+    or more, in ``__slots__`` and takes them, in that order, in its own
+    ``__init__``.  A record shows, compares and pickles by its fields'
+    values.  ``_fields`` reads them into a tuple and ``_key`` what
+    equality compares, all fields unless a subclass sets a narrower
+    ``operator.attrgetter``; both are called with the record.  A plain
+    record can be changed and is not hashable."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if cls.__slots__:
+            # read in C: the race search hashes and compares lock states,
+            # about four times faster than with a generator over the names
+            cls._fields = attrgetter(*cls.__slots__)
+            if "_key" not in cls.__dict__:
+                cls._key = cls._fields
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        values = zip(self.__slots__, self._fields(self))
+        shown = ", ".join(f"{name}={value!r}" for name, value in values)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return self.__class__, self._fields(self)
+
+
+#: how a frozen record's ``__init__`` sets its fields, past ``__setattr__``
+set_field = object.__setattr__
+
+
+class Frozen(Record):
+    """A record whose ``__init__`` sets each field once, through
+    :data:`set_field`; later assignment and deletion raise dataclasses'
+    ``FrozenInstanceError``.  That is imported only on this error path:
+    importing ``dataclasses`` pulls in ``inspect`` and ``ast`` at start-up.
+    A frozen record hashes by ``_key``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 class Iri:
     """An absolute IRI, interned: ``Iri(value)`` is the one live instance
     for ``value``.
@@ -69,17 +130,14 @@ class Iri:
         if not value or _IRI_BAD.search(value):
             raise InvalidLocalName(value)
         iri = object.__new__(cls)
-        object.__setattr__(iri, "value", value)
+        set_field(iri, "value", value)
         ref = _Ref(iri, _forget)
         ref.value = value
         _INTERNED[value] = ref
         return iri
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = Frozen.__setattr__  # refused, as a frozen record's
+    __delattr__ = Frozen.__delattr__
 
     def __reduce__(self) -> tuple[type[Iri], tuple[str]]:
         return (Iri, (self.value,))
@@ -139,13 +197,26 @@ def _forget(ref: _Ref, table: dict[str, _Ref] = _INTERNED) -> None:
 Obj = Iri | str
 
 
-@dataclass(frozen=True, slots=True)
-class Assertion:
+class Assertion(Frozen):
     """One triple.  ``object`` is either an :class:`Iri` or a literal str."""
 
-    subject: Iri
-    predicate: Iri
-    object: Obj
+    __slots__ = ("subject", "predicate", "object")
+
+    def __init__(self, subject: Iri, predicate: Iri, object: Obj) -> None:
+        set_field(self, "subject", subject)
+        set_field(self, "predicate", predicate)
+        set_field(self, "object", object)
+
+    # the store hashes and compares assertions on every insert and probe
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.subject, self.predicate, self.object) == (
+                other.subject, other.predicate, other.object
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.subject, self.predicate, self.object))
 
     def sort_key(self) -> tuple[str, str, int, str]:
         # literals order after IRIs under the same subject/predicate

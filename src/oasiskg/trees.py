@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Hashable, Iterable, Iterator, KeysView
-from dataclasses import dataclass
 from enum import Enum
 
 from .core import KnowledgeBase
-from .terms import Assertion, Iri
+from .terms import Assertion, Frozen, Iri, set_field
 from .vocab import (
     CHILD_PREDICATES,
     CONSISTS_OF_GOAL,
@@ -308,10 +307,12 @@ class CapabilityKind(Enum):
     VIA_ROLE = "viaRole"
 
 
-@dataclass(frozen=True)
-class CapabilitySource:
-    kind: CapabilityKind
-    role: Iri | None = None
+class CapabilitySource(Frozen):
+    __slots__ = ("kind", "role")
+
+    def __init__(self, kind: CapabilityKind, role: Iri | None = None) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "role", role)
 
 
 def check_capability(

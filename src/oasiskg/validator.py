@@ -12,12 +12,11 @@ edge by edge through the right family subproperties.
 from __future__ import annotations
 
 from collections.abc import Callable, Container, Iterable, Sequence
-from dataclasses import dataclass
 from enum import Enum
 
 from . import vocab
 from .core import EntityRecord, KnowledgeBase
-from .terms import Assertion, Iri, ModelError, Obj
+from .terms import Assertion, Frozen, Iri, ModelError, Obj, set_field
 from .trees import (
     CHILD_RANK,
     check_capability,
@@ -53,11 +52,13 @@ class Code(Enum):
     DANGLING_REFERENCE = "DANGLING_REFERENCE"
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: Code
-    subjects: tuple[Iri, ...]
-    message: str
+class Violation(Frozen):
+    __slots__ = ("code", "subjects", "message")
+
+    def __init__(self, code: Code, subjects: tuple[Iri, ...], message: str) -> None:
+        set_field(self, "code", code)
+        set_field(self, "subjects", subjects)
+        set_field(self, "message", message)
 
     def render(self) -> str:
         subs = ",".join(s.value for s in self.subjects)
@@ -187,15 +188,24 @@ _NEXT_EDGES = vocab.SUB_CLOSURE[vocab.HAS_NEXT]
 _STRUCTURAL_EXEMPT = frozenset(vocab.REFERS_PREDICATES)
 
 
-@dataclass(frozen=True)
-class _Candidates:
+class _Candidates(Frozen):
     """What each check looks at: all of the graph, or what a journal reaches."""
 
-    entities: Iterable[EntityRecord]  # layer mix, states, events, executions
-    assertions: Iterable[Assertion]  # unknown predicate, endpoints, dangling
-    trees: Iterable[tuple[Iri, Iri, Iri]]  # mirrors: source root, target root, family
-    procedures: Iterable[Iri]  # chains
-    performs: Iterable[tuple[Iri, Obj]]  # performers: agent, execution root
+    __slots__ = ("entities", "assertions", "trees", "procedures", "performs")
+
+    def __init__(
+        self,
+        entities: Iterable[EntityRecord],  # layer mix, states, events, executions
+        assertions: Iterable[Assertion],  # unknown predicate, endpoints, dangling
+        trees: Iterable[tuple[Iri, Iri, Iri]],  # mirror roots: source, target; family
+        procedures: Iterable[Iri],  # chains
+        performs: Iterable[tuple[Iri, Obj]],  # performers: agent, execution root
+    ) -> None:
+        set_field(self, "entities", entities)
+        set_field(self, "assertions", assertions)
+        set_field(self, "trees", trees)
+        set_field(self, "procedures", procedures)
+        set_field(self, "performs", performs)
 
 
 #: a region pass costs a few times what a whole-graph pass costs per

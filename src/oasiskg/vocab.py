@@ -12,10 +12,9 @@ hierarchies and renders the tables as markdown.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from enum import Enum
 
-from .terms import Iri
+from .terms import Frozen, Iri, set_field
 
 # ---------------------------------------------------------------------------
 # Namespaces
@@ -160,8 +159,7 @@ TREE_NODE_CLASSES: tuple[Iri, ...] = (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PropertySpec:
+class PropertySpec(Frozen):
     """Declared shape of one object property.
 
     ``subject_layer``/``object_layer`` constrain the derived layer tag of
@@ -171,14 +169,24 @@ class PropertySpec:
     properties whose object is a plain string.
     """
 
-    iri: Iri
-    super_property: Iri | None = None
-    subject_layer: LayerTag | None = None
-    object_layer: LayerTag | None = None
-    subject_classes: frozenset[Iri] | None = None
-    object_classes: frozenset[Iri] | None = None
-    extension: bool = False
-    literal_object: bool = False
+    __slots__ = ("iri", "super_property", "subject_layer", "object_layer",
+                 "subject_classes", "object_classes", "extension", "literal_object")
+
+    def __init__(
+        self, iri: Iri, super_property: Iri | None = None,
+        subject_layer: LayerTag | None = None, object_layer: LayerTag | None = None,
+        subject_classes: frozenset[Iri] | None = None,
+        object_classes: frozenset[Iri] | None = None,
+        extension: bool = False, literal_object: bool = False,
+    ) -> None:
+        set_field(self, "iri", iri)
+        set_field(self, "super_property", super_property)
+        set_field(self, "subject_layer", subject_layer)
+        set_field(self, "object_layer", object_layer)
+        set_field(self, "subject_classes", subject_classes)
+        set_field(self, "object_classes", object_classes)
+        set_field(self, "extension", extension)
+        set_field(self, "literal_object", literal_object)
 
     @property
     def local(self) -> str:

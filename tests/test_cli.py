@@ -319,6 +319,33 @@ def test_each_command_loads_only_its_own_modules(built_kb, tmp_path):
         wanted = set(_LAYERS.get(command, ()))
         assert {m for m in modules if f"oasiskg.{m}" in loaded} == wanted, command
         assert "hashlib" not in loaded, command
+        assert not {"dataclasses", "inspect"} & loaded, command
+
+
+# what each command imports before it runs: dataclasses (and the inspect,
+# ast and tokenize it pulls in) would cost every command start-up
+_IMPORT_SETS = {
+    "build": ("cli", "builder", "specs"),
+    "validate": ("cli", "validator"),
+    "run": ("cli", "engine"),
+    "races": ("cli", "concurrency"),
+}
+
+
+@pytest.mark.parametrize("command", _IMPORT_SETS)
+def test_no_command_imports_dataclasses_or_inspect(command, tmp_path):
+    package_root = str(Path(oasiskg.__file__).resolve().parents[1])
+    imports = "; ".join(f"import oasiskg.{m}" for m in _IMPORT_SETS[command])
+    probe = f"{imports}; import sys; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": package_root},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("command", ["build", "validate", "run", "races"])
