@@ -38,7 +38,7 @@ from .terms import (
     Record,
     UnknownPrefix,
 )
-from .vocab import RDF_TYPE, LayerTag, PropertySpec
+from .vocab import RDF_TYPE, LayerTag
 
 
 class LayerConstraintViolated(ModelError):
@@ -51,6 +51,13 @@ class LayerConstraintViolated(ModelError):
         self.detail = detail
 
 
+def literal_class(subject: Iri, obj: str) -> LayerConstraintViolated:
+    """The error for an ``rdf:type`` whose class is a literal."""
+    return LayerConstraintViolated(
+        Assertion(subject, RDF_TYPE, obj), "class must be an IRI"
+    )
+
+
 class EntityRecord(Record):
     """Per-IRI bookkeeping: memberships in insertion order."""
 
@@ -61,15 +68,16 @@ class EntityRecord(Record):
         self.memberships = {} if memberships is None else memberships
 
     @property
-    def layer_classes(self) -> list[Iri]:
-        return [m for m in self.memberships if m in vocab.LAYER_CLASSES]
+    def layer_classes(self) -> frozenset[Iri]:
+        return vocab.LAYER_CLASSES.intersection(self.memberships)
 
     @property
     def layer(self) -> LayerTag | None:
         """Derived layer tag; ``None`` when absent or mixed."""
         tags = self.layer_classes
         if len(tags) == 1:
-            return vocab.LAYER_TAG_OF_CLASS[tags[0]]
+            (cls,) = tags
+            return vocab.LAYER_TAG_OF_CLASS[cls]
         return None
 
     @property
@@ -82,14 +90,6 @@ class EntityRecord(Record):
 
     def has_class(self, cls: Iri) -> bool:
         return cls in self.memberships
-
-
-def _off_layer(rec: EntityRecord | None, layer: LayerTag) -> bool:
-    """Whether an edge's endpoint is outside ``layer``.  An endpoint with
-    several layer classes is not: mixed endpoints are reported on their
-    own, not per edge.  Reads the layer classes once."""
-    tags = rec.layer_classes if rec is not None else []
-    return len(tags) < 2 and (not tags or vocab.LAYER_TAG_OF_CLASS[tags[0]] is not layer)
 
 
 _Index = dict[Iri, list[Assertion]]
@@ -190,9 +190,7 @@ class KnowledgeBase:
     def assert_property(self, subject: Iri, predicate: Iri, obj: Obj) -> None:
         if predicate == RDF_TYPE:
             if not isinstance(obj, Iri):
-                raise LayerConstraintViolated(
-                    Assertion(subject, predicate, obj), "class must be an IRI"
-                )
+                raise literal_class(subject, obj)
             self.assert_membership(subject, obj)
             return
         entities = self.entities
@@ -201,37 +199,6 @@ class KnowledgeBase:
         if isinstance(obj, Iri) and obj not in entities:
             entities[obj] = EntityRecord(obj)
         self._store(Assertion(subject, predicate, obj))
-
-    def constraint_problem(
-        self, spec: PropertySpec, subject: Iri, obj: Obj
-    ) -> str | None:
-        """First endpoint-constraint violation for the edge, or ``None``."""
-        if spec.literal_object != isinstance(obj, str):
-            return (
-                "object must be a literal"
-                if spec.literal_object
-                else "object must be an IRI"
-            )
-        s_rec = self.entities.get(subject)
-        if spec.subject_layer is not None and _off_layer(s_rec, spec.subject_layer):
-            return f"subject must be in the {spec.subject_layer.value} layer"
-        if spec.subject_classes is not None:
-            if s_rec is None or not spec.subject_classes.intersection(
-                s_rec.memberships
-            ):
-                names = "/".join(sorted(c.local for c in spec.subject_classes))
-                return f"subject must be a {names}"
-        if isinstance(obj, Iri):
-            o_rec = self.entities.get(obj)
-            if spec.object_layer is not None and _off_layer(o_rec, spec.object_layer):
-                return f"object must be in the {spec.object_layer.value} layer"
-            if spec.object_classes is not None:
-                if o_rec is None or not spec.object_classes.intersection(
-                    o_rec.memberships
-                ):
-                    names = "/".join(sorted(c.local for c in spec.object_classes))
-                    return f"object must be a {names}"
-        return None
 
     def _store(self, assertion: Assertion) -> None:
         assertions = self.assertions

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 
-from .core import KnowledgeBase
+from .core import KnowledgeBase, literal_class
 from .terms import Assertion, Iri, ModelError, Obj
 from .vocab import DEFAULT_PREFIXES, RDF_TYPE
 
@@ -286,9 +286,13 @@ def import_turtle(kb: KnowledgeBase, text: str) -> int:
 
     Prefixes declared in the document are registered on the kb, except
     the empty prefix, which stays local to the document.  Unknown
-    predicates are kept for the validator to report.
+    predicates are kept for the validator to report.  A document with a
+    literal class is refused whole: nothing of it is written.
     """
     triples, table = parse_turtle(text, kb.prefixes)
+    for subject, predicate, obj in triples:  # refused before the first write
+        if predicate == RDF_TYPE and not isinstance(obj, Iri):
+            raise literal_class(subject, obj)
     for prefix, base in table.items():
         if prefix:
             kb.register_prefix(prefix, base)

@@ -4,14 +4,16 @@
 violations.  The checks run in one pass per kind of candidate: one over
 entities, one over assertions, then trees, procedure chains and
 performers.  After a clean pass they run only on what the store's change
-journal can reach, with the same result as a whole-graph pass.
+journal can reach, each assertion object once, with the same result as
+a whole-graph pass; a removal can cost a whole-graph pass, never a wrong
+verdict.  Endpoint constraints are read here, not in the store.
 ``check_mirror`` verifies that a linked tree retraces its source tree
 edge by edge through the right family subproperties.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Container, Iterable, Sequence
+from collections.abc import Iterable
 from enum import Enum
 
 from . import vocab
@@ -181,8 +183,9 @@ _MIRROR_ROOTS: dict[Iri, Iri] = {
     vocab.CLASS_TO_SUBMITTED[vocab.BEHAVIOUR]: vocab.SUBMITTED_TO,
     vocab.HAS_PLAN_EXECUTION: vocab.HAS_EXECUTION,
 }
-_TREE_EDGES = CHILD_RANK.keys()
-_NEXT_EDGES = vocab.SUB_CLOSURE[vocab.HAS_NEXT]
+#: the edges a region pass follows from a node up to what checks it:
+#: tree edges to the parent, successor edges to the earlier state
+_UP_EDGES = frozenset((*CHILD_RANK, *vocab.SUB_CLOSURE[vocab.HAS_NEXT]))
 
 #: reference predicates, whose endpoints need not be typed individuals
 _STRUCTURAL_EXEMPT = frozenset(vocab.REFERS_PREDICATES)
@@ -266,62 +269,69 @@ def _whole(kb: KnowledgeBase) -> _Candidates:
 def _reach(kb: KnowledgeBase, journal: list[Assertion]) -> _Candidates:
     """Candidates that changes since a clean pass can have touched; a
     finding the whole graph has now must lie among them."""
-    # a region pass only tells clean from dirty, so candidates may repeat
-    # and come in any order: the buckets are read as they stand
+    # a region pass only tells clean from dirty, so candidates come in any
+    # order, the buckets are read as they stand, and assertions are kept by
+    # identity.  One the journal holds as removed is checked too, which can
+    # only make the pass dirty and so hand the verdict to the whole graph
     into, out_of = kb.in_edges, kb.edges
-    subjects = dict.fromkeys(a.subject for a in journal)
-    assertions = [a for a in journal if a in kb]
-    for iri in {a.subject for a in journal if a.predicate == RDF_TYPE}:
-        # the endpoint checks read the classes of both ends of an edge
-        assertions.extend(out_of(iri))
-        assertions.extend(into(iri))
+    subjects: dict[Iri, None] = {}
+    typed: dict[Iri, None] = {}
+    assertions: dict[int, Assertion] = {}
+    for a in journal:
+        subjects[a.subject] = None
+        assertions[id(a)] = a
+        if a.predicate == RDF_TYPE:
+            typed[a.subject] = None
+    # one walk up tree and chain edges from the changed nodes reads each
+    # node's buckets once, for endpoints, mirror roots, chain initials,
+    # performers and role players alike; where the two kinds of edge
+    # meet, it reaches more than two walks would, never less
     trees: dict[tuple[Iri, Iri, Iri], None] = {}
-    for node in _upward(into, subjects, _TREE_EDGES):
-        for a in out_of(node):
-            if a.predicate in _MIRROR_ROOTS and isinstance(a.object, Iri):
-                trees[(node, a.object, _MIRROR_ROOTS[a.predicate])] = None
-        for a in into(node):
-            if a.predicate in _MIRROR_ROOTS:
-                trees[(a.subject, node, _MIRROR_ROOTS[a.predicate])] = None
     procedures = dict.fromkeys(subjects)
-    for state in _upward(into, subjects, _NEXT_EDGES):
-        for a in into(state):
-            if a.predicate == vocab.PROC_CONSISTS_INITIAL:
-                procedures[a.subject] = None
     performs: dict[tuple[Iri, Obj], None] = {}
-    for iri in subjects:
-        for a in into(iri):
+    players: list[Iri] = []
+    seen = set(subjects)
+    stack = list(seen)
+    while stack:
+        node = stack.pop()
+        inward, outward = into(node), out_of(node)
+        if node in typed:
+            # the endpoint checks read the classes of both ends of an edge
+            for a in outward:
+                assertions.setdefault(id(a), a)
+            for a in inward:
+                assertions.setdefault(id(a), a)
+        for a in inward:
+            pred = a.predicate
+            if pred in _UP_EDGES:
+                if a.subject not in seen:
+                    seen.add(a.subject)
+                    stack.append(a.subject)
+            elif pred in _MIRROR_ROOTS:
+                trees[(a.subject, node, _MIRROR_ROOTS[pred])] = None
+            elif pred == vocab.PROC_CONSISTS_INITIAL:
+                procedures[a.subject] = None
+            elif pred == vocab.PERFORMS_PLAN_EXECUTION and node in subjects:
+                performs[(a.subject, node)] = None
+            elif pred == vocab.PLAY_ROLE and node in subjects:
+                players.append(a.subject)
+        for a in outward:
+            pred = a.predicate
+            if pred in _MIRROR_ROOTS and isinstance(a.object, Iri):
+                trees[(node, a.object, _MIRROR_ROOTS[pred])] = None
+            elif pred == vocab.PERFORMS_PLAN_EXECUTION and node in subjects:
+                performs[(node, a.object)] = None
+    for agent in players:
+        for a in out_of(agent):
             if a.predicate == vocab.PERFORMS_PLAN_EXECUTION:
-                performs[(a.subject, iri)] = None
-        players = [a.subject for a in into(iri) if a.predicate == vocab.PLAY_ROLE]
-        for agent in (iri, *players):
-            for a in out_of(agent):
-                if a.predicate == vocab.PERFORMS_PLAN_EXECUTION:
-                    performs[(agent, a.object)] = None
+                performs[(agent, a.object)] = None
     return _Candidates(
         entities=[kb.entities[iri] for iri in subjects],
-        assertions=assertions,
+        assertions=assertions.values(),
         trees=trees,
         procedures=[p for p in procedures if kb.has_class(p, vocab.PROCEDURE)],
         performs=performs,
     )
-
-
-def _upward(
-    into: Callable[[Iri], Sequence[Assertion]],
-    nodes: Iterable[Iri],
-    predicates: Container[Iri],
-) -> set[Iri]:
-    """``nodes`` and every node with a path to one of them along
-    ``predicates`` edges; ``into`` gives a node's incoming assertions."""
-    seen = set(nodes)
-    stack = list(seen)
-    while stack:
-        for a in into(stack.pop()):
-            if a.predicate in predicates and a.subject not in seen:
-                seen.add(a.subject)
-                stack.append(a.subject)
-    return seen
 
 
 def _entity_checks(
@@ -394,6 +404,45 @@ _FAMILY_CODES: dict[Iri, Code] = {
 }
 
 
+def _off_layer(rec: EntityRecord | None, layer: vocab.LayerTag) -> bool:
+    """Whether an edge's endpoint is outside ``layer``.  An endpoint with
+    several layer classes is not: mixed endpoints are reported on their
+    own, not per edge."""
+    tags = vocab.LAYER_CLASSES.intersection(rec.memberships) if rec is not None else ()
+    if len(tags) != 1:
+        return not tags
+    (cls,) = tags
+    return vocab.LAYER_TAG_OF_CLASS[cls] is not layer
+
+
+def constraint_problem(
+    kb: KnowledgeBase, spec: vocab.PropertySpec, subject: Iri, obj: Obj
+) -> str | None:
+    """First endpoint-constraint violation for the edge, or ``None``."""
+    if spec.literal_object != isinstance(obj, str):
+        return (
+            "object must be a literal"
+            if spec.literal_object
+            else "object must be an IRI"
+        )
+    s_rec = kb.entities.get(subject)
+    if spec.subject_layer is not None and _off_layer(s_rec, spec.subject_layer):
+        return f"subject must be in the {spec.subject_layer.value} layer"
+    if spec.subject_classes is not None:
+        if s_rec is None or not spec.subject_classes.intersection(s_rec.memberships):
+            names = "/".join(sorted(c.local for c in spec.subject_classes))
+            return f"subject must be a {names}"
+    if isinstance(obj, Iri):
+        o_rec = kb.entities.get(obj)
+        if spec.object_layer is not None and _off_layer(o_rec, spec.object_layer):
+            return f"object must be in the {spec.object_layer.value} layer"
+        if spec.object_classes is not None:
+            if o_rec is None or not spec.object_classes.intersection(o_rec.memberships):
+                names = "/".join(sorted(c.local for c in spec.object_classes))
+                return f"object must be a {names}"
+    return None
+
+
 def _assertion_checks(
     kb: KnowledgeBase, assertions: Iterable[Assertion]
 ) -> list[Violation]:
@@ -410,7 +459,7 @@ def _assertion_checks(
         if spec is None:
             unknown[a.predicate] = None
             continue
-        problem = kb.constraint_problem(spec, a.subject, a.object)
+        problem = constraint_problem(kb, spec, a.subject, a.object)
         if problem is not None:
             code = _FAMILY_CODES.get(a.predicate, Code.LAYER_CONSTRAINT)
             subjects: tuple[Iri, ...] = (a.subject,)

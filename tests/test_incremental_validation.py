@@ -101,6 +101,88 @@ def test_short_journals_skip_the_whole_graph_pass(kb, monkeypatch):
     assert validate(kb) == [] and whole_passes == [1]
 
 
+def _region_pass(kb, monkeypatch) -> tuple[list, list[Assertion], int]:
+    """``validate``'s result, the assertions its region pass handed the
+    endpoint checks, and how many whole-graph passes it ran."""
+    checked: list[Assertion] = []
+    whole_passes = []
+    real_checks, real_whole = validator._assertion_checks, validator._whole
+
+    def checks(kb, assertions):
+        if not whole_passes:
+            checked.extend(assertions)
+        return real_checks(kb, assertions)
+
+    monkeypatch.setattr(validator, "_assertion_checks", checks)
+    monkeypatch.setattr(validator, "_whole", lambda kb: whole_passes.append(1) or real_whole(kb))
+    got = validate(kb)
+    monkeypatch.undo()
+    return got, checked, len(whole_passes)
+
+
+def test_each_region_candidate_is_checked_once(kb, monkeypatch):
+    """A realization's journal reaches every edge of the nodes it typed,
+    so the region pass checks exactly the journal's assertions, each
+    object once."""
+    a = build_protocol_scenario(kb, tags=("a", "b"))["a"]
+    assert validate(kb) == []
+    assignment = {kb.resolve(f"a_s{i}"): (a["agent"], a["behaviour"]) for i in (1, 2, 3)}
+    realize_process(kb, a["process"], assignment)
+    journal = list(kb.journal)
+    got, checked, whole_passes = _region_pass(kb, monkeypatch)
+    assert got == [] and whole_passes == 0
+    ids = [id(x) for x in checked]
+    assert len(ids) == len(set(ids))
+    assert set(ids) == {id(x) for x in journal}
+
+
+def test_removals_and_re_adds_match_the_whole_graph_pass(kb, monkeypatch):
+    """Seeded store-level edits after a clean pass: edges and memberships
+    removed, and equal assertions added back as new objects."""
+    build_protocol_scenario(kb, tags=("a", "b"), with_events=True)
+    assert validate(kb) == []
+    region_verdicts: Counter = Counter()
+    for seed in range(40):
+        rng = random.Random(seed)
+        removed: list[Assertion] = []
+        for _ in range(rng.randint(1, 4)):
+            if removed and rng.random() < 0.3:
+                a = removed.pop(rng.randrange(len(removed)))
+                kb.assert_property(a.subject, a.predicate, a.object)  # a new object
+            else:
+                a = rng.choice(sorted(kb.assertions, key=Assertion.sort_key))
+                kb.remove(a)
+                removed.append(a)
+        expected = whole_graph_pass(kb)
+        got, _checked, whole_passes = _region_pass(kb, monkeypatch)
+        assert got == expected, seed
+        region_verdicts[(bool(got), whole_passes)] += 1
+        for a in removed:
+            kb.assert_property(a.subject, a.predicate, a.object)
+        assert validate(kb) == [], seed
+    assert region_verdicts[(False, 0)] >= 5  # clean on the region path alone
+    assert region_verdicts[(True, 1)] >= 20  # dirty, found by the whole pass
+
+
+def test_removing_valid_edges_stays_on_the_region_path(kb, monkeypatch):
+    """A journal that holds only removals checks the removed edges too;
+    when the graph is still clean, that costs no whole-graph pass."""
+    build_protocol_scenario(kb, tags=("a", "b"), with_events=True)
+    assert validate(kb) == []
+    kept = 0
+    for a in sorted(kb.assertions, key=Assertion.sort_key):
+        if a.predicate == RDF_TYPE:
+            continue
+        kb.remove(a)
+        assert kb.journal == [a]
+        if whole_graph_pass(kb) == []:
+            assert _region_pass(kb, monkeypatch)[1:] == ([a], 0)
+            kept += 1
+        kb.assert_property(a.subject, a.predicate, a.object)
+        assert validate(kb) == []
+    assert kept >= 10
+
+
 # ---------------------------------------------------------------------------
 # Mutation table
 # ---------------------------------------------------------------------------

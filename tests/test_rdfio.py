@@ -13,6 +13,7 @@ from oasiskg import (
     read_graph,
     write_graph,
 )
+from oasiskg.core import LayerConstraintViolated
 from oasiskg.rdfio import ParseError, parse_turtle
 from oasiskg import vocab
 
@@ -167,6 +168,21 @@ def test_import_turtle_registers_prefixes(kb: KnowledgeBase):
     )
     assert kb.resolve("zz:a") == Iri("http://zz.example/a")
     assert len(kb) == 1
+
+
+def test_a_refused_document_writes_nothing(kb: KnowledgeBase):
+    """A literal class refuses the whole document: neither the triples
+    before it nor the document's prefixes reach the knowledge base."""
+    text = (
+        "@prefix q: <http://q.example/> .\n"
+        "q:a <http://example.org/oasis#dependsOn> q:b .\n"
+        'q:a a "lit" .\n'
+    )
+    with pytest.raises(LayerConstraintViolated, match="class must be an IRI"):
+        import_turtle(kb, text)
+    assert len(kb) == 0
+    assert not kb.entities
+    assert "q" not in kb.prefixes
 
 
 def test_read_graph_keeps_unknown_predicates(tmp_path):
