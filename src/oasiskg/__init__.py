@@ -52,8 +52,15 @@ _EXPORTS = {
         "TaskSpec",
     ),
     "terms": ("Assertion", "Iri", "ModelError"),
-    "trees": ("CapabilityKind", "CapabilitySource", "check_capability"),
-    "validator": ("Code", "Violation", "check_mirror", "validate"),
+    "validator": (
+        "CapabilityKind",
+        "CapabilitySource",
+        "Code",
+        "Violation",
+        "check_capability",
+        "check_mirror",
+        "validate",
+    ),
     "vocab": ("LayerTag",),
 }
 

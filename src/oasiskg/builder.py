@@ -11,10 +11,9 @@ Naming conventions (all deterministic):
   comes from the knowledge base's clone counter;
 * role individuals append ``__role__<n>`` to the role type IRI.
 
-Walking, cloning, ordering, capability queries and the layer rules
-(``link_procedures``, ``link_states``, ``link_pairs``, ``is_root``) live
-in ``trees``; they are bound here too, so ``builder.clone_tree`` and the
-rest keep working.
+Walking, cloning, ordering and the layer rules (``link_procedures``,
+``link_states``, ``link_pairs``, ``is_root``) live in ``trees``, and
+capability in ``validator``; this module imports only the ones it calls.
 """
 
 from __future__ import annotations
@@ -33,15 +32,10 @@ from .specs import (
     TaskSpec,
 )
 from .terms import Iri, ModelError
-from .trees import (  # noqa: F401 - the tree queries are part of this module's API
+from .trees import (
     CHILD_RANK,
-    CapabilityKind,
-    CapabilitySource,
-    check_capability,
-    clone_node,
     clone_tree,
     depth_first,
-    deprecated_role_providing,
     is_root,
     link_pairs,
     link_procedures,
@@ -227,7 +221,6 @@ def _emit_ref(
     as_action: bool = False,
 ) -> None:
     target = iris[ref.target]
-    kb.ensure_entity(target)
     if as_action:
         kb.assert_membership(target, ACTION)
     if ref.mode is RefMode.EXACT:

@@ -217,6 +217,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     from . import engine
 
+    if args.trace and args.out:
+        if os.path.realpath(args.trace) == os.path.realpath(args.out):
+            return _fail(f"--trace and --out name one file: {args.out}", OPERATIONAL)
     kb = _read_graph(args.kb)
     table = _load_json(args.assign)
     try:

@@ -145,13 +145,6 @@ class KnowledgeBase:
     def entity(self, iri: Iri) -> EntityRecord | None:
         return self.entities.get(iri)
 
-    def ensure_entity(self, iri: Iri) -> EntityRecord:
-        rec = self.entities.get(iri)
-        if rec is None:
-            rec = EntityRecord(iri)
-            self.entities[iri] = rec
-        return rec
-
     def layer_of(self, iri: Iri) -> LayerTag | None:
         rec = self.entities.get(iri)
         return rec.layer if rec else None
@@ -160,18 +153,10 @@ class KnowledgeBase:
         rec = self.entities.get(iri)
         return rec.has_class(cls) if rec else False
 
-    def instances_of(self, *classes: Iri) -> list[Iri]:
-        """Entities carrying any of the classes, in first-seen order."""
-        wanted = set(classes)
-        return [
-            rec.iri
-            for rec in self.entities.values()
-            if wanted.intersection(rec.memberships)
-        ]
-
     def declare_class(self, cls: Iri) -> None:
-        """Record a domain class; the same as ``ensure_entity``."""
-        self.ensure_entity(cls)
+        """Record a domain class, as an entity with no memberships."""
+        if cls not in self.entities:
+            self.entities[cls] = EntityRecord(cls)
 
     # -- assertions ---------------------------------------------------------------
 

@@ -69,7 +69,7 @@ class AssignmentIncomplete(ModelError):
 
 
 class PerformerLacksCapability(ModelError):
-    code = "PERFORMER_LACKS_CAPABILITY"
+    code = Code.PERFORMER_LACKS_CAPABILITY.value
 
     def __init__(self, state: Iri, agent: Iri, behaviour: Iri) -> None:
         super().__init__(
@@ -81,7 +81,7 @@ class PerformerLacksCapability(ModelError):
 
 
 class RoleDeprecatedUse(ModelError):
-    code = "ROLE_DEPRECATED_USE"
+    code = Code.ROLE_DEPRECATED_USE.value
 
     def __init__(self, state: Iri, agent: Iri, role: Iri) -> None:
         super().__init__(
@@ -215,7 +215,7 @@ def realize_process(
     """Clone a validated planning process into the execution layer.
 
     ``assignment`` must cover every procedure state; each pair is gated
-    through check_capability before anything is emitted.
+    through capability_gap before anything is emitted.
     """
     violations = validate(kb)
     if violations:

@@ -8,17 +8,17 @@ trees without loading the builder or the engine.  The write rules of
 the layers live here, each once: cloning, family links, a process's
 procedure chain, each procedure's state chain and the root guard.  The
 builder and the engine both write with them, so their layers cannot
-drift apart, and neither imports the other.
+drift apart, and neither imports the other.  Whether an agent may
+perform a behaviour is not a tree question; ``validator`` decides it.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Hashable, Iterable, Iterator, KeysView
-from enum import Enum
 
 from .core import KnowledgeBase
-from .terms import Assertion, Frozen, Iri, set_field
+from .terms import Assertion, Iri
 from .vocab import (
     CHILD_PREDICATES,
     CONSISTS_OF_GOAL,
@@ -26,7 +26,6 @@ from .vocab import (
     CONSISTS_OF_TASK,
     DEPENDS_ON,
     FINAL_STATE,
-    HAS_BEHAVIOUR,
     HAS_FINAL_STATE,
     HAS_NEXT,
     HAS_NEXT_NON_TERMINATING,
@@ -34,11 +33,9 @@ from .vocab import (
     INITIAL_STATE,
     LAYER_CLASSES,
     LayerTag,
-    PLAY_ROLE,
     PROC_CONSISTS_FINAL,
     PROC_CONSISTS_INITIAL,
     PROC_CONSISTS_NON_TERMINATING,
-    PROVIDES_BEHAVIOUR,
     REFERS_PREDICATES,
     TREE_NODE_CLASSES,
 )
@@ -295,64 +292,3 @@ def state_chain(kb: KnowledgeBase, procedure: Iri) -> list[Iri]:
             return chain
         chain.append(nexts[0])
         seen.add(nexts[0])
-
-
-# ---------------------------------------------------------------------------
-# Capability
-# ---------------------------------------------------------------------------
-
-
-class CapabilityKind(Enum):
-    INTRINSIC = "intrinsic"
-    VIA_ROLE = "viaRole"
-
-
-class CapabilitySource(Frozen):
-    __slots__ = ("kind", "role")
-
-    def __init__(self, kind: CapabilityKind, role: Iri | None = None) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "role", role)
-
-
-def check_capability(
-    kb: KnowledgeBase, agent: Iri, behaviour: Iri
-) -> CapabilitySource | None:
-    """How the agent may perform the behaviour, or ``None``.
-
-    Own behaviours (hasBehaviour) win over role-provided ones; among
-    live roles providing the behaviour the lowest IRI is picked.
-    Deprecated roles grant nothing.
-    """
-    if Assertion(agent, HAS_BEHAVIOUR, behaviour) in kb:
-        return CapabilitySource(CapabilityKind.INTRINSIC)
-    live = _roles_providing(kb, agent, behaviour, deprecated=False)
-    if live:
-        return CapabilitySource(CapabilityKind.VIA_ROLE, min(live))
-    return None
-
-
-def deprecated_role_providing(
-    kb: KnowledgeBase, agent: Iri, behaviour: Iri
-) -> Iri | None:
-    """Lowest deprecated role of the agent that would have provided the
-    behaviour; used to tell stale grants from plain missing capability."""
-    stale = _roles_providing(kb, agent, behaviour, deprecated=True)
-    return min(stale) if stale else None
-
-
-def _roles_providing(
-    kb: KnowledgeBase, agent: Iri, behaviour: Iri, *, deprecated: bool
-) -> list[Iri]:
-    """The agent's played roles, deprecated or live as asked, that
-    provide the behaviour."""
-    out = []
-    for role in kb.objects(agent, PLAY_ROLE):
-        if not isinstance(role, Iri):
-            continue
-        rec = kb.entity(role)
-        if rec is None or rec.deprecated != deprecated:
-            continue
-        if Assertion(role, PROVIDES_BEHAVIOUR, behaviour) in kb:
-            out.append(role)
-    return out

@@ -6,7 +6,8 @@ entities, one over assertions, then trees, procedure chains and
 performers.  After a clean pass they run only on what the store's change
 journal can reach, each assertion object once, with the same result as
 a whole-graph pass; a removal can cost a whole-graph pass, never a wrong
-verdict.  Endpoint constraints are read here, not in the store.
+verdict.  Endpoint constraints are read here, not in the store, and
+capability too, for the performer check and the engine's gate alike.
 ``check_mirror`` verifies that a linked tree retraces its source tree
 edge by edge through the right family subproperties.
 """
@@ -19,15 +20,7 @@ from enum import Enum
 from . import vocab
 from .core import EntityRecord, KnowledgeBase
 from .terms import Assertion, Frozen, Iri, ModelError, Obj, set_field
-from .trees import (
-    CHILD_RANK,
-    check_capability,
-    depth_first,
-    deprecated_role_providing,
-    tree_class,
-    tree_edges,
-    walk_tree,
-)
+from .trees import CHILD_RANK, depth_first, tree_class, tree_edges, walk_tree
 from .vocab import RDF_TYPE
 
 
@@ -258,7 +251,7 @@ def _whole(kb: KnowledgeBase) -> _Candidates:
             for a in kb.query(predicate=root_pred)
             if isinstance(a.object, Iri)
         ],
-        procedures=kb.instances_of(vocab.PROCEDURE),
+        procedures=kb.subjects(RDF_TYPE, vocab.PROCEDURE),
         performs=[
             (a.subject, a.object)
             for a in kb.query(predicate=vocab.PERFORMS_PLAN_EXECUTION)
@@ -587,6 +580,31 @@ _CAPABILITY_MESSAGES: dict[Code, str] = {
 }
 
 
+class CapabilityKind(Enum):
+    INTRINSIC = "intrinsic"
+    VIA_ROLE = "viaRole"
+
+
+class CapabilitySource(Frozen):
+    __slots__ = ("kind", "role")
+
+    def __init__(self, kind: CapabilityKind, role: Iri | None = None) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "role", role)
+
+
+def check_capability(
+    kb: KnowledgeBase, agent: Iri, behaviour: Iri
+) -> CapabilitySource | None:
+    """How the agent may perform the behaviour, or ``None``.
+
+    Own behaviours (hasBehaviour) win over role-provided ones; among
+    live roles providing the behaviour the lowest IRI is picked.
+    Deprecated roles grant nothing.
+    """
+    return _capability(kb, agent, behaviour)[0]
+
+
 def capability_gap(
     kb: KnowledgeBase, agent: Iri, behaviour: Iri
 ) -> tuple[Code, Iri] | None:
@@ -594,9 +612,30 @@ def capability_gap(
     finding code and what it names next to the agent: the lowest
     deprecated role that would have provided the behaviour, or else the
     behaviour itself."""
-    if check_capability(kb, agent, behaviour) is not None:
+    source, stale = _capability(kb, agent, behaviour)
+    if source is not None:
         return None
-    stale = deprecated_role_providing(kb, agent, behaviour)
     if stale is not None:
         return Code.ROLE_DEPRECATED_USE, stale
     return Code.PERFORMER_LACKS_CAPABILITY, behaviour
+
+
+def _capability(
+    kb: KnowledgeBase, agent: Iri, behaviour: Iri
+) -> tuple[CapabilitySource | None, Iri | None]:
+    """``check_capability``'s answer and, when that is ``None``, the lowest
+    deprecated role of the agent that would have provided the behaviour;
+    one read of the agent's played roles, none for an own behaviour."""
+    if Assertion(agent, vocab.HAS_BEHAVIOUR, behaviour) in kb:
+        return CapabilitySource(CapabilityKind.INTRINSIC), None
+    live: list[Iri] = []
+    stale: list[Iri] = []
+    for role in kb.objects(agent, vocab.PLAY_ROLE):
+        rec = kb.entity(role) if isinstance(role, Iri) else None
+        if rec is None:
+            continue
+        if Assertion(role, vocab.PROVIDES_BEHAVIOUR, behaviour) in kb:
+            (stale if rec.deprecated else live).append(role)
+    if live:
+        return CapabilitySource(CapabilityKind.VIA_ROLE, min(live)), None
+    return None, min(stale, default=None)

@@ -21,7 +21,7 @@ from oasiskg import (
     grant_role,
     realize_process,
 )
-from oasiskg.builder import walk_tree
+from oasiskg.trees import walk_tree
 from oasiskg import vocab
 
 

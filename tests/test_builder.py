@@ -42,13 +42,10 @@ from oasiskg.builder import (
     NotATemplate,
     StructureMismatch,
     _check_depends,
-    clone_tree,
-    deprecated_role_providing,
     pair_trees,
-    plan_tasks,
-    tree_class,
-    walk_tree,
 )
+from oasiskg.trees import clone_tree, plan_tasks, tree_class, walk_tree
+from oasiskg.validator import Code, capability_gap
 from oasiskg.specs import SpecInvalid
 from oasiskg.terms import InvalidLocalName
 from oasiskg import vocab
@@ -986,7 +983,7 @@ def test_deprecation_is_idempotent_and_final(kb, fig_template_spec):
     deprecate_role(kb, role)
     assert kb.entity(role).deprecated
     assert check_capability(kb, other, behaviour) is None
-    assert deprecated_role_providing(kb, other, behaviour) == role
+    assert capability_gap(kb, other, behaviour) == (Code.ROLE_DEPRECATED_USE, role)
 
 
 def test_deprecate_role_rejects_non_roles(kb):

@@ -611,6 +611,38 @@ def test_outputs_are_written_through_symlinks(built_kb, tmp_path):
     assert real.read_text().splitlines() == lines
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+def test_run_refuses_one_file_for_trace_and_graph(
+    spelling, built_kb, tmp_path, capsys, monkeypatch
+):
+    kb_path, roots = built_kb
+    assign = tmp_path / "assign.json"
+    assign.write_text(json.dumps(assignment_doc(roots, "a")))
+    monkeypatch.chdir(tmp_path)
+    trace = out = "both.nt"
+    if spelling == "dotted":
+        trace = "./both.nt"
+    elif spelling == "symlink":
+        Path("link.nt").symlink_to("both.nt")
+        trace = "link.nt"
+    before = sorted(tmp_path.iterdir())
+    code = main(
+        [
+            "run",
+            "--kb", str(kb_path),
+            "--process", "consume_a_process",
+            "--assign", str(assign),
+            "--trace", trace,
+            "--out", out,
+        ]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"--trace and --out name one file: {out}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_run_without_capability_exits_2(built_kb, tmp_path, capsys):
     kb_path, roots = built_kb
     assign = tmp_path / "assign.json"

@@ -26,7 +26,7 @@ from oasiskg import (
     realize_process,
     validate,
 )
-from oasiskg.builder import walk_tree
+from oasiskg.trees import walk_tree
 from oasiskg.engine import (
     AssignmentIncomplete,
     CursorCompleted,

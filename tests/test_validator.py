@@ -22,7 +22,7 @@ from oasiskg import (
     derive_behaviour,
     validate,
 )
-from oasiskg.builder import clone_tree, walk_tree
+from oasiskg.trees import clone_tree, walk_tree
 from oasiskg import validator
 from oasiskg.validator import DanglingRoot
 from oasiskg import vocab
@@ -291,3 +291,103 @@ def test_check_mirror_flags_classless_source_nodes(kb):
     kb.remove(Assertion(goal_b, vocab.RDF_TYPE, vocab.GOAL_DESCRIPTION))
     out = check_mirror(kb, behaviour, template, vocab.OVERLOADS)
     assert any("no tree class" in v.message for v in out)
+
+
+# ---------------------------------------------------------------------------
+# Capability
+# ---------------------------------------------------------------------------
+
+
+def test_an_incapable_agent_reads_its_roles_once(kb, monkeypatch):
+    agent, behaviour = ex("agent"), ex("behaviour")
+    live, stale = ex("live_role"), ex("stale_role")
+    kb.assert_property(agent, vocab.PLAY_ROLE, live)
+    kb.assert_property(agent, vocab.PLAY_ROLE, stale)
+    kb.assert_membership(stale, vocab.DEPRECATED_THING)
+    kb.assert_property(stale, vocab.PROVIDES_BEHAVIOUR, behaviour)
+    reads = []
+    objects = KnowledgeBase.objects
+
+    def counting(self, subject, predicate, **kwargs):
+        reads.append((subject, predicate))
+        return objects(self, subject, predicate, **kwargs)
+
+    monkeypatch.setattr(KnowledgeBase, "objects", counting)
+    gap = validator.capability_gap(kb, agent, behaviour)
+    assert gap == (Code.ROLE_DEPRECATED_USE, stale)
+    assert reads == [(agent, vocab.PLAY_ROLE)]
+
+
+def _naive_capability(kb, agent, behaviour):
+    """``check_capability`` and ``capability_gap`` read straight off the
+    assertion list."""
+    held = set(kb.assertions)
+    if Assertion(agent, vocab.HAS_BEHAVIOUR, behaviour) in held:
+        return validator.CapabilitySource(validator.CapabilityKind.INTRINSIC), None
+    providing = [
+        a.object
+        for a in kb.assertions
+        if a.subject == agent and a.predicate == vocab.PLAY_ROLE
+        and Assertion(a.object, vocab.PROVIDES_BEHAVIOUR, behaviour) in held
+    ]
+    live = [
+        r for r in providing
+        if Assertion(r, vocab.RDF_TYPE, vocab.DEPRECATED_THING) not in held
+    ]
+    if live:
+        source = validator.CapabilitySource(validator.CapabilityKind.VIA_ROLE, min(live))
+        return source, None
+    if providing:
+        return None, (Code.ROLE_DEPRECATED_USE, min(providing))
+    return None, (Code.PERFORMER_LACKS_CAPABILITY, behaviour)
+
+
+def _random_capability_graph(rng):
+    kb = KnowledgeBase()
+    agents = [ex(f"agent{i}") for i in range(3)]
+    behaviours = [ex(f"behaviour{i}") for i in range(3)]
+    # names drawn out of order, so the lowest IRI is seldom the first played
+    roles = [ex(f"role{n:02}") for n in rng.sample(range(100), 6)]
+    for role in roles:
+        if rng.random() < 0.4:
+            kb.assert_membership(role, vocab.DEPRECATED_THING)
+        for b in behaviours:
+            if rng.random() < 0.5:
+                kb.assert_property(role, vocab.PROVIDES_BEHAVIOUR, b)
+    for agent in agents:
+        for role in roles:
+            if rng.random() < 0.5:
+                kb.assert_property(agent, vocab.PLAY_ROLE, role)
+        for b in behaviours:
+            if rng.random() < 0.2:
+                kb.assert_property(agent, vocab.HAS_BEHAVIOUR, b)
+    return kb, agents, behaviours
+
+
+def test_capability_matches_a_naive_scan():
+    outcomes = set()
+    for seed in range(40):
+        kb, agents, behaviours = _random_capability_graph(random.Random(seed))
+        for agent in agents:
+            for b in behaviours:
+                source, gap = _naive_capability(kb, agent, b)
+                assert validator.check_capability(kb, agent, b) == source, seed
+                assert validator.capability_gap(kb, agent, b) == gap, seed
+                kind = source.kind if source else gap[0]
+                named = source.role if source else gap[1]
+                stale = kind is Code.ROLE_DEPRECATED_USE
+                rivals = [
+                    r for r in kb.objects(agent, vocab.PLAY_ROLE)
+                    if Assertion(r, vocab.PROVIDES_BEHAVIOUR, b) in kb
+                    and kb.entity(r).deprecated == stale
+                ]
+                tie = len(rivals) > 1 and rivals[0] != named
+                outcomes.add((kind, tie))
+    # own behaviour, live role, deprecated role and no providing role all
+    # occur, and the lowest IRI wins over an equal role played before it
+    assert outcomes >= {
+        (validator.CapabilityKind.INTRINSIC, False),
+        (validator.CapabilityKind.VIA_ROLE, True),
+        (Code.ROLE_DEPRECATED_USE, True),
+        (Code.PERFORMER_LACKS_CAPABILITY, False),
+    }
