@@ -6,7 +6,9 @@ mirrored into per-entity records so layer tags can be derived cheaply;
 they are never stored on their own.
 
 Each index maps a term to a list of its assertions in insertion order.
-An insert hashes its assertion once, in ``assertions.setdefault``, and
+Every insert goes through ``load``, one loop over a batch of triples;
+``assert_property`` and ``assert_membership`` hand it a batch of one.
+It hashes each assertion once, in ``assertions.setdefault``, and
 appends it to the three lists only when it is new, so no list holds an
 assertion twice.  ``remove`` takes an assertion out of its three lists,
 in time linear in their length; nothing in the pipeline removes, only
@@ -93,6 +95,7 @@ class EntityRecord(Record):
 
 
 _Index = dict[Iri, list[Assertion]]
+Triple = tuple[Iri, Iri, Obj]
 
 
 class KnowledgeBase:
@@ -161,41 +164,48 @@ class KnowledgeBase:
     # -- assertions ---------------------------------------------------------------
 
     def assert_membership(self, iri: Iri, cls: Iri) -> None:
-        entities = self.entities
-        rec = entities.get(iri)
-        if rec is None:
-            rec = entities[iri] = EntityRecord(iri)
-        if cls in rec.memberships:
-            return
-        if cls not in entities:
-            entities[cls] = EntityRecord(cls)
-        rec.memberships[cls] = None
-        self._store(Assertion(iri, RDF_TYPE, cls))
+        self.load(((iri, RDF_TYPE, cls),))
 
     def assert_property(self, subject: Iri, predicate: Iri, obj: Obj) -> None:
-        if predicate == RDF_TYPE:
-            if not isinstance(obj, Iri):
-                raise literal_class(subject, obj)
-            self.assert_membership(subject, obj)
-            return
-        entities = self.entities
-        if subject not in entities:
-            entities[subject] = EntityRecord(subject)
-        if isinstance(obj, Iri) and obj not in entities:
-            entities[obj] = EntityRecord(obj)
-        self._store(Assertion(subject, predicate, obj))
+        self.load(((subject, predicate, obj),))
 
-    def _store(self, assertion: Assertion) -> None:
+    def load(self, triples: Sequence[Triple]) -> None:
+        """Insert ``triples`` in order: the store's one insert loop.
+
+        An ``rdf:type`` whose class is a literal refuses the whole batch
+        before anything is written.  Subjects and IRI objects become
+        entities in the order they are first seen; an ``rdf:type`` adds
+        a membership, and one the subject already has is skipped without
+        registering its class.
+        """
+        for subject, predicate, obj in triples:
+            if predicate is RDF_TYPE and not isinstance(obj, Iri):
+                raise literal_class(subject, obj)
+        entities = self.entities
         assertions = self.assertions
+        by_s, by_p, by_o = self._by_s, self._by_p, self._by_o
+        journal = self.journal
         size = len(assertions)
-        assertions.setdefault(assertion)  # the one hash of the assertion
-        if len(assertions) == size:
-            return
-        self._by_s.setdefault(assertion.subject, []).append(assertion)
-        self._by_p.setdefault(assertion.predicate, []).append(assertion)
-        self._by_o.setdefault(assertion.object, []).append(assertion)
-        if self.journal is not None:
-            self.journal.append(assertion)
+        for subject, predicate, obj in triples:
+            rec = entities.get(subject)
+            if rec is None:
+                rec = entities[subject] = EntityRecord(subject)
+            if predicate is RDF_TYPE:
+                if obj in rec.memberships:
+                    continue
+                rec.memberships[obj] = None
+            if isinstance(obj, Iri) and obj not in entities:
+                entities[obj] = EntityRecord(obj)
+            assertion = Assertion(subject, predicate, obj)
+            assertions.setdefault(assertion)  # the one hash of the assertion
+            if len(assertions) == size:
+                continue
+            size += 1
+            by_s.setdefault(subject, []).append(assertion)
+            by_p.setdefault(predicate, []).append(assertion)
+            by_o.setdefault(obj, []).append(assertion)
+            if journal is not None:
+                journal.append(assertion)
 
     def remove(self, assertion: Assertion) -> None:
         """Retract one assertion (memberships included).  No-op if absent."""

@@ -25,13 +25,22 @@ grammar error the rest of the text is lexed before it is raised.  The
 character-at-a-time reader this replaced, ``tests/turtle_oracle.py``,
 is the oracle the differential tests hold it to, line, column and
 message.
+
+``import_turtle`` hands the parsed triples to ``KnowledgeBase.load`` in
+one batch, and registers the document's prefixes only once it returns.
+It turns the cyclic collector off while it parses and loads, and back on
+afterwards only if it was on before, on every exit path; this is the
+one place the package touches the collector.  What it builds holds no
+cycle (see the comment there), so the pause leaves nothing for the
+collector to find, only spares it rescanning a growing store.
 """
 
 from __future__ import annotations
 
+import gc
 import re
 
-from .core import KnowledgeBase, literal_class
+from .core import KnowledgeBase, Triple
 from .terms import Assertion, Iri, ModelError, Obj
 from .vocab import DEFAULT_PREFIXES, RDF_TYPE
 
@@ -165,9 +174,6 @@ def _lexed_to(text: str, pos: int) -> int:
     return pos
 
 
-Triple = tuple[Iri, Iri, Obj]
-
-
 def parse_turtle(
     text: str, prefixes: dict[str, str] | None = None
 ) -> tuple[list[Triple], dict[str, str]]:
@@ -289,15 +295,22 @@ def import_turtle(kb: KnowledgeBase, text: str) -> int:
     predicates are kept for the validator to report.  A document with a
     literal class is refused whole: nothing of it is written.
     """
-    triples, table = parse_turtle(text, kb.prefixes)
-    for subject, predicate, obj in triples:  # refused before the first write
-        if predicate == RDF_TYPE and not isinstance(obj, Iri):
-            raise literal_class(subject, obj)
+    # The parser and the store build terms, triples, assertions, records
+    # and the lists and dicts that index them; each points only at what
+    # it holds, never back, so no cycle can form and reference counting
+    # frees whatever is dropped.  The cyclic collector would only rescan
+    # the growing store, so it is off while the document is read.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        triples, table = parse_turtle(text, kb.prefixes)
+        kb.load(triples)
+    finally:
+        if was_enabled:
+            gc.enable()
     for prefix, base in table.items():
         if prefix:
             kb.register_prefix(prefix, base)
-    for subject, predicate, obj in triples:
-        kb.assert_property(subject, predicate, obj)
     return len(triples)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from oasiskg import (
 )
 from oasiskg.core import LayerConstraintViolated
 from oasiskg.rdfio import ParseError, parse_turtle
-from oasiskg import vocab
+from oasiskg import rdfio, vocab
 
 
 EX = "http://example.org/"
@@ -183,6 +184,58 @@ def test_a_refused_document_writes_nothing(kb: KnowledgeBase):
     assert len(kb) == 0
     assert not kb.entities
     assert "q" not in kb.prefixes
+
+
+@pytest.fixture
+def gc_restored():
+    """Put the collector back as the test found it, whatever the test did."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("<http://example.org/a> <http://example.org/oasis#dependsOn> <http://example.org/b> .\n", None),
+        ("<http://example.org/a> <http://example.org/oasis#dependsOn> ?b .\n", ParseError),
+        ('<http://example.org/a> a "lit" .\n', LayerConstraintViolated),
+    ],
+    ids=["clean", "parse-error", "literal-class"],
+)
+def test_import_turtle_leaves_the_collector_as_it_found_it(
+    kb: KnowledgeBase, gc_restored, monkeypatch, text, error, enabled
+):
+    """The collector is off while the document is parsed and loaded,
+    and afterwards on again only if it was on before, on every exit."""
+    during = []
+    parse, load = rdfio.parse_turtle, KnowledgeBase.load
+
+    def parse_watched(*args):
+        during.append(gc.isenabled())
+        return parse(*args)
+
+    def load_watched(*args):
+        during.append(gc.isenabled())
+        return load(*args)
+
+    monkeypatch.setattr(rdfio, "parse_turtle", parse_watched)
+    monkeypatch.setattr(KnowledgeBase, "load", load_watched)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    if error is None:
+        import_turtle(kb, text)
+    else:
+        with pytest.raises(error):
+            import_turtle(kb, text)
+    assert gc.isenabled() is enabled
+    assert during == ([False] if error is ParseError else [False, False])
 
 
 def test_read_graph_keeps_unknown_predicates(tmp_path):
