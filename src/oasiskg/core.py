@@ -15,9 +15,12 @@ in time linear in their length; nothing in the pipeline removes, only
 tests and their mutations do.  An assertion removed and added again goes
 to the end of each list, as it does in ``assertions``.
 
-``query`` alone sorts its results.  ``edges`` and ``in_edges`` hand out a
-subject's or an object's bucket itself, in insertion order: callers read
-it and must not mutate it, nor write to the store while iterating it.
+``query`` alone sorts its results; no module of the package calls it,
+it serves tests and the benchmark's tracer.  ``edges``, ``in_edges`` and
+``with_predicate`` hand out a subject's, an object's or a predicate's
+bucket itself, in insertion order: callers read it and must not mutate
+it, nor write to the store while iterating it.  The validator's
+whole-graph pass reads its start edges from the predicate buckets.
 
 The store records whatever it is given and leaves layer mixing,
 undeclared predicates and endpoint constraints to the validator; it
@@ -34,6 +37,7 @@ from .terms import (
     InvalidLocalName,
     InvalidPrefix,
     Iri,
+    IRI_BAD,
     LOCAL_NAME,
     ModelError,
     Obj,
@@ -116,7 +120,7 @@ class KnowledgeBase:
     # -- prefixes and minting -------------------------------------------------
 
     def register_prefix(self, prefix: str, base: str) -> None:
-        if not prefix or not base:
+        if not prefix or not base or IRI_BAD.search(base):
             raise InvalidPrefix(prefix, base)
         self.prefixes[prefix] = base
 
@@ -278,6 +282,11 @@ class KnowledgeBase:
         """Assertions with ``obj`` as object, in insertion order; the
         store's own bucket, not a copy."""
         return self._by_o.get(obj, ())
+
+    def with_predicate(self, predicate: Iri) -> Sequence[Assertion]:
+        """Assertions with ``predicate`` itself as predicate, in insertion
+        order; the store's own bucket, not a copy."""
+        return self._by_p.get(predicate, ())
 
     def objects(self, subject: Iri, predicate: Iri, *, entail: bool = False) -> list[Obj]:
         """Objects of ``(subject, predicate, ?)`` in assertion order."""

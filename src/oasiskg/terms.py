@@ -12,7 +12,8 @@ import re
 import weakref
 from operator import attrgetter
 
-_IRI_BAD = re.compile(r'[\s<>"{}|^`\\]')
+#: characters an IRI may not hold, in a prefix's base too
+IRI_BAD = re.compile(r'[\s<>"{}|^`\\]')
 
 #: local names acceptable to mint_iri; clone suffixes stay inside this set.
 LOCAL_NAME = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.\-]*$")
@@ -33,7 +34,8 @@ class InvalidPrefix(ModelError):
         empty = " and ".join(
             part for part, value in (("prefix", prefix), ("base IRI", base)) if not value
         )
-        super().__init__(f"cannot bind prefix {prefix!r} to {base!r}: empty {empty}")
+        reason = f"empty {empty}" if empty else "base IRI contains reserved characters"
+        super().__init__(f"cannot bind prefix {prefix!r} to {base!r}: {reason}")
         self.prefix = prefix
         self.base = base
 
@@ -127,7 +129,7 @@ class Iri:
             found = ref()
             if found is not None:
                 return found
-        if not value or _IRI_BAD.search(value):
+        if not value or IRI_BAD.search(value):
             raise InvalidLocalName(value)
         iri = object.__new__(cls)
         set_field(iri, "value", value)

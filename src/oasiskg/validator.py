@@ -1,13 +1,16 @@
 """Whole-graph consistency checks.
 
 ``validate`` never raises on graph content; it returns a sorted list of
-violations.  The checks run in one pass per kind of candidate: one over
-entities, one over assertions, then trees, procedure chains and
-performers.  After a clean pass they run only on what the store's change
-journal can reach, each assertion object once, with the same result as
-a whole-graph pass; a removal can cost a whole-graph pass, never a wrong
-verdict.  Endpoint constraints are read here, not in the store, and
-capability too, for the performer check and the engine's gate alike.
+violations.  A pass looks at three kinds of candidate: entities (each
+procedure's chain among their checks), assertions, and start edges, the
+mirror-root and ``performsPlanExecution`` edges that a mirror check and
+a capability check start from.  The whole-graph pass reads its start
+edges from the store's predicate buckets.  After a clean pass the checks
+run only on what the store's change journal can reach, each assertion
+object once, with the same result as a whole-graph pass; a removal can
+cost a whole-graph pass, never a wrong verdict.  Endpoint constraints
+are read here, not in the store, and capability too, for the performer
+check and the engine's gate alike.
 ``check_mirror`` verifies that a linked tree retraces its source tree
 edge by edge through the right family subproperties.
 """
@@ -176,32 +179,14 @@ _MIRROR_ROOTS: dict[Iri, Iri] = {
     vocab.CLASS_TO_SUBMITTED[vocab.BEHAVIOUR]: vocab.SUBMITTED_TO,
     vocab.HAS_PLAN_EXECUTION: vocab.HAS_EXECUTION,
 }
+#: the predicates of start edges: mirror roots, then performers
+_START_PREDICATES = (*_MIRROR_ROOTS, vocab.PERFORMS_PLAN_EXECUTION)
 #: the edges a region pass follows from a node up to what checks it:
 #: tree edges to the parent, successor edges to the earlier state
 _UP_EDGES = frozenset((*CHILD_RANK, *vocab.SUB_CLOSURE[vocab.HAS_NEXT]))
 
 #: reference predicates, whose endpoints need not be typed individuals
 _STRUCTURAL_EXEMPT = frozenset(vocab.REFERS_PREDICATES)
-
-
-class _Candidates(Frozen):
-    """What each check looks at: all of the graph, or what a journal reaches."""
-
-    __slots__ = ("entities", "assertions", "trees", "procedures", "performs")
-
-    def __init__(
-        self,
-        entities: Iterable[EntityRecord],  # layer mix, states, events, executions
-        assertions: Iterable[Assertion],  # unknown predicate, endpoints, dangling
-        trees: Iterable[tuple[Iri, Iri, Iri]],  # mirror roots: source, target; family
-        procedures: Iterable[Iri],  # chains
-        performs: Iterable[tuple[Iri, Obj]],  # performers: agent, execution root
-    ) -> None:
-        set_field(self, "entities", entities)
-        set_field(self, "assertions", assertions)
-        set_field(self, "trees", trees)
-        set_field(self, "procedures", procedures)
-        set_field(self, "performs", performs)
 
 
 #: a region pass costs a few times what a whole-graph pass costs per
@@ -221,45 +206,39 @@ def validate(kb: KnowledgeBase) -> list[Violation]:
     if (
         journal is not None
         and len(journal) * _REGION_SHARE < len(kb)
-        and not _findings(kb, _reach(kb, journal))
+        and not _findings(kb, *_reach(kb, journal))
     ):
         kb.journal = []
         return []
-    out = _findings(kb, _whole(kb))
+    out = _findings(kb, *_whole(kb))
     out.sort(key=Violation.sort_key)
     kb.journal = None if out else []
     return out
 
 
-def _findings(kb: KnowledgeBase, c: _Candidates) -> list[Violation]:
+def _findings(
+    kb: KnowledgeBase,
+    entities: Iterable[EntityRecord],  # layer mix, states, events, executions, chains
+    assertions: Iterable[Assertion],  # unknown predicate, endpoints, dangling
+    starts: Iterable[Assertion],  # mirror roots and performers
+) -> list[Violation]:
     return [
-        *_entity_checks(kb, c.entities),
-        *_assertion_checks(kb, c.assertions),
-        *_mirrors(kb, c.trees),
-        *_chains(kb, c.procedures),
-        *_performers(kb, c.performs),
+        *_entity_checks(kb, entities),
+        *_assertion_checks(kb, assertions),
+        *_edge_checks(kb, starts),
     ]
 
 
-def _whole(kb: KnowledgeBase) -> _Candidates:
-    return _Candidates(
-        entities=kb.entities.values(),
-        assertions=kb.assertions,
-        trees=[
-            (a.subject, a.object, family)
-            for root_pred, family in _MIRROR_ROOTS.items()
-            for a in kb.query(predicate=root_pred)
-            if isinstance(a.object, Iri)
-        ],
-        procedures=kb.subjects(RDF_TYPE, vocab.PROCEDURE),
-        performs=[
-            (a.subject, a.object)
-            for a in kb.query(predicate=vocab.PERFORMS_PLAN_EXECUTION)
-        ],
-    )
+#: what one pass checks: entities, assertions and start edges
+_Pass = tuple[Iterable[EntityRecord], Iterable[Assertion], Iterable[Assertion]]
 
 
-def _reach(kb: KnowledgeBase, journal: list[Assertion]) -> _Candidates:
+def _whole(kb: KnowledgeBase) -> _Pass:
+    starts = [a for pred in _START_PREDICATES for a in kb.with_predicate(pred)]
+    return kb.entities.values(), kb.assertions, starts
+
+
+def _reach(kb: KnowledgeBase, journal: list[Assertion]) -> _Pass:
     """Candidates that changes since a clean pass can have touched; a
     finding the whole graph has now must lie among them."""
     # a region pass only tells clean from dirty, so candidates come in any
@@ -279,9 +258,8 @@ def _reach(kb: KnowledgeBase, journal: list[Assertion]) -> _Candidates:
     # node's buckets once, for endpoints, mirror roots, chain initials,
     # performers and role players alike; where the two kinds of edge
     # meet, it reaches more than two walks would, never less
-    trees: dict[tuple[Iri, Iri, Iri], None] = {}
-    procedures = dict.fromkeys(subjects)
-    performs: dict[tuple[Iri, Obj], None] = {}
+    entities = dict.fromkeys(subjects)
+    starts: dict[int, Assertion] = {}
     players: list[Iri] = []
     seen = set(subjects)
     stack = list(seen)
@@ -301,30 +279,24 @@ def _reach(kb: KnowledgeBase, journal: list[Assertion]) -> _Candidates:
                     seen.add(a.subject)
                     stack.append(a.subject)
             elif pred in _MIRROR_ROOTS:
-                trees[(a.subject, node, _MIRROR_ROOTS[pred])] = None
+                starts[id(a)] = a
             elif pred == vocab.PROC_CONSISTS_INITIAL:
-                procedures[a.subject] = None
+                entities[a.subject] = None  # the procedure, for its chain
             elif pred == vocab.PERFORMS_PLAN_EXECUTION and node in subjects:
-                performs[(a.subject, node)] = None
+                starts[id(a)] = a
             elif pred == vocab.PLAY_ROLE and node in subjects:
                 players.append(a.subject)
         for a in outward:
             pred = a.predicate
-            if pred in _MIRROR_ROOTS and isinstance(a.object, Iri):
-                trees[(node, a.object, _MIRROR_ROOTS[pred])] = None
-            elif pred == vocab.PERFORMS_PLAN_EXECUTION and node in subjects:
-                performs[(node, a.object)] = None
+            if pred in _MIRROR_ROOTS or (
+                pred == vocab.PERFORMS_PLAN_EXECUTION and node in subjects
+            ):
+                starts[id(a)] = a
     for agent in players:
         for a in out_of(agent):
             if a.predicate == vocab.PERFORMS_PLAN_EXECUTION:
-                performs[(agent, a.object)] = None
-    return _Candidates(
-        entities=[kb.entities[iri] for iri in subjects],
-        assertions=assertions.values(),
-        trees=trees,
-        procedures=[p for p in procedures if kb.has_class(p, vocab.PROCEDURE)],
-        performs=performs,
-    )
+                starts[id(a)] = a
+    return [kb.entities[iri] for iri in entities], assertions.values(), starts.values()
 
 
 def _entity_checks(
@@ -381,6 +353,8 @@ def _entity_checks(
                     "plan execution is not drawn by any behaviour",
                 )
             )
+        if vocab.PROCEDURE in memberships:
+            out.extend(_chain(kb, iri))
     return out
 
 
@@ -486,15 +460,6 @@ def _assertion_checks(
     return out
 
 
-def _mirrors(
-    kb: KnowledgeBase, trees: Iterable[tuple[Iri, Iri, Iri]]
-) -> list[Violation]:
-    out = []
-    for source, target, family in trees:
-        out.extend(check_mirror(kb, source, target, family))
-    return out
-
-
 #: each chain end: its edge, its name, and the codes for none and several
 _CHAIN_ENDS = (
     (vocab.PROC_CONSISTS_INITIAL, "initial", Code.CHAIN_NO_INITIAL, Code.CHAIN_MULTIPLE_INITIAL),
@@ -502,64 +467,67 @@ _CHAIN_ENDS = (
 )
 
 
-def _chains(kb: KnowledgeBase, procedures: Iterable[Iri]) -> list[Violation]:
+def _chain(kb: KnowledgeBase, proc: Iri) -> list[Violation]:
     out = []
-    for proc in procedures:
-        members: dict[Iri, None] = {}
-        for o in kb.objects(proc, vocab.PROC_CONSISTS_STATE, entail=True):
-            if isinstance(o, Iri):
-                members[o] = None
-        ends = []
-        for pred, end, none, several in _CHAIN_ENDS:
-            states = sorted({o for o in kb.objects(proc, pred) if isinstance(o, Iri)})
-            if not states:
-                out.append(Violation(none, (proc,), f"procedure has no {end} state"))
-            elif len(states) > 1:
-                out.append(
-                    Violation(
-                        several, (proc, *states), f"procedure has several {end} states"
-                    )
-                )
-            ends.append(states)
-        initials = ends[0]
-        if len(initials) != 1:
-            continue
-        reachable, back = depth_first(
-            initials,
-            lambda state: [
-                o
-                for o in kb.objects(state, vocab.HAS_NEXT, entail=True)
-                if isinstance(o, Iri)
-            ],
-        )
-        if back is not None:
+    members: dict[Iri, None] = {}
+    for o in kb.objects(proc, vocab.PROC_CONSISTS_STATE, entail=True):
+        if isinstance(o, Iri):
+            members[o] = None
+    ends = []
+    for pred, end, none, several in _CHAIN_ENDS:
+        states = sorted({o for o in kb.objects(proc, pred) if isinstance(o, Iri)})
+        if not states:
+            out.append(Violation(none, (proc,), f"procedure has no {end} state"))
+        elif len(states) > 1:
             out.append(
                 Violation(
-                    Code.CHAIN_CYCLE,
-                    (proc,),
-                    "successor edges loop back on the chain",
+                    several, (proc, *states), f"procedure has several {end} states"
                 )
             )
-        for state in members:
-            if state not in reachable:
-                out.append(
-                    Violation(
-                        Code.CHAIN_UNREACHABLE_STATE,
-                        (proc, state),
-                        "state cannot be reached from the initial state",
-                    )
+        ends.append(states)
+    initials = ends[0]
+    if len(initials) != 1:
+        return out
+    reachable, back = depth_first(
+        initials,
+        lambda state: [
+            o
+            for o in kb.objects(state, vocab.HAS_NEXT, entail=True)
+            if isinstance(o, Iri)
+        ],
+    )
+    if back is not None:
+        out.append(
+            Violation(
+                Code.CHAIN_CYCLE, (proc,), "successor edges loop back on the chain"
+            )
+        )
+    for state in members:
+        if state not in reachable:
+            out.append(
+                Violation(
+                    Code.CHAIN_UNREACHABLE_STATE,
+                    (proc, state),
+                    "state cannot be reached from the initial state",
                 )
+            )
     return out
 
 
-def _performers(
-    kb: KnowledgeBase, performs: Iterable[tuple[Iri, Obj]]
-) -> list[Violation]:
+def _edge_checks(kb: KnowledgeBase, starts: Iterable[Assertion]) -> list[Violation]:
+    """A mirror check from each root-pair edge, a capability check from
+    each performer edge; an edge to a literal starts neither."""
     out = []
-    for agent, exec_root in performs:
-        if not isinstance(exec_root, Iri):
+    for a in starts:
+        root = a.object  # the linked tree's root, or the performed execution's
+        if not isinstance(root, Iri):
             continue
-        for b in kb.objects(exec_root, vocab.EXECUTION_DRAWN_BY, entail=True):
+        family = _MIRROR_ROOTS.get(a.predicate)
+        if family is not None:
+            out.extend(check_mirror(kb, a.subject, root, family))
+            continue
+        agent = a.subject
+        for b in kb.objects(root, vocab.EXECUTION_DRAWN_BY, entail=True):
             if not isinstance(b, Iri):
                 continue
             gap = capability_gap(kb, agent, b)

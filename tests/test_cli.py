@@ -197,11 +197,15 @@ def test_build_applies_the_env_prefix_map(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "prefixes, empty",
-    [({"": "http://x/"}, "prefix"), ({"p": ""}, "base IRI")],
-    ids=["empty-prefix", "empty-base"],
+    "prefixes, reason",
+    [
+        ({"": "http://x/"}, "empty prefix"),
+        ({"p": ""}, "empty base IRI"),
+        ({"p": "http://x/a b"}, "base IRI contains reserved characters"),
+    ],
+    ids=["empty-prefix", "empty-base", "reserved-base"],
 )
-def test_build_rejects_unusable_document_prefixes(prefixes, empty, tmp_path, capsys):
+def test_build_rejects_unusable_document_prefixes(prefixes, reason, tmp_path, capsys):
     doc = protocol_doc(tags=("a",))
     doc["prefixes"] = prefixes
     spec = tmp_path / "spec.json"
@@ -210,7 +214,7 @@ def test_build_rejects_unusable_document_prefixes(prefixes, empty, tmp_path, cap
     assert main(["build", "--spec", str(spec), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.rstrip("\n").endswith(f": empty {empty}")
+    assert err.rstrip("\n").endswith(f": {reason}")
     assert not out.exists()
 
 
@@ -351,8 +355,8 @@ def test_no_command_imports_dataclasses_or_inspect(command, tmp_path):
 @pytest.mark.parametrize("command", ["build", "validate", "run", "races"])
 @pytest.mark.parametrize(
     "content",
-    [None, "{oops", "[]", '{"x": 5}', '{"": "http://x/"}'],
-    ids=["missing", "malformed", "not-an-object", "not-an-iri", "empty-prefix"],
+    [None, "{oops", "[]", '{"x": 5}', '{"": "http://x/"}', '{"p": "http://x/a b"}'],
+    ids=["missing", "malformed", "not-an-object", "not-an-iri", "empty-prefix", "reserved-base"],
 )
 def test_unusable_env_prefix_map_is_operational(
     command, content, built_kb, tmp_path, monkeypatch, capsys
@@ -380,6 +384,8 @@ def test_unusable_env_prefix_map_is_operational(
     assert str(prefixes) in err
     if content == '{"": "http://x/"}':
         assert err.rstrip("\n").endswith(": empty prefix")
+    if content == '{"p": "http://x/a b"}':
+        assert err.rstrip("\n").endswith(": base IRI contains reserved characters")
 
 
 @pytest.mark.parametrize(

@@ -80,13 +80,19 @@ def test_register_prefix_binds_a_base_for_resolve(kb: KnowledgeBase):
 
 @pytest.mark.parametrize(
     "prefix, base, empty",
-    [("", "http://x/", "prefix"), ("p", "", "base IRI"), ("", "", "prefix and base IRI")],
+    [
+        ("", "http://x/", "prefix"),
+        ("p", "", "base IRI"),
+        ("", "", "prefix and base IRI"),
+        ("p", "http://x/a b", None),  # no part empty: a base Iri refuses
+    ],
 )
 def test_register_prefix_names_the_empty_part(kb: KnowledgeBase, prefix, base, empty):
     before = dict(kb.prefixes)
     with pytest.raises(InvalidPrefix) as caught:
         kb.register_prefix(prefix, base)
-    assert str(caught.value).endswith(f": empty {empty}")
+    reason = "base IRI contains reserved characters" if empty is None else f"empty {empty}"
+    assert str(caught.value).endswith(f": {reason}")
     assert kb.prefixes == before
 
 

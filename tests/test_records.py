@@ -34,7 +34,7 @@ from oasiskg.specs import (
 )
 from oasiskg.terms import Assertion, Iri
 from oasiskg.validator import CapabilityKind, CapabilitySource
-from oasiskg.validator import Code, Violation, _Candidates
+from oasiskg.validator import Code, Violation
 from oasiskg.vocab import LayerTag, PropertySpec
 
 A, B, C = Iri("http://x/a"), Iri("http://x/b"), Iri("http://x/c")
@@ -69,10 +69,6 @@ FROZEN = {
                   Violation(Code.LAYER_MIX, (A,), "mixed"),
                   f"Violation(code=<Code.LAYER_MIX: 'LAYER_MIX'>, subjects=({RA}, {RB}), "
                   "message='mixed')"),
-    "_Candidates": (lambda: _Candidates((), (A,), ((A, B, C),), (B,), ((A, "c"),)),
-                    _Candidates((), (A,), (), (B,), ()),
-                    f"_Candidates(entities=(), assertions=({RA},), trees=(({RA}, {RB}, {RC}),), "
-                    f"procedures=({RB},), performs=(({RA}, 'c'),))"),
     "StateRecord": (lambda: StateRecord(0, A, B, C, A, B), StateRecord(1, A, B, C, A, B), STATE),
     "StepRecord": (lambda: StepRecord(state=A, plan_exec=B, agent=C, events=(A,), index=1),
                    StepRecord(A, B, C, (), 1), STEP),
@@ -128,7 +124,7 @@ RECORDS = {**FROZEN, **MUTABLE}
 
 
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == 24
+    assert len(RECORDS) == 23
     assert all(make().__class__.__name__ == name for name, (make, _, _) in RECORDS.items())
 
 

@@ -150,7 +150,7 @@ def test_combined_mutations_each_keep_their_finding():
         for mutation in picked:
             mutation.apply(kb, ctx)
         names = [m.name for m in picked]
-        region = validator._findings(kb, validator._reach(kb, kb.journal))
+        region = validator._findings(kb, *validator._reach(kb, kb.journal))
         whole = validate(kb)
         assert {m.expected for m in picked} <= {v.code for v in whole}, names
         assert set(region) == set(whole), names
