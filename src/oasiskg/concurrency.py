@@ -23,15 +23,22 @@ at most two writers, not the whole history.  Each lock state is given
 a small int id when first seen, so a search state is a flat tuple of
 ints: the runs' positions, then each resource's lock-state id.  Each
 state is numbered when first reached and its moves are kept by number,
-so one copy of each state is stored.  A transition table maps (lock-state
-id, agent, step kind) to the next id, or blocked, and the hazard
-raised, so ``interpret_step`` runs once per distinct transition, not
-once per state and run.  ``sum(positions)`` fixes step indices and the
-bound cut, so a state reached again was searched, at the same depth,
-before.  Hazards are taken on the step that raises them, in pre-order:
-the order "first schedule in depth-first order, then step order" of a
-walk over every schedule.  A report's schedule is its prefix plus the
-leftmost completion below, so reports match that walk's byte for byte.
+so one copy of each state is stored.  Each distinct (agent, step kind)
+is an action numbered from 0, and a transition table keyed by the one
+int ``lock-state id * actions + action`` gives the next id, or blocked,
+and the hazard raised, so ``interpret_step`` runs once per distinct
+transition, not once per state and run.  ``sum(positions)`` fixes
+step indices and the bound cut, so a state reached again was searched,
+at the same depth, before.  Hazards are taken on the step that raises
+them, in pre-order: the order "first schedule in depth-first order,
+then step order" of a walk over every schedule.  A report's schedule is
+its prefix plus the leftmost completion below, so reports match that
+walk's byte for byte.
+
+``extract_runs`` rebuilds runs from realized processes.  It reads each
+task's edges once, sorting their IRI objects into the operators and
+the three resource-bearing predicates, and each referenced node's
+edges once, exact references before new ones.
 """
 
 from __future__ import annotations
@@ -257,15 +264,16 @@ def _search(
         for run in runs
     ]
     agent_kinds = list(actions)
+    n_actions = len(actions)
     total = sum(len(run.steps) for run in runs)
     #: each distinct lock state by id, and ids by state
     lock_states = [ResourceState()]
     lock_ids = {ResourceState(): 0}
     #: each distinct (race kind, agent, other agent), numbered
     hazards: dict[tuple[RaceKind, Iri, Iri], int] = {}
-    #: (lock-state id, action) -> (next lock-state id or -1 if the step
-    #: blocks, hazard or -1)
-    table: dict[tuple[int, int], tuple[int, int]] = {}
+    #: lock-state id * n_actions + action -> (next lock-state id or -1
+    #: if the step blocks, hazard or -1)
+    table: dict[int, tuple[int, int]] = {}
     root: _Key = (0,) * (len(runs) + len(resources))
     #: each state reached by number; its moves and counts, by number,
     #: are filled in when its search ends
@@ -306,9 +314,10 @@ def _search(
             if step is None:
                 continue
             cell, action = step
-            move = table.get((key[cell], action))
+            probe = key[cell] * n_actions + action
+            move = table.get(probe)
             if move is None:
-                move = table[key[cell], action] = transition(key[cell], action)
+                move = table[probe] = transition(key[cell], action)
             lid, hazard = move
             if lid < 0:
                 continue
@@ -326,8 +335,16 @@ def _search(
                 yield child, n, prefix + (i,)
             out.append((i, n))
         moves[number] = tuple(out)
-        below = [counts[n] for _, n in out]
-        counts[number] = tuple(map(sum, zip(*below))) if out else (0, 1, 0)
+        if not out:
+            counts[number] = (0, 1, 0)
+            return
+        complete = deadlock = truncated = 0
+        for _, n in out:
+            c, d, t = counts[n]
+            complete += c
+            deadlock += d
+            truncated += t
+        counts[number] = (complete, deadlock, truncated)
 
     stack = [visit(root, 0, ())]
     while stack:
@@ -395,43 +412,55 @@ DEFAULT_OP_MAP: dict[str, StepKind] = {
 _RESOURCE_BEARING = (
     HAS_TASK_OBJECT, HAS_TASK_OUTPUT_PARAMETER, HAS_TASK_INPUT_PARAMETER
 )
+#: a task's edge predicates that ``_step`` reads, by slot: the operator,
+#: then the resource-bearing ones in ``_RESOURCE_BEARING`` order
+_SLOT_OF = {pred: n for n, pred in enumerate((HAS_TASK_OPERATOR, *_RESOURCE_BEARING))}
 
 
 def _refs(kb: KnowledgeBase, node: Iri) -> list[Iri]:
-    out = []
-    for pred in (REFERS_EXACTLY_TO, REFERS_AS_NEW_TO):
-        out.extend(o for o in kb.objects(node, pred) if isinstance(o, Iri))
-    return out
+    """The IRIs ``node`` refers to: exact references, then new ones."""
+    exact: list[Iri] = []
+    new: list[Iri] = []
+    for a in kb.edges(node):
+        if isinstance(a.object, Iri):
+            if a.predicate is REFERS_EXACTLY_TO:
+                exact.append(a.object)
+            elif a.predicate is REFERS_AS_NEW_TO:
+                new.append(a.object)
+    return exact + new
 
 
-def _step_kind(kb: KnowledgeBase, task: Iri, op_map: dict[str, StepKind]) -> StepKind:
-    targets: list[Iri] = []
-    for operator in kb.objects(task, HAS_TASK_OPERATOR):
-        if isinstance(operator, Iri):
-            targets.extend(_refs(kb, operator))
-    local = targets[0].local.lower() if targets else ""
-    if local in op_map:
-        return op_map[local]
-    matches = sorted({kind.value for key, kind in op_map.items() if key in local})
-    if len(matches) == 1:
-        return StepKind(matches[0])
-    raise UnknownStepKind(task, local)
-
-
-def _step_resource(kb: KnowledgeBase, task: Iri, fallback: Iri) -> Iri:
-    """The resource a task contends on: the first referenced individual
-    typed by a class named Resource, else the first referenced
-    individual, else the fallback."""
-    candidates: list[Iri] = []
-    for pred in _RESOURCE_BEARING:
-        for node in kb.objects(task, pred):
-            if isinstance(node, Iri):
-                candidates.extend(_refs(kb, node))
+def _step(
+    kb: KnowledgeBase, task: Iri, op_map: dict[str, StepKind], fallback: Iri
+) -> Step:
+    """A task's step from one read of its edges.  The kind comes from the
+    first target the operators refer to; the resource is the first
+    referenced individual typed by a class named Resource, else the
+    first referenced individual, else the fallback."""
+    slots: tuple[list[Iri], ...] = ([], [], [], [])
+    for a in kb.edges(task):
+        slot = _SLOT_OF.get(a.predicate)
+        if slot is not None and isinstance(a.object, Iri):
+            slots[slot].append(a.object)
+    operators, *bearing = slots
+    local = ""
+    for operator in operators:
+        targets = _refs(kb, operator)
+        if targets:
+            local = targets[0].local.lower()
+            break
+    kind = op_map.get(local)
+    if kind is None:
+        matches = sorted({k.value for key, k in op_map.items() if key in local})
+        if len(matches) != 1:
+            raise UnknownStepKind(task, local)
+        kind = StepKind(matches[0])
+    candidates = [ref for nodes in bearing for node in nodes for ref in _refs(kb, node)]
     for candidate in candidates:
         rec = kb.entity(candidate)
         if rec and any(cls.local == "Resource" for cls in rec.memberships):
-            return candidate
-    return candidates[0] if candidates else fallback
+            return Step(kind, candidate)
+    return Step(kind, candidates[0] if candidates else fallback)
 
 
 def extract_runs(
@@ -473,12 +502,7 @@ def extract_runs(
                     elif agent != performers[0]:
                         raise MixedAgents(handle)
                 for task in plan_tasks(kb, plan_exec):
-                    steps.append(
-                        Step(
-                            kind=_step_kind(kb, task, mapping),
-                            resource=_step_resource(kb, task, plan_exec),
-                        )
-                    )
+                    steps.append(_step(kb, task, mapping, plan_exec))
         if agent is None:
             raise UnknownHandle(handle)
         runs.append(ProtocolRun(agent=agent, steps=tuple(steps)))

@@ -16,7 +16,11 @@ tests and their mutations do.  An assertion removed and added again goes
 to the end of each list, as it does in ``assertions``.
 
 ``query`` alone sorts its results; no module of the package calls it,
-it serves tests and the benchmark's tracer.  ``edges``, ``in_edges`` and
+it serves tests and the benchmark's tracer.  ``objects`` and
+``subjects`` scan one subject's or object's bucket and match the
+predicate by identity (IRIs are interned), building no set per call;
+``objects`` with ``entail`` tests each predicate against the
+predicate's ``SUB_CLOSURE`` entry instead.  ``edges``, ``in_edges`` and
 ``with_predicate`` hand out a subject's, an object's or a predicate's
 bucket itself, in insertion order: callers read it and must not mutate
 it, nor write to the store while iterating it.  The validator's
@@ -289,21 +293,19 @@ class KnowledgeBase:
         return self._by_p.get(predicate, ())
 
     def objects(self, subject: Iri, predicate: Iri, *, entail: bool = False) -> list[Obj]:
-        """Objects of ``(subject, predicate, ?)`` in assertion order."""
-        preds = (
-            vocab.SUB_CLOSURE.get(predicate, frozenset((predicate,)))
-            if entail
-            else frozenset((predicate,))
-        )
-        return [
-            a.object
-            for a in self._by_s.get(subject, [])
-            if a.predicate in preds
-        ]
+        """Objects of ``(subject, predicate, ?)`` in assertion order.  With
+        ``entail`` the predicate position also matches declared
+        subproperties."""
+        bucket = self._by_s.get(subject, ())
+        if entail:
+            preds = vocab.SUB_CLOSURE.get(predicate)
+            if preds is not None:
+                return [a.object for a in bucket if a.predicate in preds]
+        return [a.object for a in bucket if a.predicate is predicate]
 
     def subjects(self, predicate: Iri, obj: Obj) -> list[Iri]:
         """Subjects of ``(?, predicate, obj)`` in assertion order."""
-        return [a.subject for a in self._by_o.get(obj, []) if a.predicate == predicate]
+        return [a.subject for a in self._by_o.get(obj, ()) if a.predicate is predicate]
 
     def __len__(self) -> int:
         return len(self.assertions)

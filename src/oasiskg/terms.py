@@ -46,6 +46,15 @@ class InvalidLocalName(ModelError):
         self.local = local
 
 
+class InvalidIri(InvalidLocalName):
+    """A whole IRI that ``Iri`` refuses.  A subclass of
+    :class:`InvalidLocalName`, so handlers of that still catch it."""
+
+    def __init__(self, value: str) -> None:
+        ModelError.__init__(self, f"IRI is empty or contains reserved characters: {value!r}")
+        self.local = value
+
+
 class Record:
     """Base of the package's records.  A subclass names its fields, two
     or more, in ``__slots__`` and takes them, in that order, in its own
@@ -130,7 +139,7 @@ class Iri:
             if found is not None:
                 return found
         if not value or IRI_BAD.search(value):
-            raise InvalidLocalName(value)
+            raise InvalidIri(value)
         iri = object.__new__(cls)
         set_field(iri, "value", value)
         ref = _Ref(iri, _forget)

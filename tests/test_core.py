@@ -360,3 +360,49 @@ def test_indexes_match_a_scan_of_the_assertions_step_by_step():
             assert list(kb.edges(s)) == [x for x in kb.assertions if x.subject is s], step
             assert list(kb.in_edges(o)) == [x for x in kb.assertions if x.object == o], step
     assert min(done.values()) >= 200, done
+
+
+def test_lookups_match_a_brute_force_scan():
+    # objects, objects with entailment and subjects over every subject,
+    # predicate and object the graph uses, checked against a scan of
+    # kb.assertions in its insertion order as the graph grows and shrinks
+    rng = random.Random(5813)
+    kb = KnowledgeBase()
+    nodes = [ex(f"n{i}") for i in range(6)]
+    literals = ["signal", "n0", ""]
+    overloads = sorted(vocab.SUB_CLOSURE[vocab.OVERLOADS] - {vocab.OVERLOADS})[:3]
+    # a predicate with subproperties, three of those, one the vocabulary
+    # does not declare and one that takes literals
+    predicates = [vocab.OVERLOADS, *overloads, ex("undeclared"), vocab.HAS_EVENT_KIND]
+    removed: list[Assertion] = []
+    readded = 0
+    for step in range(600):
+        roll = rng.random()
+        if roll < 0.15 and kb.assertions:
+            a = rng.choice(list(kb.assertions))
+            kb.remove(a)
+            removed.append(a)
+        elif roll < 0.3 and removed:
+            a = removed.pop(rng.randrange(len(removed)))
+            readded += a not in kb
+            kb.assert_property(a.subject, a.predicate, a.object)
+        else:
+            p = rng.choice(predicates)
+            o = rng.choice(literals) if p is vocab.HAS_EVENT_KIND else rng.choice(nodes + literals)
+            kb.assert_property(rng.choice(nodes), p, o)
+        if step % 20:
+            continue
+        for s, p in itertools.product(nodes + [ex("missing")], predicates):
+            closure = vocab.SUB_CLOSURE.get(p, {p})
+            assert kb.objects(s, p) == [
+                a.object for a in kb.assertions if a.subject is s and a.predicate is p
+            ], (step, s, p)
+            assert kb.objects(s, p, entail=True) == [
+                a.object for a in kb.assertions if a.subject is s and a.predicate in closure
+            ], (step, s, p)
+        for p, o in itertools.product(predicates, nodes + literals + ["missing"]):
+            assert kb.subjects(p, o) == [
+                a.subject for a in kb.assertions if a.predicate is p and a.object == o
+            ], (step, p, o)
+    assert readded >= 20 and any(not isinstance(a.object, Iri) for a in kb.assertions)
+    assert any(a.predicate in overloads for a in kb.assertions)

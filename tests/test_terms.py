@@ -11,7 +11,7 @@ import pytest
 
 from oasiskg import Assertion, Iri, KnowledgeBase, export_canonical
 from oasiskg import terms
-from oasiskg.terms import InvalidLocalName
+from oasiskg.terms import InvalidIri, InvalidLocalName
 
 X = "http://x/a"
 
@@ -89,9 +89,25 @@ def test_an_iri_is_not_its_string():
 @pytest.mark.parametrize("value", ["", "http://x/a b", "http://x/<a>"])
 def test_invalid_values_are_refused_every_time(value):
     for _ in range(3):
-        with pytest.raises(InvalidLocalName):
+        with pytest.raises(InvalidIri) as err:
             Iri(value)
+        assert str(err.value) == f"IRI is empty or contains reserved characters: {value!r}"
+        assert err.value.local == value
     assert value not in terms._INTERNED
+
+
+def test_a_refused_whole_iri_is_not_blamed_on_a_local_name():
+    kb = KnowledgeBase()
+    with pytest.raises(InvalidIri) as err:
+        kb.resolve("http://x/a b")
+    assert str(err.value) == "IRI is empty or contains reserved characters: 'http://x/a b'"
+    # handlers written for the error Iri raised before still catch it
+    assert isinstance(err.value, InvalidLocalName)
+    # a bare local name is still refused as one
+    with pytest.raises(InvalidLocalName) as err:
+        kb.resolve("a b")
+    assert type(err.value) is InvalidLocalName
+    assert str(err.value) == "local name contains reserved characters: 'a b'"
 
 
 def test_an_iri_is_immutable():

@@ -5,7 +5,7 @@ Both parsers must agree on triples, on the final prefix table and on
 every ``ParseError``'s line, column and detail, except in the two places
 where the new reader differs on purpose, which are tested on their own:
 the empty prefix (the oracle stops at ``:`` with "unexpected character
-':'") and IRIs that ``Iri`` refuses (the oracle lets ``InvalidLocalName``
+':'") and IRIs that ``Iri`` refuses (the oracle lets ``InvalidIri``
 escape, the new reader raises a ``ParseError`` at the token).
 """
 
@@ -22,7 +22,7 @@ from conftest import build_protocol_scenario, random_behaviour_spec, random_proc
 from oasiskg import Iri, KnowledgeBase, export_canonical, import_turtle, rdfio, vocab
 from oasiskg.builder import build_plan, build_process
 from oasiskg.rdfio import ParseError, parse_turtle
-from oasiskg.terms import InvalidLocalName, ModelError
+from oasiskg.terms import InvalidIri, ModelError
 
 EX = "http://example.org/"
 
@@ -118,8 +118,8 @@ def assert_same(text: str, seen: dict[str, int]) -> None:
         seen["empty prefix"] = seen.get("empty prefix", 0) + 1
         return
     if want[0] == "model":
-        # the oracle let InvalidLocalName escape; the reader names the token
-        assert want[1] == InvalidLocalName.__name__, (text, want)
+        # the oracle let InvalidIri escape; the reader names the token
+        assert want[1] == InvalidIri.__name__, (text, want)
         assert got[0] == "parse" and got[3].startswith("invalid IRI "), (text, got)
         seen["invalid IRI"] = seen.get("invalid IRI", 0) + 1
         return
@@ -293,7 +293,7 @@ def test_empty_prefix_is_accepted_and_stays_in_the_document():
     ],
 )
 def test_iris_that_iri_refuses_are_parse_errors(text, line, col, iri):
-    with pytest.raises(InvalidLocalName):
+    with pytest.raises(InvalidIri):
         turtle_oracle.parse_turtle(text)
     with pytest.raises(ParseError) as err:
         parse_turtle(text)

@@ -7,7 +7,7 @@ since: like the package reader, it passes each ``@prefix`` base through
 ``_tokenize`` walks the text one character at a time with ``advance()``,
 tracking line and column as it goes, and returns one ``_Token`` per
 token; ``parse_turtle`` consumes them.  It rejects the empty prefix, and
-an IRI that ``Iri`` refuses escapes as ``InvalidLocalName``.
+an IRI that ``Iri`` refuses escapes as ``InvalidIri``.
 """
 
 from __future__ import annotations
