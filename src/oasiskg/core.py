@@ -38,6 +38,7 @@ from collections.abc import Sequence
 from . import vocab
 from .terms import (
     Assertion,
+    InvalidIri,
     InvalidLocalName,
     InvalidPrefix,
     Iri,
@@ -137,14 +138,21 @@ class KnowledgeBase:
 
     def resolve(self, name: str) -> Iri:
         """Full IRI as-is, ``pfx:local`` via the prefix table, bare local
-        name under the ``ex:`` prefix."""
+        name under the ``ex:`` prefix.  An empty local part, or one that
+        makes an IRI ``Iri`` refuses, is an ``InvalidLocalName`` naming
+        that part."""
         if "://" in name:
             return Iri(name)
         if ":" in name:
             prefix, local = name.split(":", 1)
             if prefix not in self.prefixes:
                 raise UnknownPrefix(prefix)
-            return Iri(self.prefixes[prefix] + local)
+            if not local:
+                raise InvalidLocalName(local)
+            try:
+                return Iri(self.prefixes[prefix] + local)
+            except InvalidIri:  # the base was checked when it was bound
+                raise InvalidLocalName(local) from None
         return self.mint_iri("ex", name)
 
     def next_clone_index(self) -> int:

@@ -95,10 +95,12 @@ set_field = object.__setattr__
 
 class Frozen(Record):
     """A record whose ``__init__`` sets each field once, through
-    :data:`set_field`; later assignment and deletion raise dataclasses'
-    ``FrozenInstanceError``.  That is imported only on this error path:
-    importing ``dataclasses`` pulls in ``inspect`` and ``ast`` at start-up.
-    A frozen record hashes by ``_key``."""
+    :data:`set_field`, or, where construction is hot, through the slot
+    descriptor's own ``__set__``, bound once at module level (as
+    :class:`Assertion` does); later assignment and deletion raise
+    dataclasses' ``FrozenInstanceError``.  That is imported only on this
+    error path: importing ``dataclasses`` pulls in ``inspect`` and
+    ``ast`` at start-up.  A frozen record hashes by ``_key``."""
 
     __slots__ = ()
 
@@ -141,7 +143,7 @@ class Iri:
         if not value or IRI_BAD.search(value):
             raise InvalidIri(value)
         iri = object.__new__(cls)
-        set_field(iri, "value", value)
+        _set_value(iri, value)
         ref = _Ref(iri, _forget)
         ref.value = value
         _INTERNED[value] = ref
@@ -186,6 +188,10 @@ class Iri:
         return self.value
 
 
+#: the slot's own setter, which ``Iri.__new__`` sets ``value`` through
+_set_value = Iri.value.__set__
+
+
 class _Ref(weakref.ref):
     """A weak reference to an interned Iri that keeps its value, so the
     entry can be found once the Iri is gone."""
@@ -209,14 +215,24 @@ Obj = Iri | str
 
 
 class Assertion(Frozen):
-    """One triple.  ``object`` is either an :class:`Iri` or a literal str."""
+    """One triple.  ``object`` is either an :class:`Iri` or a literal str.
+
+    ``__init__`` sets the three slots through their descriptors' own
+    ``__set__`` (``_set_subject`` and its siblings, bound below the
+    class), a call each with no lookup by name: the builder, the engine
+    and ``KnowledgeBase.load`` build every assertion here.
+
+    ``sort_key`` is the canonical order: subject, then predicate, then
+    IRI objects before literals, then object, each compared by code
+    point.  Canonical export sorts plain rows equal to these keys.
+    """
 
     __slots__ = ("subject", "predicate", "object")
 
     def __init__(self, subject: Iri, predicate: Iri, object: Obj) -> None:
-        set_field(self, "subject", subject)
-        set_field(self, "predicate", predicate)
-        set_field(self, "object", object)
+        _set_subject(self, subject)
+        _set_predicate(self, predicate)
+        _set_object(self, object)
 
     # the store hashes and compares assertions on every insert and probe
     def __eq__(self, other: object) -> bool:
@@ -234,3 +250,8 @@ class Assertion(Frozen):
         is_lit = 1 if isinstance(self.object, str) else 0
         obj = self.object if isinstance(self.object, str) else self.object.value
         return (self.subject.value, self.predicate.value, is_lit, obj)
+
+
+_set_subject = Assertion.subject.__set__
+_set_predicate = Assertion.predicate.__set__
+_set_object = Assertion.object.__set__

@@ -64,6 +64,26 @@ def test_mint_iri_and_resolve(kb: KnowledgeBase):
     )
 
 
+@pytest.mark.parametrize(
+    "name, local", [("", ""), ("ex:", ""), ("ex:a b", "a b"), ("ex:a<b", "a<b")]
+)
+def test_resolve_blames_the_local_part(kb: KnowledgeBase, name, local):
+    # a prefixed name's empty or unusable local part is refused as the
+    # bare name's is, naming that part, not the namespace or whole IRI
+    with pytest.raises(InvalidLocalName) as err:
+        kb.resolve(name)
+    assert type(err.value) is InvalidLocalName
+    assert err.value.local == local
+    assert str(err.value) == f"local name contains reserved characters: {local!r}"
+
+
+def test_resolve_keeps_prefixed_names_iri_accepts(kb: KnowledgeBase):
+    # wider than mint_iri's local names: whatever makes an IRI Iri takes
+    assert kb.resolve("ex:a/b") == ex("a/b")
+    assert kb.resolve("ex:a:b") == ex("a:b")
+    assert kb.resolve("ex:a#b") == ex("a#b")
+
+
 def test_mint_iri_rejects_bad_input(kb: KnowledgeBase):
     with pytest.raises(UnknownPrefix):
         kb.mint_iri("nope", "x")

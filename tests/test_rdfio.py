@@ -82,6 +82,24 @@ def test_literals_sort_after_iris_under_the_same_predicate(kb: KnowledgeBase):
     assert lines[1].endswith('"signal" .')
 
 
+def test_lines_follow_the_canonical_order_not_their_text_order(kb: KnowledgeBase):
+    # the README's case: subject, predicate and object each compare by
+    # code point, so <http://x/a> comes first although '-' sorts below '>'
+    a, a_b, o = Iri("http://x/a"), Iri("http://x/a-b"), Iri("http://x/o")
+    for s, p, obj in ((a_b, a, o), (a, a, o), (o, a_b, o), (o, a, o), (o, o, a_b), (o, o, a)):
+        kb.assert_property(s, p, obj)
+    lines = export_canonical(kb).splitlines()
+    assert lines == [
+        "<http://x/a> <http://x/a> <http://x/o> .",
+        "<http://x/a-b> <http://x/a> <http://x/o> .",
+        "<http://x/o> <http://x/a> <http://x/o> .",
+        "<http://x/o> <http://x/a-b> <http://x/o> .",
+        "<http://x/o> <http://x/o> <http://x/a> .",
+        "<http://x/o> <http://x/o> <http://x/a-b> .",
+    ]
+    assert lines != sorted(lines)
+
+
 def test_literal_escapes_round_trip(kb: KnowledgeBase, tmp_path):
     tricky = 'tab\there "quoted" back\\slash\nnewline\rreturn'
     kb.assert_property(ex("e"), vocab.HAS_EVENT_KIND, tricky)
