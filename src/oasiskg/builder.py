@@ -6,7 +6,8 @@ Naming conventions (all deterministic):
   ``<task>_operator_argument``, ``<task>_object``, ``<task>_input``,
   ``<task>_output``; second and later parameters are numbered from 2
   (``<task>_input_2``); in the template layer object and parameter nodes
-  additionally carry a ``_template`` suffix;
+  additionally carry a ``_template`` suffix.  They are written in the
+  order of ``vocab.TREE_SHAPE``'s edges from a task description;
 * layer clones append ``__<layer>__<n>`` to the source IRI, where ``n``
   comes from the knowledge base's clone counter;
 * role individuals append ``__role__<n>`` to the role type IRI.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from operator import attrgetter
 
 from .core import KnowledgeBase
 from .specs import (
@@ -63,11 +65,6 @@ from .vocab import (
     HAS_EVENT_DURATION,
     HAS_EVENT_KIND,
     HAS_EVENT_WINDOW,
-    HAS_TASK_INPUT_PARAMETER,
-    HAS_TASK_OBJECT,
-    HAS_TASK_OPERATOR,
-    HAS_TASK_OPERATOR_ARGUMENT,
-    HAS_TASK_OUTPUT_PARAMETER,
     INITIAL_STATE,
     IS_DESCRIBED_BY,
     LayerTag,
@@ -88,6 +85,7 @@ from .vocab import (
     TASK_OPERATOR,
     TASK_OPERATOR_ARGUMENT,
     TASK_OUTPUT_PARAMETER,
+    TREE_SHAPE,
     TRIGGERS_EVENT,
 )
 
@@ -189,14 +187,30 @@ def _check_behaviour_spec(spec: BehaviourSpec) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _task_refs(spec: TaskSpec) -> Iterator[Ref]:
-    yield spec.operator_action
-    if spec.operator_argument is not None:
-        yield spec.operator_argument
-    if spec.obj is not None:
-        yield spec.obj
-    yield from spec.inputs
-    yield from spec.outputs
+#: task element class -> the ``TaskSpec`` field holding its references,
+#: the suffix its nodes' names add to the task's name, and whether a
+#: template-layer node's name also ends in ``_template``
+_ELEMENTS: dict[Iri, tuple[str, str, bool]] = {
+    TASK_OPERATOR: ("operator_action", "_operator", False),
+    TASK_OPERATOR_ARGUMENT: ("operator_argument", "_operator_argument", False),
+    TASK_OBJECT: ("obj", "_object", True),
+    TASK_INPUT_PARAMETER: ("inputs", "_input", True),
+    TASK_OUTPUT_PARAMETER: ("outputs", "_output", True),
+}
+#: a task's rows, one per tree edge from a task description, in the
+#: shape's order: (edge, element class, field, suffix, templated)
+_TASK_ROWS = tuple(
+    (edge, cls, *_ELEMENTS[cls])
+    for edge, (parent, cls) in TREE_SHAPE.items()
+    if parent == TASK_DESCRIPTION
+)
+#: reads a ``TaskSpec``'s fields in ``_TASK_ROWS`` order, in one call
+_ROW_FIELDS = attrgetter(*(field for _, _, field, _, _ in _TASK_ROWS))
+
+
+def _row_refs(spec: TaskSpec) -> list[tuple[Ref, ...]]:
+    """``spec``'s references row by row: a field holds a tuple, one or none."""
+    return [r if isinstance(r, tuple) else (r,) if r else () for r in _ROW_FIELDS(spec)]
 
 
 def _resolve_refs(kb: KnowledgeBase, tasks: Iterable[TaskSpec]) -> dict[str, Iri]:
@@ -206,7 +220,8 @@ def _resolve_refs(kb: KnowledgeBase, tasks: Iterable[TaskSpec]) -> dict[str, Iri
     return {
         name: kb.resolve(name)
         for task in tasks
-        for ref in _task_refs(task)
+        for refs in _row_refs(task)
+        for ref in refs
         for name in (ref.target, *ref.instance_of)
     }
 
@@ -217,12 +232,8 @@ def _emit_ref(
     ref: Ref,
     layer_cls: Iri | None,
     iris: dict[str, Iri],
-    *,
-    as_action: bool = False,
 ) -> None:
     target = iris[ref.target]
-    if as_action:
-        kb.assert_membership(target, ACTION)
     if ref.mode is RefMode.EXACT:
         kb.assert_property(node, REFERS_EXACTLY_TO, target)
         return
@@ -237,6 +248,13 @@ def _emit_ref(
         kb.assert_property(target, REFERS_AS_INSTANCE_OF, cls)
 
 
+def _typed(kb: KnowledgeBase, node: Iri, cls: Iri, layer_cls: Iri | None) -> None:
+    """Type ``node`` with ``cls``, then with the layer class if there is one."""
+    kb.assert_membership(node, cls)
+    if layer_cls is not None:
+        kb.assert_membership(node, layer_cls)
+
+
 def _emit_task(
     kb: KnowledgeBase,
     spec: TaskSpec,
@@ -246,41 +264,17 @@ def _emit_task(
     *,
     template_names: bool,
 ) -> None:
-    def typed(node: Iri, cls: Iri) -> None:
-        kb.assert_membership(node, cls)
-        if layer_cls is not None:
-            kb.assert_membership(node, layer_cls)
-
-    suffix = "_template" if template_names else ""
-    typed(task, TASK_DESCRIPTION)
-
-    operator = kb.mint_iri("ex", f"{spec.name}_operator")
-    typed(operator, TASK_OPERATOR)
-    kb.assert_property(task, HAS_TASK_OPERATOR, operator)
-    _emit_ref(kb, operator, spec.operator_action, layer_cls, iris, as_action=True)
-
-    if spec.operator_argument is not None:
-        argument = kb.mint_iri("ex", f"{spec.name}_operator_argument")
-        typed(argument, TASK_OPERATOR_ARGUMENT)
-        kb.assert_property(task, HAS_TASK_OPERATOR_ARGUMENT, argument)
-        _emit_ref(kb, argument, spec.operator_argument, layer_cls, iris)
-
-    if spec.obj is not None:
-        obj = kb.mint_iri("ex", f"{spec.name}_object{suffix}")
-        typed(obj, TASK_OBJECT)
-        kb.assert_property(task, HAS_TASK_OBJECT, obj)
-        _emit_ref(kb, obj, spec.obj, layer_cls, iris)
-
-    for kind, cls, pred, refs in (
-        ("input", TASK_INPUT_PARAMETER, HAS_TASK_INPUT_PARAMETER, spec.inputs),
-        ("output", TASK_OUTPUT_PARAMETER, HAS_TASK_OUTPUT_PARAMETER, spec.outputs),
-    ):
+    _typed(kb, task, TASK_DESCRIPTION, layer_cls)
+    for (edge, cls, _, suffix, templated), refs in zip(_TASK_ROWS, _row_refs(spec)):
+        tail = "_template" if templated and template_names else ""
         for i, ref in enumerate(refs, start=1):
             nth = "" if i == 1 else f"_{i}"
-            param = kb.mint_iri("ex", f"{spec.name}_{kind}{nth}{suffix}")
-            typed(param, cls)
-            kb.assert_property(task, pred, param)
-            _emit_ref(kb, param, ref, layer_cls, iris)
+            node = kb.mint_iri("ex", f"{spec.name}{suffix}{nth}{tail}")
+            _typed(kb, node, cls, layer_cls)
+            kb.assert_property(task, edge, node)
+            if cls == TASK_OPERATOR:
+                kb.assert_membership(iris[ref.target], ACTION)
+            _emit_ref(kb, node, ref, layer_cls, iris)
 
 
 def _emit_behaviour(kb: KnowledgeBase, spec: BehaviourSpec, layer: LayerTag) -> Iri:
@@ -297,12 +291,10 @@ def _emit_behaviour(kb: KnowledgeBase, spec: BehaviourSpec, layer: LayerTag) -> 
         for goal in spec.goals
     }
     iris = _resolve_refs(kb, (task for goal in spec.goals for task in goal.tasks))
-    kb.assert_membership(root, BEHAVIOUR)
-    kb.assert_membership(root, layer_cls)
+    _typed(kb, root, BEHAVIOUR, layer_cls)
     for goal in spec.goals:
         node = goal_nodes[goal.name]
-        kb.assert_membership(node, GOAL_DESCRIPTION)
-        kb.assert_membership(node, layer_cls)
+        _typed(kb, node, GOAL_DESCRIPTION, layer_cls)
         kb.assert_property(root, CONSISTS_OF_GOAL, node)
         for task_spec in goal.tasks:
             task = task_nodes[goal.name][task_spec.name]
@@ -510,10 +502,8 @@ def attach_event(kb: KnowledgeBase, state: Iri, spec: EventSpec) -> Iri:
     event = kb.mint_iri("ex", spec.name)
     action = kb.mint_iri("ex", spec.action.name)  # all before the first write
     iris = _resolve_refs(kb, (spec.action,))
-    kb.assert_membership(event, EVENT)
     layer_cls = layer.class_iri if layer is not None else None
-    if layer_cls is not None:
-        kb.assert_membership(event, layer_cls)
+    _typed(kb, event, EVENT, layer_cls)
     _emit_task(kb, spec.action, action, layer_cls, iris, template_names=False)
     kb.assert_property(state, TRIGGERS_EVENT, event)
     kb.assert_property(event, EVENT_DESCRIBED_BY_ACTION, action)

@@ -46,7 +46,6 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from enum import Enum
-from typing import NamedTuple
 
 from .core import KnowledgeBase
 from .terms import Frozen, Iri, ModelError, set_field
@@ -235,10 +234,15 @@ _Moves = list[tuple[tuple[int, int], ...]]
 _STATUSES = ("complete", "deadlock", "truncated")
 
 
-class RaceSearch(NamedTuple):
-    reports: list[RaceReport]
-    schedules: dict[str, int]  # by status: complete, deadlock, truncated
-    states: int  # distinct states searched
+class RaceSearch(Frozen):
+    __slots__ = ("reports", "schedules", "states")
+
+    def __init__(
+        self, reports: list[RaceReport], schedules: dict[str, int], states: int
+    ) -> None:
+        set_field(self, "reports", reports)
+        set_field(self, "schedules", schedules)  # by status: complete, deadlock, truncated
+        set_field(self, "states", states)  # distinct states searched
 
 
 def _search(

@@ -164,10 +164,6 @@ class KnowledgeBase:
     def entity(self, iri: Iri) -> EntityRecord | None:
         return self.entities.get(iri)
 
-    def layer_of(self, iri: Iri) -> LayerTag | None:
-        rec = self.entities.get(iri)
-        return rec.layer if rec else None
-
     def has_class(self, iri: Iri, cls: Iri) -> bool:
         rec = self.entities.get(iri)
         return rec.has_class(cls) if rec else False

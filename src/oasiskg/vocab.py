@@ -5,8 +5,10 @@ off these tables, so the module is deliberately declarative.  Each class
 and each property is declared once, by a ``_c`` or ``_p`` call that
 registers it in ``CLASSES`` or ``PROPERTIES`` and returns the IRI its
 constant is bound to; ``_family`` declares a family root's members the
-same way.  Beyond that registration the module only closes the two
-hierarchies and renders the tables as markdown.
+same way, and ``_child`` a tree edge, which it also records in
+``TREE_SHAPE``.  The tree's node classes and child predicates are read
+off that record.  Beyond that registration the module only closes the
+two hierarchies and renders the tables as markdown.
 """
 
 from __future__ import annotations
@@ -141,19 +143,6 @@ SUBCLASS_CLOSURE: dict[Iri, frozenset[Iri]] = _closure(CLASS_PARENT, CLASSES.val
 #: Membership in any of these marks an individual as a procedure state.
 PROCEDURE_STATE_CLASSES: frozenset[Iri] = SUBCLASS_CLOSURE[PROCEDURE_STATE]
 
-#: The eight node classes a behaviour-shaped tree is made of; each family
-#: below has one member per class, in this order.
-TREE_NODE_CLASSES: tuple[Iri, ...] = (
-    BEHAVIOUR,
-    GOAL_DESCRIPTION,
-    TASK_DESCRIPTION,
-    TASK_OPERATOR,
-    TASK_OPERATOR_ARGUMENT,
-    TASK_OBJECT,
-    TASK_INPUT_PARAMETER,
-    TASK_OUTPUT_PARAMETER,
-)
-
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
@@ -197,6 +186,9 @@ class PropertySpec(Frozen):
 PROPERTIES: dict[Iri, PropertySpec] = {}
 #: family root -> tree-node class -> the member linking nodes of that class
 FAMILY_ROOTS: dict[Iri, dict[Iri, Iri]] = {}
+#: tree edge -> (parent class, child class), in declaration order: the
+#: shape every behaviour-shaped tree has, in every layer
+TREE_SHAPE: dict[Iri, tuple[Iri, Iri]] = {}
 
 
 def _p(
@@ -230,6 +222,15 @@ def _one(cls: Iri) -> frozenset[Iri]:
     return frozenset({cls})
 
 
+def _child(local: str, parent: Iri, child: Iri) -> Iri:
+    """Declare a tree edge from ``parent`` nodes to ``child`` nodes, record
+    it in ``TREE_SHAPE`` and return its IRI.  Edges are declared root
+    first, each from a class an earlier edge leads to."""
+    iri = _p(local, s_cls=_one(parent), o_cls=_one(child))
+    TREE_SHAPE[iri] = (parent, child)
+    return iri
+
+
 def _family(root: Iri, *members: str) -> Iri:
     """Declare a family root's members, one per tree-node class in
     ``TREE_NODE_CLASSES`` order, and return the root.  Each member is a
@@ -259,36 +260,30 @@ _E = LayerTag.EXECUTION
 
 # -- structural tree edges -------------------------------------------------
 HAS_BEHAVIOUR = _p("hasBehaviour", o_layer=_B, s_cls=_one(AGENT), o_cls=_one(BEHAVIOUR))
-CONSISTS_OF_GOAL = _p(
-    "consistsOfGoalDescription", s_cls=_one(BEHAVIOUR), o_cls=_one(GOAL_DESCRIPTION)
+CONSISTS_OF_GOAL = _child("consistsOfGoalDescription", BEHAVIOUR, GOAL_DESCRIPTION)
+CONSISTS_OF_TASK = _child(
+    "consistsOfTaskDescription", GOAL_DESCRIPTION, TASK_DESCRIPTION
 )
-CONSISTS_OF_TASK = _p(
-    "consistsOfTaskDescription",
-    s_cls=_one(GOAL_DESCRIPTION),
-    o_cls=_one(TASK_DESCRIPTION),
+HAS_TASK_OPERATOR = _child("hasTaskOperator", TASK_DESCRIPTION, TASK_OPERATOR)
+HAS_TASK_OPERATOR_ARGUMENT = _child(
+    "hasTaskOperatorArgument", TASK_DESCRIPTION, TASK_OPERATOR_ARGUMENT
 )
-HAS_TASK_OPERATOR = _p(
-    "hasTaskOperator", s_cls=_one(TASK_DESCRIPTION), o_cls=_one(TASK_OPERATOR)
+HAS_TASK_OBJECT = _child("hasTaskObject", TASK_DESCRIPTION, TASK_OBJECT)
+HAS_TASK_INPUT_PARAMETER = _child(
+    "hasTaskInputParameter", TASK_DESCRIPTION, TASK_INPUT_PARAMETER
 )
-HAS_TASK_OPERATOR_ARGUMENT = _p(
-    "hasTaskOperatorArgument",
-    s_cls=_one(TASK_DESCRIPTION),
-    o_cls=_one(TASK_OPERATOR_ARGUMENT),
-)
-HAS_TASK_OBJECT = _p(
-    "hasTaskObject", s_cls=_one(TASK_DESCRIPTION), o_cls=_one(TASK_OBJECT)
-)
-HAS_TASK_INPUT_PARAMETER = _p(
-    "hasTaskInputParameter",
-    s_cls=_one(TASK_DESCRIPTION),
-    o_cls=_one(TASK_INPUT_PARAMETER),
-)
-HAS_TASK_OUTPUT_PARAMETER = _p(
-    "hasTaskOutputParameter",
-    s_cls=_one(TASK_DESCRIPTION),
-    o_cls=_one(TASK_OUTPUT_PARAMETER),
+HAS_TASK_OUTPUT_PARAMETER = _child(
+    "hasTaskOutputParameter", TASK_DESCRIPTION, TASK_OUTPUT_PARAMETER
 )
 DEPENDS_ON = _p("dependsOn")
+
+#: Edges that make up a behaviour-shaped tree, in traversal order.
+CHILD_PREDICATES: tuple[Iri, ...] = tuple(TREE_SHAPE)
+#: Node classes of a behaviour-shaped tree, root first, then each edge's
+#: child; each family below has one member per class, in this order.
+TREE_NODE_CLASSES: tuple[Iri, ...] = tuple(
+    dict.fromkeys(cls for edge in TREE_SHAPE.values() for cls in edge)
+)
 # -- reference edges ---------------------------------------------------------
 REFERS_EXACTLY_TO = _p("refersExactlyTo")
 REFERS_AS_NEW_TO = _p("refersAsNewTo")
@@ -449,17 +444,6 @@ DECLARED_SUB_PAIRS: tuple[tuple[Iri, Iri], ...] = tuple(
 
 #: property -> itself plus all transitive subproperties.
 SUB_CLOSURE: dict[Iri, frozenset[Iri]] = _closure(dict(DECLARED_SUB_PAIRS), PROPERTIES)
-
-#: Edges that make up a behaviour-shaped tree, in traversal order.
-CHILD_PREDICATES: tuple[Iri, ...] = (
-    CONSISTS_OF_GOAL,
-    CONSISTS_OF_TASK,
-    HAS_TASK_OPERATOR,
-    HAS_TASK_OPERATOR_ARGUMENT,
-    HAS_TASK_OBJECT,
-    HAS_TASK_INPUT_PARAMETER,
-    HAS_TASK_OUTPUT_PARAMETER,
-)
 
 REFERS_PREDICATES: tuple[Iri, ...] = (
     REFERS_EXACTLY_TO,

@@ -3,9 +3,7 @@ from __future__ import annotations
 import random
 import signal
 
-import networkx as nx
 import pytest
-from networkx.algorithms import isomorphism
 
 from oasiskg import (
     Assertion,
@@ -92,7 +90,7 @@ def test_template_tree_has_the_expected_nodes(kb, fig_template_spec):
         EX + "request_lock_task_output_template",
     ]
     for node in walk_tree(kb, root):
-        assert kb.layer_of(node) is LayerTag.TEMPLATE
+        assert kb.entity(node).layer is LayerTag.TEMPLATE
 
 
 def test_template_reference_edges(kb, fig_template_spec):
@@ -101,11 +99,11 @@ def test_template_reference_edges(kb, fig_template_spec):
     assert kb.objects(op, vocab.REFERS_EXACTLY_TO) == [ex("request")]
     # exact operator targets are typed as actions, nothing else
     assert kb.has_class(ex("request"), vocab.ACTION)
-    assert kb.layer_of(ex("request")) is None
+    assert kb.entity(ex("request")).layer is None
     # fresh outputs join the tree's layer and carry their declared class
     out = ex("request_lock_task_output_template")
     assert kb.objects(out, vocab.REFERS_AS_NEW_TO) == [ex("lock")]
-    assert kb.layer_of(ex("lock")) is LayerTag.TEMPLATE
+    assert kb.entity(ex("lock")).layer is LayerTag.TEMPLATE
     assert kb.has_class(ex("lock"), ex("Lock"))
     assert kb.objects(ex("lock"), vocab.REFERS_AS_INSTANCE_OF) == [ex("Lock")]
     assert Assertion(ex("lock"), vocab.RDF_TYPE, ex("Lock")) in kb
@@ -116,9 +114,95 @@ def test_template_reference_edges(kb, fig_template_spec):
 def test_plan_is_template_shaped_but_planning_tagged(kb, fig_template_spec):
     root = build_plan(kb, fig_template_spec)
     for node in walk_tree(kb, root):
-        assert kb.layer_of(node) is LayerTag.PLANNING
+        assert kb.entity(node).layer is LayerTag.PLANNING
     # the object node drops the template-only suffix
     assert ex("request_lock_task_object") in walk_tree(kb, root)
+
+
+#: every assertion one full task writes, in order; ``{L}`` is the layer
+#: class and ``{T}`` the template layer's name suffix
+WRITE_ORDER = """
+ex:b rdf:type oasis:Behaviour
+ex:b rdf:type oasis:{L}
+ex:g rdf:type oasis:GoalDescription
+ex:g rdf:type oasis:{L}
+ex:b oasis:consistsOfGoalDescription ex:g
+ex:t rdf:type oasis:TaskDescription
+ex:t rdf:type oasis:{L}
+ex:t_operator rdf:type oasis:TaskOperator
+ex:t_operator rdf:type oasis:{L}
+ex:t oasis:hasTaskOperator ex:t_operator
+ex:act rdf:type oasis:Action
+ex:t_operator oasis:refersExactlyTo ex:act
+ex:t_operator_argument rdf:type oasis:TaskOperatorArgument
+ex:t_operator_argument rdf:type oasis:{L}
+ex:t oasis:hasTaskOperatorArgument ex:t_operator_argument
+ex:t_operator_argument oasis:refersExactlyTo ex:arg
+ex:t_object{T} rdf:type oasis:TaskObject
+ex:t_object{T} rdf:type oasis:{L}
+ex:t oasis:hasTaskObject ex:t_object{T}
+ex:thing rdf:type oasis:{L}
+ex:t_object{T} oasis:refersAsNewTo ex:thing
+ex:thing rdf:type ex:Thing
+ex:thing oasis:refersAsInstanceOf ex:Thing
+ex:t_input{T} rdf:type oasis:TaskInputParameter
+ex:t_input{T} rdf:type oasis:{L}
+ex:t oasis:hasTaskInputParameter ex:t_input{T}
+ex:t_input{T} oasis:refersExactlyTo ex:in1
+ex:t_input_2{T} rdf:type oasis:TaskInputParameter
+ex:t_input_2{T} rdf:type oasis:{L}
+ex:t oasis:hasTaskInputParameter ex:t_input_2{T}
+ex:t_input_2{T} oasis:refersExactlyTo ex:in2
+ex:t_input_3{T} rdf:type oasis:TaskInputParameter
+ex:t_input_3{T} rdf:type oasis:{L}
+ex:t oasis:hasTaskInputParameter ex:t_input_3{T}
+ex:t_input_3{T} oasis:refersExactlyTo ex:in3
+ex:t_output{T} rdf:type oasis:TaskOutputParameter
+ex:t_output{T} rdf:type oasis:{L}
+ex:t oasis:hasTaskOutputParameter ex:t_output{T}
+ex:out1 rdf:type oasis:{L}
+ex:t_output{T} oasis:refersAsNewTo ex:out1
+ex:t_output_2{T} rdf:type oasis:TaskOutputParameter
+ex:t_output_2{T} rdf:type oasis:{L}
+ex:t oasis:hasTaskOutputParameter ex:t_output_2{T}
+ex:out2 rdf:type oasis:{L}
+ex:t_output_2{T} oasis:refersAsNewTo ex:out2
+ex:t_output_3{T} rdf:type oasis:TaskOutputParameter
+ex:t_output_3{T} rdf:type oasis:{L}
+ex:t oasis:hasTaskOutputParameter ex:t_output_3{T}
+ex:out3 rdf:type oasis:{L}
+ex:t_output_3{T} oasis:refersAsNewTo ex:out3
+ex:g oasis:consistsOfTaskDescription ex:t
+"""
+
+
+@pytest.mark.parametrize(
+    "build, layer, suffix",
+    [(build_template, "TemplateThing", "_template"), (build_plan, "PlanningThing", "")],
+    ids=["template", "plan"],
+)
+def test_one_task_writes_its_elements_in_shape_order(kb, build, layer, suffix):
+    """Each element's node, then its edge from the task, then its
+    reference; elements in the tree shape's order, later parameters
+    numbered from 2.  Clone numbers follow this order."""
+    task = TaskSpec(
+        "t",
+        operator_action=Ref.exact("act"),
+        operator_argument=Ref.exact("arg"),
+        obj=Ref.new("thing", instance_of=("Thing",)),
+        inputs=tuple(Ref.exact(f"in{i}") for i in (1, 2, 3)),
+        outputs=tuple(Ref.new(f"out{i}") for i in (1, 2, 3)),
+    )
+    build(kb, BehaviourSpec("b", (GoalSpec("g", (task,)),)))
+
+    def short(term: Iri) -> str:
+        value = term.value
+        for base, prefix in ((vocab.OASIS, "oasis:"), (vocab.RDF, "rdf:"), (EX, "ex:")):
+            value = value.replace(base, prefix)
+        return value
+
+    got = [" ".join(short(t) for t in (a.subject, a.predicate, a.object)) for a in kb.assertions]
+    assert got == WRITE_ORDER.format(L=layer, T=suffix).split("\n")[1:-1]
 
 
 def test_tree_class_identifies_each_node(kb, fig_template_spec):
@@ -342,27 +426,28 @@ def test_dependency_check_matches_the_recursive_walk_on_seeded_graphs():
 # ---------------------------------------------------------------------------
 
 
-def tree_digraph(kb: KnowledgeBase, root: Iri) -> nx.DiGraph:
-    """Independent picture of a behaviour tree for the isomorphism check."""
-    g = nx.DiGraph()
-    for node in walk_tree(kb, root):
-        cls = tree_class(kb, node)
-        g.add_node(node.value, cls=cls.value if cls else "")
-    for node in walk_tree(kb, root):
-        for pred in vocab.CHILD_PREDICATES:
-            for child in kb.objects(node, pred):
-                g.add_edge(node.value, child.value, pred=pred.value)
-    return g
+CHILD_EDGES = frozenset(vocab.CHILD_PREDICATES)
+
+
+def tree_form(kb: KnowledgeBase, node: Iri, root: bool = True) -> tuple:
+    """Canonical form of the rooted labelled tree under ``node`` (Aho,
+    Hopcroft & Ullman, 1974, tree isomorphism): the node's class, then
+    its sorted (child predicate, child form) pairs.  Two trees are
+    isomorphic exactly when their roots' forms are equal.  The form
+    assumes a tree, so each node is first checked to have exactly one
+    parent, the root none; read straight off the store's edges."""
+    parents = [a for a in kb.in_edges(node) if a.predicate in CHILD_EDGES]
+    assert len(parents) == (0 if root else 1), (node, parents)
+    cls = tree_class(kb, node)
+    children = [a for a in kb.edges(node) if a.predicate in CHILD_EDGES]
+    return (
+        cls.value if cls else "",
+        tuple(sorted((a.predicate.value, tree_form(kb, a.object, False)) for a in children)),
+    )
 
 
 def assert_isomorphic(kb: KnowledgeBase, left: Iri, right: Iri) -> None:
-    matcher = isomorphism.DiGraphMatcher(
-        tree_digraph(kb, left),
-        tree_digraph(kb, right),
-        node_match=lambda a, b: a["cls"] == b["cls"],
-        edge_match=lambda a, b: a["pred"] == b["pred"],
-    )
-    assert matcher.is_isomorphic()
+    assert tree_form(kb, left) == tree_form(kb, right)
 
 
 def test_clone_tree_copies_structure_and_shares_references(kb, fig_template_spec):
@@ -373,7 +458,7 @@ def test_clone_tree_copies_structure_and_shares_references(kb, fig_template_spec
     assert clone_root.value.startswith(root.value + "__planning__")
     assert_isomorphic(kb, root, clone_root)
     for source, clone in mapping.items():
-        assert kb.layer_of(clone) is LayerTag.PLANNING
+        assert kb.entity(clone).layer is LayerTag.PLANNING
         assert tree_class(kb, clone) == tree_class(kb, source)
     # reference targets are shared, not cloned
     op_clone = mapping[ex("request_lock_task_operator")]
@@ -386,7 +471,7 @@ def test_derive_behaviour_builds_an_isomorphic_copy(kb, fig_template_spec):
     behaviour = derive_behaviour(kb, template, agent)
     assert_isomorphic(kb, template, behaviour)
     for node in walk_tree(kb, behaviour):
-        assert kb.layer_of(node) is LayerTag.BEHAVIOUR
+        assert kb.entity(node).layer is LayerTag.BEHAVIOUR
     assert Assertion(agent, vocab.HAS_BEHAVIOUR, behaviour) in kb
 
 
@@ -604,7 +689,7 @@ def three_state_process(name: str) -> ProcessSpec:
 def test_build_process_types_and_chains_states(kb):
     root = build_process(kb, three_state_process("p"))
     assert kb.has_class(root, vocab.PROCESS)
-    assert kb.layer_of(root) is LayerTag.PLANNING
+    assert kb.entity(root).layer is LayerTag.PLANNING
     proc = kb.objects(root, vocab.CONSISTS_OF_PROCEDURE)[0]
     assert kb.has_class(proc, vocab.PROCEDURE)
     s1, s2, s3 = (ex(f"p_s{i}") for i in (1, 2, 3))
@@ -621,7 +706,7 @@ def test_build_process_types_and_chains_states(kb):
     for state in (s1, s2, s3):
         plans = kb.objects(state, vocab.IS_DESCRIBED_BY)
         assert len(plans) == 1
-        assert kb.layer_of(plans[0]) is LayerTag.PLANNING
+        assert kb.entity(plans[0]).layer is LayerTag.PLANNING
 
 
 def test_build_process_refuses_a_state_name_already_used(kb):
@@ -899,7 +984,7 @@ def test_event_specs_attach_to_their_state(kb):
     state, event = ex("ev_s"), ex("ping")
     assert kb.objects(state, vocab.TRIGGERS_EVENT) == [event]
     assert kb.has_class(event, vocab.EVENT)
-    assert kb.layer_of(event) is LayerTag.PLANNING
+    assert kb.entity(event).layer is LayerTag.PLANNING
     actions = kb.objects(event, vocab.EVENT_DESCRIBED_BY_ACTION)
     assert actions == [ex("ping_task")]
     assert kb.objects(event, vocab.HAS_EVENT_KIND) == ["signal"]

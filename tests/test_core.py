@@ -168,7 +168,7 @@ def test_remove_retracts_assertions_and_memberships(kb: KnowledgeBase):
 
 def test_layer_is_derived_from_memberships(kb: KnowledgeBase):
     kb.assert_membership(ex("x"), LayerTag.TEMPLATE.class_iri)
-    assert kb.layer_of(ex("x")) is LayerTag.TEMPLATE
+    assert kb.entity(ex("x")).layer is LayerTag.TEMPLATE
     rec = kb.entity(ex("x"))
     assert not rec.mixed_layers
 

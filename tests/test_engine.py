@@ -65,11 +65,11 @@ def test_realize_creates_an_execution_process(kb, scenario):
     handle = scenario["handle"]
     root = handle.exec_process
     assert kb.has_class(root, vocab.PROCESS)
-    assert kb.layer_of(root) is LayerTag.EXECUTION
+    assert kb.entity(root).layer is LayerTag.EXECUTION
     assert kb.objects(root, vocab.PROCESS_DRAWN_BY) == [scenario["process"]]
     procs = kb.objects(root, vocab.CONSISTS_OF_PROCEDURE)
     assert len(procs) == 1
-    assert kb.layer_of(procs[0]) is LayerTag.EXECUTION
+    assert kb.entity(procs[0]).layer is LayerTag.EXECUTION
     assert kb.objects(procs[0], vocab.PROCEDURE_DRAWN_BY) == [
         ex("consume_a_procedure")
     ]
@@ -300,13 +300,13 @@ def test_step_walks_the_chain_and_fires_events(kb, scenario):
     assert second.index == 1
     assert len(second.events) == 1
     fired = second.events[0]
-    assert kb.layer_of(fired) is LayerTag.EXECUTION
+    assert kb.entity(fired).layer is LayerTag.EXECUTION
     assert kb.has_class(fired, vocab.EVENT)
     assert kb.objects(fired, vocab.HAS_EVENT_KIND) == ["signal"]
     assert kb.objects(second.state, vocab.TRIGGERS_EVENT) == [fired]
     actions = kb.objects(fired, vocab.EVENT_DESCRIBED_BY_ACTION)
     assert len(actions) == 1
-    assert kb.layer_of(actions[0]) is LayerTag.EXECUTION
+    assert kb.entity(actions[0]).layer is LayerTag.EXECUTION
     third = handle.step()
     assert third.index == 2
     assert handle.completed

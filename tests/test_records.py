@@ -14,6 +14,7 @@ from oasiskg.concurrency import (
     ProtocolRun,
     RaceKind,
     RaceReport,
+    RaceSearch,
     ResourceState,
     Schedule,
     Step,
@@ -48,6 +49,9 @@ STATE = f"StateRecord(index=0, planning_state={RA}, exec_state={RB}, plan_exec={
     f"agent={RA}, behaviour={RB})"
 STEP = f"StepRecord(state={RA}, plan_exec={RB}, agent={RC}, events=({RA},), index=1)"
 CONFLICT = f"Conflict(resource={RA}, agent_a={RB}, agent_b={RC}, step_index=2)"
+REPORT = f"RaceReport(schedule=(0, 1), conflict={CONFLICT}, " \
+    "kind=<RaceKind.UNLOCKED_MODIFY: 'UnlockedModify'>)"
+COUNTS = {"complete": 1, "deadlock": 0, "truncated": 0}
 
 #: per record class: a maker of fresh equal records, a record of the same
 #: class that differs in one field, and the repr of what the maker makes
@@ -88,8 +92,7 @@ FROZEN = {
     "Conflict": (lambda: Conflict(A, B, C, 2), Conflict(A, B, C, 3), CONFLICT),
     "RaceReport": (lambda: RaceReport((0, 1), Conflict(A, B, C, 2), RaceKind.UNLOCKED_MODIFY),
                    RaceReport((1, 0), Conflict(A, B, C, 2), RaceKind.UNLOCKED_MODIFY),
-                   f"RaceReport(schedule=(0, 1), conflict={CONFLICT}, "
-                   "kind=<RaceKind.UNLOCKED_MODIFY: 'UnlockedModify'>)"),
+                   REPORT),
     "Ref": (lambda: Ref.new("y", ("C",)), Ref("y"),
             "Ref(target='y', mode=<RefMode.NEW: 'new'>, instance_of=('C',))"),
     "TaskSpec": (lambda: TaskSpec("t", Ref("op")), TaskSpec("t", Ref("op"), depends_on=("u",)),
@@ -109,6 +112,16 @@ FROZEN = {
                     "ProcessSpec(name='p', procedures=(), path='processes[0]')"),
 }
 
+#: frozen records that hold a list or a dict: they compare by value and
+#: refuse assignment, but cannot be hashed
+UNHASHABLE = {
+    "RaceSearch": (
+        lambda: RaceSearch([RaceReport((0, 1), Conflict(A, B, C, 2), RaceKind.UNLOCKED_MODIFY)],
+                           dict(COUNTS), 3),
+        RaceSearch([], dict(COUNTS), 3),
+        f"RaceSearch(reports=[{REPORT}], schedules={COUNTS!r}, states=3)"),
+}
+
 MUTABLE = {
     "EntityRecord": (lambda: EntityRecord(A, {B: None}), EntityRecord(A),
                      f"EntityRecord(iri={RA}, memberships={{{RB}: None}})"),
@@ -120,11 +133,11 @@ MUTABLE = {
         f"cursor=0, _steps=[{STEP}])"),
 }
 
-RECORDS = {**FROZEN, **MUTABLE}
+RECORDS = {**FROZEN, **UNHASHABLE, **MUTABLE}
 
 
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == 23
+    assert len(RECORDS) == 24
     assert all(make().__class__.__name__ == name for name, (make, _, _) in RECORDS.items())
 
 
@@ -151,9 +164,16 @@ def test_frozen_records_hash_by_value(name):
     assert len({make(), make(), other}) == 2
 
 
-@pytest.mark.parametrize("name", FROZEN)
+@pytest.mark.parametrize("name", UNHASHABLE)
+def test_frozen_records_over_a_list_or_dict_cannot_be_hashed(name):
+    make, _, _ = UNHASHABLE[name]
+    with pytest.raises(TypeError):
+        hash(make())
+
+
+@pytest.mark.parametrize("name", {**FROZEN, **UNHASHABLE})
 def test_frozen_records_refuse_assignment_and_deletion(name):
-    make, _, text = FROZEN[name]
+    make, _, text = {**FROZEN, **UNHASHABLE}[name]
     record = make()
     field = text[text.index("(") + 1 : text.index("=")]
     with pytest.raises(AttributeError):

@@ -165,6 +165,21 @@ def test_child_predicates_are_structural_and_declared():
         assert pred in vocab.PROPERTIES
 
 
+def test_each_child_predicate_leads_to_the_next_node_class():
+    """``CHILD_PREDICATES[n]`` is declared from the class of a node
+    already in the tree to ``TREE_NODE_CLASSES[n + 1]``; the root class
+    comes first and no edge leads to it."""
+    classes = vocab.TREE_NODE_CLASSES
+    assert classes[0] == vocab.BEHAVIOUR
+    assert len(classes) == len(set(classes)) == len(vocab.CHILD_PREDICATES) + 1
+    for n, pred in enumerate(vocab.CHILD_PREDICATES):
+        spec = vocab.PROPERTIES[pred]
+        (parent,) = spec.subject_classes
+        assert parent in classes[: n + 1], pred
+        assert spec.object_classes == frozenset({classes[n + 1]}), pred
+        assert vocab.TREE_SHAPE[pred] == (parent, classes[n + 1])
+
+
 def test_layer_constraints_are_internally_consistent():
     known = set(vocab.CLASSES.values())
     for spec in vocab.PROPERTIES.values():
