@@ -540,7 +540,7 @@ def grant_role(
         raise MissingAgent(agent)
     kb.declare_class(role_type)
     kb.assert_membership(role_type, ROLE_TYPE)
-    role = Iri(f"{role_type.value}__role__{kb.next_clone_index()}")
+    role = kb.fresh_iri(f"{role_type.value}__role__")
     kb.assert_membership(role, ROLE)
     kb.assert_membership(role, role_type)
     kb.assert_property(agent, PLAY_ROLE, role)

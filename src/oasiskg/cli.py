@@ -12,6 +12,8 @@ its vocabulary and the graph reader load with this module.
 The environment variable OASIS_PREFIX_MAP may name a JSON file of
 additional prefix bindings ({"pfx": "http://..."}) applied to every
 command; a map that cannot be read or used is an operational error.
+``build`` binds it before the document's prefixes, which win; the graph
+commands bind it after the graph's ``@prefix`` lines, which it overrides.
 """
 
 from __future__ import annotations

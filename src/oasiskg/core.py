@@ -155,9 +155,15 @@ class KnowledgeBase:
                 raise InvalidLocalName(local) from None
         return self.mint_iri("ex", name)
 
-    def next_clone_index(self) -> int:
-        self._clone_counter += 1
-        return self._clone_counter
+    def fresh_iri(self, stem: str) -> Iri:
+        """``stem`` followed by the next clone index that makes an IRI no
+        entity has yet.  The counter is per store, so a graph read back
+        from a file already holds the names an earlier store minted."""
+        while True:
+            self._clone_counter += 1
+            iri = Iri(f"{stem}{self._clone_counter}")
+            if iri not in self.entities:
+                return iri
 
     # -- entities ---------------------------------------------------------------
 

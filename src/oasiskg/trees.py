@@ -125,7 +125,7 @@ def tree_class(kb: KnowledgeBase, node: Iri) -> Iri | None:
 def clone_node(kb: KnowledgeBase, node: Iri, layer: LayerTag) -> Iri:
     """Mint ``node``'s clone in ``layer``, typed with the layer class and
     every other class of the source; no edges are copied."""
-    clone = Iri(f"{node.value}__{layer.value}__{kb.next_clone_index()}")
+    clone = kb.fresh_iri(f"{node.value}__{layer.value}__")
     kb.assert_membership(clone, layer.class_iri)
     rec = kb.entity(node)
     if rec is not None:

@@ -29,6 +29,7 @@ from oasiskg import (
     derive_behaviour,
     export_canonical,
     grant_role,
+    import_turtle,
     submit_plan,
     validate,
 )
@@ -522,6 +523,24 @@ def test_derivation_is_isomorphic_for_random_specs(kb):
             if a.subject in set(walk_tree(kb, behaviour))
         ]
         assert len(edges) == n
+
+
+def test_a_graph_read_back_mints_names_it_does_not_hold(kb, fig_template_spec):
+    """A fresh store's clone counter starts over, so a derivation or a
+    role grant on a graph read back skips the names the graph holds."""
+    template = build_template(kb, fig_template_spec)
+    first = derive_behaviour(kb, template, declare_agent(kb, ex("alice")))
+    first_role = grant_role(kb, declare_agent(kb, ex("bob")), ex("Consumer"), [first])
+    again = KnowledgeBase()
+    import_turtle(again, export_canonical(kb))
+    second = derive_behaviour(again, template, ex("bob"))
+    second_role = grant_role(again, ex("alice"), ex("Consumer"), [second])
+    assert set(walk_tree(again, first)).isdisjoint(walk_tree(again, second))
+    assert_isomorphic(again, template, second)
+    assert again.objects(ex("bob"), vocab.HAS_BEHAVIOUR) == [second]
+    assert again.objects(ex("alice"), vocab.PLAY_ROLE) == [second_role]
+    assert second_role != first_role
+    assert validate(again) == []
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,37 @@ def test_build_applies_the_env_prefix_map(tmp_path, monkeypatch):
     assert "<http://app.example/agent_a>" in out.read_text()
 
 
+def test_env_prefix_map_yields_to_a_document_and_overrides_a_graph(
+    built_kb, tmp_path, monkeypatch
+):
+    """``build`` binds the map before the document's prefixes, so the
+    document wins; the graph commands bind it after the graph's
+    ``@prefix`` lines, so the map wins."""
+    prefixes = tmp_path / "prefixes.json"
+    prefixes.write_text(json.dumps({"app": "http://example.org/"}))
+    monkeypatch.setenv("OASIS_PREFIX_MAP", str(prefixes))
+
+    doc = protocol_doc(tags=("a",))
+    doc["prefixes"] = {"app": "http://doc.example/"}
+    doc["agents"] = ["app:agent_a"]
+    doc["behaviours"][0]["agent"] = "app:agent_a"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "doc.nt"
+    assert run_cli("build", "--spec", str(spec), "--out", str(out))[0] == 0
+    assert "<http://doc.example/agent_a>" in out.read_text()
+
+    kb_path, roots = built_kb
+    graph = tmp_path / "kb.ttl"
+    graph.write_text("@prefix app: <http://graph.example/> .\n" + kb_path.read_text())
+    assign = tmp_path / "assign.json"
+    assign.write_text(json.dumps(assignment_doc(roots, "a")))
+    code, lines = run_cli(
+        "run", "--kb", str(graph), "--process", "app:consume_a_process", "--assign", str(assign)
+    )
+    assert code == 0 and len(lines) == 3
+
+
 @pytest.mark.parametrize(
     "prefixes, reason",
     [
@@ -251,9 +282,12 @@ def test_build_refuses_a_name_shared_across_kinds(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_import_leaves_jsonschema_out(tmp_path):
+def test_cli_import_loads_only_the_standard_library(tmp_path):
     package_root = str(Path(oasiskg.__file__).resolve().parents[1])
-    probe = "import sys, oasiskg.cli; print(oasiskg.__file__, 'jsonschema' in sys.modules)"
+    probe = (
+        "import sys; before = set(sys.modules); import oasiskg.cli; "
+        "print(oasiskg.__file__, *{m.split('.')[0] for m in set(sys.modules) - before})"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         cwd=tmp_path,
@@ -262,9 +296,9 @@ def test_cli_import_leaves_jsonschema_out(tmp_path):
         text=True,
         check=True,
     )
-    where, loaded = proc.stdout.split()
+    where, *loaded = proc.stdout.split()
     assert Path(where).resolve() == Path(oasiskg.__file__).resolve()
-    assert loaded == "False"
+    assert [m for m in loaded if m not in sys.stdlib_module_names] == ["oasiskg"]
 
 
 # the package modules above the store that each command loads; it loads
@@ -516,6 +550,29 @@ def test_run_realizes_and_traces(built_kb, tmp_path):
     after = read_graph(out)
     assert validate(after) == []
     assert len(after.query(predicate=vocab.PROCESS_DRAWN_BY)) == 1
+
+
+def test_a_second_run_on_the_first_runs_graph_is_recorded(built_kb, tmp_path):
+    kb_path, roots = built_kb
+    assign = tmp_path / "assign.json"
+    assign.write_text(json.dumps(assignment_doc(roots, "a")))
+    graph, traces = kb_path, []
+    for n in (1, 2):
+        out = tmp_path / f"after_{n}.nt"
+        code, lines = run_cli(
+            "run",
+            "--kb", str(graph),
+            "--process", "consume_a_process",
+            "--assign", str(assign),
+            "--out", str(out),
+        )
+        assert code == 0
+        graph = out
+        traces.append(lines)
+    assert set(traces[0]).isdisjoint(traces[1])
+    after = read_graph(graph)
+    assert validate(after) == []
+    assert len(after.with_predicate(vocab.PROCESS_DRAWN_BY)) == 2
 
 
 @pytest.mark.parametrize("option", ["--trace", "--out"])

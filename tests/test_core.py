@@ -116,8 +116,12 @@ def test_register_prefix_names_the_empty_part(kb: KnowledgeBase, prefix, base, e
     assert kb.prefixes == before
 
 
-def test_clone_counter_is_sequential(kb: KnowledgeBase):
-    assert [kb.next_clone_index() for _ in range(3)] == [1, 2, 3]
+def test_fresh_iris_count_up_past_names_in_use(kb: KnowledgeBase):
+    assert [kb.fresh_iri(EX + "a__") for _ in range(2)] == [ex("a__1"), ex("a__2")]
+    kb.assert_membership(ex("b__4"), AGENT)
+    kb.declare_class(ex("b__5"))
+    assert [kb.fresh_iri(EX + "b__") for _ in range(2)] == [ex("b__3"), ex("b__6")]
+    assert kb.fresh_iri(EX + "a__") == ex("a__7")
 
 
 # ---------------------------------------------------------------------------
