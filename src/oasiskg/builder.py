@@ -43,8 +43,10 @@ from .trees import (
     link_procedures,
     link_states,
     plan_tasks,
+    state_classes,
     tree_class,
     tree_edges,
+    type_node,
     walk_tree,
 )
 from .vocab import (
@@ -59,16 +61,13 @@ from .vocab import (
     DEPRECATED_THING,
     EVENT,
     EVENT_DESCRIBED_BY_ACTION,
-    FINAL_STATE,
     GOAL_DESCRIPTION,
     HAS_BEHAVIOUR,
     HAS_EVENT_DURATION,
     HAS_EVENT_KIND,
     HAS_EVENT_WINDOW,
-    INITIAL_STATE,
     IS_DESCRIBED_BY,
     LayerTag,
-    NON_TERMINATING_STATE,
     PLAY_ROLE,
     PROCEDURE,
     PROCEDURE_STATE_CLASSES,
@@ -248,13 +247,6 @@ def _emit_ref(
         kb.assert_property(target, REFERS_AS_INSTANCE_OF, cls)
 
 
-def _typed(kb: KnowledgeBase, node: Iri, cls: Iri, layer_cls: Iri | None) -> None:
-    """Type ``node`` with ``cls``, then with the layer class if there is one."""
-    kb.assert_membership(node, cls)
-    if layer_cls is not None:
-        kb.assert_membership(node, layer_cls)
-
-
 def _emit_task(
     kb: KnowledgeBase,
     spec: TaskSpec,
@@ -264,13 +256,13 @@ def _emit_task(
     *,
     template_names: bool,
 ) -> None:
-    _typed(kb, task, TASK_DESCRIPTION, layer_cls)
+    type_node(kb, task, (TASK_DESCRIPTION,), layer_cls)
     for (edge, cls, _, suffix, templated), refs in zip(_TASK_ROWS, _row_refs(spec)):
         tail = "_template" if templated and template_names else ""
         for i, ref in enumerate(refs, start=1):
             nth = "" if i == 1 else f"_{i}"
             node = kb.mint_iri("ex", f"{spec.name}{suffix}{nth}{tail}")
-            _typed(kb, node, cls, layer_cls)
+            type_node(kb, node, (cls,), layer_cls)
             kb.assert_property(task, edge, node)
             if cls == TASK_OPERATOR:
                 kb.assert_membership(iris[ref.target], ACTION)
@@ -291,10 +283,10 @@ def _emit_behaviour(kb: KnowledgeBase, spec: BehaviourSpec, layer: LayerTag) -> 
         for goal in spec.goals
     }
     iris = _resolve_refs(kb, (task for goal in spec.goals for task in goal.tasks))
-    _typed(kb, root, BEHAVIOUR, layer_cls)
+    type_node(kb, root, (BEHAVIOUR,), layer_cls)
     for goal in spec.goals:
         node = goal_nodes[goal.name]
-        _typed(kb, node, GOAL_DESCRIPTION, layer_cls)
+        type_node(kb, node, (GOAL_DESCRIPTION,), layer_cls)
         kb.assert_property(root, CONSISTS_OF_GOAL, node)
         for task_spec in goal.tasks:
             task = task_nodes[goal.name][task_spec.name]
@@ -336,7 +328,7 @@ def derive_behaviour(kb: KnowledgeBase, template_root: Iri, agent: Iri) -> Iri:
         raise NotATemplate(template_root)
     if not kb.has_class(agent, AGENT):
         raise MissingAgent(agent)
-    mapping = clone_tree(kb, template_root, LayerTag.BEHAVIOUR)
+    mapping = clone_tree(kb, walk_tree(kb, template_root), LayerTag.BEHAVIOUR)
     overloads = {clone: source for source, clone in mapping.items()}
     link_pairs(kb, overloads, CLASS_TO_OVERLOAD)
     kb.assert_property(agent, HAS_BEHAVIOUR, mapping[template_root])
@@ -445,20 +437,13 @@ def build_process(kb: KnowledgeBase, spec: ProcessSpec) -> Iri:
         if first != kind:
             raise SpecInvalid(path, f"{name!r} already names the {first} at {at}")
 
-    kb.assert_membership(root, PROCESS)
-    kb.assert_membership(root, LayerTag.PLANNING.class_iri)
+    planning = LayerTag.PLANNING.class_iri
+    type_node(kb, root, (PROCESS,), planning)
     for (proc, states), proc_spec in zip(chains.items(), spec.procedures):
-        kb.assert_membership(proc, PROCEDURE)
-        kb.assert_membership(proc, LayerTag.PLANNING.class_iri)
+        type_node(kb, proc, (PROCEDURE,), planning)
         last = len(states) - 1
         for j, state in enumerate(states):
-            if j == 0:
-                kb.assert_membership(state, INITIAL_STATE)
-            if j == last:
-                kb.assert_membership(state, FINAL_STATE)
-            if 0 < j < last:
-                kb.assert_membership(state, NON_TERMINATING_STATE)
-            kb.assert_membership(state, LayerTag.PLANNING.class_iri)
+            type_node(kb, state, state_classes(j, last), planning)
         link_states(kb, proc, states)
         for state, state_spec in zip(states, proc_spec.states):
             plan_root = build_plan(kb, state_spec.plan)
@@ -503,7 +488,7 @@ def attach_event(kb: KnowledgeBase, state: Iri, spec: EventSpec) -> Iri:
     action = kb.mint_iri("ex", spec.action.name)  # all before the first write
     iris = _resolve_refs(kb, (spec.action,))
     layer_cls = layer.class_iri if layer is not None else None
-    _typed(kb, event, EVENT, layer_cls)
+    type_node(kb, event, (EVENT,), layer_cls)
     _emit_task(kb, spec.action, action, layer_cls, iris, template_names=False)
     kb.assert_property(state, TRIGGERS_EVENT, event)
     kb.assert_property(event, EVENT_DESCRIBED_BY_ACTION, action)

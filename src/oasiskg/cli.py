@@ -249,8 +249,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _fail(str(err), FINDINGS)
     except ModelError as err:
         return _fail(str(err), OPERATIONAL)
-
-    steps = handle.run_to_completion()
+    try:
+        steps = handle.run_to_completion()
+    except ModelError as err:
+        return _fail(str(err), OPERATIONAL)
     lines = [step.trace_line() for step in steps]
     outputs = {}
     if args.trace:

@@ -26,6 +26,12 @@ bucket itself, in insertion order: callers read it and must not mutate
 it, nor write to the store while iterating it.  The validator's
 whole-graph pass reads its start edges from the predicate buckets.
 
+The change journal lists every insert and removal since the graph was
+last known clean.  ``validate`` resets it after a clean pass, and the
+engine clears the entries of a call it certifies; nothing else in the
+package resets it, so ``journal == []`` means the graph is clean and
+only certified engine writes have happened since.
+
 The store records whatever it is given and leaves layer mixing,
 undeclared predicates and endpoint constraints to the validator; it
 refuses only an ``rdf:type`` whose class is a literal.
@@ -118,8 +124,9 @@ class KnowledgeBase:
         self._by_p: _Index = {}
         self._by_o: dict[Obj, list[Assertion]] = {}
         self._clone_counter = 0
-        #: assertions added or removed since the last clean validation
-        #: pass, in order; ``None`` until a pass comes back clean
+        #: assertions added or removed since the graph was last known
+        #: clean, in order; ``None`` until a validation pass comes back
+        #: clean (see the module docstring)
         self.journal: list[Assertion] | None = None
 
     # -- prefixes and minting -------------------------------------------------

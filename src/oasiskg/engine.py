@@ -2,15 +2,28 @@
 
 ``realize_process`` gates on a clean validation pass and on every
 assigned agent being capable of the behaviour it is given (own
-behaviour, or one provided by a live role).  It then clones the process,
-its procedures, states and plans into the execution layer and
-cross-links everything: processDrawnBy / procedureDrawnBy at the roots,
-one hasExecution-family edge per plan-tree node, planExecutionDrawnBy
-from each plan execution to the behaviour it draws on, and
-performsPlanExecution from the agent.
+behaviour, or one provided by a live role).  It refuses a procedure,
+state or plan-tree node outside the planning layer, in the one walk it
+makes over what it will clone before the first write.  It then clones
+the process, its procedures, states and plans into the execution layer
+and cross-links everything: processDrawnBy / procedureDrawnBy at the
+roots, one hasExecution-family edge per plan-tree node,
+planExecutionDrawnBy from each plan execution to the behaviour it draws
+on, and performsPlanExecution from the agent.
 
 ``ProcessHandle.step`` walks the realized states in chain order, firing
-(cloning) the events foreseen on the planning states.
+(cloning) the events foreseen on the planning states; it refuses an
+event or action node outside the planning layer before its first write.
+
+Both calls journal their writes like any other.  A call that began on a
+clean graph (journal ``[]``) and cloned only canonical nodes returns
+with the journal ``[]`` again: ``_certify`` clears the call's own
+entries, because such writes cannot make a clean graph dirty, so the
+next ``validate`` has nothing to re-check.  A canonical node is a
+single-layer planning node typed as ``trees.type_node`` types it at its
+position, and with nothing else; ``tests/test_certified_writes.py`` holds, for every
+finding code, why a certified call cannot raise it or which of these
+conditions keeps the call's entries when it can.
 """
 
 from __future__ import annotations
@@ -28,10 +41,15 @@ from .trees import (
     link_states,
     procedure_order,
     state_chain,
+    state_classes,
+    tree_class,
+    typed_as,
+    walk_tree,
 )
 from .validator import Code, Violation, capability_gap, validate
 from .vocab import (
     CLASS_TO_HAS_EXECUTION,
+    EVENT,
     EVENT_DESCRIBED_BY_ACTION,
     HAS_EVENT_DURATION,
     HAS_EVENT_KIND,
@@ -41,6 +59,8 @@ from .vocab import (
     PERFORMS_PLAN_EXECUTION,
     PLAN_EXECUTION_DRAWN_BY,
     PROCEDURE_DRAWN_BY,
+    PROCEDURE,
+    PROCEDURE_STATE_CLASSES,
     PROCESS,
     PROCESS_DRAWN_BY,
     TRIGGERS_EVENT,
@@ -58,6 +78,12 @@ class ValidationFailed(ModelError):
 class NotAProcess(ModelError):
     def __init__(self, iri: Iri) -> None:
         super().__init__(f"not a planning-layer process: {iri}")
+        self.iri = iri
+
+
+class OutsidePlanningLayer(ModelError):
+    def __init__(self, iri: Iri) -> None:
+        super().__init__(f"not a planning-layer node: {iri}")
         self.iri = iri
 
 
@@ -169,14 +195,35 @@ class ProcessHandle(Record):
         return self.cursor >= len(self.records)
 
     def step(self) -> StepRecord:
-        """Advance one state: fire its foreseen events, move the cursor."""
+        """Advance one state: fire its foreseen events, move the cursor.
+
+        An event or action node outside the planning layer is refused
+        before anything is written.  The call's journal entries are
+        cleared when it began on a clean graph, the realized state is
+        still typed a state, and every node it cloned is canonical."""
         if self.completed:
             raise CursorCompleted()
+        kb = self.kb
+        clean = kb.journal == []
         rec = self.records[self.cursor]
+        # the events hang off the realized state, which must still be one
+        canonical = not PROCEDURE_STATE_CLASSES.isdisjoint(
+            kb.entities[rec.exec_state].memberships
+        )
+        # every event and action node to clone is checked before the first write
+        fired: list[tuple[Iri, list[list[Iri]]]] = []
+        for ev in kb.objects(rec.planning_state, TRIGGERS_EVENT):
+            if isinstance(ev, Iri):
+                canonical &= _source(kb, ev, (EVENT,))
+                actions = []
+                for action in kb.objects(ev, EVENT_DESCRIBED_BY_ACTION):
+                    if isinstance(action, Iri):
+                        nodes, tree_canonical = _tree_sources(kb, action)
+                        canonical &= tree_canonical
+                        actions.append(nodes)
+                fired.append((ev, actions))
         events = tuple(
-            _fire_event(self.kb, rec.exec_state, ev)
-            for ev in self.kb.objects(rec.planning_state, TRIGGERS_EVENT)
-            if isinstance(ev, Iri)
+            _fire_event(kb, rec.exec_state, ev, actions) for ev, actions in fired
         )
         step = StepRecord(
             state=rec.exec_state,
@@ -187,6 +234,7 @@ class ProcessHandle(Record):
         )
         self._steps.append(step)
         self.cursor += 1
+        _certify(kb, clean, canonical)
         return step
 
     def run_to_completion(self) -> list[StepRecord]:
@@ -199,14 +247,49 @@ class ProcessHandle(Record):
 # Realization
 # ---------------------------------------------------------------------------
 
+def _source(kb: KnowledgeBase, node: Iri, classes: tuple[Iri, ...]) -> bool:
+    """Whether a node the engine would clone is canonical: typed as
+    ``trees.type_node`` types a planning node whose position needs
+    ``classes``, and with nothing else.  ``OutsidePlanningLayer`` unless
+    the planning class is its one layer class."""
+    rec = kb.entity(node)
+    if typed_as(rec, classes, LayerTag.PLANNING):
+        return True
+    if rec is None or rec.layer is not LayerTag.PLANNING:
+        raise OutsidePlanningLayer(node)
+    return False
 
-def _clone_linked(kb: KnowledgeBase, root: Iri) -> Iri:
-    """Clone a behaviour-shaped tree into the execution layer, link every
-    source node to its clone through the hasExecution family and return
-    the root's clone."""
-    mapping = clone_tree(kb, root, LayerTag.EXECUTION)
+
+def _tree_sources(kb: KnowledgeBase, root: Iri) -> tuple[list[Iri], bool]:
+    """A tree to be cloned, walked root first, and whether every node of it
+    is canonical (see ``_source``): on a clean graph the edge that reaches
+    a tree node has fixed which tree-node class it needs."""
+    nodes = walk_tree(kb, root)
+    canonical = True
+    for node in nodes:
+        canonical &= _source(kb, node, (tree_class(kb, node),))
+    return nodes, canonical
+
+
+def _certify(kb: KnowledgeBase, clean: bool, canonical: bool) -> None:
+    """Clear the journal after an engine call that returned normally,
+    when the journal was ``[]`` as the call began (``clean``: the graph
+    was clean and every entry since is the call's own) and every node
+    the call cloned is canonical.  Such writes leave a clean graph
+    clean.  Otherwise the entries stay, and the next ``validate`` checks
+    what they reach, as it does after any other write.  This is the one
+    place the engine touches the journal."""
+    if clean and canonical:
+        kb.journal = []
+
+
+def _clone_linked(kb: KnowledgeBase, sources: list[Iri]) -> Iri:
+    """Clone a behaviour-shaped tree, walked into ``sources`` root first,
+    into the execution layer, link every source node to its clone through
+    the hasExecution family and return the root's clone."""
+    mapping = clone_tree(kb, sources, LayerTag.EXECUTION)
     link_pairs(kb, mapping, CLASS_TO_HAS_EXECUTION)
-    return mapping[root]
+    return mapping[sources[0]]
 
 
 def realize_process(
@@ -215,13 +298,17 @@ def realize_process(
     """Clone a validated planning process into the execution layer.
 
     ``assignment`` must cover every procedure state; each pair is gated
-    through capability_gap before anything is emitted.
+    through capability_gap, and every procedure, state and plan-tree
+    node must be in the planning layer alone, before anything is
+    emitted.  The call's journal entries are cleared when every node it
+    cloned is canonical.
     """
     violations = validate(kb)
     if violations:
         raise ValidationFailed(violations)
     if not is_root(kb, process, PROCESS, LayerTag.PLANNING):
         raise NotAProcess(process)
+    clean = kb.journal == []
 
     procedures = procedure_order(kb, process)
     chains = {proc: state_chain(kb, proc) for proc in procedures}
@@ -235,6 +322,22 @@ def realize_process(
         if gap is not None:
             code, named = gap
             raise _CAPABILITY_ERRORS[code](state, agent, named)
+
+    # one walk over every node to be cloned: refuse any outside the
+    # planning layer, and note whether all of them are canonical
+    canonical = _source(kb, process, (PROCESS,))
+    plans: dict[Iri, list[Iri]] = {}  # state -> its plan tree, root first
+    for proc in procedures:
+        canonical &= _source(kb, proc, (PROCEDURE,))
+        states = chains[proc]
+        last = len(states) - 1
+        for j, state in enumerate(states):
+            canonical &= _source(kb, state, state_classes(j, last))
+            plan = [
+                o for o in kb.objects(state, IS_DESCRIBED_BY) if isinstance(o, Iri)
+            ][0]
+            plans[state], tree_canonical = _tree_sources(kb, plan)
+            canonical &= tree_canonical
 
     exec_process = clone_node(kb, process, LayerTag.EXECUTION)
     kb.assert_property(exec_process, PROCESS_DRAWN_BY, process)
@@ -251,10 +354,7 @@ def realize_process(
 
         for state, exec_state in zip(states, exec_states):
             agent, behaviour = assignment[state]
-            plans = [
-                o for o in kb.objects(state, IS_DESCRIBED_BY) if isinstance(o, Iri)
-            ]
-            plan_exec = _clone_linked(kb, plans[0])
+            plan_exec = _clone_linked(kb, plans[state])
             kb.assert_property(plan_exec, PLAN_EXECUTION_DRAWN_BY, behaviour)
             kb.assert_property(exec_state, IS_DESCRIBED_BY, plan_exec)
             kb.assert_property(agent, PERFORMS_PLAN_EXECUTION, plan_exec)
@@ -269,20 +369,21 @@ def realize_process(
                 )
             )
     link_procedures(kb, exec_process, exec_procs)
+    _certify(kb, clean, canonical)
     return ProcessHandle(kb=kb, process=process, exec_process=exec_process, records=records)
 
 
-def _fire_event(kb: KnowledgeBase, exec_state: Iri, event: Iri) -> Iri:
-    """Clone a foreseen event (and its action) into the execution layer
-    and hang it off the realized state."""
+def _fire_event(
+    kb: KnowledgeBase, exec_state: Iri, event: Iri, actions: list[list[Iri]]
+) -> Iri:
+    """Clone a foreseen event and its action trees, each walked root first,
+    into the execution layer and hang the event off the realized state."""
     exec_event = clone_node(kb, event, LayerTag.EXECUTION)
     for pred in (HAS_EVENT_KIND, HAS_EVENT_DURATION, HAS_EVENT_WINDOW):
         for value in kb.objects(event, pred):
             kb.assert_property(exec_event, pred, value)
-    for action in kb.objects(event, EVENT_DESCRIBED_BY_ACTION):
-        if not isinstance(action, Iri):
-            continue
-        action_exec = _clone_linked(kb, action)
+    for nodes in actions:
+        action_exec = _clone_linked(kb, nodes)
         kb.assert_property(exec_event, EVENT_DESCRIBED_BY_ACTION, action_exec)
     kb.assert_property(exec_state, TRIGGERS_EVENT, exec_event)
     return exec_event

@@ -6,7 +6,8 @@ the builder's dependency check and the validator's chain check.  It
 sits over ``core`` only, so the validator and the race search read
 trees without loading the builder or the engine.  The write rules of
 the layers live here, each once: cloning, family links, a process's
-procedure chain, each procedure's state chain and the root guard.  The
+procedure chain, each procedure's state chain, the classes a node
+carries at its position and the root guard.  The
 builder and the engine both write with them, so their layers cannot
 drift apart, and neither imports the other.  Whether an agent may
 perform a behaviour is not a tree question; ``validator`` decides it.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable, Hashable, Iterable, Iterator, KeysView
 
-from .core import KnowledgeBase
+from .core import EntityRecord, KnowledgeBase
 from .terms import Assertion, Iri
 from .vocab import (
     CHILD_PREDICATES,
@@ -33,6 +34,7 @@ from .vocab import (
     INITIAL_STATE,
     LAYER_CLASSES,
     LayerTag,
+    NON_TERMINATING_STATE,
     PROC_CONSISTS_FINAL,
     PROC_CONSISTS_INITIAL,
     PROC_CONSISTS_NON_TERMINATING,
@@ -135,16 +137,14 @@ def clone_node(kb: KnowledgeBase, node: Iri, layer: LayerTag) -> Iri:
     return clone
 
 
-def clone_tree(
-    kb: KnowledgeBase, root: Iri, layer: LayerTag
-) -> dict[Iri, Iri]:
-    """Copy a behaviour-shaped tree into ``layer``.
+def clone_tree(kb: KnowledgeBase, sources: list[Iri], layer: LayerTag) -> dict[Iri, Iri]:
+    """Copy a behaviour-shaped tree, ``walk_tree``'s list of its nodes,
+    into ``layer``.
 
     Returns the source-to-clone map.  Intra-tree edges (child predicates
     and dependsOn) are re-emitted between clones; reference edges keep
     pointing at the shared targets; nothing else is copied.
     """
-    sources = walk_tree(kb, root)
     mapping = {node: clone_node(kb, node, layer) for node in sources}
     for node in sources:
         clone = mapping[node]
@@ -171,6 +171,33 @@ def link_pairs(
         cls = tree_class(kb, subject)
         if cls is not None:
             kb.assert_property(subject, members[cls], obj)
+
+
+def type_node(
+    kb: KnowledgeBase, node: Iri, classes: Iterable[Iri], layer_cls: Iri | None
+) -> None:
+    """Type ``node`` with the classes of its position, then with its layer
+    class if there is one.  Every node the builder makes is typed this
+    way and with nothing else, which is what ``typed_as`` checks."""
+    for cls in classes:
+        kb.assert_membership(node, cls)
+    if layer_cls is not None:
+        kb.assert_membership(node, layer_cls)
+
+
+def typed_as(rec: EntityRecord | None, classes: Iterable[Iri], layer: LayerTag) -> bool:
+    """Whether an entity carries exactly what ``type_node`` gives a node of
+    ``layer`` whose position needs ``classes``."""
+    return rec is not None and rec.memberships.keys() == {layer.class_iri, *classes}
+
+
+def state_classes(index: int, last: int) -> tuple[Iri, ...]:
+    """The position classes of the state at ``index`` of a chain whose
+    last index is ``last``: initial first, final last (both for a chain
+    of one), non-terminating in between."""
+    if 0 < index < last:
+        return (NON_TERMINATING_STATE,)
+    return (INITIAL_STATE,) * (index == 0) + (FINAL_STATE,) * (index == last)
 
 
 def link_procedures(kb: KnowledgeBase, process: Iri, procedures: list[Iri]) -> None:

@@ -8,7 +8,9 @@ a capability check start from.  The whole-graph pass reads its start
 edges from the store's predicate buckets.  After a clean pass the checks
 run only on what the store's change journal can reach, each assertion
 object once, with the same result as a whole-graph pass; a removal can
-cost a whole-graph pass, never a wrong verdict.  Endpoint constraints
+cost a whole-graph pass, never a wrong verdict.  An empty journal means
+the graph is clean and only certified engine writes have happened since
+(see ``engine``), so a pass over it checks nothing.  Endpoint constraints
 are read here, not in the store, and capability too, for the performer
 check and the engine's gate alike.
 ``check_mirror`` verifies that a linked tree retraces its source tree

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from oasiskg import (
     declare_agent,
     derive_behaviour,
     realize_process,
+    validate,
 )
 
 
@@ -208,6 +212,28 @@ def random_process_spec(rng: random.Random, tag: str) -> ProcessSpec:
             )
         procedures.append(ProcedureSpec(name=f"{tag}_p{pi}", states=tuple(states)))
     return ProcessSpec(name=f"{tag}_process", procedures=tuple(procedures))
+
+
+def whole_graph_pass(kb: KnowledgeBase) -> list:
+    """``validate`` with the journal set aside, which runs every check
+    over the whole graph; the journal is put back unchanged."""
+    journal, kb.journal = kb.journal, None
+    try:
+        return validate(kb)
+    finally:
+        kb.journal = journal
+
+
+def load_benchmark_module(name: str):
+    """A module of ``perfbench``, the benchmark, imported read-only.  Its
+    modules import each other by their bare names, so ``perfbench`` is on
+    ``sys.path`` while the import runs."""
+    path = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, path)
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(path)
 
 
 @pytest.fixture

@@ -790,6 +790,77 @@ def test_run_rejects_assignments_with_unknown_prefixes(built_kb, tmp_path, capsy
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("node", ["a_request_plan", "consume_a_procedure"])
+def test_run_refuses_a_source_outside_the_planning_layer(node, built_kb, tmp_path, capsys):
+    """A plan or procedure that lost its layer class validates clean; run
+    refuses it with exit 1 and one stderr line, and writes nothing."""
+    kb_path, roots = built_kb
+    iri = f"http://example.org/{node}"
+    typed = f"<{iri}> <{vocab.RDF_TYPE.value}> <{vocab.LayerTag.PLANNING.class_iri.value}> .\n"
+    text = kb_path.read_text()
+    assert typed in text
+    kb_path.write_text(text.replace(typed, ""))
+    assert validate(read_graph(kb_path)) == []
+    assign = tmp_path / "assign.json"
+    assign.write_text(json.dumps(assignment_doc(roots, "a")))
+    trace, out = tmp_path / "trace.jsonl", tmp_path / "after.nt"
+    code = main(
+        [
+            "run",
+            "--kb", str(kb_path),
+            "--process", "consume_a_process",
+            "--assign", str(assign),
+            "--trace", str(trace),
+            "--out", str(out),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"not a planning-layer node: {iri}\n"
+    assert not trace.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("node", ["a_modify_event", "a_notify_task"])
+def test_run_refuses_an_event_node_outside_the_planning_layer(node, tmp_path, capsys):
+    """An event or its action that lost its layer class validates clean;
+    the step that would fire it refuses it, and run exits 1 with one
+    stderr line and writes nothing."""
+    doc = protocol_doc(tags=("a",))
+    modify = doc["processes"][0]["procedures"][0]["states"][1]
+    modify["events"] = [
+        {"name": "a_modify_event", "action": task("a_notify_task", "notify"), "kind": "signal"}
+    ]
+    spec, kb_path = tmp_path / "spec.json", tmp_path / "kb.nt"
+    spec.write_text(json.dumps(doc))
+    assert main(["build", "--spec", str(spec), "--out", str(kb_path)]) == 0
+    roots = capsys.readouterr().out.split()
+    iri = f"http://example.org/{node}"
+    typed = f"<{iri}> <{vocab.RDF_TYPE.value}> <{vocab.LayerTag.PLANNING.class_iri.value}> .\n"
+    text = kb_path.read_text()
+    assert typed in text
+    kb_path.write_text(text.replace(typed, ""))
+    assert validate(read_graph(kb_path)) == []
+    assign = tmp_path / "assign.json"
+    assign.write_text(json.dumps(assignment_doc(roots, "a")))
+    trace, out = tmp_path / "trace.jsonl", tmp_path / "after.nt"
+    code = main(
+        [
+            "run",
+            "--kb", str(kb_path),
+            "--process", "consume_a_process",
+            "--assign", str(assign),
+            "--trace", str(trace),
+            "--out", str(out),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"not a planning-layer node: {iri}\n"
+    assert not trace.exists() and not out.exists()
+
+
 def test_run_unknown_process_is_operational(built_kb, tmp_path, capsys):
     kb_path, roots = built_kb
     assign = tmp_path / "assign.json"

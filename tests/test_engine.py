@@ -5,6 +5,7 @@ import json
 import pytest
 
 from oasiskg import (
+    Assertion,
     BehaviourSpec,
     GoalSpec,
     Iri,
@@ -31,6 +32,7 @@ from oasiskg.engine import (
     AssignmentIncomplete,
     CursorCompleted,
     NotAProcess,
+    OutsidePlanningLayer,
     PerformerLacksCapability,
     RoleDeprecatedUse,
     ValidationFailed,
@@ -38,6 +40,7 @@ from oasiskg.engine import (
     state_chain,
 )
 from oasiskg import vocab
+from oasiskg.vocab import RDF_TYPE
 
 from conftest import (
     build_protocol_scenario,
@@ -239,6 +242,67 @@ def test_realize_requires_a_planning_process(kb, scenario):
         realize_process(kb, scenario["behaviour"], {})
     with pytest.raises(NotAProcess):
         realize_process(kb, ex("nothing"), {})
+
+
+@pytest.mark.parametrize(
+    "where, layer",
+    [
+        ("plan", None),
+        ("procedure", None),
+        ("state", LayerTag.TEMPLATE),
+        ("task", None),
+    ],
+)
+def test_realize_refuses_what_it_would_clone_outside_the_planning_layer(kb, where, layer):
+    """A plan, procedure, state or plan task moved out of the planning
+    layer leaves the graph clean, so realize itself refuses it, naming the
+    node, before anything is written.  Without the refusal the realized
+    graph would not validate: a plan's hasPlanExecution and a procedure's
+    procedureDrawnBy need a planning-layer source."""
+    agent = declare_agent(kb, ex("agent_a"))
+    behaviour = derive_behaviour(kb, build_template(kb, consumer_template("a")), agent)
+    process = build_process(kb, protocol_process_spec("a"))
+    plan = kb.objects(ex("a_s1"), vocab.IS_DESCRIBED_BY)[0]
+    node = {
+        "plan": plan,
+        "procedure": ex("consume_a_procedure"),
+        "state": ex("a_s2"),
+        "task": walk_tree(kb, plan)[2],
+    }[where]
+    kb.remove(Assertion(node, RDF_TYPE, LayerTag.PLANNING.class_iri))
+    if layer is not None:
+        kb.assert_membership(node, layer.class_iri)
+    assert validate(kb) == []
+    before = list(kb.assertions)
+    assignment = {ex(f"a_s{i}"): (agent, behaviour) for i in (1, 2, 3)}
+    with pytest.raises(OutsidePlanningLayer) as err:
+        realize_process(kb, process, assignment)
+    assert err.value.iri == node
+    assert str(err.value) == f"not a planning-layer node: {node}"
+    assert list(kb.assertions) == before
+
+
+@pytest.mark.parametrize("where", ["event", "action", "operator"])
+def test_step_refuses_an_event_node_outside_the_planning_layer(kb, where):
+    """An event or a node of its action moved out of the planning layer
+    leaves the graph clean, so step itself refuses it, naming the node,
+    before anything is written and before the cursor moves.  Without the
+    refusal the fired clones would not validate."""
+    agent = declare_agent(kb, ex("agent_a"))
+    behaviour = derive_behaviour(kb, build_template(kb, consumer_template("a")), agent)
+    process = build_process(kb, protocol_process_spec("a", with_event=True))
+    handle = realize_process(kb, process, {ex(f"a_s{i}"): (agent, behaviour) for i in (1, 2, 3)})
+    handle.step()
+    event = ex("a_modify_event")
+    action = kb.objects(event, vocab.EVENT_DESCRIBED_BY_ACTION)[0]
+    node = {"event": event, "action": action, "operator": walk_tree(kb, action)[1]}[where]
+    kb.remove(Assertion(node, RDF_TYPE, LayerTag.PLANNING.class_iri))
+    assert validate(kb) == []
+    before = list(kb.assertions)
+    with pytest.raises(OutsidePlanningLayer) as err:
+        handle.step()
+    assert err.value.iri == node
+    assert list(kb.assertions) == before and handle.cursor == 1
 
 
 def test_realize_requires_a_total_assignment(kb, scenario):

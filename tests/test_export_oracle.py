@@ -14,15 +14,13 @@ the benchmark; and the protocol scenario under every mutation in
 
 from __future__ import annotations
 
-import importlib.util
 import random
-import sys
 from pathlib import Path
 
 import pytest
 
 import export_oracle
-from conftest import build_protocol_scenario
+from conftest import build_protocol_scenario, load_benchmark_module
 from mutations import MUTATIONS
 from oasiskg import (
     Assertion,
@@ -137,18 +135,9 @@ def test_an_iri_and_literals_of_its_value_under_one_predicate(tmp_path):
     ]
 
 
-def _load_benchmark_generator():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_the_benchmark_graph_exports_as_the_oracle_exports_it(tmp_path):
     """The seed-7 ``graph_io`` graph, built as the benchmark builds it."""
-    gen = _load_benchmark_generator()
+    gen = load_benchmark_module("gen")
     kb = KnowledgeBase()
     for unit in gen.graph_units(random.Random(7), gen.GRAPH_UNITS):
         agent = declare_agent(kb, kb.resolve(unit.agent))

@@ -1,7 +1,8 @@
 """Single-sourcing rules for the package's modules, one table row each.
 
-A row's pattern may match a line only in its allowed modules of
-``src/oasiskg``; a matching line in any other module fails the row with
+A row's pattern may match a line only in its allowed places in
+``src/oasiskg``: a module, or one top-level function of a module, named
+``module.py:function``.  A matching line anywhere else fails the row with
 its message.  Patterns are matched line by line, as ``grep -E`` does.
 Each row carries an example line its pattern must match, so a row whose
 pattern has drifted to match nothing fails too.
@@ -112,6 +113,17 @@ GUARDS = [
         "write a task's elements from vocab.TREE_SHAPE",
         "kb.assert_property(task, HAS_TASK_OPERATOR, operator)",
     ),
+    # the journal lists what changed since the last clean pass; core
+    # appends to it, validate resets it, and engine._certify alone
+    # clears an engine call's own entries, when the call began on a
+    # clean graph and cloned only canonical nodes
+    (
+        "Change journal reset only by the store, validate and the engine's certification",
+        r"\.journal\s*=[^=]|\.journal\.clear\(|\bdel\b.*\.journal\b",
+        ("core.py", "validator.py", "engine.py:_certify"),
+        "leave the journal to core, validator.validate and engine._certify",
+        "kb.journal = []",
+    ),
     # typing.NamedTuple and collections.namedtuple build their
     # classes from generated code; records subclass terms.Record or
     # terms.Frozen like the rest
@@ -152,14 +164,27 @@ _rows = pytest.mark.parametrize(
 )
 
 
+def scoped_lines(path: Path):
+    """Each line of ``path``: its number, its text, and the top-level
+    function it lies in (``None`` outside one).  A line at the margin
+    starts a new scope, unless it is a comment, a decorator or the close
+    of a signature."""
+    scope = None
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if line[:1].strip() and not line.startswith(("#", "@", ")")):
+            match = re.match(r"(?:async\s+)?def\s+(\w+)", line)
+            scope = match.group(1) if match else None
+        yield number, line, scope
+
+
 @_rows
 def test_package_keeps_the_rule(pattern, allowed, message, example):
     hits = [
         f"{path.name}:{number}: {line}"
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name not in allowed
-        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if re.search(pattern, line)
+        for number, line, scope in scoped_lines(path)
+        if f"{path.name}:{scope}" not in allowed and re.search(pattern, line)
     ]
     assert not hits, "\n".join([message, *hits])
 
@@ -167,4 +192,20 @@ def test_package_keeps_the_rule(pattern, allowed, message, example):
 @_rows
 def test_rule_forbids_its_example(pattern, allowed, message, example):
     assert re.search(pattern, example)
-    assert all((PACKAGE / module).is_file() for module in allowed)
+    for place in allowed:
+        module, _, function = place.partition(":")
+        assert (PACKAGE / module).is_file(), place
+        assert not function or any(
+            scope == function for _, _, scope in scoped_lines(PACKAGE / module)
+        ), place
+
+
+def test_scopes_end_at_the_next_top_level_statement(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "x = 1\n@wrap\ndef f(\n    a,\n) -> int:\n    return a\n"
+        "# note\n\nclass C:\n    def g(self):\n        pass\n"
+    )
+    assert [scope for _, _, scope in scoped_lines(module)] == [
+        None, None, "f", "f", "f", "f", "f", "f", None, None, None,
+    ]

@@ -33,7 +33,7 @@ from oasiskg import (
     submit_plan,
     validate,
 )
-from oasiskg import validator, vocab
+from oasiskg import engine, validator, vocab
 from oasiskg.engine import ValidationFailed, procedure_order, state_chain
 from oasiskg.vocab import RDF_TYPE
 
@@ -42,18 +42,9 @@ from conftest import (
     consumer_template,
     protocol_process_spec,
     random_behaviour_spec,
+    whole_graph_pass,
 )
 from mutations import MUTATIONS
-
-
-def whole_graph_pass(kb: KnowledgeBase) -> list:
-    """``validate`` with the journal set aside, which runs every check
-    over the whole graph; the journal is put back unchanged."""
-    journal, kb.journal = kb.journal, None
-    try:
-        return validate(kb)
-    finally:
-        kb.journal = journal
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +73,9 @@ def test_journal_runs_from_a_clean_pass_to_the_next_dirty_one(kb):
 
 
 def test_short_journals_skip_the_whole_graph_pass(kb, monkeypatch):
+    """A realization's journal stays on the region path.  The engine clears
+    the journal of a realization it certifies, so this one keeps its
+    entries, as an uncertified one does."""
     whole_passes = []
     real = validator._whole
     monkeypatch.setattr(validator, "_whole", lambda kb: whole_passes.append(1) or real(kb))
@@ -90,7 +84,10 @@ def test_short_journals_skip_the_whole_graph_pass(kb, monkeypatch):
     whole_passes.clear()
     a = ctx["a"]
     assignment = {kb.resolve(f"a_s{i}"): (a["agent"], a["behaviour"]) for i in (1, 2, 3)}
-    realize_process(kb, a["process"], assignment)
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "_certify", lambda kb, clean, canonical: None)
+        realize_process(kb, a["process"], assignment)
+    assert kb.journal
     assert validate(kb) == [] and whole_passes == []
     # a journal of a quarter of the graph or more goes to the whole-graph pass
     for tag in ("c", "d", "e"):
@@ -123,12 +120,16 @@ def _region_pass(kb, monkeypatch) -> tuple[list, list[Assertion], int]:
 def test_each_region_candidate_is_checked_once(kb, monkeypatch):
     """A realization's journal reaches every edge of the nodes it typed,
     so the region pass checks exactly the journal's assertions, each
-    object once."""
+    object once.  The engine clears the journal of a realization it
+    certifies, so this one keeps its entries, as an uncertified one does."""
     a = build_protocol_scenario(kb, tags=("a", "b"))["a"]
     assert validate(kb) == []
     assignment = {kb.resolve(f"a_s{i}"): (a["agent"], a["behaviour"]) for i in (1, 2, 3)}
-    realize_process(kb, a["process"], assignment)
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "_certify", lambda kb, clean, canonical: None)
+        realize_process(kb, a["process"], assignment)
     journal = list(kb.journal)
+    assert journal
     got, checked, whole_passes = _region_pass(kb, monkeypatch)
     assert got == [] and whole_passes == 0
     ids = [id(x) for x in checked]

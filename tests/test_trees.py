@@ -262,7 +262,7 @@ def test_tree_reads_match_the_per_predicate_oracle(seed):
     nodes = walk_tree(kb, root)
     assert nodes == tree_oracle.walk_tree(kb, root)
     # the same clone indices, so the same minted IRIs, in the same order
-    mapping = clone_tree(kb, root, LayerTag.BEHAVIOUR)
+    mapping = clone_tree(kb, nodes, LayerTag.BEHAVIOUR)
     assert mapping == tree_oracle.clone_tree(twin, root, LayerTag.BEHAVIOUR)
     assert list(kb.assertions) == list(twin.assertions)
     clone = mapping[root]
