@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 operational error or usage error, 2 validation
-findings (including realize-time capability failures), 3 races found,
-4 parse error in an input file.
+findings (including realize-time capability failures, and findings in
+the graph a ``run`` leaves), 3 races found, 4 parse error in an input
+file.
 
 Each command imports the modules it runs when it runs: ``validate``
 loads the validator, ``run`` the engine (and the validator under it),
@@ -218,6 +219,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     from . import engine
+    from .validator import validate
 
     if args.trace and args.out:
         if os.path.realpath(args.trace) == os.path.realpath(args.out):
@@ -253,6 +255,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         steps = handle.run_to_completion()
     except ModelError as err:
         return _fail(str(err), OPERATIONAL)
+    if kb.journal:
+        # the engine kept writes it could not certify clean: check them
+        # before anything is written or printed
+        violations = validate(kb)
+        if violations:
+            for violation in violations:
+                print(violation.render())
+            return FINDINGS
     lines = [step.trace_line() for step in steps]
     outputs = {}
     if args.trace:

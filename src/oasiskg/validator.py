@@ -12,7 +12,9 @@ cost a whole-graph pass, never a wrong verdict.  An empty journal means
 the graph is clean and only certified engine writes have happened since
 (see ``engine``), so a pass over it checks nothing.  Endpoint constraints
 are read here, not in the store, and capability too, for the performer
-check and the engine's gate alike.
+check and the engine's gate alike.  The whole pass and the region pass
+alike test each edge against its property's check row, compiled once
+from ``vocab.PROPERTIES``, and ``constraint_problem`` words any failure.
 ``check_mirror`` verifies that a linked tree retraces its source tree
 edge by edge through the right family subproperties.
 """
@@ -94,13 +96,14 @@ def check_mirror(
     source_nodes = walk_tree(kb, source_root)
     target_nodes = set(walk_tree(kb, target_root))
     counterpart: dict[Iri, Iri] = {}
+    members = vocab.SUB_CLOSURE[family]
     for node in source_nodes:
-        linked = [
-            o
-            for o in kb.objects(node, family, entail=True)
-            if isinstance(o, Iri) and o in target_nodes
+        links = [
+            a
+            for a in kb.edges(node)
+            if a.predicate in members and a.object in target_nodes
         ]
-        if not linked:
+        if not links:
             out.append(
                 Violation(
                     Code.STRUCTURE_MISMATCH,
@@ -109,16 +112,17 @@ def check_mirror(
                 )
             )
             continue
-        if len(set(linked)) > 1:
+        linked = {a.object for a in links}
+        if len(linked) > 1:
             out.append(
                 Violation(
                     Code.STRUCTURE_MISMATCH,
-                    (node, *sorted(set(linked))),
+                    (node, *sorted(linked)),
                     f"ambiguous {family.local} counterparts under {target_root}",
                 )
             )
             continue
-        other = linked[0]
+        (other,) = linked
         counterpart[node] = other
         cls = tree_class(kb, node)
         expected = class_map.get(cls) if cls is not None else None
@@ -130,7 +134,7 @@ def check_mirror(
                     "node carries no tree class",
                 )
             )
-        elif Assertion(node, expected, other) not in kb:
+        elif all(a.predicate is not expected for a in links):
             out.append(
                 Violation(
                     Code.STRUCTURE_MISMATCH,
@@ -149,16 +153,17 @@ def check_mirror(
         )
     for node in source_nodes:
         mine = counterpart.get(node)
-        if mine is None:
+        edges = tree_edges(kb, node) if mine is not None else ()
+        if not edges:
             continue
-        for a in tree_edges(kb, node):
+        # the counterpart's edges, each as a plain (predicate, object) pair
+        mirrored = {(b.predicate, b.object) for b in kb.edges(mine)}
+        for a in edges:
             child = a.object
-            if not isinstance(child, Iri):
-                continue
-            theirs = counterpart.get(child)
+            theirs = counterpart.get(child)  # a literal child has none
             if theirs is None:
                 continue
-            if Assertion(mine, a.predicate, theirs) not in kb:
+            if (a.predicate, theirs) not in mirrored:
                 out.append(
                     Violation(
                         Code.STRUCTURE_MISMATCH,
@@ -189,6 +194,8 @@ _UP_EDGES = frozenset((*CHILD_RANK, *vocab.SUB_CLOSURE[vocab.HAS_NEXT]))
 
 #: reference predicates, whose endpoints need not be typed individuals
 _STRUCTURAL_EXEMPT = frozenset(vocab.REFERS_PREDICATES)
+#: the layer classes of an individual in the execution layer alone
+_EXECUTION_ONLY = frozenset((vocab.LayerTag.EXECUTION.class_iri,))
 
 
 #: a region pass costs a few times what a whole-graph pass costs per
@@ -306,9 +313,13 @@ def _entity_checks(
 ) -> list[Violation]:
     out = []
     for rec in entities:
-        iri, memberships = rec.iri, rec.memberships
-        if rec.mixed_layers:
-            names = ", ".join(sorted(c.local for c in rec.layer_classes))
+        memberships = rec.memberships
+        if not memberships:
+            continue  # an untyped node or a declared class: nothing to check
+        iri = rec.iri
+        layers = vocab.LAYER_CLASSES.intersection(memberships)
+        if len(layers) > 1:
+            names = ", ".join(sorted(c.local for c in layers))
             out.append(
                 Violation(
                     Code.LAYER_MIX,
@@ -316,7 +327,7 @@ def _entity_checks(
                     f"entity carries several layer classes: {names}",
                 )
             )
-        if vocab.PROCEDURE_STATE_CLASSES.intersection(memberships):
+        if not vocab.PROCEDURE_STATE_CLASSES.isdisjoint(memberships):
             if not kb.objects(iri, vocab.IS_DESCRIBED_BY):
                 out.append(
                     Violation(
@@ -345,7 +356,7 @@ def _entity_checks(
             )
         if (
             vocab.BEHAVIOUR in memberships
-            and rec.layer is vocab.LayerTag.EXECUTION
+            and layers == _EXECUTION_ONLY
             and not kb.objects(iri, vocab.EXECUTION_DRAWN_BY, entail=True)
         ):
             out.append(
@@ -370,6 +381,34 @@ _FAMILY_CODES: dict[Iri, Code] = {
         (vocab.DRAWN_BY, Code.DRAWNBY_CROSS_LAYER),
     )
     for pred in vocab.SUB_CLOSURE[family]
+}
+
+
+#: an entity with no record, which has no memberships
+_UNTYPED: dict[Iri, None] = {}
+
+
+def _layer_class(layer: vocab.LayerTag | None) -> Iri | None:
+    return None if layer is None else layer.class_iri
+
+
+#: property -> its check row: the spec, the finding code, the literal
+#: flag, the subject's layer class and class set, the object's, and
+#: whether both endpoints must be typed; ``None`` leaves a slot
+#: unconstrained.  An endpoint passes when it has the layer class and
+#: one of the classes; one that does not goes to ``constraint_problem``
+_CHECKS: dict[Iri, tuple] = {
+    pred: (
+        spec,
+        _FAMILY_CODES.get(pred, Code.LAYER_CONSTRAINT),
+        spec.literal_object,
+        _layer_class(spec.subject_layer),
+        spec.subject_classes,
+        _layer_class(spec.object_layer),
+        spec.object_classes,
+        not spec.literal_object and pred not in _STRUCTURAL_EXEMPT,
+    )
+    for pred, spec in vocab.PROPERTIES.items()
 }
 
 
@@ -417,32 +456,51 @@ def _assertion_checks(
 ) -> list[Violation]:
     """Undeclared predicates, endpoint constraints and dangling endpoints.
     An undeclared predicate has no constraints to check, and literal
-    objects and reference edges have no endpoints that must be typed."""
+    objects and reference edges have no endpoints that must be typed.
+    Each edge is tested against its property's check row, allocating
+    nothing; ``constraint_problem`` words a failure, or clears an
+    endpoint with several layer classes."""
     out = []
     unknown: dict[Iri, None] = {}
     flagged: dict[Iri, Iri] = {}  # dangling endpoint -> first edge's predicate
+    entities = kb.entities
     for a in assertions:
-        if a.predicate == RDF_TYPE:
+        pred = a.predicate
+        if pred is RDF_TYPE:
             continue
-        spec = vocab.PROPERTIES.get(a.predicate)
-        if spec is None:
-            unknown[a.predicate] = None
+        row = _CHECKS.get(pred)
+        if row is None:
+            unknown[pred] = None
             continue
-        problem = constraint_problem(kb, spec, a.subject, a.object)
-        if problem is not None:
-            code = _FAMILY_CODES.get(a.predicate, Code.LAYER_CONSTRAINT)
-            subjects: tuple[Iri, ...] = (a.subject,)
-            if isinstance(a.object, Iri):
-                subjects = (a.subject, a.object)
-            out.append(Violation(code, subjects, f"{a.predicate.local}: {problem}"))
-        if spec.literal_object or a.predicate in _STRUCTURAL_EXEMPT:
-            continue
-        for endpoint in (a.subject, a.object):
-            if not isinstance(endpoint, Iri) or endpoint in flagged:
-                continue
-            rec = kb.entity(endpoint)
-            if rec is None or not rec.memberships:
-                flagged[endpoint] = a.predicate
+        spec, code, literal, s_layer, s_classes, o_layer, o_classes, typed = row
+        subject, obj = a.subject, a.object
+        rec = entities.get(subject)
+        s_in = rec.memberships if rec is not None else _UNTYPED
+        o_in = None  # stays None for a literal object
+        if isinstance(obj, Iri):
+            rec = entities.get(obj)
+            o_in = rec.memberships if rec is not None else _UNTYPED
+            passed = (
+                not literal
+                and (o_layer is None or o_layer in o_in)
+                and (o_classes is None or not o_classes.isdisjoint(o_in))
+            )
+        else:
+            passed = literal
+        if not (
+            passed
+            and (s_layer is None or s_layer in s_in)
+            and (s_classes is None or not s_classes.isdisjoint(s_in))
+        ):
+            problem = constraint_problem(kb, spec, subject, obj)
+            if problem is not None:
+                subjects = (subject,) if o_in is None else (subject, obj)
+                out.append(Violation(code, subjects, f"{pred.local}: {problem}"))
+        if typed:
+            if not s_in and subject not in flagged:
+                flagged[subject] = pred
+            if o_in is not None and not o_in and obj not in flagged:
+                flagged[obj] = pred
     for pred in unknown:
         out.append(
             Violation(
@@ -460,7 +518,6 @@ def _assertion_checks(
             )
         )
     return out
-
 
 #: each chain end: its edge, its name, and the codes for none and several
 _CHAIN_ENDS = (

@@ -58,6 +58,34 @@ def _layer_constraint(kb, ctx):
     kb.assert_property(ctx["a"]["agent"], vocab.HAS_BEHAVIOUR, ctx["a"]["template"])
 
 
+def _moved_between_layers(kb: KnowledgeBase, node: Iri, old: LayerTag, *new: LayerTag) -> None:
+    """``node`` taken out of the ``old`` layer and put into each ``new`` one."""
+    _remove_edge(kb, node, vocab.RDF_TYPE, old.class_iri)
+    for layer in new:
+        kb.assert_membership(node, layer.class_iri)
+
+
+def _subject_in_two_other_layers(kb, ctx):
+    # overloadsTaskDescription asks for a behaviour-layer subject; one in
+    # two other layers is reported as mixed, not as off its layer
+    task = walk_tree(kb, ctx["a"]["behaviour"])[2]
+    _moved_between_layers(kb, task, LayerTag.BEHAVIOUR, LayerTag.TEMPLATE, LayerTag.PLANNING)
+
+
+def _object_in_two_other_layers(kb, ctx):
+    # overloadsTaskDescription asks for a template-layer object, likewise
+    task = walk_tree(kb, ctx["a"]["template"])[2]
+    _moved_between_layers(kb, task, LayerTag.TEMPLATE, LayerTag.BEHAVIOUR, LayerTag.PLANNING)
+
+
+def _literal_on_an_iri_property(kb, ctx):
+    kb.assert_property(kb.resolve("a_s1"), vocab.TRIGGERS_EVENT, "a_modify_event")
+
+
+def _iri_on_a_literal_property(kb, ctx):
+    kb.assert_property(kb.resolve("a_modify_event"), vocab.HAS_EVENT_KIND, kb.resolve("signal"))
+
+
 def _overload_cross_layer(kb, ctx):
     goal_a = _goal_of(kb, ctx["a"]["behaviour"])
     goal_b = _goal_of(kb, ctx["b"]["behaviour"])
@@ -177,11 +205,28 @@ def _dangling_reference(kb, ctx):
     kb.assert_property(task, vocab.DEPENDS_ON, kb.resolve("ghost"))
 
 
+def _two_dangling_endpoints(kb, ctx):
+    # each finding names its endpoint's first edge: the execution's
+    # drawnBy for one ghost, the task's dependsOn for the other
+    plan = _plan_of_state(kb, kb.resolve("a_s1"))
+    task = walk_tree(kb, plan)[2]
+    execution = ctx["a"]["handle"].exec_process
+    first, second = kb.resolve("ghost_1"), kb.resolve("ghost_2")
+    kb.assert_property(execution, vocab.DRAWN_BY, first)
+    kb.assert_property(task, vocab.DEPENDS_ON, second)
+    kb.assert_property(task, vocab.DEPENDS_ON, first)
+    kb.assert_property(second, vocab.PERFORMS, execution)
+
+
 MUTATIONS: tuple[Mutation, ...] = (
     Mutation("template-also-tagged-execution", Code.LAYER_MIX, _layer_mix),
     Mutation("state-also-tagged-execution", Code.LAYER_MIX, _state_layer_mix),
+    Mutation("subject-in-two-other-layers", Code.LAYER_MIX, _subject_in_two_other_layers),
+    Mutation("object-in-two-other-layers", Code.LAYER_MIX, _object_in_two_other_layers),
     Mutation("made-up-predicate", Code.UNKNOWN_PREDICATE, _unknown_predicate),
     Mutation("agent-owns-a-template", Code.LAYER_CONSTRAINT, _layer_constraint),
+    Mutation("literal-for-an-event", Code.LAYER_CONSTRAINT, _literal_on_an_iri_property),
+    Mutation("iri-for-an-event-kind", Code.LAYER_CONSTRAINT, _iri_on_a_literal_property),
     Mutation(
         "overload-between-behaviours", Code.OVERLOAD_CROSS_LAYER, _overload_cross_layer
     ),
@@ -213,4 +258,5 @@ MUTATIONS: tuple[Mutation, ...] = (
     Mutation("performer-role-went-stale", Code.ROLE_DEPRECATED_USE, _role_deprecated_use),
     Mutation("event-lost-its-action", Code.EVENT_WITHOUT_ACTION, _event_without_action),
     Mutation("edge-into-nothing", Code.DANGLING_REFERENCE, _dangling_reference),
+    Mutation("two-edges-into-nothing", Code.DANGLING_REFERENCE, _two_dangling_endpoints),
 )

@@ -9,9 +9,12 @@ from pathlib import Path
 import pytest
 
 import oasiskg
-from oasiskg import read_graph, validate
+from oasiskg import KnowledgeBase, export_canonical, read_graph, realize_process, validate
 from oasiskg.cli import main
-from oasiskg import vocab
+from oasiskg import validator, vocab
+
+from conftest import whole_graph_pass
+from test_certified_writes import realize_a_chain_that_branches, realize_with_plan_node_typed
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +743,74 @@ def test_run_on_an_invalid_graph_prints_findings(built_kb, tmp_path):
     )
     assert code == 2
     assert any(l.startswith("LAYER_MIX\t") for l in lines)
+
+
+@pytest.mark.parametrize(
+    "witness, code",
+    [
+        (realize_with_plan_node_typed(vocab.EVENT, 2), "EVENT_WITHOUT_ACTION"),
+        (realize_a_chain_that_branches, "CHAIN_NO_FINAL"),
+    ],
+    ids=["plan-task-also-an-event", "chain-that-branches"],
+)
+def test_run_checks_the_writes_it_could_not_certify(witness, code, tmp_path, capsys):
+    """A clean graph whose realization the engine cannot certify, and
+    that realization leaves the graph dirty: run prints what validate
+    finds in the graph it would have written, exits 2 and writes
+    nothing."""
+    kb = KnowledgeBase()
+    witness(kb)
+    assert validate(kb) == []
+    kb_path = tmp_path / "kb.nt"
+    kb_path.write_text(export_canonical(kb))
+    agent = kb.resolve("agent_a")
+    behaviour = kb.objects(agent, vocab.HAS_BEHAVIOUR)[0]
+    states = kb.objects(
+        kb.resolve("consume_a_procedure"), vocab.PROC_CONSISTS_STATE, entail=True
+    )
+    table = {s.value: {"agent": agent.value, "behaviour": behaviour.value} for s in states}
+    assign = tmp_path / "assign.json"
+    assign.write_text(json.dumps(table))
+    trace, out = tmp_path / "trace.jsonl", tmp_path / "after.nt"
+    status = main(
+        [
+            "run",
+            "--kb", str(kb_path),
+            "--process", "consume_a_process",
+            "--assign", str(assign),
+            "--trace", str(trace),
+            "--out", str(out),
+        ]
+    )
+    captured = capsys.readouterr()
+    # the same realization in process, checked by a whole-graph pass
+    after = read_graph(kb_path)
+    assignment = {after.resolve(s): (agent, behaviour) for s in table}
+    realize_process(after, after.resolve("consume_a_process"), assignment).run_to_completion()
+    expected = [v.render() for v in whole_graph_pass(after)]
+    assert code in {line.split("\t")[0] for line in expected}
+    assert status == 2
+    assert captured.out.splitlines() == expected
+    assert captured.err == ""
+    assert not trace.exists() and not out.exists()
+
+
+def test_a_certified_run_validates_only_at_its_gate(built_kb, tmp_path, monkeypatch):
+    """A run the engine certifies leaves the journal empty, so nothing is
+    checked after its writes."""
+    kb_path, roots = built_kb
+    assign = tmp_path / "assign.json"
+    assign.write_text(json.dumps(assignment_doc(roots, "a")))
+    calls = []
+    monkeypatch.setattr(validator, "validate", lambda kb: calls.append(kb) or [])
+    code, lines = run_cli(
+        "run",
+        "--kb", str(kb_path),
+        "--process", "consume_a_process",
+        "--assign", str(assign),
+    )
+    assert code == 0 and len(lines) == 3
+    assert calls == []
 
 
 def test_run_rejects_bad_assignment_files(built_kb, tmp_path, capsys):

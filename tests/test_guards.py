@@ -83,15 +83,25 @@ GUARDS = [
         "read a node's tree edges through trees.tree_edges",
         "for predicate in CHILD_PREDICATES:",
     ),
-    # the store records whatever it is given; validator.constraint_problem
-    # alone reads a property's endpoint layers and classes, and vocab
-    # declares them
+    # the store records whatever it is given; the validator alone reads a
+    # property's endpoint layers and classes, into its check rows and in
+    # constraint_problem, and vocab declares them
     (
         "Endpoint constraints read only in validator.py",
         r"\b(subject_layer|object_layer|subject_classes|object_classes)\b",
         ("validator.py", "vocab.py"),
         "check endpoint constraints in validator.py",
         "if spec.subject_layer is not None:",
+    ),
+    # the pass tests each edge against its property's check row, and
+    # validator.constraint_problem words every failure, so a fast test
+    # can decide pass or fail but cannot fork a message
+    (
+        "Endpoint-constraint messages spelled only in validator.constraint_problem",
+        r'"(subject|object) must be',
+        ("validator.py:constraint_problem",),
+        "word endpoint-constraint failures through validator.constraint_problem",
+        'return f"subject must be a {names}"',
     ),
     # validator.check_capability and validator.capability_gap read an
     # agent's own and role-provided behaviours in one scan; builder

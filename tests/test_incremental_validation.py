@@ -248,6 +248,7 @@ LINK_PREDICATES = (
     vocab.term("consistsOfTaskDescription"),
     vocab.term("overloadsTaskDescription"),
     vocab.term("madeUpPredicate"),
+    vocab.HAS_EVENT_KIND,
 )
 
 #: classes the ``retype`` step adds to random entities
@@ -343,7 +344,10 @@ def _step(rng: random.Random, kb: KnowledgeBase, world: _World, n: int, dirty: b
     elif op in ("link", "retype"):
         entities = list(kb.entities)
         if op == "link":
-            a = Assertion(rng.choice(entities), rng.choice(LINK_PREDICATES), rng.choice(entities))
+            obj = rng.choice(entities)
+            if rng.random() < 0.2:  # a literal, which only a literal property takes
+                obj = obj.local
+            a = Assertion(rng.choice(entities), rng.choice(LINK_PREDICATES), obj)
         else:
             a = Assertion(rng.choice(entities), RDF_TYPE, rng.choice(RETYPE_CLASSES))
         if a not in kb:

@@ -3,9 +3,11 @@
 ``validate`` with the journal set aside looks at entities, assertions
 and the start edges it reads from the store's predicate buckets.
 ``tests/validation_oracle.py`` keeps the pass as it was: five candidate
-kinds, mirror roots and performers found by ``KnowledgeBase.query``.
-Their rendered findings must be equal, line for line, on every mutation
-table entry alone and in pairs, and on realized growth graphs.
+kinds, mirror roots and performers found by ``KnowledgeBase.query``,
+and its own copies of the entity, assertion and mirror checks, from
+before each edge was tested against its property's check row.  Their
+rendered findings must be equal, line for line, on every mutation table
+entry alone and in pairs, and on realized growth graphs.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from conftest import (
     protocol_process_spec,
     random_process_spec,
 )
+import validation_oracle
 from mutations import MUTATIONS
 from validation_oracle import whole_pass
 
@@ -45,6 +48,11 @@ def rendered(kb: KnowledgeBase) -> tuple[list[str], list[str]]:
     finally:
         kb.journal = journal
     return [v.render() for v in got], [v.render() for v in whole_pass(kb)]
+
+
+def test_the_oracle_runs_its_own_checks():
+    for name in ("_entity_checks", "_assertion_checks", "constraint_problem", "check_mirror"):
+        assert getattr(validation_oracle, name).__module__ == "validation_oracle", name
 
 
 def test_every_mutation_alone_and_in_pairs_matches_the_oracle():
