@@ -33,7 +33,7 @@ from .specs import (
     SpecInvalid,
     TaskSpec,
 )
-from .terms import Iri, ModelError
+from .terms import Assertion, Iri, ModelError
 from .trees import (
     CHILD_RANK,
     clone_tree,
@@ -44,10 +44,8 @@ from .trees import (
     link_states,
     plan_tasks,
     state_classes,
-    tree_class,
-    tree_edges,
+    tree_rows,
     type_node,
-    walk_tree,
 )
 from .vocab import (
     ACTION,
@@ -328,9 +326,10 @@ def derive_behaviour(kb: KnowledgeBase, template_root: Iri, agent: Iri) -> Iri:
         raise NotATemplate(template_root)
     if not kb.has_class(agent, AGENT):
         raise MissingAgent(agent)
-    mapping = clone_tree(kb, walk_tree(kb, template_root), LayerTag.BEHAVIOUR)
-    overloads = {clone: source for source, clone in mapping.items()}
-    link_pairs(kb, overloads, CLASS_TO_OVERLOAD)
+    mapping = clone_tree(
+        kb, tree_rows(kb, template_root), LayerTag.BEHAVIOUR, CLASS_TO_OVERLOAD,
+        from_clone=True,
+    )
     kb.assert_property(agent, HAS_BEHAVIOUR, mapping[template_root])
     return mapping[template_root]
 
@@ -345,11 +344,14 @@ def pair_trees(
     child predicate, and the walks their length; any shape difference
     raises StructureMismatch.
     """
-    left_nodes, right_nodes = walk_tree(kb, left_root), walk_tree(kb, right_root)
-    for left, right in zip(left_nodes, right_nodes):
-        if tree_class(kb, left) != tree_class(kb, right):
+    left_rows = tree_rows(kb, left_root, CHILD_RANK)
+    right_rows = tree_rows(kb, right_root, CHILD_RANK)
+    for (left, left_cls, left_edges), (right, right_cls, right_edges) in zip(
+        left_rows, right_rows
+    ):
+        if left_cls != right_cls:
             raise StructureMismatch(left, right, "node classes differ")
-        lf, rf = _fan_out(kb, left), _fan_out(kb, right)
+        lf, rf = _fan_out(left_edges), _fan_out(right_edges)
         for pred in CHILD_RANK:
             if lf[pred] != rf[pred]:
                 raise StructureMismatch(
@@ -357,20 +359,19 @@ def pair_trees(
                     right,
                     f"{pred.local} fan-out differs ({lf[pred]} vs {rf[pred]})",
                 )
-    if len(left_nodes) != len(right_nodes):
+    if len(left_rows) != len(right_rows):
         raise StructureMismatch(
             left_root,
             right_root,
-            f"tree sizes differ ({len(left_nodes)} vs {len(right_nodes)})",
+            f"tree sizes differ ({len(left_rows)} vs {len(right_rows)})",
         )
-    return dict(zip(left_nodes, right_nodes))
+    return {left: right for (left, _, _), (right, _, _) in zip(left_rows, right_rows)}
 
 
-def _fan_out(kb: KnowledgeBase, node: Iri) -> Counter[Iri]:
-    """``node``'s tree children counted by child predicate."""
-    return Counter(
-        a.predicate for a in tree_edges(kb, node) if isinstance(a.object, Iri)
-    )
+def _fan_out(edges: list[Assertion]) -> Counter[Iri]:
+    """A node's tree children, from its child edges, counted by child
+    predicate."""
+    return Counter(a.predicate for a in edges if isinstance(a.object, Iri))
 
 
 def submit_plan(kb: KnowledgeBase, plan_root: Iri, behaviour_root: Iri) -> None:

@@ -7,7 +7,9 @@ they are never stored on their own.
 
 Each index maps a term to a list of its assertions in insertion order.
 Every insert goes through ``load``, one loop over a batch of triples;
-``assert_property`` and ``assert_membership`` hand it a batch of one.
+``assert_property`` and ``assert_membership`` hand it a batch of one,
+and ``trees.clone_tree`` one batch per cloned tree: the clones'
+memberships, their edges and their family links.
 It hashes each assertion once, in ``assertions.setdefault``, and
 appends it to the three lists only when it is new, so no list holds an
 assertion twice.  ``remove`` takes an assertion out of its three lists,

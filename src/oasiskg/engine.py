@@ -15,6 +15,12 @@ on, and performsPlanExecution from the agent.
 (cloning) the events foreseen on the planning states; it refuses an
 event or action node outside the planning layer before its first write.
 
+Each plan or action tree is read once, by ``trees.tree_rows``, before
+the call's first write: the rows give the canonical check each node's
+tree-node class and the clone its edges, and a plan tree that describes
+several states is read once for all of them.  Each tree's clone then
+reaches the store as one batch, its hasExecution links included.
+
 Both calls journal their writes like any other.  A call that began on a
 clean graph (journal ``[]``) and cloned only canonical nodes returns
 with the journal ``[]`` again: ``_certify`` clears the call's own
@@ -33,18 +39,17 @@ import json
 from .core import KnowledgeBase
 from .terms import Frozen, Iri, ModelError, Record, set_field
 from .trees import (
+    TreeRow,
     clone_node,
     clone_tree,
     is_root,
-    link_pairs,
     link_procedures,
     link_states,
     procedure_order,
     state_chain,
     state_classes,
-    tree_class,
+    tree_rows,
     typed_as,
-    walk_tree,
 )
 from .validator import Code, Violation, capability_gap, validate
 from .vocab import (
@@ -211,16 +216,16 @@ class ProcessHandle(Record):
             kb.entities[rec.exec_state].memberships
         )
         # every event and action node to clone is checked before the first write
-        fired: list[tuple[Iri, list[list[Iri]]]] = []
+        fired: list[tuple[Iri, list[list[TreeRow]]]] = []
         for ev in kb.objects(rec.planning_state, TRIGGERS_EVENT):
             if isinstance(ev, Iri):
                 canonical &= _source(kb, ev, (EVENT,))
                 actions = []
                 for action in kb.objects(ev, EVENT_DESCRIBED_BY_ACTION):
                     if isinstance(action, Iri):
-                        nodes, tree_canonical = _tree_sources(kb, action)
+                        rows, tree_canonical = _tree_sources(kb, action)
                         canonical &= tree_canonical
-                        actions.append(nodes)
+                        actions.append(rows)
                 fired.append((ev, actions))
         events = tuple(
             _fire_event(kb, rec.exec_state, ev, actions) for ev, actions in fired
@@ -260,15 +265,16 @@ def _source(kb: KnowledgeBase, node: Iri, classes: tuple[Iri, ...]) -> bool:
     return False
 
 
-def _tree_sources(kb: KnowledgeBase, root: Iri) -> tuple[list[Iri], bool]:
-    """A tree to be cloned, walked root first, and whether every node of it
-    is canonical (see ``_source``): on a clean graph the edge that reaches
-    a tree node has fixed which tree-node class it needs."""
-    nodes = walk_tree(kb, root)
+def _tree_sources(kb: KnowledgeBase, root: Iri) -> tuple[list[TreeRow], bool]:
+    """A tree to be cloned, as ``tree_rows`` walks it root first, and
+    whether every node of it is canonical (see ``_source``): on a clean
+    graph the edge that reaches a tree node has fixed which tree-node
+    class it needs."""
+    rows = tree_rows(kb, root)
     canonical = True
-    for node in nodes:
-        canonical &= _source(kb, node, (tree_class(kb, node),))
-    return nodes, canonical
+    for node, cls, _ in rows:
+        canonical &= _source(kb, node, (cls,))
+    return rows, canonical
 
 
 def _certify(kb: KnowledgeBase, clean: bool, canonical: bool) -> None:
@@ -283,13 +289,12 @@ def _certify(kb: KnowledgeBase, clean: bool, canonical: bool) -> None:
         kb.journal = []
 
 
-def _clone_linked(kb: KnowledgeBase, sources: list[Iri]) -> Iri:
-    """Clone a behaviour-shaped tree, walked into ``sources`` root first,
-    into the execution layer, link every source node to its clone through
-    the hasExecution family and return the root's clone."""
-    mapping = clone_tree(kb, sources, LayerTag.EXECUTION)
-    link_pairs(kb, mapping, CLASS_TO_HAS_EXECUTION)
-    return mapping[sources[0]]
+def _clone_linked(kb: KnowledgeBase, rows: list[TreeRow]) -> Iri:
+    """Clone a behaviour-shaped tree, walked into ``rows`` root first, into
+    the execution layer, link every source node to its clone through the
+    hasExecution family and return the root's clone."""
+    root = rows[0][0]
+    return clone_tree(kb, rows, LayerTag.EXECUTION, CLASS_TO_HAS_EXECUTION)[root]
 
 
 def realize_process(
@@ -326,18 +331,20 @@ def realize_process(
     # one walk over every node to be cloned: refuse any outside the
     # planning layer, and note whether all of them are canonical
     canonical = _source(kb, process, (PROCESS,))
-    plans: dict[Iri, list[Iri]] = {}  # state -> its plan tree, root first
+    plans: dict[Iri, Iri] = {}  # state -> the root of its plan tree
+    plan_rows: dict[Iri, list[TreeRow]] = {}  # plan root -> its rows, root first
     for proc in procedures:
         canonical &= _source(kb, proc, (PROCEDURE,))
         states = chains[proc]
         last = len(states) - 1
         for j, state in enumerate(states):
             canonical &= _source(kb, state, state_classes(j, last))
-            plan = [
+            plan = plans[state] = [
                 o for o in kb.objects(state, IS_DESCRIBED_BY) if isinstance(o, Iri)
             ][0]
-            plans[state], tree_canonical = _tree_sources(kb, plan)
-            canonical &= tree_canonical
+            if plan not in plan_rows:
+                plan_rows[plan], tree_canonical = _tree_sources(kb, plan)
+                canonical &= tree_canonical
 
     exec_process = clone_node(kb, process, LayerTag.EXECUTION)
     kb.assert_property(exec_process, PROCESS_DRAWN_BY, process)
@@ -354,7 +361,7 @@ def realize_process(
 
         for state, exec_state in zip(states, exec_states):
             agent, behaviour = assignment[state]
-            plan_exec = _clone_linked(kb, plans[state])
+            plan_exec = _clone_linked(kb, plan_rows[plans[state]])
             kb.assert_property(plan_exec, PLAN_EXECUTION_DRAWN_BY, behaviour)
             kb.assert_property(exec_state, IS_DESCRIBED_BY, plan_exec)
             kb.assert_property(agent, PERFORMS_PLAN_EXECUTION, plan_exec)
@@ -374,7 +381,7 @@ def realize_process(
 
 
 def _fire_event(
-    kb: KnowledgeBase, exec_state: Iri, event: Iri, actions: list[list[Iri]]
+    kb: KnowledgeBase, exec_state: Iri, event: Iri, actions: list[list[TreeRow]]
 ) -> Iri:
     """Clone a foreseen event and its action trees, each walked root first,
     into the execution layer and hang the event off the realized state."""
@@ -382,8 +389,8 @@ def _fire_event(
     for pred in (HAS_EVENT_KIND, HAS_EVENT_DURATION, HAS_EVENT_WINDOW):
         for value in kb.objects(event, pred):
             kb.assert_property(exec_event, pred, value)
-    for nodes in actions:
-        action_exec = _clone_linked(kb, nodes)
+    for rows in actions:
+        action_exec = _clone_linked(kb, rows)
         kb.assert_property(exec_event, EVENT_DESCRIBED_BY_ACTION, action_exec)
     kb.assert_property(exec_state, TRIGGERS_EVENT, exec_event)
     return exec_event

@@ -11,6 +11,16 @@ carries at its position and the root guard.  The
 builder and the engine both write with them, so their layers cannot
 drift apart, and neither imports the other.  Whether an agent may
 perform a behaviour is not a tree question; ``validator`` decides it.
+
+A tree is walked once, breadth-first, by ``tree_rows``: one row per
+node with its tree-node class and its edges under a rank table, from
+one read of the node's bucket.  Its child-predicate edges come first
+and drive the walk; the edges ranked after them serve the caller, the
+clone's dependsOn and reference edges or a mirror check's family
+links.  ``walk_tree`` is the rows' node column.  ``clone_tree`` clones
+a tree from its rows, read before the first write, and hands the store
+one batch: the clones' memberships, their edges, then the family links
+between each node and its clone.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable, Hashable, Iterable, Iterator, KeysView
 
-from .core import EntityRecord, KnowledgeBase
+from .core import EntityRecord, KnowledgeBase, Triple
 from .terms import Assertion, Iri
 from .vocab import (
     CHILD_PREDICATES,
@@ -38,6 +48,7 @@ from .vocab import (
     PROC_CONSISTS_FINAL,
     PROC_CONSISTS_INITIAL,
     PROC_CONSISTS_NON_TERMINATING,
+    RDF_TYPE,
     REFERS_PREDICATES,
     TREE_NODE_CLASSES,
 )
@@ -66,24 +77,48 @@ def tree_edges(
     and in assertion order under one predicate (the sort is stable); one
     pass over the node's edges."""
     edges = [a for a in kb.edges(node) if a.predicate in ranks]
-    edges.sort(key=lambda a: ranks[a.predicate])
+    if len(edges) > 1:
+        edges.sort(key=lambda a: ranks[a.predicate])
     return edges
 
 
-def walk_tree(kb: KnowledgeBase, root: Iri) -> list[Iri]:
-    """Nodes of a behaviour-shaped tree, breadth-first in assertion order."""
-    nodes = [root]
+#: one node of a tree walk: the node, its tree-node class and its edges
+#: under the walk's rank table
+TreeRow = tuple[Iri, Iri | None, list[Assertion]]
+
+
+def tree_rows(
+    kb: KnowledgeBase, root: Iri, ranks: dict[Iri, int] = _CLONE_RANK
+) -> list[TreeRow]:
+    """Each node of a behaviour-shaped tree, breadth-first in assertion
+    order, with its tree-node class and ``tree_edges(kb, node, ranks)``:
+    the one tree walk.  ``ranks`` ranks the child predicates first, in
+    ``CHILD_RANK``'s order, so a node's child-predicate edges are the
+    prefix of its edges that the walk follows, and one read of each
+    node's bucket serves the walk and the caller."""
+    rows: list[TreeRow] = []
     seen = {root}
+    queue = [root]
     i = 0
-    while i < len(nodes):
-        current = nodes[i]
+    while i < len(queue):
+        node = queue[i]
         i += 1
-        for a in tree_edges(kb, current):
+        edges = tree_edges(kb, node, ranks)
+        rows.append((node, tree_class(kb, node), edges))
+        for a in edges:
+            if a.predicate not in CHILD_RANK:
+                break
             child = a.object
             if isinstance(child, Iri) and child not in seen:
                 seen.add(child)
-                nodes.append(child)
-    return nodes
+                queue.append(child)
+    return rows
+
+
+def walk_tree(kb: KnowledgeBase, root: Iri) -> list[Iri]:
+    """Nodes of a behaviour-shaped tree, breadth-first in assertion order:
+    ``tree_rows``' node column."""
+    return [node for node, _, _ in tree_rows(kb, root, CHILD_RANK)]
 
 
 def depth_first(
@@ -124,35 +159,74 @@ def tree_class(kb: KnowledgeBase, node: Iri) -> Iri | None:
     return None
 
 
+def _clones(
+    kb: KnowledgeBase, nodes: Iterable[Iri], layer: LayerTag
+) -> tuple[dict[Iri, Iri], list[Triple]]:
+    """Mint each node's clone in ``layer``, in order, and return the
+    source-to-clone map and the clones' memberships: each clone's layer
+    class, then every other class of its source."""
+    suffix = f"__{layer.value}__"
+    layer_cls = layer.class_iri
+    entities = kb.entities
+    mapping: dict[Iri, Iri] = {}
+    triples: list[Triple] = []
+    for node in nodes:
+        clone = mapping[node] = kb.fresh_iri(node.value + suffix)
+        triples.append((clone, RDF_TYPE, layer_cls))
+        rec = entities.get(node)
+        if rec is not None:
+            for cls in rec.memberships:
+                if cls not in LAYER_CLASSES:
+                    triples.append((clone, RDF_TYPE, cls))
+    return mapping, triples
+
+
 def clone_node(kb: KnowledgeBase, node: Iri, layer: LayerTag) -> Iri:
     """Mint ``node``'s clone in ``layer``, typed with the layer class and
-    every other class of the source; no edges are copied."""
-    clone = kb.fresh_iri(f"{node.value}__{layer.value}__")
-    kb.assert_membership(clone, layer.class_iri)
-    rec = kb.entity(node)
-    if rec is not None:
-        for cls in rec.memberships:
-            if cls not in LAYER_CLASSES:
-                kb.assert_membership(clone, cls)
-    return clone
+    every other class of the source, in one batch; no edges are copied."""
+    mapping, triples = _clones(kb, (node,), layer)
+    kb.load(triples)
+    return mapping[node]
 
 
-def clone_tree(kb: KnowledgeBase, sources: list[Iri], layer: LayerTag) -> dict[Iri, Iri]:
-    """Copy a behaviour-shaped tree, ``walk_tree``'s list of its nodes,
-    into ``layer``.
+def clone_tree(
+    kb: KnowledgeBase,
+    rows: list[TreeRow],
+    layer: LayerTag,
+    members: dict[Iri, Iri],
+    *,
+    from_clone: bool = False,
+) -> dict[Iri, Iri]:
+    """Copy a behaviour-shaped tree, ``tree_rows``' rows of it under the
+    clone ranks, into ``layer``, and link each node with its clone
+    through the family member that ``members`` names for its tree-node
+    class: source to clone, or clone to source ``from_clone``.
 
     Returns the source-to-clone map.  Intra-tree edges (child predicates
     and dependsOn) are re-emitted between clones; reference edges keep
-    pointing at the shared targets; nothing else is copied.
+    pointing at the shared targets; nothing else is copied.  Every clone
+    is minted first; the store then gets one batch, in node order each:
+    the clones' memberships, their edges, then the links.  Rows read
+    before earlier writes stay valid, since those add clone-ranked edges
+    only under fresh subjects.
     """
-    mapping = {node: clone_node(kb, node, layer) for node in sources}
-    for node in sources:
+    mapping, triples = _clones(kb, [node for node, _, _ in rows], layer)
+    links: list[Triple] = []
+    for node, cls, edges in rows:
         clone = mapping[node]
-        for a in tree_edges(kb, node, _CLONE_RANK):
+        for a in edges:
             if a.predicate in _REFERS:
-                kb.assert_property(clone, a.predicate, a.object)
-            elif isinstance(a.object, Iri) and a.object in mapping:
-                kb.assert_property(clone, a.predicate, mapping[a.object])
+                triples.append((clone, a.predicate, a.object))
+            else:
+                target = mapping.get(a.object)  # a literal object maps to None
+                if target is not None:
+                    triples.append((clone, a.predicate, target))
+        if cls is not None:
+            if from_clone:
+                links.append((clone, members[cls], node))
+            else:
+                links.append((node, members[cls], clone))
+    kb.load(triples + links)
     return mapping
 
 

@@ -16,7 +16,8 @@ check and the engine's gate alike.  The whole pass and the region pass
 alike test each edge against its property's check row, compiled once
 from ``vocab.PROPERTIES``, and ``constraint_problem`` words any failure.
 ``check_mirror`` verifies that a linked tree retraces its source tree
-edge by edge through the right family subproperties.
+edge by edge through the right family subproperties; one walk of the
+source tree reads each node's child edges and family links together.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from enum import Enum
 from . import vocab
 from .core import EntityRecord, KnowledgeBase
 from .terms import Assertion, Frozen, Iri, ModelError, Obj, set_field
-from .trees import CHILD_RANK, depth_first, tree_class, tree_edges, walk_tree
+from .trees import CHILD_RANK, depth_first, tree_rows, walk_tree
 from .vocab import RDF_TYPE
 
 
@@ -81,27 +82,33 @@ class DanglingRoot(ModelError):
 # ---------------------------------------------------------------------------
 
 
+#: per family: the child ranks, then the family's members, so one read of
+#: a source node's edges gives ``check_mirror`` its children and its links
+_MIRROR_RANKS: dict[Iri, dict[Iri, int]] = {
+    family: {**CHILD_RANK, **dict.fromkeys(vocab.SUB_CLOSURE[family], len(CHILD_RANK))}
+    for family in vocab.FAMILY_ROOTS
+}
+
+
 def check_mirror(
     kb: KnowledgeBase, source_root: Iri, target_root: Iri, family: Iri
 ) -> list[Violation]:
     """Verify that the tree under ``source_root`` is linked node by node
     into the tree under ``target_root`` through ``family`` subproperties
-    matching each node's class, and that every child edge is mirrored."""
+    matching each node's class, and that every child edge is mirrored.
+    Each source node's edges are read once, by the walk."""
     if kb.entity(source_root) is None:
         raise DanglingRoot(source_root)
     if kb.entity(target_root) is None:
         raise DanglingRoot(target_root)
     class_map = vocab.FAMILY_ROOTS[family]
     out: list[Violation] = []
-    source_nodes = walk_tree(kb, source_root)
+    source_rows = tree_rows(kb, source_root, _MIRROR_RANKS[family])
     target_nodes = set(walk_tree(kb, target_root))
     counterpart: dict[Iri, Iri] = {}
-    members = vocab.SUB_CLOSURE[family]
-    for node in source_nodes:
+    for node, cls, edges in source_rows:
         links = [
-            a
-            for a in kb.edges(node)
-            if a.predicate in members and a.object in target_nodes
+            a for a in edges if a.predicate not in CHILD_RANK and a.object in target_nodes
         ]
         if not links:
             out.append(
@@ -124,7 +131,6 @@ def check_mirror(
             continue
         (other,) = linked
         counterpart[node] = other
-        cls = tree_class(kb, node)
         expected = class_map.get(cls) if cls is not None else None
         if expected is None:
             out.append(
@@ -151,14 +157,15 @@ def check_mirror(
                 "roots are not linked to each other",
             )
         )
-    for node in source_nodes:
+    for node, _, edges in source_rows:
         mine = counterpart.get(node)
-        edges = tree_edges(kb, node) if mine is not None else ()
-        if not edges:
-            continue
+        if mine is None or not edges or edges[0].predicate not in CHILD_RANK:
+            continue  # no counterpart, or no child edges to mirror
         # the counterpart's edges, each as a plain (predicate, object) pair
         mirrored = {(b.predicate, b.object) for b in kb.edges(mine)}
         for a in edges:
+            if a.predicate not in CHILD_RANK:
+                break  # the links, ranked after the children
             child = a.object
             theirs = counterpart.get(child)  # a literal child has none
             if theirs is None:

@@ -26,6 +26,18 @@ from oasiskg import (
 )
 
 
+def store_state(kb: KnowledgeBase) -> dict:
+    """Everything the store's inserts write, with its order."""
+    return {
+        "assertions": list(kb.assertions),
+        "entities": [(iri, list(rec.memberships)) for iri, rec in kb.entities.items()],
+        "by_s": [(k, list(v)) for k, v in kb._by_s.items()],
+        "by_p": [(k, list(v)) for k, v in kb._by_p.items()],
+        "by_o": [(k, list(v)) for k, v in kb._by_o.items()],
+        "journal": None if kb.journal is None else list(kb.journal),
+    }
+
+
 def lock_step_plan(tag: str, step: str, resource: str = "shared_resource") -> BehaviourSpec:
     """One-task plan for a lock-protocol step (request/modify/release)."""
     extras = {}

@@ -43,7 +43,7 @@ from oasiskg.builder import (
     _check_depends,
     pair_trees,
 )
-from oasiskg.trees import clone_tree, plan_tasks, tree_class, walk_tree
+from oasiskg.trees import clone_tree, plan_tasks, tree_class, tree_rows, walk_tree
 from oasiskg.validator import Code, capability_gap
 from oasiskg.specs import SpecInvalid
 from oasiskg.terms import InvalidLocalName
@@ -453,7 +453,7 @@ def assert_isomorphic(kb: KnowledgeBase, left: Iri, right: Iri) -> None:
 
 def test_clone_tree_copies_structure_and_shares_references(kb, fig_template_spec):
     root = build_template(kb, fig_template_spec)
-    mapping = clone_tree(kb, walk_tree(kb, root), LayerTag.PLANNING)
+    mapping = clone_tree(kb, tree_rows(kb, root), LayerTag.PLANNING, vocab.CLASS_TO_OVERLOAD)
     assert set(mapping) == set(walk_tree(kb, root))
     clone_root = mapping[root]
     assert clone_root.value.startswith(root.value + "__planning__")
@@ -637,7 +637,7 @@ def test_submit_plan_rejects_shape_mismatches(kb, fig_template_spec):
 
 def test_pair_trees_matches_nodes_positionally(kb, fig_template_spec):
     template = build_template(kb, fig_template_spec)
-    mapping = clone_tree(kb, walk_tree(kb, template), LayerTag.PLANNING)
+    mapping = clone_tree(kb, tree_rows(kb, template), LayerTag.PLANNING, vocab.CLASS_TO_OVERLOAD)
     pairs = pair_trees(kb, mapping[template], template)
     assert dict(pairs) == {clone: src for src, clone in mapping.items()}
 

@@ -224,8 +224,8 @@ _FRESH_ONLY = (
     "so no existing edge changes its endpoints"
 )
 _RETRACED = (
-    "the clone retraces walk_tree edge by edge, and link_pairs links each node "
-    "through the member its tree class names, as check_mirror expects"
+    "clone_tree re-emits every child edge the tree walk read between the clones, "
+    "and links each node through the member its tree class names, as check_mirror expects"
 )
 
 EVIDENCE: dict[Code, dict[str, Cannot | Can]] = {

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -27,6 +28,7 @@ from oasiskg import (
     realize_process,
     validate,
 )
+from oasiskg import engine
 from oasiskg.trees import walk_tree
 from oasiskg.engine import (
     AssignmentIncomplete,
@@ -47,7 +49,9 @@ from conftest import (
     consumer_template,
     lock_step_plan,
     protocol_process_spec,
+    store_state,
 )
+import tree_oracle
 
 
 def ex(local: str) -> Iri:
@@ -444,3 +448,145 @@ def test_state_chain_follows_next_edges(kb):
     build_process(kb, protocol_process_spec("a"))
     chain = state_chain(kb, ex("consume_a_procedure"))
     assert [s.local for s in chain] == ["a_s1", "a_s2", "a_s3"]
+
+
+# ---------------------------------------------------------------------------
+# One read and one store batch per cloned tree
+# ---------------------------------------------------------------------------
+
+
+def _protocol(kb: KnowledgeBase):
+    """One consumer's request / modify / release process, whose modify
+    state fires an event with an action tree; unrealized."""
+    kb.declare_class(kb.resolve("Resource"))
+    kb.assert_membership(kb.resolve("shared_resource"), kb.resolve("Resource"))
+    agent = declare_agent(kb, kb.resolve("agent_a"))
+    behaviour = derive_behaviour(kb, build_template(kb, consumer_template("a")), agent)
+    process = build_process(kb, protocol_process_spec("a", with_event=True))
+    return process, {kb.resolve(f"a_s{i}"): (agent, behaviour) for i in (1, 2, 3)}
+
+
+def _one_plan_for_two_states(kb: KnowledgeBase):
+    """The protocol, with its modify state described by the request plan."""
+    process, assignment = _protocol(kb)
+    first, second = kb.resolve("a_s1"), kb.resolve("a_s2")
+    (own,) = kb.objects(second, vocab.IS_DESCRIBED_BY)
+    kb.remove(Assertion(second, vocab.IS_DESCRIBED_BY, own))
+    kb.assert_property(second, vocab.IS_DESCRIBED_BY, kb.objects(first, vocab.IS_DESCRIBED_BY)[0])
+    return process, assignment
+
+
+def _a_node_reached_twice(kb: KnowledgeBase):
+    """A one-state process whose plan's second task shares the first
+    task's object node, so the walk reaches that node twice."""
+    _, protocol_assignment = _protocol(kb)
+    performer = protocol_assignment[kb.resolve("a_s1")]
+    tasks = tuple(
+        TaskSpec(name=f"twin_t{i}", operator_action=Ref.exact("consume"), obj=obj)
+        for i, obj in ((1, Ref.exact("shared_resource")), (2, None))
+    )
+    plan = BehaviourSpec(name="twin_plan", goals=(GoalSpec(name="twin_goal", tasks=tasks),))
+    process = build_process(
+        kb,
+        ProcessSpec(
+            name="twin_process",
+            procedures=(
+                ProcedureSpec(
+                    name="twin_procedure", states=(StateSpec(name="twin_s1", plan=plan),)
+                ),
+            ),
+        ),
+    )
+    kb.assert_property(ex("twin_t2"), vocab.HAS_TASK_OBJECT, ex("twin_t1_object"))
+    return process, {ex("twin_s1"): performer}
+
+
+SHAPES = {
+    "protocol": _protocol,
+    "one plan for two states": _one_plan_for_two_states,
+    "a node reached twice": _a_node_reached_twice,
+}
+
+
+def _oracle_clone_linked(kb: KnowledgeBase, rows) -> Iri:
+    """The tree clone as it was before it was one batch: the oracle walks
+    the tree again when it clones it, and writes the clone and then its
+    links one triple a call."""
+    root = rows[0][0]
+    mapping = tree_oracle.clone_tree(kb, root, LayerTag.EXECUTION)
+    tree_oracle.link_pairs(kb, mapping, vocab.CLASS_TO_HAS_EXECUTION)
+    return mapping[root]
+
+
+def _realized(shape: str):
+    """A shape's graph, validated, realized and run to completion: the
+    store's state, the canonical export and the trace lines."""
+    kb = KnowledgeBase()
+    process, assignment = SHAPES[shape](kb)
+    assert validate(kb) == []
+    steps = realize_process(kb, process, assignment).run_to_completion()
+    assert kb.journal == []  # every write certified
+    out = (store_state(kb), export_canonical(kb), [s.trace_line() for s in steps])
+    kb.journal = None
+    assert validate(kb) == []  # a whole-graph pass
+    return out
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_each_tree_shape_realizes_as_the_per_triple_clone_does(shape, monkeypatch):
+    fast = _realized(shape)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_clone_linked", _oracle_clone_linked)
+        slow = _realized(shape)
+    assert fast == slow
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_a_realization_reads_each_source_node_once_and_loads_each_tree_once(
+    shape, monkeypatch
+):
+    kb = KnowledgeBase()
+    process, assignment = SHAPES[shape](kb)
+    assert validate(kb) == []  # the journal is [], so the gate reads nothing
+    sources: list[Iri] = []  # every plan and action tree's nodes, once each
+    for state in assignment:
+        for plan in kb.objects(state, vocab.IS_DESCRIBED_BY):
+            sources += walk_tree(kb, plan)
+        for event in kb.objects(state, vocab.TRIGGERS_EVENT):
+            for action in kb.objects(event, vocab.EVENT_DESCRIBED_BY_ACTION):
+                sources += walk_tree(kb, action)
+    batches: list[list[tuple]] = []
+    reads: Counter[Iri] = Counter()
+    load, edges = kb.load, kb.edges
+
+    def counting_load(triples):
+        batches.append(list(triples))
+        load(triples)
+
+    def counting_edges(subject):
+        reads[subject] += 1
+        return edges(subject)
+
+    monkeypatch.setattr(kb, "load", counting_load)
+    monkeypatch.setattr(kb, "edges", counting_edges)
+    handle = realize_process(kb, process, assignment)
+    steps = handle.run_to_completion()
+    monkeypatch.undo()
+
+    assert {node: reads[node] for node in sources} == dict.fromkeys(sources, 1)
+    roots = [r.plan_exec for r in handle.records]
+    for step in steps:
+        for event in step.events:
+            roots += kb.objects(event, vocab.EVENT_DESCRIBED_BY_ACTION)
+    assert len(roots) == len(handle.records) + (shape != "a node reached twice")
+    links = vocab.SUB_CLOSURE[vocab.HAS_EXECUTION]
+    for root in roots:
+        clones = set(walk_tree(kb, root))
+        tree = {
+            (a.subject, a.predicate, a.object)
+            for a in kb.assertions
+            if a.subject in clones and a.predicate is not vocab.PLAN_EXECUTION_DRAWN_BY
+            or a.object in clones and a.predicate in links
+        }
+        written = [batch for batch in batches if tree.intersection(batch)]
+        assert len(written) == 1 and set(written[0]) == tree, root

@@ -10,12 +10,17 @@ pattern has drifted to match nothing fails too.
 
 from __future__ import annotations
 
+import ast
+import importlib
 import re
 from pathlib import Path
 
 import pytest
 
+from oasiskg.core import KnowledgeBase
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "oasiskg"
+TRACING = PACKAGE.parents[1] / "perfbench" / "tracing.py"
 
 # (rule, pattern, allowed modules, message, an example line it forbids)
 GUARDS = [
@@ -219,3 +224,35 @@ def test_scopes_end_at_the_next_top_level_statement(tmp_path):
     assert [scope for _, _, scope in scoped_lines(module)] == [
         None, None, "f", "f", "f", "f", "f", "f", None, None, None,
     ]
+
+
+def tracer_tables() -> dict[str, object]:
+    """``SPANNED``, ``LOOKUPS`` and ``INSERTS`` as ``perfbench/tracing.py``
+    spells them, read with ``ast``: the module is not imported."""
+    tables = {}
+    for node in ast.parse(TRACING.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id in ("SPANNED", "LOOKUPS", "INSERTS"):
+                    tables[target.id] = ast.literal_eval(node.value)
+    return tables
+
+
+def test_every_name_the_tracer_wraps_is_still_bound():
+    """The traced benchmark run rebinds each of these names where it is
+    defined; one renamed or no longer bound there fails that run, which
+    only the benchmark's smoke job makes."""
+    tables = tracer_tables()
+    assert sorted(tables) == ["INSERTS", "LOOKUPS", "SPANNED"]
+    unbound = [
+        f"oasiskg.{module}.{name}"
+        for module, names in tables["SPANNED"].items()
+        for name in names
+        if not callable(vars(importlib.import_module(f"oasiskg.{module}")).get(name))
+    ]
+    unbound += [
+        f"KnowledgeBase.{name}"
+        for name in (*tables["LOOKUPS"], *tables["INSERTS"])
+        if not callable(vars(KnowledgeBase).get(name))
+    ]
+    assert unbound == []

@@ -14,6 +14,7 @@ import random
 import pytest
 
 import store_oracle
+from conftest import store_state
 from oasiskg import Iri, KnowledgeBase, vocab
 from oasiskg.core import LayerConstraintViolated
 from oasiskg.vocab import RDF_TYPE
@@ -52,18 +53,6 @@ def random_batch(rng: random.Random) -> list[tuple]:
     return batch
 
 
-def state(kb: KnowledgeBase) -> dict:
-    """Everything ``load`` writes, with its order."""
-    return {
-        "assertions": list(kb.assertions),
-        "entities": [(iri, list(rec.memberships)) for iri, rec in kb.entities.items()],
-        "by_s": [(k, list(v)) for k, v in kb._by_s.items()],
-        "by_p": [(k, list(v)) for k, v in kb._by_p.items()],
-        "by_o": [(k, list(v)) for k, v in kb._by_o.items()],
-        "journal": None if kb.journal is None else list(kb.journal),
-    }
-
-
 def apply(kb: KnowledgeBase, insert, batch: list[tuple]) -> str | None:
     try:
         insert(kb, batch)
@@ -82,7 +71,7 @@ def test_load_matches_one_at_a_time_inserts(seed: int):
         batch = random_batch(rng)
         refused = apply(fast, KnowledgeBase.load, batch)
         assert refused == apply(slow, store_oracle.load, batch), (seed, step)
-        assert state(fast) == state(slow), (seed, step)
+        assert store_state(fast) == store_state(slow), (seed, step)
         if fast.assertions and rng.random() < 0.4:  # retract, so re-adds go last
             for assertion in rng.sample(list(fast.assertions), min(3, len(fast))):
                 fast.remove(assertion)
@@ -96,7 +85,7 @@ def test_load_matches_one_at_a_time_inserts(seed: int):
         else:
             fast.assert_property(subject, predicate, obj)
             store_oracle.assert_property(slow, subject, predicate, obj)
-    assert state(fast) == state(slow), seed
+    assert store_state(fast) == store_state(slow), seed
 
 
 def test_the_batches_cover_the_cases_that_differ():

@@ -5,6 +5,7 @@ against the per-predicate scans they replaced."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,12 +13,13 @@ from oasiskg import vocab
 from oasiskg.builder import StructureMismatch, pair_trees
 from oasiskg.core import KnowledgeBase
 from oasiskg.terms import Iri
-from oasiskg.trees import clone_tree, depth_first, link_pairs, plan_tasks, walk_tree
+from oasiskg.trees import clone_tree, depth_first, plan_tasks, tree_rows, walk_tree
 from oasiskg.validator import check_mirror
 from oasiskg.vocab import DEPENDS_ON, LayerTag, term
 
 import plan_oracle
 import tree_oracle
+from conftest import store_state
 
 GOAL_OF = term("consistsOfGoalDescription")
 TASK_OF = term("consistsOfTaskDescription")
@@ -254,20 +256,49 @@ def outcome(pair, kb: KnowledgeBase, left: Iri, right: Iri):
         return str(err)
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_tree_reads_match_the_per_predicate_oracle(seed):
+def test_the_tree_oracle_runs_its_own_copies():
+    for name in (
+        "walk_tree", "clone_tree", "pair_trees", "check_mirror",
+        "tree_class", "clone_node", "link_pairs",
+    ):
+        assert getattr(tree_oracle, name).__module__ == "tree_oracle", name
+    borrowed = [
+        name for name, value in vars(tree_oracle).items()
+        if getattr(value, "__module__", None) == "oasiskg.trees"
+    ]
+    assert borrowed == []
+
+
+def twins(seed: int) -> tuple[KnowledgeBase, KnowledgeBase, Iri]:
+    """Two copies of ``shaped_tree(seed)``, with the journal on, so the
+    journal's order is compared too."""
     kb, root = shaped_tree(seed)
     twin, _ = shaped_tree(seed)
-    assert list(kb.assertions) == list(twin.assertions)
+    assert store_state(kb) == store_state(twin)
+    kb.journal, twin.journal = [], []
+    return kb, twin, root
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_tree_reads_match_the_per_predicate_oracle(seed):
+    kb, twin, root = twins(seed)
+    rows = tree_rows(kb, root)
     nodes = walk_tree(kb, root)
-    assert nodes == tree_oracle.walk_tree(kb, root)
-    # the same clone indices, so the same minted IRIs, in the same order
-    mapping = clone_tree(kb, nodes, LayerTag.BEHAVIOUR)
-    assert mapping == tree_oracle.clone_tree(twin, root, LayerTag.BEHAVIOUR)
-    assert list(kb.assertions) == list(twin.assertions)
+    assert nodes == [node for node, _, _ in rows] == tree_oracle.walk_tree(kb, root)
+    assert [cls for _, cls, _ in rows] == [tree_oracle.tree_class(kb, n) for n in nodes]
+    # the same clone indices, so the same minted IRIs, in the same order,
+    # and each clone overloads its source, as derive_behaviour links them
+    mapping = clone_tree(
+        kb, rows, LayerTag.BEHAVIOUR, vocab.CLASS_TO_OVERLOAD, from_clone=True
+    )
+    expected = tree_oracle.clone_tree(twin, root, LayerTag.BEHAVIOUR)
+    tree_oracle.link_pairs(
+        twin, {c: s for s, c in expected.items()}, vocab.CLASS_TO_OVERLOAD
+    )
+    assert mapping == expected
+    assert store_state(kb) == store_state(twin)
     clone = mapping[root]
     assert outcome(pair_trees, kb, root, clone) == tree_oracle.pair_trees(kb, root, clone)
-    link_pairs(kb, {c: s for s, c in mapping.items()}, vocab.CLASS_TO_OVERLOAD)
     assert check_mirror(kb, clone, root, vocab.OVERLOADS) == tree_oracle.check_mirror(
         kb, clone, root, vocab.OVERLOADS
     )
@@ -288,3 +319,42 @@ def test_tree_reads_match_the_per_predicate_oracle(seed):
             kb, clone, root, vocab.OVERLOADS
         ), step
         reshape(kb, rng, rng.choice((clones, nodes)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_clones_linked_from_their_source_match_the_oracle(seed):
+    """Source-to-clone links, as the engine writes them, and a second clone
+    from rows read before the first: the oracle walks the tree again after
+    the first clone's writes."""
+    kb, twin, root = twins(seed)
+    rows = tree_rows(kb, root)
+    for _ in range(2):
+        mapping = clone_tree(kb, rows, LayerTag.EXECUTION, vocab.CLASS_TO_HAS_EXECUTION)
+        expected = tree_oracle.clone_tree(twin, root, LayerTag.EXECUTION)
+        tree_oracle.link_pairs(twin, expected, vocab.CLASS_TO_HAS_EXECUTION)
+        assert mapping == expected
+        assert store_state(kb) == store_state(twin)
+        clone = mapping[root]
+        assert check_mirror(kb, root, clone, vocab.HAS_EXECUTION) == tree_oracle.check_mirror(
+            kb, root, clone, vocab.HAS_EXECUTION
+        )
+
+
+def test_check_mirror_reads_each_source_node_once(monkeypatch):
+    kb, root = shaped_tree(3)
+    rows = tree_rows(kb, root)
+    mapping = clone_tree(kb, rows, LayerTag.BEHAVIOUR, vocab.CLASS_TO_OVERLOAD, from_clone=True)
+    reads: Counter[Iri] = Counter()
+    edges = kb.edges
+
+    def counting_edges(subject):
+        reads[subject] += 1
+        return edges(subject)
+
+    monkeypatch.setattr(kb, "edges", counting_edges)
+    found = check_mirror(kb, mapping[root], root, vocab.OVERLOADS)
+    monkeypatch.undo()
+    assert found == tree_oracle.check_mirror(kb, mapping[root], root, vocab.OVERLOADS)
+    sources = list(mapping.values())
+    assert len(sources) > 5
+    assert {node: reads[node] for node in sources} == dict.fromkeys(sources, 1)

@@ -1,10 +1,17 @@
-"""Reference tree reads: one ``objects`` scan per child predicate.
+"""Reference tree reads and writes: one ``objects`` scan per child
+predicate, one store call per triple.
 
 These are ``walk_tree``, ``clone_tree``, ``pair_trees`` and
 ``check_mirror`` as they were before each tree node got one grouped read
 of its edges, kept unchanged as the oracle for the differential tests.
 Each rescans the node's edges once per predicate, in ``CHILD_PREDICATES``
 order (then ``dependsOn`` and the reference predicates for a clone).
+``tree_class``, ``clone_node`` and ``link_pairs`` are frozen here too, as
+they were before a tree's clone and its family links reached the store
+as one batch: every membership, edge and link is its own
+``assert_membership`` or ``assert_property`` call, and each link looks
+the subject's tree class up again.  Only the store, the vocabulary and
+the finding records are imported.
 """
 
 from __future__ import annotations
@@ -15,9 +22,50 @@ from oasiskg import vocab
 from oasiskg.builder import StructureMismatch
 from oasiskg.core import KnowledgeBase
 from oasiskg.terms import Assertion, Iri
-from oasiskg.trees import clone_node, tree_class
 from oasiskg.validator import Code, DanglingRoot, Violation
-from oasiskg.vocab import CHILD_PREDICATES, DEPENDS_ON, REFERS_PREDICATES, LayerTag
+from oasiskg.vocab import (
+    CHILD_PREDICATES,
+    DEPENDS_ON,
+    LAYER_CLASSES,
+    REFERS_PREDICATES,
+    TREE_NODE_CLASSES,
+    LayerTag,
+)
+
+
+def tree_class(kb: KnowledgeBase, node: Iri) -> Iri | None:
+    """The tree-node class of ``node`` (behaviour, goal, task, element)."""
+    rec = kb.entity(node)
+    if rec is None:
+        return None
+    for cls in TREE_NODE_CLASSES:
+        if cls in rec.memberships:
+            return cls
+    return None
+
+
+def clone_node(kb: KnowledgeBase, node: Iri, layer: LayerTag) -> Iri:
+    """Mint ``node``'s clone in ``layer``, typed with the layer class and
+    every other class of the source; no edges are copied."""
+    clone = kb.fresh_iri(f"{node.value}__{layer.value}__")
+    kb.assert_membership(clone, layer.class_iri)
+    rec = kb.entity(node)
+    if rec is not None:
+        for cls in rec.memberships:
+            if cls not in LAYER_CLASSES:
+                kb.assert_membership(clone, cls)
+    return clone
+
+
+def link_pairs(
+    kb: KnowledgeBase, pairs: dict[Iri, Iri], members: dict[Iri, Iri]
+) -> None:
+    """Link each ``subject -> object`` pair through the family member that
+    ``members`` names for the subject's tree-node class."""
+    for subject, obj in pairs.items():
+        cls = tree_class(kb, subject)
+        if cls is not None:
+            kb.assert_property(subject, members[cls], obj)
 
 
 def walk_tree(kb: KnowledgeBase, root: Iri) -> list[Iri]:
