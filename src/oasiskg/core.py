@@ -1,32 +1,41 @@
 """Typed triple store with derived layer tags and subproperty entailment.
 
 The store keeps one canonical assertion set (``rdf:type`` triples
-included) plus subject/predicate/object indexes.  Class memberships are
-mirrored into per-entity records so layer tags can be derived cheaply;
-they are never stored on their own.
+included) and one record per IRI.  A record holds the entity's class
+memberships, from which layer tags are derived, and its edges: the
+assertions with the entity as subject and those with it as object, each
+list in insertion order.  Each node holds its own relationships, as in
+the index-free adjacency of native graph stores (Robinson, Webber &
+Eifrem, *Graph Databases*, O'Reilly 2013), so reading a node's edges is
+one record lookup.  A literal has no record; the assertions with a
+literal as object sit in one bucket map, keyed by the literal.  Nothing
+is indexed by predicate: a pattern that gives only a predicate is a
+scan of the assertions.
 
-Each index maps a term to a list of its assertions in insertion order.
 Every insert goes through ``load``, one loop over a batch of triples;
 ``assert_property`` and ``assert_membership`` hand it a batch of one,
 and ``trees.clone_tree`` one batch per cloned tree: the clones'
 memberships, their edges and their family links.
-It hashes each assertion once, in ``assertions.setdefault``, and
-appends it to the three lists only when it is new, so no list holds an
-assertion twice.  ``remove`` takes an assertion out of its three lists,
+It looks up the subject's record and the object's once per triple,
+hashes each assertion once, in ``assertions.setdefault``, and appends
+it to the two ends' lists only when it is new, so no list holds an
+assertion twice.  ``remove`` takes an assertion out of those two lists,
 in time linear in their length; nothing in the pipeline removes, only
 tests and their mutations do.  An assertion removed and added again goes
 to the end of each list, as it does in ``assertions``.
 
 ``query`` alone sorts its results; no module of the package calls it,
 it serves tests and the benchmark's tracer.  ``objects`` and
-``subjects`` scan one subject's or object's bucket and match the
+``subjects`` scan one subject's or object's edges and match the
 predicate by identity (IRIs are interned), building no set per call;
 ``objects`` with ``entail`` tests each predicate against the
-predicate's ``SUB_CLOSURE`` entry instead.  ``edges``, ``in_edges`` and
-``with_predicate`` hand out a subject's, an object's or a predicate's
-bucket itself, in insertion order: callers read it and must not mutate
-it, nor write to the store while iterating it.  The validator's
-whole-graph pass reads its start edges from the predicate buckets.
+predicate's ``SUB_CLOSURE`` entry instead.  ``edges`` and ``in_edges``
+hand out the store's own list, in insertion order, as does
+``EntityRecord.edges``: callers read it and must not mutate it, nor
+write to the store while iterating it.  The edge lists are not record
+fields: a record shows and compares by its IRI and memberships, and a
+copy of one carries its lists along as extra state, so a copied store
+keeps its edges.
 
 The change journal lists every insert and removal since the graph was
 last known clean.  ``validate`` resets it after a clean pass, and the
@@ -41,7 +50,7 @@ refuses only an ``rdf:type`` whose class is a literal.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from . import vocab
 from .terms import (
@@ -77,14 +86,38 @@ def literal_class(subject: Iri, obj: str) -> LayerConstraintViolated:
     )
 
 
-class EntityRecord(Record):
-    """Per-IRI bookkeeping: memberships in insertion order."""
+class _Adjacency:
+    """The slots of an entity's edge lists, outside ``Record``'s fields."""
+
+    __slots__ = ("_out", "_in")
+
+
+class EntityRecord(Record, _Adjacency):
+    """Per-IRI bookkeeping: memberships in insertion order, and the
+    store's lists of the assertions with the entity as subject
+    (``_out``) and as object (``_in``)."""
 
     __slots__ = ("iri", "memberships")
 
     def __init__(self, iri: Iri, memberships: dict[Iri, None] | None = None) -> None:
         self.iri = iri
         self.memberships = {} if memberships is None else memberships
+        self._out: list[Assertion] = []
+        self._in: list[Assertion] = []
+
+    def __reduce__(self) -> tuple:
+        # the edge lists go along as slot state, so a copied store keeps them
+        return (
+            self.__class__,
+            self._fields(self),
+            (None, {"_out": self._out, "_in": self._in}),
+        )
+
+    @property
+    def edges(self) -> list[Assertion]:
+        """The assertions with this entity as subject, in insertion
+        order: the store's own list, not a copy."""
+        return self._out
 
     @property
     def layer_classes(self) -> frozenset[Iri]:
@@ -111,7 +144,6 @@ class EntityRecord(Record):
         return cls in self.memberships
 
 
-_Index = dict[Iri, list[Assertion]]
 Triple = tuple[Iri, Iri, Obj]
 
 
@@ -122,9 +154,8 @@ class KnowledgeBase:
         self.prefixes: dict[str, str] = dict(vocab.DEFAULT_PREFIXES)
         self.entities: dict[Iri, EntityRecord] = {}
         self.assertions: dict[Assertion, None] = {}
-        self._by_s: _Index = {}
-        self._by_p: _Index = {}
-        self._by_o: dict[Obj, list[Assertion]] = {}
+        #: literal -> the assertions with it as object, in insertion order
+        self._literal_in: dict[str, list[Assertion]] = {}
         self._clone_counter = 0
         #: assertions added or removed since the graph was last known
         #: clean, in order; ``None`` until a validation pass comes back
@@ -210,7 +241,7 @@ class KnowledgeBase:
                 raise literal_class(subject, obj)
         entities = self.entities
         assertions = self.assertions
-        by_s, by_p, by_o = self._by_s, self._by_p, self._by_o
+        literal_in = self._literal_in
         journal = self.journal
         size = len(assertions)
         for subject, predicate, obj in triples:
@@ -221,16 +252,24 @@ class KnowledgeBase:
                 if obj in rec.memberships:
                     continue
                 rec.memberships[obj] = None
-            if isinstance(obj, Iri) and obj not in entities:
-                entities[obj] = EntityRecord(obj)
+            target = None
+            if isinstance(obj, Iri):
+                target = entities.get(obj)
+                if target is None:
+                    target = entities[obj] = EntityRecord(obj)
             assertion = Assertion(subject, predicate, obj)
             assertions.setdefault(assertion)  # the one hash of the assertion
             if len(assertions) == size:
                 continue
             size += 1
-            by_s.setdefault(subject, []).append(assertion)
-            by_p.setdefault(predicate, []).append(assertion)
-            by_o.setdefault(obj, []).append(assertion)
+            rec._out.append(assertion)
+            if target is not None:
+                target._in.append(assertion)
+            else:
+                bucket = literal_in.get(obj)
+                if bucket is None:
+                    bucket = literal_in[obj] = []
+                bucket.append(assertion)
             if journal is not None:
                 journal.append(assertion)
 
@@ -239,15 +278,17 @@ class KnowledgeBase:
         if assertion not in self.assertions:
             return
         del self.assertions[assertion]
-        self._by_s[assertion.subject].remove(assertion)
-        self._by_p[assertion.predicate].remove(assertion)
-        self._by_o[assertion.object].remove(assertion)
+        rec = self.entities[assertion.subject]
+        rec._out.remove(assertion)
+        obj = assertion.object
+        if isinstance(obj, Iri):
+            self.entities[obj]._in.remove(assertion)
+        else:
+            self._literal_in[obj].remove(assertion)
         if self.journal is not None:
             self.journal.append(assertion)
-        if assertion.predicate == RDF_TYPE and isinstance(assertion.object, Iri):
-            rec = self.entities.get(assertion.subject)
-            if rec is not None:
-                rec.memberships.pop(assertion.object, None)
+        if assertion.predicate == RDF_TYPE:
+            rec.memberships.pop(obj, None)
 
     # -- queries -----------------------------------------------------------------
 
@@ -277,13 +318,11 @@ class KnowledgeBase:
                 preds = vocab.SUB_CLOSURE.get(predicate, frozenset((predicate,)))
             else:
                 preds = frozenset((predicate,))
-        pool: dict[Assertion, None] | list[Assertion]
+        pool: Iterable[Assertion]
         if subject is not None:
-            pool = self._by_s.get(subject, [])
+            pool = self.edges(subject)
         elif obj is not None:
-            pool = self._by_o.get(obj, [])
-        elif preds is not None and len(preds) == 1:
-            pool = self._by_p.get(next(iter(preds)), [])
+            pool = self.in_edges(obj)
         else:
             pool = self.assertions
         out = [
@@ -298,33 +337,35 @@ class KnowledgeBase:
 
     def edges(self, subject: Iri) -> Sequence[Assertion]:
         """Assertions with ``subject`` as subject, in insertion order;
-        the store's own bucket, not a copy."""
-        return self._by_s.get(subject, ())
+        the store's own list, not a copy."""
+        rec = self.entities.get(subject)
+        return () if rec is None else rec._out
 
     def in_edges(self, obj: Obj) -> Sequence[Assertion]:
         """Assertions with ``obj`` as object, in insertion order; the
-        store's own bucket, not a copy."""
-        return self._by_o.get(obj, ())
-
-    def with_predicate(self, predicate: Iri) -> Sequence[Assertion]:
-        """Assertions with ``predicate`` itself as predicate, in insertion
-        order; the store's own bucket, not a copy."""
-        return self._by_p.get(predicate, ())
+        store's own list, not a copy."""
+        rec = self.entities.get(obj)  # no literal is a key of entities
+        if rec is not None:
+            return rec._in
+        return self._literal_in.get(obj, ())
 
     def objects(self, subject: Iri, predicate: Iri, *, entail: bool = False) -> list[Obj]:
         """Objects of ``(subject, predicate, ?)`` in assertion order.  With
         ``entail`` the predicate position also matches declared
         subproperties."""
-        bucket = self._by_s.get(subject, ())
+        rec = self.entities.get(subject)
+        if rec is None:
+            return []
+        edges = rec._out
         if entail:
             preds = vocab.SUB_CLOSURE.get(predicate)
             if preds is not None:
-                return [a.object for a in bucket if a.predicate in preds]
-        return [a.object for a in bucket if a.predicate is predicate]
+                return [a.object for a in edges if a.predicate in preds]
+        return [a.object for a in edges if a.predicate is predicate]
 
     def subjects(self, predicate: Iri, obj: Obj) -> list[Iri]:
         """Subjects of ``(?, predicate, obj)`` in assertion order."""
-        return [a.subject for a in self._by_o.get(obj, ()) if a.predicate is predicate]
+        return [a.subject for a in self.in_edges(obj) if a.predicate is predicate]
 
     def __len__(self) -> int:
         return len(self.assertions)

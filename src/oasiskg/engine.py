@@ -50,6 +50,7 @@ from .trees import (
     state_classes,
     tree_rows,
     typed_as,
+    typing_of,
 )
 from .validator import Code, Violation, capability_gap, validate
 from .vocab import (
@@ -68,6 +69,7 @@ from .vocab import (
     PROCEDURE_STATE_CLASSES,
     PROCESS,
     PROCESS_DRAWN_BY,
+    TREE_NODE_CLASSES,
     TRIGGERS_EVENT,
 )
 
@@ -252,13 +254,28 @@ class ProcessHandle(Record):
 # Realization
 # ---------------------------------------------------------------------------
 
-def _source(kb: KnowledgeBase, node: Iri, classes: tuple[Iri, ...]) -> bool:
+#: each position's ``trees.typing_of`` in the planning layer, keyed by its
+#: classes: a tree node's class (``None`` for a node with none), an
+#: event, a process, a procedure, and a state first, last, both or neither
+_PLANNED: dict[tuple[Iri | None, ...], frozenset[Iri | None]] = {
+    classes: typing_of(classes, LayerTag.PLANNING)
+    for classes in (
+        *((cls,) for cls in (*TREE_NODE_CLASSES, None)),
+        (EVENT,),
+        (PROCESS,),
+        (PROCEDURE,),
+        *(state_classes(index, last) for index, last in ((0, 1), (1, 1), (0, 0), (1, 2))),
+    )
+}
+
+
+def _source(kb: KnowledgeBase, node: Iri, classes: tuple[Iri | None, ...]) -> bool:
     """Whether a node the engine would clone is canonical: typed as
     ``trees.type_node`` types a planning node whose position needs
     ``classes``, and with nothing else.  ``OutsidePlanningLayer`` unless
     the planning class is its one layer class."""
     rec = kb.entity(node)
-    if typed_as(rec, classes, LayerTag.PLANNING):
+    if typed_as(rec, _PLANNED[classes]):
         return True
     if rec is None or rec.layer is not LayerTag.PLANNING:
         raise OutsidePlanningLayer(node)

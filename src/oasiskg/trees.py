@@ -13,14 +13,14 @@ drift apart, and neither imports the other.  Whether an agent may
 perform a behaviour is not a tree question; ``validator`` decides it.
 
 A tree is walked once, breadth-first, by ``tree_rows``: one row per
-node with its tree-node class and its edges under a rank table, from
-one read of the node's bucket.  Its child-predicate edges come first
-and drive the walk; the edges ranked after them serve the caller, the
-clone's dependsOn and reference edges or a mirror check's family
-links.  ``walk_tree`` is the rows' node column.  ``clone_tree`` clones
-a tree from its rows, read before the first write, and hands the store
-one batch: the clones' memberships, their edges, then the family links
-between each node and its clone.
+node with its tree-node class and its edges under a rank table, both
+read from the node's one entity record.  Its child-predicate edges come
+first and drive the walk; the edges ranked after them serve the caller,
+the clone's dependsOn and reference edges or a mirror check's family
+links.  ``walk_tree`` gives the rows' node column and reads no class.
+``clone_tree`` clones a tree from its rows, read before the first
+write, and hands the store one batch: the clones' memberships, their
+edges, then the family links between each node and its clone.
 """
 
 from __future__ import annotations
@@ -94,31 +94,50 @@ def tree_rows(
     order, with its tree-node class and ``tree_edges(kb, node, ranks)``:
     the one tree walk.  ``ranks`` ranks the child predicates first, in
     ``CHILD_RANK``'s order, so a node's child-predicate edges are the
-    prefix of its edges that the walk follows, and one read of each
-    node's bucket serves the walk and the caller."""
+    prefix of its edges that the walk follows, and the one record read
+    for each node gives the walk and the caller its class and edges."""
+    entities = kb.entities
     rows: list[TreeRow] = []
     seen = {root}
     queue = [root]
-    i = 0
-    while i < len(queue):
-        node = queue[i]
-        i += 1
-        edges = tree_edges(kb, node, ranks)
-        rows.append((node, tree_class(kb, node), edges))
-        for a in edges:
-            if a.predicate not in CHILD_RANK:
-                break
-            child = a.object
-            if isinstance(child, Iri) and child not in seen:
-                seen.add(child)
-                queue.append(child)
+    for node in queue:  # the queue grows as the walk goes
+        rec = entities.get(node)
+        cls = None
+        edges: list[Assertion] = []
+        if rec is not None:
+            memberships = rec.memberships
+            for c in TREE_NODE_CLASSES:
+                if c in memberships:
+                    cls = c
+                    break
+            edges = [a for a in rec.edges if a.predicate in ranks]
+            if len(edges) > 1:
+                edges.sort(key=lambda a: ranks[a.predicate])
+        rows.append((node, cls, edges))
+        _enqueue_children(edges, seen, queue)
     return rows
 
 
 def walk_tree(kb: KnowledgeBase, root: Iri) -> list[Iri]:
     """Nodes of a behaviour-shaped tree, breadth-first in assertion order:
-    ``tree_rows``' node column."""
-    return [node for node, _, _ in tree_rows(kb, root, CHILD_RANK)]
+    ``tree_rows``' node column, without reading the classes."""
+    seen = {root}
+    queue = [root]
+    for node in queue:
+        _enqueue_children(tree_edges(kb, node), seen, queue)
+    return queue
+
+
+def _enqueue_children(edges: list[Assertion], seen: set[Iri], queue: list[Iri]) -> None:
+    """Queue the children that ``edges`` leads with, each the first time
+    the walk meets it: the child-predicate edges come first."""
+    for a in edges:
+        if a.predicate not in CHILD_RANK:
+            break
+        child = a.object
+        if isinstance(child, Iri) and child not in seen:
+            seen.add(child)
+            queue.append(child)
 
 
 def depth_first(
@@ -259,10 +278,17 @@ def type_node(
         kb.assert_membership(node, layer_cls)
 
 
-def typed_as(rec: EntityRecord | None, classes: Iterable[Iri], layer: LayerTag) -> bool:
-    """Whether an entity carries exactly what ``type_node`` gives a node of
-    ``layer`` whose position needs ``classes``."""
-    return rec is not None and rec.memberships.keys() == {layer.class_iri, *classes}
+def typing_of(classes: Iterable[Iri | None], layer: LayerTag) -> frozenset[Iri | None]:
+    """What ``type_node`` gives a node of ``layer`` whose position needs
+    ``classes``: those and the layer class.  A ``None`` among them stands
+    for a position no class names, and no entity is typed with it."""
+    return frozenset((layer.class_iri, *classes))
+
+
+def typed_as(rec: EntityRecord | None, typed: frozenset[Iri | None]) -> bool:
+    """Whether an entity carries exactly the classes ``typed``, a
+    ``typing_of``, and nothing else."""
+    return rec is not None and rec.memberships.keys() == typed
 
 
 def state_classes(index: int, last: int) -> tuple[Iri, ...]:

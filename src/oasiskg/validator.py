@@ -4,8 +4,8 @@
 violations.  A pass looks at three kinds of candidate: entities (each
 procedure's chain among their checks), assertions, and start edges, the
 mirror-root and ``performsPlanExecution`` edges that a mirror check and
-a capability check start from.  The whole-graph pass reads its start
-edges from the store's predicate buckets.  After a clean pass the checks
+a capability check start from.  The whole-graph pass finds its start
+edges in one scan of the assertions.  After a clean pass the checks
 run only on what the store's change journal can reach, each assertion
 object once, with the same result as a whole-graph pass; a removal can
 cost a whole-graph pass, never a wrong verdict.  An empty journal means
@@ -193,8 +193,8 @@ _MIRROR_ROOTS: dict[Iri, Iri] = {
     vocab.CLASS_TO_SUBMITTED[vocab.BEHAVIOUR]: vocab.SUBMITTED_TO,
     vocab.HAS_PLAN_EXECUTION: vocab.HAS_EXECUTION,
 }
-#: the predicates of start edges: mirror roots, then performers
-_START_PREDICATES = (*_MIRROR_ROOTS, vocab.PERFORMS_PLAN_EXECUTION)
+#: the predicates of start edges: mirror roots and performers
+_START_PREDICATES = frozenset((*_MIRROR_ROOTS, vocab.PERFORMS_PLAN_EXECUTION))
 #: the edges a region pass follows from a node up to what checks it:
 #: tree edges to the parent, successor edges to the earlier state
 _UP_EDGES = frozenset((*CHILD_RANK, *vocab.SUB_CLOSURE[vocab.HAS_NEXT]))
@@ -250,7 +250,9 @@ _Pass = tuple[Iterable[EntityRecord], Iterable[Assertion], Iterable[Assertion]]
 
 
 def _whole(kb: KnowledgeBase) -> _Pass:
-    starts = [a for pred in _START_PREDICATES for a in kb.with_predicate(pred)]
+    # the store keeps no predicate index: a few dozen start edges in a
+    # graph of thousands cost one scan here, and no insert pays for them
+    starts = [a for a in kb.assertions if a.predicate in _START_PREDICATES]
     return kb.entities.values(), kb.assertions, starts
 
 
@@ -258,7 +260,7 @@ def _reach(kb: KnowledgeBase, journal: list[Assertion]) -> _Pass:
     """Candidates that changes since a clean pass can have touched; a
     finding the whole graph has now must lie among them."""
     # a region pass only tells clean from dirty, so candidates come in any
-    # order, the buckets are read as they stand, and assertions are kept by
+    # order, the edge lists are read as they stand, and assertions are kept by
     # identity.  One the journal holds as removed is checked too, which can
     # only make the pass dirty and so hand the verdict to the whole graph
     into, out_of = kb.in_edges, kb.edges
@@ -271,7 +273,7 @@ def _reach(kb: KnowledgeBase, journal: list[Assertion]) -> _Pass:
         if a.predicate == RDF_TYPE:
             typed[a.subject] = None
     # one walk up tree and chain edges from the changed nodes reads each
-    # node's buckets once, for endpoints, mirror roots, chain initials,
+    # node's edge lists once, for endpoints, mirror roots, chain initials,
     # performers and role players alike; where the two kinds of edge
     # meet, it reaches more than two walks would, never less
     entities = dict.fromkeys(subjects)

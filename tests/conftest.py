@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib.util
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,18 +25,41 @@ from oasiskg import (
     realize_process,
     validate,
 )
+from oasiskg.core import EntityRecord
 
 
 def store_state(kb: KnowledgeBase) -> dict:
     """Everything the store's inserts write, with its order."""
     return {
         "assertions": list(kb.assertions),
-        "entities": [(iri, list(rec.memberships)) for iri, rec in kb.entities.items()],
-        "by_s": [(k, list(v)) for k, v in kb._by_s.items()],
-        "by_p": [(k, list(v)) for k, v in kb._by_p.items()],
-        "by_o": [(k, list(v)) for k, v in kb._by_o.items()],
+        "entities": [
+            (iri, list(rec.memberships), list(rec._out), list(rec._in))
+            for iri, rec in kb.entities.items()
+        ],
+        "literal_in": [(k, list(v)) for k, v in kb._literal_in.items()],
         "journal": None if kb.journal is None else list(kb.journal),
     }
+
+
+def count_edge_reads(kb: KnowledgeBase, monkeypatch) -> Counter:
+    """Count each read of a node's edges from now on, per node: through
+    ``kb.edges`` or through its record's ``edges``, the two ways the
+    store hands out a node's edge list."""
+    reads: Counter = Counter()
+    edges = kb.edges
+    record_edges = EntityRecord.edges.fget
+
+    def counting_edges(subject):
+        reads[subject] += 1
+        return edges(subject)
+
+    def counting_record_edges(rec):
+        reads[rec.iri] += 1
+        return record_edges(rec)
+
+    monkeypatch.setattr(kb, "edges", counting_edges)
+    monkeypatch.setattr(EntityRecord, "edges", property(counting_record_edges))
+    return reads
 
 
 def lock_step_plan(tag: str, step: str, resource: str = "shared_resource") -> BehaviourSpec:

@@ -3,9 +3,12 @@
 These are ``KnowledgeBase.assert_membership``, ``assert_property`` and
 ``_store`` as they were before the store got its one insert loop,
 ``KnowledgeBase.load``, kept unchanged (as functions of the kb) as the
-oracle for the differential tests.  ``load`` is how ``import_turtle``
-wrote a document with them: a scan that refuses a literal class before
-the first write, then one ``assert_property`` per triple.
+oracle for the differential tests.  Only where ``_store`` files a new
+assertion follows the store's layout: the subject's and the IRI
+object's records hold the edge lists, and a literal object's bucket
+the rest.  ``load`` is how ``import_turtle`` wrote a document with
+them: a scan that refuses a literal class before the first write, then
+one ``assert_property`` per triple.
 """
 
 from __future__ import annotations
@@ -48,9 +51,12 @@ def _store(kb: KnowledgeBase, assertion: Assertion) -> None:
     assertions.setdefault(assertion)
     if len(assertions) == size:
         return
-    kb._by_s.setdefault(assertion.subject, []).append(assertion)
-    kb._by_p.setdefault(assertion.predicate, []).append(assertion)
-    kb._by_o.setdefault(assertion.object, []).append(assertion)
+    kb.entities[assertion.subject]._out.append(assertion)
+    obj = assertion.object
+    if isinstance(obj, Iri):
+        kb.entities[obj]._in.append(assertion)
+    else:
+        kb._literal_in.setdefault(obj, []).append(assertion)
     if kb.journal is not None:
         kb.journal.append(assertion)
 

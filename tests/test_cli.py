@@ -322,20 +322,35 @@ with open(sys.argv[1], "w") as fh:
 """
 
 
-def loaded_modules(tmp_path, *argv: str) -> tuple[int | None, set[str]]:
-    """Exit code and loaded modules of one CLI command in a fresh
-    interpreter (no command: just ``import oasiskg.cli``)."""
+def probe_child(tmp_path, code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``-c`` in a fresh interpreter that imports the
+    package from this checkout."""
     package_root = str(Path(oasiskg.__file__).resolve().parents[1])
-    report = tmp_path / "modules.json"
-    subprocess.run(
-        [sys.executable, "-c", _PROBE, str(report), *argv],
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": package_root},
         capture_output=True,
+        text=True,
         check=True,
     )
+
+
+def start_up_modules(tmp_path) -> set[str]:
+    """The modules a probe child holds before any code of its own runs:
+    what the interpreter's start-up imports.  A site's ``.pth`` file can
+    import ``inspect`` there, so the probes count only what is left."""
+    return set(probe_child(tmp_path, "import sys; print(*sys.modules)").stdout.split())
+
+
+def loaded_modules(tmp_path, *argv: str) -> tuple[int | None, set[str]]:
+    """Exit code and loaded modules of one CLI command in a fresh
+    interpreter (no command: just ``import oasiskg.cli``), less those
+    its start-up had loaded."""
+    report = tmp_path / "modules.json"
+    probe_child(tmp_path, _PROBE, str(report), *argv)
     data = json.loads(report.read_text())
-    return data["code"], set(data["modules"])
+    return data["code"], set(data["modules"]) - start_up_modules(tmp_path)
 
 
 def test_each_command_loads_only_its_own_modules(built_kb, tmp_path):
@@ -375,18 +390,10 @@ _IMPORT_SETS = {
 
 @pytest.mark.parametrize("command", _IMPORT_SETS)
 def test_no_command_imports_dataclasses_or_inspect(command, tmp_path):
-    package_root = str(Path(oasiskg.__file__).resolve().parents[1])
     imports = "; ".join(f"import oasiskg.{m}" for m in _IMPORT_SETS[command])
-    probe = f"{imports}; import sys; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe],
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": package_root},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert proc.stdout == "[]\n"
+    probe = f"{imports}; import sys; print(*sys.modules)"
+    loaded = set(probe_child(tmp_path, probe).stdout.split())
+    assert {"dataclasses", "inspect"} & (loaded - start_up_modules(tmp_path)) == set()
 
 
 @pytest.mark.parametrize("command", ["build", "validate", "run", "races"])
@@ -575,7 +582,7 @@ def test_a_second_run_on_the_first_runs_graph_is_recorded(built_kb, tmp_path):
     assert set(traces[0]).isdisjoint(traces[1])
     after = read_graph(graph)
     assert validate(after) == []
-    assert len(after.with_predicate(vocab.PROCESS_DRAWN_BY)) == 2
+    assert len(after.query(predicate=vocab.PROCESS_DRAWN_BY)) == 2
 
 
 @pytest.mark.parametrize("option", ["--trace", "--out"])

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -9,6 +11,8 @@ from oasiskg import Assertion, Code, Iri, KnowledgeBase, validate
 from oasiskg.terms import InvalidLocalName, InvalidPrefix, UnknownPrefix
 from oasiskg import vocab
 from oasiskg.vocab import LayerTag, RDF_TYPE
+
+from conftest import store_state
 
 
 AGENT = vocab.AGENT
@@ -330,12 +334,15 @@ def test_objects_and_subjects_keep_assertion_order(kb: KnowledgeBase):
 
 def test_indexes_match_a_scan_of_the_assertions_step_by_step():
     # after each insert, repeated insert, typing, remove or re-add, every
-    # lookup and bucket read gives what a scan over kb.assertions gives, in
-    # its order: the buckets hold each assertion once, in insertion order,
-    # and a re-add goes to the end
+    # lookup and edge-list read gives what a scan over kb.assertions gives,
+    # in its order: the lists hold each assertion once, in insertion order,
+    # and a re-add goes to the end.  Objects and probes include literals,
+    # which sit in the literal buckets, and IRIs never used as a subject,
+    # whose records hold incoming edges only
     rng = random.Random(20261019)
     kb = KnowledgeBase()
     nodes = [ex(f"n{i}") for i in range(5)]
+    sinks = [ex(f"sink{i}") for i in range(2)]
     classes = [AGENT, vocab.BEHAVIOUR, ex("Widget")]
     # hasNext and two of its subproperties give entailment work to do
     predicates = [
@@ -347,6 +354,7 @@ def test_indexes_match_a_scan_of_the_assertions_step_by_step():
     literals = ["signal", "n0", ""]
     removed: list[Assertion] = []
     done = {op: 0 for op in ("insert", "again", "type", "literal", "remove", "re-add")}
+    removed_objects = {"node": 0, "sink": 0, "class": 0, "literal": 0}
     for step in range(2000):
         op = rng.choice(tuple(done))
         if op in ("again", "remove") and kb.assertions:
@@ -359,14 +367,21 @@ def test_indexes_match_a_scan_of_the_assertions_step_by_step():
             a = Assertion(rng.choice(nodes), vocab.HAS_EVENT_KIND, rng.choice(literals))
         else:
             op = "insert"
-            a = Assertion(rng.choice(nodes), rng.choice(predicates), rng.choice(nodes))
+            a = Assertion(rng.choice(nodes), rng.choice(predicates), rng.choice(nodes + sinks))
         done[op] += 1
         if op == "remove":
             kb.remove(a)
             removed.append(a)
+            o = a.object
+            kind = "literal" if o in literals else "sink" if o in sinks else "node"
+            removed_objects["class" if o in classes else kind] += 1
         else:
             kb.assert_property(a.subject, a.predicate, a.object)
-        probe = Assertion(rng.choice(nodes), rng.choice(predicates + [RDF_TYPE]), rng.choice(nodes))
+        probe = Assertion(
+            rng.choice(nodes),
+            rng.choice(predicates + [RDF_TYPE, vocab.HAS_EVENT_KIND]),
+            rng.choice(nodes + sinks + literals + [ex("unseen")]),
+        )
         for t in (a, probe):
             s, p, o = t.subject, t.predicate, t.object
             for pattern in itertools.product((None, s), (None, p), (None, o)):
@@ -383,7 +398,36 @@ def test_indexes_match_a_scan_of_the_assertions_step_by_step():
             assert kb.subjects(p, o) == [x.subject for x in into], step
             assert list(kb.edges(s)) == [x for x in kb.assertions if x.subject is s], step
             assert list(kb.in_edges(o)) == [x for x in kb.assertions if x.object == o], step
+            if isinstance(o, Iri):
+                assert list(kb.edges(o)) == [x for x in kb.assertions if x.subject is o], step
     assert min(done.values()) >= 200, done
+    assert min(removed_objects.values()) >= 20, removed_objects
+    assert all(not kb.edges(sink) for sink in sinks)
+    assert any(kb.in_edges(sink) for sink in sinks)
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [lambda kb: pickle.loads(pickle.dumps(kb)), copy.deepcopy],
+    ids=["pickle", "deepcopy"],
+)
+def test_a_copied_store_keeps_its_edges(clone):
+    # a record's edge lists are not record fields, so they go along as
+    # extra state; the copy answers and removes as the original does
+    kb = KnowledgeBase()
+    kb.journal = []
+    kb.assert_membership(ex("a"), AGENT)
+    kb.assert_property(ex("a"), vocab.DEPENDS_ON, ex("b"))
+    kb.assert_property(ex("b"), vocab.DEPENDS_ON, ex("a"))
+    kb.assert_property(ex("a"), vocab.HAS_EVENT_KIND, "signal")
+    again = clone(kb)
+    assert store_state(again) == store_state(kb)
+    assert again.objects(ex("a"), vocab.DEPENDS_ON) == [ex("b")]
+    assert again.subjects(vocab.HAS_EVENT_KIND, "signal") == [ex("a")]
+    for a in list(kb.assertions):
+        kb.remove(a)
+        again.remove(a)
+        assert store_state(again) == store_state(kb)
 
 
 def test_lookups_match_a_brute_force_scan():

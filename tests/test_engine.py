@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from collections import Counter
 
 import pytest
 
@@ -47,6 +46,7 @@ from oasiskg.vocab import RDF_TYPE
 from conftest import (
     build_protocol_scenario,
     consumer_template,
+    count_edge_reads,
     lock_step_plan,
     protocol_process_spec,
     store_state,
@@ -556,19 +556,14 @@ def test_a_realization_reads_each_source_node_once_and_loads_each_tree_once(
             for action in kb.objects(event, vocab.EVENT_DESCRIBED_BY_ACTION):
                 sources += walk_tree(kb, action)
     batches: list[list[tuple]] = []
-    reads: Counter[Iri] = Counter()
-    load, edges = kb.load, kb.edges
+    load = kb.load
 
     def counting_load(triples):
         batches.append(list(triples))
         load(triples)
 
-    def counting_edges(subject):
-        reads[subject] += 1
-        return edges(subject)
-
     monkeypatch.setattr(kb, "load", counting_load)
-    monkeypatch.setattr(kb, "edges", counting_edges)
+    reads = count_edge_reads(kb, monkeypatch)
     handle = realize_process(kb, process, assignment)
     steps = handle.run_to_completion()
     monkeypatch.undo()

@@ -46,16 +46,15 @@ GUARDS = [
         "write procedure and state chains through trees.py",
         "kb.assert_property(process, CONSISTS_OF_PROCEDURE, first)",
     ),
-    # the subject, predicate and object buckets are core's layout;
+    # a record's edge lists and the literal buckets are core's layout;
     # every other module reads the store through objects, subjects,
-    # entails, edges, in_edges and with_predicate, the predicate
-    # bucket the validator's whole pass reads its start edges from
+    # entails, edges and in_edges, or a record's edges property
     (
         "Store indexes read only in core.py",
-        r"\._by_[spo]\b",
+        r"\._(out|in|literal_in)\b",
         ("core.py",),
         "read the store through KnowledgeBase's lookups",
-        "bucket = kb._by_s.get(subject, ())",
+        "for a in rec._out:",
     ),
     # KnowledgeBase.query sorts every match; the package reads the
     # store's buckets in insertion order instead, and query serves
@@ -64,7 +63,7 @@ GUARDS = [
         "Sorting matcher called only outside the package",
         r"\.query\(",
         (),
-        "read the store through edges, in_edges or with_predicate, not query",
+        "read the store through edges, in_edges, objects or subjects, not query",
         "matches = kb.query(predicate=RDF_TYPE)",
     ),
     # terms.Assertion.sort_key defines the canonical order once;

@@ -137,4 +137,4 @@ def test_a_refused_batch_writes_nothing():
     assert not kb.assertions
     assert not kb.entities
     assert kb.journal == []
-    assert not (kb._by_s or kb._by_p or kb._by_o)
+    assert not kb._literal_in

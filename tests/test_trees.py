@@ -5,7 +5,6 @@ against the per-predicate scans they replaced."""
 from __future__ import annotations
 
 import random
-from collections import Counter
 
 import pytest
 
@@ -19,7 +18,7 @@ from oasiskg.vocab import DEPENDS_ON, LayerTag, term
 
 import plan_oracle
 import tree_oracle
-from conftest import store_state
+from conftest import count_edge_reads, store_state
 
 GOAL_OF = term("consistsOfGoalDescription")
 TASK_OF = term("consistsOfTaskDescription")
@@ -344,14 +343,7 @@ def test_check_mirror_reads_each_source_node_once(monkeypatch):
     kb, root = shaped_tree(3)
     rows = tree_rows(kb, root)
     mapping = clone_tree(kb, rows, LayerTag.BEHAVIOUR, vocab.CLASS_TO_OVERLOAD, from_clone=True)
-    reads: Counter[Iri] = Counter()
-    edges = kb.edges
-
-    def counting_edges(subject):
-        reads[subject] += 1
-        return edges(subject)
-
-    monkeypatch.setattr(kb, "edges", counting_edges)
+    reads = count_edge_reads(kb, monkeypatch)
     found = check_mirror(kb, mapping[root], root, vocab.OVERLOADS)
     monkeypatch.undo()
     assert found == tree_oracle.check_mirror(kb, mapping[root], root, vocab.OVERLOADS)
