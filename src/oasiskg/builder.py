@@ -12,9 +12,13 @@ Naming conventions (all deterministic):
   comes from the knowledge base's clone counter;
 * role individuals append ``__role__<n>`` to the role type IRI.
 
-Walking, cloning, ordering and the layer rules (``link_procedures``,
-``link_states``, ``link_pairs``, ``is_root``) live in ``trees``, and
-capability in ``validator``; this module imports only the ones it calls.
+Walking, cloning, ordering and the layer rules (``tree_rows``,
+``clone_tree``, ``link_procedures``, ``link_states``, ``is_root``) live
+in ``trees``, and capability in ``validator``; this module imports only
+the ones it calls.  ``pair_trees`` and ``submit_plan`` pair two trees
+from their ``tree_rows`` walks, so a submitted link takes its member
+from the class in the plan node's row, and reaches the store in one
+batch with the others.
 """
 
 from __future__ import annotations
@@ -36,14 +40,15 @@ from .specs import (
 from .terms import Assertion, Iri, ModelError
 from .trees import (
     CHILD_RANK,
+    TreeRow,
     clone_tree,
     depth_first,
     is_root,
-    link_pairs,
     link_procedures,
     link_states,
     plan_tasks,
     state_classes,
+    tree_class,
     tree_rows,
     type_node,
 )
@@ -344,12 +349,19 @@ def pair_trees(
     child predicate, and the walks their length; any shape difference
     raises StructureMismatch.
     """
+    return {left: right for (left, _, _), right in _paired_rows(kb, left_root, right_root)}
+
+
+def _paired_rows(
+    kb: KnowledgeBase, left_root: Iri, right_root: Iri
+) -> list[tuple[TreeRow, Iri]]:
+    """``pair_trees``' pairs, each left node with its ``tree_rows`` row."""
     left_rows = tree_rows(kb, left_root, CHILD_RANK)
     right_rows = tree_rows(kb, right_root, CHILD_RANK)
-    for (left, left_cls, left_edges), (right, right_cls, right_edges) in zip(
+    for (left, left_rec, left_edges), (right, right_rec, right_edges) in zip(
         left_rows, right_rows
     ):
-        if left_cls != right_cls:
+        if tree_class(left_rec) != tree_class(right_rec):
             raise StructureMismatch(left, right, "node classes differ")
         lf, rf = _fan_out(left_edges), _fan_out(right_edges)
         for pred in CHILD_RANK:
@@ -365,7 +377,7 @@ def pair_trees(
             right_root,
             f"tree sizes differ ({len(left_rows)} vs {len(right_rows)})",
         )
-    return {left: right for (left, _, _), (right, _, _) in zip(left_rows, right_rows)}
+    return [(row, right) for row, (right, _, _) in zip(left_rows, right_rows)]
 
 
 def _fan_out(edges: list[Assertion]) -> Counter[Iri]:
@@ -377,13 +389,20 @@ def _fan_out(edges: list[Assertion]) -> Counter[Iri]:
 def submit_plan(kb: KnowledgeBase, plan_root: Iri, behaviour_root: Iri) -> None:
     """Submit a plan to a structurally matching behaviour.
 
-    Emits one submittedTo-family edge per paired node.
+    Emits one submittedTo-family edge per paired node, the member that
+    the plan node's tree class names, in one batch in walk order; a
+    node with no tree class gets none.
     """
     if not is_root(kb, plan_root, BEHAVIOUR, LayerTag.PLANNING):
         raise LayerError(plan_root, "planning-layer behaviour root")
     if not is_root(kb, behaviour_root, BEHAVIOUR, LayerTag.BEHAVIOUR):
         raise LayerError(behaviour_root, "behaviour-layer behaviour root")
-    link_pairs(kb, pair_trees(kb, plan_root, behaviour_root), CLASS_TO_SUBMITTED)
+    links = []
+    for (plan, rec, _), behaviour in _paired_rows(kb, plan_root, behaviour_root):
+        cls = tree_class(rec)
+        if cls is not None:
+            links.append((plan, CLASS_TO_SUBMITTED[cls], behaviour))
+    kb.load(links)
 
 
 # ---------------------------------------------------------------------------

@@ -133,10 +133,6 @@ class EntityRecord(Record, _Adjacency):
         return None
 
     @property
-    def mixed_layers(self) -> bool:
-        return len(self.layer_classes) > 1
-
-    @property
     def deprecated(self) -> bool:
         return vocab.DEPRECATED_THING in self.memberships
 

@@ -16,9 +16,10 @@ on, and performsPlanExecution from the agent.
 event or action node outside the planning layer before its first write.
 
 Each plan or action tree is read once, by ``trees.tree_rows``, before
-the call's first write: the rows give the canonical check each node's
-tree-node class and the clone its edges, and a plan tree that describes
-several states is read once for all of them.  Each tree's clone then
+the call's first write: each row's entity record gives the canonical
+check the node's typing, and the clone its edges and its link's class,
+so no tree node is looked up again; a plan tree that describes several
+states is read once for all of them.  Each tree's clone then
 reaches the store as one batch, its hasExecution links included.
 
 Both calls journal their writes like any other.  A call that began on a
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import json
 
-from .core import KnowledgeBase
+from .core import EntityRecord, KnowledgeBase
 from .terms import Frozen, Iri, ModelError, Record, set_field
 from .trees import (
     TreeRow,
@@ -48,6 +49,7 @@ from .trees import (
     procedure_order,
     state_chain,
     state_classes,
+    tree_class,
     tree_rows,
     typed_as,
     typing_of,
@@ -270,11 +272,18 @@ _PLANNED: dict[tuple[Iri | None, ...], frozenset[Iri | None]] = {
 
 
 def _source(kb: KnowledgeBase, node: Iri, classes: tuple[Iri | None, ...]) -> bool:
-    """Whether a node the engine would clone is canonical: typed as
+    """Whether a node the engine would clone, a process, procedure,
+    state or event, is canonical (see ``_canonical``)."""
+    return _canonical(node, kb.entity(node), classes)
+
+
+def _canonical(
+    node: Iri, rec: EntityRecord | None, classes: tuple[Iri | None, ...]
+) -> bool:
+    """Whether ``node``, recorded by ``rec``, is canonical: typed as
     ``trees.type_node`` types a planning node whose position needs
     ``classes``, and with nothing else.  ``OutsidePlanningLayer`` unless
     the planning class is its one layer class."""
-    rec = kb.entity(node)
     if typed_as(rec, _PLANNED[classes]):
         return True
     if rec is None or rec.layer is not LayerTag.PLANNING:
@@ -284,13 +293,13 @@ def _source(kb: KnowledgeBase, node: Iri, classes: tuple[Iri | None, ...]) -> bo
 
 def _tree_sources(kb: KnowledgeBase, root: Iri) -> tuple[list[TreeRow], bool]:
     """A tree to be cloned, as ``tree_rows`` walks it root first, and
-    whether every node of it is canonical (see ``_source``): on a clean
-    graph the edge that reaches a tree node has fixed which tree-node
-    class it needs."""
+    whether every node of it is canonical (see ``_canonical``), read
+    from each row's own record: on a clean graph the edge that reaches
+    a tree node has fixed which tree-node class it needs."""
     rows = tree_rows(kb, root)
     canonical = True
-    for node, cls, _ in rows:
-        canonical &= _source(kb, node, (cls,))
+    for node, rec, _ in rows:
+        canonical &= _canonical(node, rec, (tree_class(rec),))
     return rows, canonical
 
 

@@ -12,15 +12,16 @@ builder and the engine both write with them, so their layers cannot
 drift apart, and neither imports the other.  Whether an agent may
 perform a behaviour is not a tree question; ``validator`` decides it.
 
-A tree is walked once, breadth-first, by ``tree_rows``: one row per
-node with its tree-node class and its edges under a rank table, both
-read from the node's one entity record.  Its child-predicate edges come
-first and drive the walk; the edges ranked after them serve the caller,
-the clone's dependsOn and reference edges or a mirror check's family
-links.  ``walk_tree`` gives the rows' node column and reads no class.
-``clone_tree`` clones a tree from its rows, read before the first
-write, and hands the store one batch: the clones' memberships, their
-edges, then the family links between each node and its clone.
+A tree is walked by ``tree_rows`` alone, breadth-first: one row per
+node with the node's one entity record and its edges under a rank
+table.  Its child-predicate edges come first and drive the walk; the
+edges ranked after them serve the caller, the clone's dependsOn and
+reference edges or a mirror check's family links.  A caller that needs
+a node's tree-node class reads it from the row's record with
+``tree_class``, so no node is looked up twice.  ``clone_tree`` clones a
+tree from its rows, read before the first write, and hands the store
+one batch: the clones' memberships, their edges, then the family links
+between each node and its clone.
 """
 
 from __future__ import annotations
@@ -70,74 +71,43 @@ _CLONE_RANK: dict[Iri, int] = {
 _REFERS = frozenset(REFERS_PREDICATES)
 
 
-def tree_edges(
-    kb: KnowledgeBase, node: Iri, ranks: dict[Iri, int] = CHILD_RANK
-) -> list[Assertion]:
-    """``node``'s edges whose predicate ``ranks`` holds, by predicate rank
-    and in assertion order under one predicate (the sort is stable); one
-    pass over the node's edges."""
-    edges = [a for a in kb.edges(node) if a.predicate in ranks]
-    if len(edges) > 1:
-        edges.sort(key=lambda a: ranks[a.predicate])
-    return edges
-
-
-#: one node of a tree walk: the node, its tree-node class and its edges
-#: under the walk's rank table
-TreeRow = tuple[Iri, Iri | None, list[Assertion]]
+#: one node of a tree walk: the node, its entity record (``None`` for a
+#: node the store has no record of) and its edges under the walk's rank
+#: table
+TreeRow = tuple[Iri, EntityRecord | None, list[Assertion]]
 
 
 def tree_rows(
     kb: KnowledgeBase, root: Iri, ranks: dict[Iri, int] = _CLONE_RANK
 ) -> list[TreeRow]:
     """Each node of a behaviour-shaped tree, breadth-first in assertion
-    order, with its tree-node class and ``tree_edges(kb, node, ranks)``:
-    the one tree walk.  ``ranks`` ranks the child predicates first, in
-    ``CHILD_RANK``'s order, so a node's child-predicate edges are the
-    prefix of its edges that the walk follows, and the one record read
-    for each node gives the walk and the caller its class and edges."""
+    order, with its entity record and its edges whose predicate
+    ``ranks`` holds, by predicate rank and in assertion order under one
+    predicate: the one tree walk.  ``ranks`` ranks the child predicates
+    first, in ``CHILD_RANK``'s order, so a node's child-predicate edges
+    are the prefix of its edges that the walk follows, and the one
+    record read for each node gives the walk and the caller its edges
+    and, through ``tree_class``, its class."""
     entities = kb.entities
     rows: list[TreeRow] = []
     seen = {root}
     queue = [root]
     for node in queue:  # the queue grows as the walk goes
         rec = entities.get(node)
-        cls = None
         edges: list[Assertion] = []
         if rec is not None:
-            memberships = rec.memberships
-            for c in TREE_NODE_CLASSES:
-                if c in memberships:
-                    cls = c
-                    break
             edges = [a for a in rec.edges if a.predicate in ranks]
             if len(edges) > 1:
-                edges.sort(key=lambda a: ranks[a.predicate])
-        rows.append((node, cls, edges))
-        _enqueue_children(edges, seen, queue)
+                edges.sort(key=lambda a: ranks[a.predicate])  # stable
+        rows.append((node, rec, edges))
+        for a in edges:
+            if a.predicate not in CHILD_RANK:
+                break  # the child-predicate edges come first
+            child = a.object
+            if isinstance(child, Iri) and child not in seen:
+                seen.add(child)
+                queue.append(child)
     return rows
-
-
-def walk_tree(kb: KnowledgeBase, root: Iri) -> list[Iri]:
-    """Nodes of a behaviour-shaped tree, breadth-first in assertion order:
-    ``tree_rows``' node column, without reading the classes."""
-    seen = {root}
-    queue = [root]
-    for node in queue:
-        _enqueue_children(tree_edges(kb, node), seen, queue)
-    return queue
-
-
-def _enqueue_children(edges: list[Assertion], seen: set[Iri], queue: list[Iri]) -> None:
-    """Queue the children that ``edges`` leads with, each the first time
-    the walk meets it: the child-predicate edges come first."""
-    for a in edges:
-        if a.predicate not in CHILD_RANK:
-            break
-        child = a.object
-        if isinstance(child, Iri) and child not in seen:
-            seen.add(child)
-            queue.append(child)
 
 
 def depth_first(
@@ -167,14 +137,13 @@ def depth_first(
     return on_path.keys(), back
 
 
-def tree_class(kb: KnowledgeBase, node: Iri) -> Iri | None:
-    """The tree-node class of ``node`` (behaviour, goal, task, element)."""
-    rec = kb.entity(node)
-    if rec is None:
-        return None
-    for cls in TREE_NODE_CLASSES:
-        if cls in rec.memberships:
-            return cls
+def tree_class(rec: EntityRecord | None) -> Iri | None:
+    """The tree-node class (behaviour, goal, task, element) of the entity
+    ``rec`` records, as a ``tree_rows`` row carries it."""
+    if rec is not None:
+        for cls in TREE_NODE_CLASSES:
+            if cls in rec.memberships:
+                return cls
     return None
 
 
@@ -226,12 +195,14 @@ def clone_tree(
     pointing at the shared targets; nothing else is copied.  Every clone
     is minted first; the store then gets one batch, in node order each:
     the clones' memberships, their edges, then the links.  Rows read
-    before earlier writes stay valid, since those add clone-ranked edges
-    only under fresh subjects.
+    before earlier writes stay valid: those add clone-ranked edges only
+    under fresh subjects, and no engine or builder write adds a
+    membership to a source node, only edges and clones, so the class
+    each link takes from its row's record is the class it has now.
     """
     mapping, triples = _clones(kb, [node for node, _, _ in rows], layer)
     links: list[Triple] = []
-    for node, cls, edges in rows:
+    for node, rec, edges in rows:
         clone = mapping[node]
         for a in edges:
             if a.predicate in _REFERS:
@@ -240,6 +211,7 @@ def clone_tree(
                 target = mapping.get(a.object)  # a literal object maps to None
                 if target is not None:
                     triples.append((clone, a.predicate, target))
+        cls = tree_class(rec)
         if cls is not None:
             if from_clone:
                 links.append((clone, members[cls], node))
@@ -253,17 +225,6 @@ def is_root(kb: KnowledgeBase, iri: Iri, cls: Iri, layer: LayerTag) -> bool:
     """Whether ``iri`` is typed ``cls`` and tagged with ``layer`` alone."""
     rec = kb.entity(iri)
     return rec is not None and cls in rec.memberships and rec.layer is layer
-
-
-def link_pairs(
-    kb: KnowledgeBase, pairs: dict[Iri, Iri], members: dict[Iri, Iri]
-) -> None:
-    """Link each ``subject -> object`` pair through the family member that
-    ``members`` names for the subject's tree-node class."""
-    for subject, obj in pairs.items():
-        cls = tree_class(kb, subject)
-        if cls is not None:
-            kb.assert_property(subject, members[cls], obj)
 
 
 def type_node(

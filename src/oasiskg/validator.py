@@ -17,7 +17,8 @@ alike test each edge against its property's check row, compiled once
 from ``vocab.PROPERTIES``, and ``constraint_problem`` words any failure.
 ``check_mirror`` verifies that a linked tree retraces its source tree
 edge by edge through the right family subproperties; one walk of the
-source tree reads each node's child edges and family links together.
+source tree reads each node's record, child edges and family links
+together, and one walk of the target tree gives its node set.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from enum import Enum
 from . import vocab
 from .core import EntityRecord, KnowledgeBase
 from .terms import Assertion, Frozen, Iri, ModelError, Obj, set_field
-from .trees import CHILD_RANK, depth_first, tree_rows, walk_tree
+from .trees import CHILD_RANK, depth_first, tree_class, tree_rows
 from .vocab import RDF_TYPE
 
 
@@ -104,9 +105,9 @@ def check_mirror(
     class_map = vocab.FAMILY_ROOTS[family]
     out: list[Violation] = []
     source_rows = tree_rows(kb, source_root, _MIRROR_RANKS[family])
-    target_nodes = set(walk_tree(kb, target_root))
+    target_nodes = {node for node, _, _ in tree_rows(kb, target_root, CHILD_RANK)}
     counterpart: dict[Iri, Iri] = {}
-    for node, cls, edges in source_rows:
+    for node, rec, edges in source_rows:
         links = [
             a for a in edges if a.predicate not in CHILD_RANK and a.object in target_nodes
         ]
@@ -131,6 +132,7 @@ def check_mirror(
             continue
         (other,) = linked
         counterpart[node] = other
+        cls = tree_class(rec)
         expected = class_map.get(cls) if cls is not None else None
         if expected is None:
             out.append(

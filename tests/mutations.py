@@ -21,8 +21,9 @@ from oasiskg import (
     grant_role,
     realize_process,
 )
-from oasiskg.trees import walk_tree
 from oasiskg import vocab
+
+from tree_oracle import walk_tree
 
 
 @dataclass(frozen=True)

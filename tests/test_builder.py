@@ -43,13 +43,14 @@ from oasiskg.builder import (
     _check_depends,
     pair_trees,
 )
-from oasiskg.trees import clone_tree, plan_tasks, tree_class, tree_rows, walk_tree
+from oasiskg.trees import clone_tree, plan_tasks, tree_rows
 from oasiskg.validator import Code, capability_gap
 from oasiskg.specs import SpecInvalid
 from oasiskg.terms import InvalidLocalName
 from oasiskg import vocab
 
 from conftest import random_behaviour_spec
+from tree_oracle import tree_class, walk_tree
 
 
 EX = "http://example.org/"

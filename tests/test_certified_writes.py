@@ -42,7 +42,7 @@ from oasiskg import (
     validate,
 )
 from oasiskg import engine, vocab
-from oasiskg.trees import procedure_order, state_chain, walk_tree
+from oasiskg.trees import procedure_order, state_chain
 from oasiskg.vocab import RDF_TYPE
 
 from conftest import (
@@ -54,6 +54,7 @@ from conftest import (
     whole_graph_pass,
 )
 from mutations import MUTATIONS
+from tree_oracle import walk_tree
 
 gen = load_benchmark_module("gen")
 workloads = load_benchmark_module("workloads")

@@ -178,7 +178,7 @@ def test_layer_is_derived_from_memberships(kb: KnowledgeBase):
     kb.assert_membership(ex("x"), LayerTag.TEMPLATE.class_iri)
     assert kb.entity(ex("x")).layer is LayerTag.TEMPLATE
     rec = kb.entity(ex("x"))
-    assert not rec.mixed_layers
+    assert len(rec.layer_classes) == 1
 
 
 def test_validate_reports_every_second_layer_tag():
@@ -196,7 +196,7 @@ def test_store_records_layer_mixing_for_the_validator(kb: KnowledgeBase):
     kb.assert_membership(ex("x"), LayerTag.TEMPLATE.class_iri)
     kb.assert_membership(ex("x"), LayerTag.EXECUTION.class_iri)
     rec = kb.entity(ex("x"))
-    assert rec.mixed_layers
+    assert len(rec.layer_classes) == 2
     assert rec.layer is None
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -28,7 +29,6 @@ from oasiskg import (
     validate,
 )
 from oasiskg import engine
-from oasiskg.trees import walk_tree
 from oasiskg.engine import (
     AssignmentIncomplete,
     CursorCompleted,
@@ -52,6 +52,7 @@ from conftest import (
     store_state,
 )
 import tree_oracle
+from tree_oracle import walk_tree
 
 
 def ex(local: str) -> Iri:
@@ -562,13 +563,24 @@ def test_a_realization_reads_each_source_node_once_and_loads_each_tree_once(
         batches.append(list(triples))
         load(triples)
 
+    lookups: Counter = Counter()  # kb.entity calls, per node
+    entity = kb.entity
+
+    def counting_entity(iri):
+        lookups[iri] += 1
+        return entity(iri)
+
     monkeypatch.setattr(kb, "load", counting_load)
+    monkeypatch.setattr(kb, "entity", counting_entity)
     reads = count_edge_reads(kb, monkeypatch)
     handle = realize_process(kb, process, assignment)
     steps = handle.run_to_completion()
     monkeypatch.undo()
 
     assert {node: reads[node] for node in sources} == dict.fromkeys(sources, 1)
+    # each tree node's record comes with its row: none is looked up again
+    assert {node: lookups[node] for node in sources} == dict.fromkeys(sources, 0)
+    assert lookups  # the process, procedures, states and events are looked up
     roots = [r.plan_exec for r in handle.records]
     for step in steps:
         for event in step.events:

@@ -77,14 +77,14 @@ GUARDS = [
         "sort by the canonical order through plain rows, as rdfio.export_canonical does",
         "rows.sort(key=Assertion.sort_key)",
     ),
-    # trees.tree_edges reads a node's children in one pass, in the
-    # child predicates' order, for every walk, clone, pairing and
-    # mirror check; vocab declares the predicates
+    # trees.tree_rows reads each node's record and children in one
+    # pass, in the child predicates' order, for every walk, clone,
+    # pairing and mirror check; vocab declares the predicates
     (
         "Tree edges read only in trees.py",
         r"\bCHILD_PREDICATES\b",
         ("trees.py", "vocab.py"),
-        "read a node's tree edges through trees.tree_edges",
+        "read a node's tree edges through trees.tree_rows",
         "for predicate in CHILD_PREDICATES:",
     ),
     # the store records whatever it is given; the validator alone reads a

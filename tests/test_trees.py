@@ -9,10 +9,17 @@ import random
 import pytest
 
 from oasiskg import vocab
-from oasiskg.builder import StructureMismatch, pair_trees
+from oasiskg.builder import StructureMismatch, pair_trees, submit_plan
 from oasiskg.core import KnowledgeBase
 from oasiskg.terms import Iri
-from oasiskg.trees import clone_tree, depth_first, plan_tasks, tree_rows, walk_tree
+from oasiskg.trees import (
+    CHILD_RANK,
+    clone_tree,
+    depth_first,
+    plan_tasks,
+    tree_class,
+    tree_rows,
+)
 from oasiskg.validator import check_mirror
 from oasiskg.vocab import DEPENDS_ON, LayerTag, term
 
@@ -166,7 +173,8 @@ def test_depth_first_matches_a_recursive_walk(seed):
 
 
 # ---------------------------------------------------------------------------
-# walk_tree, clone_tree, pair_trees and check_mirror against tree_oracle
+# tree_rows, clone_tree, pair_trees, submit_plan and check_mirror against
+# tree_oracle
 # ---------------------------------------------------------------------------
 
 #: each child predicate with the class of the nodes it leads to
@@ -282,9 +290,13 @@ def twins(seed: int) -> tuple[KnowledgeBase, KnowledgeBase, Iri]:
 def test_tree_reads_match_the_per_predicate_oracle(seed):
     kb, twin, root = twins(seed)
     rows = tree_rows(kb, root)
-    nodes = walk_tree(kb, root)
-    assert nodes == [node for node, _, _ in rows] == tree_oracle.walk_tree(kb, root)
-    assert [cls for _, cls, _ in rows] == [tree_oracle.tree_class(kb, n) for n in nodes]
+    nodes = [node for node, _, _ in rows]
+    assert nodes == tree_oracle.walk_tree(kb, root)
+    assert nodes == [node for node, _, _ in tree_rows(kb, root, CHILD_RANK)]
+    assert all(rec is kb.entity(node) for node, rec, _ in rows)
+    assert [tree_class(rec) for _, rec, _ in rows] == [
+        tree_oracle.tree_class(kb, n) for n in nodes
+    ]
     # the same clone indices, so the same minted IRIs, in the same order,
     # and each clone overloads its source, as derive_behaviour links them
     mapping = clone_tree(
@@ -313,7 +325,8 @@ def test_tree_reads_match_the_per_predicate_oracle(seed):
         for left, right in ((root, clone), (clone, root)):
             got = outcome(pair_trees, kb, left, right)
             assert got == outcome(tree_oracle.pair_trees, kb, left, right), step
-        assert walk_tree(kb, clone) == tree_oracle.walk_tree(kb, clone), step
+        walked = [node for node, _, _ in tree_rows(kb, clone, CHILD_RANK)]
+        assert walked == tree_oracle.walk_tree(kb, clone), step
         assert check_mirror(kb, clone, root, vocab.OVERLOADS) == tree_oracle.check_mirror(
             kb, clone, root, vocab.OVERLOADS
         ), step
@@ -350,3 +363,37 @@ def test_check_mirror_reads_each_source_node_once(monkeypatch):
     sources = list(mapping.values())
     assert len(sources) > 5
     assert {node: reads[node] for node in sources} == dict.fromkeys(sources, 1)
+
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_submit_plan_links_in_one_batch_as_the_per_triple_oracle(seed, monkeypatch):
+    """A plan submitted to its behaviour-layer clone: one ``load`` call,
+    leaving the store as the oracle's pairing and per-triple links leave
+    it, journal order included."""
+    kb, twin, root = twins(seed)
+    for store in (kb, twin):
+        # submit_plan's root guard: the root may have lost either class
+        store.assert_membership(root, vocab.BEHAVIOUR)
+        store.assert_membership(root, LayerTag.PLANNING.class_iri)
+        mapping = clone_tree(
+            store, tree_rows(store, root), LayerTag.BEHAVIOUR, vocab.CLASS_TO_OVERLOAD,
+            from_clone=True,
+        )
+    assert store_state(kb) == store_state(twin)
+    behaviour = mapping[root]
+    batches: list[list[tuple]] = []
+    load = kb.load
+
+    def counting_load(triples):
+        batches.append(list(triples))
+        load(triples)
+
+    monkeypatch.setattr(kb, "load", counting_load)
+    submit_plan(kb, root, behaviour)
+    monkeypatch.undo()
+    tree_oracle.link_pairs(
+        twin, tree_oracle.pair_trees(twin, root, behaviour), vocab.CLASS_TO_SUBMITTED
+    )
+    assert len(batches) == 1 and batches[0]
+    assert store_state(kb) == store_state(twin)

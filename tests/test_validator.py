@@ -22,7 +22,7 @@ from oasiskg import (
     derive_behaviour,
     validate,
 )
-from oasiskg.trees import clone_tree, walk_tree
+from oasiskg.trees import clone_tree
 from oasiskg import validator
 from oasiskg.validator import DanglingRoot
 from oasiskg import vocab
@@ -30,6 +30,7 @@ from oasiskg.vocab import LayerTag
 
 from conftest import build_protocol_scenario, lock_step_plan, random_behaviour_spec
 from mutations import MUTATIONS
+from tree_oracle import walk_tree
 
 
 def ex(local: str) -> Iri:

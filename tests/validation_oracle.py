@@ -10,8 +10,10 @@ frozen here too, as the oracle for ``tests/test_validation_oracle.py``:
 procedure, and ``_assertion_checks``, ``constraint_problem``,
 ``_off_layer`` and ``check_mirror``, which call ``constraint_problem``
 and build an ``Assertion`` for every edge and every link they test.
-Only the capability rule, the chain ends, the mirror-root table and the
-finding records are imported.
+Only the capability rule, the chain ends, the mirror-root table, the
+finding records and ``depth_first`` are imported from the package; the
+tree walk and the tree class come from ``tree_oracle``'s frozen copies,
+and the child edges are read here.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from collections.abc import Iterable
 from oasiskg import vocab
 from oasiskg.core import EntityRecord, KnowledgeBase
 from oasiskg.terms import Assertion, Frozen, Iri, Obj, set_field
-from oasiskg.trees import depth_first, tree_class, tree_edges, walk_tree
+from oasiskg.trees import depth_first
 from oasiskg.validator import (
     _CAPABILITY_MESSAGES,
     _CHAIN_ENDS,
@@ -32,6 +34,8 @@ from oasiskg.validator import (
     capability_gap,
 )
 from oasiskg.vocab import RDF_TYPE
+
+from tree_oracle import tree_class, walk_tree
 
 
 def whole_pass(kb: KnowledgeBase) -> list[Violation]:
@@ -96,7 +100,7 @@ def _entity_checks(
     out = []
     for rec in entities:
         iri, memberships = rec.iri, rec.memberships
-        if rec.mixed_layers:
+        if len(rec.layer_classes) > 1:
             names = ", ".join(sorted(c.local for c in rec.layer_classes))
             out.append(
                 Violation(
@@ -256,6 +260,14 @@ def _assertion_checks(
 
 
 
+def _child_edges(kb: KnowledgeBase, node: Iri) -> list[Assertion]:
+    """``node``'s child-predicate edges, in ``CHILD_PREDICATES`` order and
+    in assertion order under one predicate."""
+    return [
+        a for pred in vocab.CHILD_PREDICATES for a in kb.edges(node) if a.predicate == pred
+    ]
+
+
 def check_mirror(
     kb: KnowledgeBase, source_root: Iri, target_root: Iri, family: Iri
 ) -> list[Violation]:
@@ -328,7 +340,7 @@ def check_mirror(
         mine = counterpart.get(node)
         if mine is None:
             continue
-        for a in tree_edges(kb, node):
+        for a in _child_edges(kb, node):
             child = a.object
             if not isinstance(child, Iri):
                 continue
