@@ -245,7 +245,6 @@ def _emit_ref(
     kb.assert_property(node, REFERS_AS_NEW_TO, target)
     for name in ref.instance_of:
         cls = iris[name]
-        kb.declare_class(cls)
         kb.assert_membership(target, cls)
         kb.assert_property(target, REFERS_AS_INSTANCE_OF, cls)
 
@@ -543,7 +542,6 @@ def grant_role(
             raise LayerError(behaviour, "behaviour-layer behaviour root")
     if not kb.has_class(agent, AGENT):
         raise MissingAgent(agent)
-    kb.declare_class(role_type)
     kb.assert_membership(role_type, ROLE_TYPE)
     role = kb.fresh_iri(f"{role_type.value}__role__")
     kb.assert_membership(role, ROLE)

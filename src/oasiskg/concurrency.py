@@ -48,7 +48,7 @@ from collections.abc import Iterator
 from enum import Enum
 
 from .core import KnowledgeBase
-from .terms import Frozen, Iri, ModelError, set_field
+from .terms import Frozen, Iri, ModelError
 from .trees import is_root, plan_tasks, procedure_order, state_chain
 from .vocab import (
     DEFAULT_BOUND,
@@ -79,50 +79,26 @@ class RaceKind(Enum):
 class Step(Frozen):
     __slots__ = ("kind", "resource")
 
-    def __init__(self, kind: StepKind, resource: Iri) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "resource", resource)
-
 
 class ProtocolRun(Frozen):
     __slots__ = ("agent", "steps")
 
-    def __init__(self, agent: Iri, steps: tuple[Step, ...]) -> None:
-        set_field(self, "agent", agent)
-        set_field(self, "steps", steps)
-
 
 class ResourceState(Frozen):
+    # modified_by, after a Modify: the latest earlier writer other than
+    # the last one, if any, then the last writer; all that
+    # ``interpret_step`` reads
     __slots__ = ("holder", "modified_by")
-
-    def __init__(
-        self, holder: Iri | None = None, modified_by: tuple[Iri, ...] = ()
-    ) -> None:
-        set_field(self, "holder", holder)
-        # after a Modify: the latest earlier writer other than the last one,
-        # if any, then the last writer; all that ``interpret_step`` reads
-        set_field(self, "modified_by", modified_by)
+    _defaults = {"holder": None, "modified_by": ()}
 
 
 class StepOutcome(Frozen):
     __slots__ = ("state", "blocked", "race", "other")
-
-    def __init__(
-        self, state: ResourceState, blocked: bool = False, race: RaceKind | None = None,
-        other: Iri | None = None,
-    ) -> None:
-        set_field(self, "state", state)
-        set_field(self, "blocked", blocked)
-        set_field(self, "race", race)
-        set_field(self, "other", other)
+    _defaults = {"blocked": False, "race": None, "other": None}
 
 
 class Schedule(Frozen):
-    __slots__ = ("indices", "status")
-
-    def __init__(self, indices: tuple[int, ...], status: str) -> None:
-        set_field(self, "indices", indices)
-        set_field(self, "status", status)  # complete, deadlock or truncated
+    __slots__ = ("indices", "status")  # status: complete, deadlock or truncated
 
     @property
     def complete(self) -> bool:
@@ -132,24 +108,9 @@ class Schedule(Frozen):
 class Conflict(Frozen):
     __slots__ = ("resource", "agent_a", "agent_b", "step_index")
 
-    def __init__(
-        self, resource: Iri, agent_a: Iri, agent_b: Iri, step_index: int
-    ) -> None:
-        set_field(self, "resource", resource)
-        set_field(self, "agent_a", agent_a)
-        set_field(self, "agent_b", agent_b)
-        set_field(self, "step_index", step_index)
-
 
 class RaceReport(Frozen):
     __slots__ = ("schedule", "conflict", "kind")
-
-    def __init__(
-        self, schedule: tuple[int, ...], conflict: Conflict, kind: RaceKind
-    ) -> None:
-        set_field(self, "schedule", schedule)
-        set_field(self, "conflict", conflict)
-        set_field(self, "kind", kind)
 
     def json_line(self) -> str:
         return json.dumps(
@@ -235,14 +196,9 @@ _STATUSES = ("complete", "deadlock", "truncated")
 
 
 class RaceSearch(Frozen):
+    # schedules: counts by status (complete, deadlock, truncated);
+    # states: distinct states searched
     __slots__ = ("reports", "schedules", "states")
-
-    def __init__(
-        self, reports: list[RaceReport], schedules: dict[str, int], states: int
-    ) -> None:
-        set_field(self, "reports", reports)
-        set_field(self, "schedules", schedules)  # by status: complete, deadlock, truncated
-        set_field(self, "states", states)  # distinct states searched
 
 
 def _search(

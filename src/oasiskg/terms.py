@@ -1,9 +1,14 @@
-"""Ground value types shared by every module: IRIs, assertions, errors.
+"""Ground value types shared by every module: IRIs, records, assertions,
+errors.
 
 IRIs are interned in a weak term table, one object per distinct value,
 as in the dictionary encoding of HDT (Fernandez et al., J. Web Semantics
 2013).  Every dict or set probe on an IRI, or on an assertion or search
 key made of IRIs, then hashes and compares by identity in C.
+
+A record declares its fields once, in ``__slots__``.  A frozen record
+gets the constructor PEP 557 generates for a dataclass, compiled here
+from its slots without importing ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -57,12 +62,13 @@ class InvalidIri(InvalidLocalName):
 
 class Record:
     """Base of the package's records.  A subclass names its fields, two
-    or more, in ``__slots__`` and takes them, in that order, in its own
-    ``__init__``.  A record shows, compares and pickles by its fields'
-    values.  ``_fields`` reads them into a tuple and ``_key`` what
-    equality compares, all fields unless a subclass sets a narrower
-    ``operator.attrgetter``; both are called with the record.  A plain
-    record can be changed and is not hashable."""
+    or more, in ``__slots__`` and takes them, in that order, in its
+    ``__init__``, which a frozen record has compiled for it.  A record
+    shows, compares and pickles by its fields' values.  ``_fields``
+    reads them into a tuple and ``_key`` what equality compares, all
+    fields unless a subclass sets a narrower ``operator.attrgetter``;
+    both are called with the record.  A plain record can be changed and
+    is not hashable."""
 
     __slots__ = ()
 
@@ -89,20 +95,29 @@ class Record:
         return self.__class__, self._fields(self)
 
 
-#: how a frozen record's ``__init__`` sets its fields, past ``__setattr__``
+#: how a record that writes its own ``__init__`` sets a frozen field,
+#: past ``__setattr__``
 set_field = object.__setattr__
 
 
 class Frozen(Record):
-    """A record whose ``__init__`` sets each field once, through
-    :data:`set_field`, or, where construction is hot, through the slot
-    descriptor's own ``__set__``, bound once at module level (as
-    :class:`Assertion` does); later assignment and deletion raise
-    dataclasses' ``FrozenInstanceError``.  That is imported only on this
-    error path: importing ``dataclasses`` pulls in ``inspect`` and
-    ``ast`` at start-up.  A frozen record hashes by ``_key``."""
+    """A record whose fields are set once, as it is built; later
+    assignment and deletion raise dataclasses' ``FrozenInstanceError``.
+    That is imported only on this error path: importing ``dataclasses``
+    pulls in ``inspect`` and ``ast`` at start-up.  A frozen record
+    hashes by ``_key``.
+
+    A subclass that writes no ``__init__`` gets one compiled from its
+    ``__slots__`` (see :func:`_compile_init`): it takes the fields in
+    slot order, by position or by keyword, and the class dict
+    ``_defaults``, if any, maps the trailing fields to their defaults."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if cls.__slots__ and "__init__" not in cls.__dict__:
+            cls.__init__ = _compile_init(cls)
 
     def __hash__(self) -> int:
         return hash(self._key(self))
@@ -116,6 +131,36 @@ class Frozen(Record):
         from dataclasses import FrozenInstanceError
 
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _compile_init(cls: type[Frozen]) -> object:
+    """``cls.__init__``, compiled once from its slot names.  Each field is
+    stored through its slot descriptor's own ``__set__``, bound in a
+    closure: a call each with no lookup by name, past the refusing
+    ``__setattr__``.  Defaults that do not name exactly the trailing
+    fields are refused as the class is created."""
+    names = cls.__slots__
+    defaults = cls.__dict__.get("_defaults", {})
+    first = len(names) - len(defaults)
+    if set(defaults) != set(names[first:]):
+        raise TypeError(
+            f"{cls.__qualname__}._defaults must name its last {len(defaults)} "
+            f"fields, {names[first:]}, not {tuple(defaults)}"
+        )
+    setters = ", ".join(f"_set_{name}" for name in names)
+    stores = "".join(f"\n        _set_{name}(self, {name})" for name in names)
+    source = (
+        f"def make({setters}):\n"
+        f"    def __init__(self, {', '.join(names)}):{stores}\n"
+        f"    return __init__\n"
+    )
+    namespace: dict[str, object] = {}
+    exec(compile(source, f"<{cls.__module__}.{cls.__qualname__}>", "exec"), namespace)
+    init = namespace["make"](*(getattr(cls, name).__set__ for name in names))
+    init.__defaults__ = tuple(defaults[name] for name in names[first:])
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init
 
 
 class Iri:
@@ -217,22 +262,12 @@ Obj = Iri | str
 class Assertion(Frozen):
     """One triple.  ``object`` is either an :class:`Iri` or a literal str.
 
-    ``__init__`` sets the three slots through their descriptors' own
-    ``__set__`` (``_set_subject`` and its siblings, bound below the
-    class), a call each with no lookup by name: the builder, the engine
-    and ``KnowledgeBase.load`` build every assertion here.
-
     ``sort_key`` is the canonical order: subject, then predicate, then
     IRI objects before literals, then object, each compared by code
     point.  Canonical export sorts plain rows equal to these keys.
     """
 
     __slots__ = ("subject", "predicate", "object")
-
-    def __init__(self, subject: Iri, predicate: Iri, object: Obj) -> None:
-        _set_subject(self, subject)
-        _set_predicate(self, predicate)
-        _set_object(self, object)
 
     # the store hashes and compares assertions on every insert and probe
     def __eq__(self, other: object) -> bool:
@@ -250,8 +285,3 @@ class Assertion(Frozen):
         is_lit = 1 if isinstance(self.object, str) else 0
         obj = self.object if isinstance(self.object, str) else self.object.value
         return (self.subject.value, self.predicate.value, is_lit, obj)
-
-
-_set_subject = Assertion.subject.__set__
-_set_predicate = Assertion.predicate.__set__
-_set_object = Assertion.object.__set__

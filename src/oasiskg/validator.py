@@ -28,7 +28,7 @@ from enum import Enum
 
 from . import vocab
 from .core import EntityRecord, KnowledgeBase
-from .terms import Assertion, Frozen, Iri, ModelError, Obj, set_field
+from .terms import Assertion, Frozen, Iri, ModelError, Obj
 from .trees import CHILD_RANK, depth_first, tree_class, tree_rows
 from .vocab import RDF_TYPE
 
@@ -58,11 +58,6 @@ class Code(Enum):
 
 class Violation(Frozen):
     __slots__ = ("code", "subjects", "message")
-
-    def __init__(self, code: Code, subjects: tuple[Iri, ...], message: str) -> None:
-        set_field(self, "code", code)
-        set_field(self, "subjects", subjects)
-        set_field(self, "message", message)
 
     def render(self) -> str:
         subs = ",".join(s.value for s in self.subjects)
@@ -625,10 +620,7 @@ class CapabilityKind(Enum):
 
 class CapabilitySource(Frozen):
     __slots__ = ("kind", "role")
-
-    def __init__(self, kind: CapabilityKind, role: Iri | None = None) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "role", role)
+    _defaults = {"role": None}
 
 
 def check_capability(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from enum import Enum
 
-from .terms import Frozen, Iri, set_field
+from .terms import Frozen, Iri
 
 # ---------------------------------------------------------------------------
 # Namespaces
@@ -149,7 +149,11 @@ PROCEDURE_STATE_CLASSES: frozenset[Iri] = SUBCLASS_CLOSURE[PROCEDURE_STATE]
 
 
 class PropertySpec(Frozen):
-    """Declared shape of one object property.
+    """Declared shape of one object property: ``iri`` and the optional
+    ``super_property`` (:class:`Iri`), ``subject_layer`` and
+    ``object_layer`` (:class:`LayerTag`), ``subject_classes`` and
+    ``object_classes`` (frozensets of class IRIs), and the flags
+    ``extension`` and ``literal_object`` (bool).
 
     ``subject_layer``/``object_layer`` constrain the derived layer tag of
     the endpoints; ``subject_classes``/``object_classes`` constrain their
@@ -160,26 +164,9 @@ class PropertySpec(Frozen):
 
     __slots__ = ("iri", "super_property", "subject_layer", "object_layer",
                  "subject_classes", "object_classes", "extension", "literal_object")
-
-    def __init__(
-        self, iri: Iri, super_property: Iri | None = None,
-        subject_layer: LayerTag | None = None, object_layer: LayerTag | None = None,
-        subject_classes: frozenset[Iri] | None = None,
-        object_classes: frozenset[Iri] | None = None,
-        extension: bool = False, literal_object: bool = False,
-    ) -> None:
-        set_field(self, "iri", iri)
-        set_field(self, "super_property", super_property)
-        set_field(self, "subject_layer", subject_layer)
-        set_field(self, "object_layer", object_layer)
-        set_field(self, "subject_classes", subject_classes)
-        set_field(self, "object_classes", object_classes)
-        set_field(self, "extension", extension)
-        set_field(self, "literal_object", literal_object)
-
-    @property
-    def local(self) -> str:
-        return self.iri.local
+    _defaults = {"super_property": None, "subject_layer": None, "object_layer": None,
+                 "subject_classes": None, "object_classes": None, "extension": False,
+                 "literal_object": False}
 
 
 #: property -> its spec, in declaration order

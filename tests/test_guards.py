@@ -138,6 +138,27 @@ GUARDS = [
         "leave the journal to core, validator.validate and engine._certify",
         "kb.journal = []",
     ),
+    # the journal is read where it is decided: core writes it, validate
+    # chooses its pass from it, and the engine whether its own writes
+    # leave a clean graph clean; run reads it once, to check after the
+    # engine the writes the engine could not certify
+    (
+        "Change journal read only in core, validator, engine and run's check",
+        r"\.journal\b",
+        ("core.py", "validator.py", "engine.py", "cli.py:cmd_run"),
+        "leave the change journal to core, validator and engine",
+        "clean = kb.journal == []",
+    ),
+    # terms.Frozen compiles a frozen record's __init__ from its
+    # __slots__ and _defaults, storing each field through its slot
+    # descriptor; a hand-written constructor spells every field again
+    (
+        "Frozen records take the compiled __init__",
+        r"\bset_field\(",
+        (),
+        "declare a frozen record's fields in __slots__ and _defaults",
+        'set_field(self, "name", name)',
+    ),
     # typing.NamedTuple and collections.namedtuple build their
     # classes from generated code; records subclass terms.Record or
     # terms.Frozen like the rest

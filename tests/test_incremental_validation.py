@@ -40,11 +40,14 @@ from oasiskg.vocab import RDF_TYPE
 from conftest import (
     build_protocol_scenario,
     consumer_template,
+    load_benchmark_module,
     protocol_process_spec,
     random_behaviour_spec,
     whole_graph_pass,
 )
 from mutations import MUTATIONS
+
+gen = load_benchmark_module("gen")
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +138,52 @@ def test_each_region_candidate_is_checked_once(kb, monkeypatch):
     ids = [id(x) for x in checked]
     assert len(ids) == len(set(ids))
     assert set(ids) == {id(x) for x in journal}
+
+
+def test_builder_writes_between_realizations_stay_on_the_region_pass(kb, monkeypatch):
+    """The benchmark's seed-7 growth mix, each item built and then realized
+    on one growing graph: each realization's gate sees only that item's
+    builder writes.  It takes the whole-graph pass only without a journal
+    or when the quarter rule chooses it, and otherwise checks a region
+    within a constant times the item's journal, whatever the graph's
+    size.  Counts, not times; the whole-graph verdict is the oracle."""
+    passes: list[tuple[str, int]] = []
+    real_reach, real_whole = validator._reach, validator._whole
+
+    def reach(kb, journal):
+        entities, assertions, starts = (list(c) for c in real_reach(kb, journal))
+        passes.append(("region", len(entities) + len(assertions) + len(starts)))
+        return entities, assertions, starts
+
+    kb.assert_membership(kb.resolve("shared_resource"), kb.resolve("Resource"))
+    items = gen.growth_mix(random.Random(7))
+    assert len(items) == 48
+    regions = 0
+    for item in items:
+        agent = declare_agent(kb, kb.resolve(f"agent_{item.tag}"))
+        behaviour = derive_behaviour(
+            kb, build_template(kb, gen.consumer_template(item.tag)), agent
+        )
+        process = build_process(kb, item.spec)
+        journal = None if kb.journal is None else len(kb.journal)
+        whole_allowed = journal is None or journal * 4 >= len(kb)
+        states = [kb.resolve(s) for s in gen.state_names(item.spec)]
+        passes.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(validator, "_reach", reach)
+            patched.setattr(
+                validator, "_whole", lambda kb: passes.append(("whole", 0)) or real_whole(kb)
+            )
+            realize_process(kb, process, {s: (agent, behaviour) for s in states})
+        assert len(passes) == 1, (item.tag, passes)
+        kind, candidates = passes[0]
+        if kind == "whole":
+            assert whole_allowed, (item.tag, journal, len(kb))
+        else:
+            regions += 1
+            assert candidates <= 2 * journal, (item.tag, candidates, journal)
+        assert whole_graph_pass(kb) == [], item.tag
+    assert regions >= 40
 
 
 def test_removals_and_re_adds_match_the_whole_graph_pass(kb, monkeypatch):

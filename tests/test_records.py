@@ -4,6 +4,7 @@ immutability, and pickle and copy round-trips, for every one of them."""
 from __future__ import annotations
 
 import copy
+import inspect
 import pickle
 from dataclasses import FrozenInstanceError
 
@@ -30,10 +31,11 @@ from oasiskg.specs import (
     ProcedureSpec,
     ProcessSpec,
     Ref,
+    RefMode,
     StateSpec,
     TaskSpec,
 )
-from oasiskg.terms import Assertion, Iri
+from oasiskg.terms import Assertion, Frozen, Iri
 from oasiskg.validator import CapabilityKind, CapabilitySource
 from oasiskg.validator import Code, Violation
 from oasiskg.vocab import LayerTag, PropertySpec
@@ -243,3 +245,79 @@ def test_mutable_defaults_are_fresh_per_record():
     left, right = ProcessHandle(KB, A, B, []), ProcessHandle(KB, A, B, [])
     left._steps.append(StepRecord(A, B, C, (), 0))
     assert right._steps == [] and right.cursor == 0
+
+
+#: a constructor parameter without a default
+_ = inspect.Parameter.empty
+
+#: each frozen record's constructor: its parameters' names and defaults,
+#: in order, all taken by position or by keyword
+SIGNATURES = {
+    Assertion: [("subject", _), ("predicate", _), ("object", _)],
+    PropertySpec: [("iri", _), ("super_property", None), ("subject_layer", None),
+                   ("object_layer", None), ("subject_classes", None), ("object_classes", None),
+                   ("extension", False), ("literal_object", False)],
+    Ref: [("target", _), ("mode", RefMode.EXACT), ("instance_of", ())],
+    TaskSpec: [("name", _), ("operator_action", _), ("operator_argument", None), ("obj", None),
+               ("inputs", ()), ("outputs", ()), ("depends_on", ())],
+    GoalSpec: [("name", _), ("tasks", _), ("depends_on", ())],
+    BehaviourSpec: [("name", _), ("goals", _), ("path", "")],
+    EventSpec: [("name", _), ("action", _), ("kind", None), ("duration", None), ("window", None)],
+    StateSpec: [("name", _), ("plan", _), ("events", ())],
+    ProcedureSpec: [("name", _), ("states", _)],
+    ProcessSpec: [("name", _), ("procedures", _), ("path", "")],
+    Violation: [("code", _), ("subjects", _), ("message", _)],
+    CapabilitySource: [("kind", _), ("role", None)],
+    StateRecord: [("index", _), ("planning_state", _), ("exec_state", _), ("plan_exec", _),
+                  ("agent", _), ("behaviour", _)],
+    StepRecord: [("state", _), ("plan_exec", _), ("agent", _), ("events", _), ("index", _)],
+    Step: [("kind", _), ("resource", _)],
+    ProtocolRun: [("agent", _), ("steps", _)],
+    ResourceState: [("holder", None), ("modified_by", ())],
+    StepOutcome: [("state", _), ("blocked", False), ("race", None), ("other", None)],
+    Schedule: [("indices", _), ("status", _)],
+    Conflict: [("resource", _), ("agent_a", _), ("agent_b", _), ("step_index", _)],
+    RaceReport: [("schedule", _), ("conflict", _), ("kind", _)],
+    RaceSearch: [("reports", _), ("schedules", _), ("states", _)],
+}
+
+
+def _frozen_classes(cls: type = Frozen) -> set[type]:
+    return {c for sub in cls.__subclasses__() for c in (sub, *_frozen_classes(sub))}
+
+
+def test_every_frozen_record_has_its_signature_pinned():
+    package = {c for c in _frozen_classes() if c.__module__.startswith("oasiskg.")}
+    assert package == set(SIGNATURES)
+    assert len(SIGNATURES) == 22
+
+
+@pytest.mark.parametrize("cls", SIGNATURES, ids=lambda cls: cls.__name__)
+def test_constructor_signatures_are_unchanged(cls):
+    params = list(inspect.signature(cls).parameters.values())
+    got = [(p.name, p.default) for p in params]
+    assert got == SIGNATURES[cls]
+    assert all(type(d) is type(w) for (_, d), (_, w) in zip(got, SIGNATURES[cls]))
+    assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+
+
+@pytest.mark.parametrize(
+    "defaults",
+    [{"first": 1}, {"first": 1, "third": 3}, {"second": 2, "third": 3, "fourth": 4}],
+    ids=["before a required field", "a gap", "an unknown field"],
+)
+def test_defaults_must_name_the_trailing_fields(defaults):
+    with pytest.raises(TypeError, match="_defaults must name its last"):
+        type("Bad", (Frozen,), {"__slots__": ("first", "second", "third"), "_defaults": defaults})
+
+
+def test_a_compiled_constructor_takes_fields_by_position_or_keyword():
+    assert TaskSpec("t", Ref("op"), obj=Ref("o")) == TaskSpec(
+        obj=Ref("o"), operator_action=Ref("op"), name="t"
+    )
+    with pytest.raises(TypeError, match=r"TaskSpec\.__init__\(\) missing 1 required"):
+        TaskSpec("t")
+    with pytest.raises(TypeError, match="unexpected keyword argument 'path'"):
+        StateSpec("s", BehaviourSpec("b", ()), path="")
