@@ -543,7 +543,7 @@ def grant_role(
     if not kb.has_class(agent, AGENT):
         raise MissingAgent(agent)
     kb.assert_membership(role_type, ROLE_TYPE)
-    role = kb.fresh_iri(f"{role_type.value}__role__")
+    role = kb.fresh_iri(role_type, "__role__")
     kb.assert_membership(role, ROLE)
     kb.assert_membership(role, role_type)
     kb.assert_property(agent, PLAY_ROLE, role)

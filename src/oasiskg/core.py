@@ -17,11 +17,13 @@ Every insert goes through ``load``, one loop over a batch of triples;
 and ``trees.clone_tree`` one batch per cloned tree: the clones'
 memberships, their edges and their family links.
 It looks up the subject's record and the object's once per triple,
-hashes each assertion once, in ``assertions.setdefault``, and appends
-it to the two ends' lists only when it is new, so no list holds an
-assertion twice.  ``remove`` takes an assertion out of those two lists,
-in time linear in their length; nothing in the pipeline removes, only
-tests and their mutations do.  An assertion removed and added again goes
+builds each assertion as a ``terms._Triple`` with plain attribute
+stores and sets its class to ``Assertion`` (the two share one layout),
+hashes it once, in ``assertions.setdefault``, and appends it to the two
+ends' lists only when it is new, so no list holds an assertion twice.
+``remove`` takes an assertion out of those two lists, in time linear in
+their length; nothing in the pipeline removes, only tests and their
+mutations do.  An assertion removed and added again goes
 to the end of each list, as it does in ``assertions``.
 
 ``query`` alone sorts its results; no module of the package calls it,
@@ -65,6 +67,8 @@ from .terms import (
     Obj,
     Record,
     UnknownPrefix,
+    _Triple,
+    intern_checked,
 )
 from .vocab import RDF_TYPE, LayerTag
 
@@ -191,13 +195,19 @@ class KnowledgeBase:
                 raise InvalidLocalName(local) from None
         return self.mint_iri("ex", name)
 
-    def fresh_iri(self, stem: str) -> Iri:
-        """``stem`` followed by the next clone index that makes an IRI no
-        entity has yet.  The counter is per store, so a graph read back
-        from a file already holds the names an earlier store minted."""
+    def fresh_iri(self, source: Iri, tail: str) -> Iri:
+        """``source``'s value, then ``tail``, then the next clone index
+        that makes an IRI no entity has yet.  The counter is per store, so
+        a graph read back from a file already holds the names an earlier
+        store minted.  Only ``tail`` is checked: ``IRI_BAD`` refuses
+        single characters, and ``source`` was checked when it was minted,
+        so the name holds none if ``tail`` holds none."""
+        if IRI_BAD.search(tail):
+            raise InvalidIri(source.value + tail)
+        stem = source.value + tail
         while True:
             self._clone_counter += 1
-            iri = Iri(f"{stem}{self._clone_counter}")
+            iri = intern_checked(f"{stem}{self._clone_counter}")
             if iri not in self.entities:
                 return iri
 
@@ -253,7 +263,8 @@ class KnowledgeBase:
                 target = entities.get(obj)
                 if target is None:
                     target = entities[obj] = EntityRecord(obj)
-            assertion = Assertion(subject, predicate, obj)
+            assertion = _Triple(subject, predicate, obj)
+            assertion.__class__ = Assertion  # one layout: see terms._Triple
             assertions.setdefault(assertion)  # the one hash of the assertion
             if len(assertions) == size:
                 continue

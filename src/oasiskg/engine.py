@@ -49,7 +49,6 @@ from .trees import (
     procedure_order,
     state_chain,
     state_classes,
-    tree_class,
     tree_rows,
     typed_as,
     typing_of,
@@ -236,49 +235,57 @@ class ProcessHandle(Record):
 # ---------------------------------------------------------------------------
 
 #: each position's ``trees.typing_of`` in the planning layer, keyed by its
-#: classes: a tree node's class (``None`` for a node with none), an
-#: event, a process, a procedure, and a state first, last, both or neither
-_PLANNED: dict[tuple[Iri | None, ...], frozenset[Iri | None]] = {
+#: classes: an event, a process, a procedure, and a state first, last,
+#: both or neither
+_PLANNED: dict[tuple[Iri, ...], frozenset[Iri | None]] = {
     classes: typing_of(classes, LayerTag.PLANNING)
     for classes in (
-        *((cls,) for cls in (*TREE_NODE_CLASSES, None)),
         (EVENT,),
         (PROCESS,),
         (PROCEDURE,),
         *(state_classes(index, last) for index, last in ((0, 1), (1, 1), (0, 0), (1, 2))),
     )
 }
+#: the planning ``trees.typing_of`` of a tree node, one per tree-node
+#: class; a node typed with no tree-node class has none of them
+_PLANNED_TREE_NODE: frozenset[frozenset[Iri | None]] = frozenset(
+    typing_of((cls,), LayerTag.PLANNING) for cls in TREE_NODE_CLASSES
+)
 
 
-def _source(kb: KnowledgeBase, node: Iri, classes: tuple[Iri | None, ...]) -> bool:
+def _source(kb: KnowledgeBase, node: Iri, classes: tuple[Iri, ...]) -> bool:
     """Whether a node the engine would clone, a process, procedure,
-    state or event, is canonical (see ``_canonical``)."""
-    return _canonical(node, kb.entity(node), classes)
-
-
-def _canonical(
-    node: Iri, rec: EntityRecord | None, classes: tuple[Iri | None, ...]
-) -> bool:
-    """Whether ``node``, recorded by ``rec``, is canonical: typed as
-    ``trees.type_node`` types a planning node whose position needs
-    ``classes``, and with nothing else.  ``OutsidePlanningLayer`` unless
-    the planning class is its one layer class."""
+    state or event, is canonical: typed as ``trees.type_node`` types a
+    planning node whose position needs ``classes``, and with nothing
+    else."""
+    rec = kb.entity(node)
     if typed_as(rec, _PLANNED[classes]):
         return True
+    _check_planning(node, rec)
+    return False
+
+
+def _check_planning(node: Iri, rec: EntityRecord | None) -> None:
+    """``OutsidePlanningLayer`` unless the planning class is the one layer
+    class of ``node``, recorded by ``rec``."""
     if rec is None or rec.layer is not LayerTag.PLANNING:
         raise OutsidePlanningLayer(node)
-    return False
 
 
 def _tree_sources(kb: KnowledgeBase, root: Iri) -> tuple[list[TreeRow], bool]:
     """A tree to be cloned, as ``tree_rows`` walks it root first, and
-    whether every node of it is canonical (see ``_canonical``), read
-    from each row's own record: on a clean graph the edge that reaches
-    a tree node has fixed which tree-node class it needs."""
+    whether every node of it is canonical, read from each row's own
+    record.  On a clean graph the edge that reaches a tree node has fixed
+    which tree-node class it needs, so a canonical tree node is typed as
+    ``trees.type_node`` types a planning node of one tree-node class, and
+    with nothing else.  Which class that is, this check does not need:
+    ``clone_tree`` reads it, once per row, for the node's link."""
     rows = tree_rows(kb, root)
     canonical = True
     for node, rec, _ in rows:
-        canonical &= _canonical(node, rec, (tree_class(rec),))
+        if rec is None or frozenset(rec.memberships) not in _PLANNED_TREE_NODE:
+            _check_planning(node, rec)
+            canonical = False
     return rows, canonical
 
 

@@ -4,11 +4,18 @@ errors.
 IRIs are interned in a weak term table, one object per distinct value,
 as in the dictionary encoding of HDT (Fernandez et al., J. Web Semantics
 2013).  Every dict or set probe on an IRI, or on an assertion or search
-key made of IRIs, then hashes and compares by identity in C.
+key made of IRIs, then hashes and compares by identity in C.  A value is
+checked once, when it is first minted; ``intern_checked`` interns a
+value its caller has already checked, such as a clone name made of a
+checked IRI and a checked tail.
 
-A record declares its fields once, in ``__slots__``.  A frozen record
-gets the constructor PEP 557 generates for a dataclass, compiled here
-from its slots without importing ``dataclasses``.
+A record declares its fields once, in ``__slots__``, its own or those
+of the nearest class in its MRO that declares any.  A frozen record gets
+the constructor PEP 557 generates for a dataclass, compiled here from
+its slots without importing ``dataclasses``.  ``Assertion`` is a frozen
+record over the plain slots class ``_Triple``: the two share one
+layout, so the store's insert loop builds a ``_Triple`` with plain
+attribute stores and then sets its ``__class__`` to ``Assertion``.
 """
 
 from __future__ import annotations
@@ -62,22 +69,27 @@ class InvalidIri(InvalidLocalName):
 
 class Record:
     """Base of the package's records.  A subclass names its fields, two
-    or more, in ``__slots__`` and takes them, in that order, in its
-    ``__init__``, which a frozen record has compiled for it.  A record
-    shows, compares and pickles by its fields' values.  ``_fields``
-    reads them into a tuple and ``_key`` what equality compares, all
-    fields unless a subclass sets a narrower ``operator.attrgetter``;
-    both are called with the record.  A plain record can be changed and
-    is not hashable."""
+    or more, in ``__slots__``, or inherits them with an empty
+    ``__slots__`` from the nearest class in its MRO that declares some,
+    and takes them, in that order, in its ``__init__``, which a frozen
+    record has compiled for it.  ``_names`` holds the field names.  A
+    record shows, compares and pickles by its fields' values.
+    ``_fields`` reads them into a tuple and ``_key`` what equality
+    compares, all fields unless a subclass sets a narrower
+    ``operator.attrgetter``; both are called with the record.  A plain
+    record can be changed and is not hashable."""
 
     __slots__ = ()
+    _names: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        if cls.__slots__:
+        names = next((n for c in cls.__mro__ if (n := c.__dict__.get("__slots__"))), ())
+        if names:
+            cls._names = names
             # read in C: the race search hashes and compares lock states,
             # about four times faster than with a generator over the names
-            cls._fields = attrgetter(*cls.__slots__)
+            cls._fields = attrgetter(*names)
             if "_key" not in cls.__dict__:
                 cls._key = cls._fields
 
@@ -87,7 +99,7 @@ class Record:
         return NotImplemented
 
     def __repr__(self) -> str:
-        values = zip(self.__slots__, self._fields(self))
+        values = zip(self._names, self._fields(self))
         shown = ", ".join(f"{name}={value!r}" for name, value in values)
         return f"{self.__class__.__qualname__}({shown})"
 
@@ -108,7 +120,7 @@ class Frozen(Record):
     hashes by ``_key``.
 
     A subclass that writes no ``__init__`` gets one compiled from its
-    ``__slots__`` (see :func:`_compile_init`): it takes the fields in
+    fields (see :func:`_compile_init`): it takes the fields in
     slot order, by position or by keyword, and the class dict
     ``_defaults``, if any, maps the trailing fields to their defaults."""
 
@@ -116,7 +128,7 @@ class Frozen(Record):
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        if cls.__slots__ and "__init__" not in cls.__dict__:
+        if cls._names and "__init__" not in cls.__dict__:
             cls.__init__ = _compile_init(cls)
 
     def __hash__(self) -> int:
@@ -134,12 +146,12 @@ class Frozen(Record):
 
 
 def _compile_init(cls: type[Frozen]) -> object:
-    """``cls.__init__``, compiled once from its slot names.  Each field is
+    """``cls.__init__``, compiled once from its field names.  Each field is
     stored through its slot descriptor's own ``__set__``, bound in a
     closure: a call each with no lookup by name, past the refusing
     ``__setattr__``.  Defaults that do not name exactly the trailing
     fields are refused as the class is created."""
-    names = cls.__slots__
+    names = cls._names
     defaults = cls.__dict__.get("_defaults", {})
     first = len(names) - len(defaults)
     if set(defaults) != set(names[first:]):
@@ -187,12 +199,7 @@ class Iri:
                 return found
         if not value or IRI_BAD.search(value):
             raise InvalidIri(value)
-        iri = object.__new__(cls)
-        _set_value(iri, value)
-        ref = _Ref(iri, _forget)
-        ref.value = value
-        _INTERNED[value] = ref
-        return iri
+        return intern_checked(value)
 
     __setattr__ = Frozen.__setattr__  # refused, as a frozen record's
     __delattr__ = Frozen.__delattr__
@@ -255,11 +262,44 @@ def _forget(ref: _Ref, table: dict[str, _Ref] = _INTERNED) -> None:
         del table[ref.value]
 
 
+def intern_checked(value: str) -> Iri:
+    """``Iri(value)`` for a value its caller has already checked: the live
+    instance if there is one, else a new one, entered in the term table
+    without rescanning ``value`` for refused characters.  The one place
+    an IRI is minted; ``Iri`` calls it after its own check."""
+    ref = _INTERNED.get(value)
+    if ref is not None:
+        found = ref()
+        if found is not None:
+            return found
+    iri = object.__new__(Iri)
+    _set_value(iri, value)
+    ref = _Ref(iri, _forget)
+    ref.value = value
+    _INTERNED[value] = ref
+    return iri
+
+
 #: Object position of an assertion: an IRI or a plain string literal.
 Obj = Iri | str
 
 
-class Assertion(Frozen):
+class _Triple:
+    """The fields of an :class:`Assertion`, with a plain ``__init__``.
+    ``KnowledgeBase.load`` builds one and sets its ``__class__`` to
+    ``Assertion``, which adds no slots: CPython allows the assignment
+    because the two share one layout.  Three plain attribute stores and
+    the assignment cost less than three slot-descriptor calls."""
+
+    __slots__ = ("subject", "predicate", "object")
+
+    def __init__(self, subject: Iri, predicate: Iri, object: Obj) -> None:
+        self.subject = subject
+        self.predicate = predicate
+        self.object = object
+
+
+class Assertion(Frozen, _Triple):
     """One triple.  ``object`` is either an :class:`Iri` or a literal str.
 
     ``sort_key`` is the canonical order: subject, then predicate, then
@@ -267,7 +307,7 @@ class Assertion(Frozen):
     point.  Canonical export sorts plain rows equal to these keys.
     """
 
-    __slots__ = ("subject", "predicate", "object")
+    __slots__ = ()  # the fields are _Triple's
 
     # the store hashes and compares assertions on every insert and probe
     def __eq__(self, other: object) -> bool:

@@ -153,13 +153,13 @@ def _clones(
     """Mint each node's clone in ``layer``, in order, and return the
     source-to-clone map and the clones' memberships: each clone's layer
     class, then every other class of its source."""
-    suffix = f"__{layer.value}__"
+    tail = f"__{layer.value}__"
     layer_cls = layer.class_iri
     entities = kb.entities
     mapping: dict[Iri, Iri] = {}
     triples: list[Triple] = []
     for node in nodes:
-        clone = mapping[node] = kb.fresh_iri(node.value + suffix)
+        clone = mapping[node] = kb.fresh_iri(node, tail)
         triples.append((clone, RDF_TYPE, layer_cls))
         rec = entities.get(node)
         if rec is not None:

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from oasiskg import Assertion, Code, Iri, KnowledgeBase, validate
-from oasiskg.terms import InvalidLocalName, InvalidPrefix, UnknownPrefix
+from oasiskg.terms import InvalidIri, InvalidLocalName, InvalidPrefix, UnknownPrefix
 from oasiskg import vocab
 from oasiskg.vocab import LayerTag, RDF_TYPE
 
@@ -121,11 +121,28 @@ def test_register_prefix_names_the_empty_part(kb: KnowledgeBase, prefix, base, e
 
 
 def test_fresh_iris_count_up_past_names_in_use(kb: KnowledgeBase):
-    assert [kb.fresh_iri(EX + "a__") for _ in range(2)] == [ex("a__1"), ex("a__2")]
+    assert [kb.fresh_iri(ex("a"), "__") for _ in range(2)] == [ex("a__1"), ex("a__2")]
     kb.assert_membership(ex("b__4"), AGENT)
     kb.declare_class(ex("b__5"))
-    assert [kb.fresh_iri(EX + "b__") for _ in range(2)] == [ex("b__3"), ex("b__6")]
-    assert kb.fresh_iri(EX + "a__") == ex("a__7")
+    assert [kb.fresh_iri(ex("b"), "__") for _ in range(2)] == [ex("b__3"), ex("b__6")]
+    assert kb.fresh_iri(ex("a"), "__") == ex("a__7")
+
+
+@pytest.mark.parametrize("tail", ["__ __", "__<", '__"', "{", "|", "^", "`", "\\", "\n"])
+def test_a_fresh_iri_refuses_a_tail_with_a_refused_character(kb: KnowledgeBase, tail):
+    with pytest.raises(InvalidIri) as caught:
+        kb.fresh_iri(ex("a"), tail)
+    assert caught.value.local == EX + "a" + tail
+    assert kb.fresh_iri(ex("a"), "__") == ex("a__1")  # the counter did not move
+
+
+def test_a_fresh_iri_is_the_interned_instance_of_its_name(kb: KnowledgeBase):
+    held = Iri(EX + "c__1")  # interned, and no entity of the graph
+    assert kb.fresh_iri(ex("c"), "__") is held
+    kb.assert_membership(ex("c__3"), vocab.AGENT)
+    fresh = kb.fresh_iri(ex("c"), "__")
+    assert fresh is ex("c__2") and fresh is Iri(fresh.value)
+    assert kb.fresh_iri(ex("c"), "__") is ex("c__4")  # c__3 is the graph's
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import random
+import sys
 from collections import Counter
 
 import pytest
@@ -28,7 +30,7 @@ from oasiskg import (
     realize_process,
     validate,
 )
-from oasiskg import engine
+from oasiskg import engine, trees
 from oasiskg.engine import (
     AssignmentIncomplete,
     CursorCompleted,
@@ -47,6 +49,7 @@ from conftest import (
     build_protocol_scenario,
     consumer_template,
     count_edge_reads,
+    load_benchmark_module,
     lock_step_plan,
     protocol_process_spec,
     store_state,
@@ -597,3 +600,49 @@ def test_a_realization_reads_each_source_node_once_and_loads_each_tree_once(
         }
         written = [batch for batch in batches if tree.intersection(batch)]
         assert len(written) == 1 and set(written[0]) == tree, root
+
+
+def test_a_growth_mix_realization_derives_each_cloned_rows_class_once(monkeypatch):
+    """The benchmark's seed-7 growth mix, built on one graph and then
+    realized and stepped item by item: ``trees.tree_class`` runs once per
+    plan- or action-tree row cloned, wherever it is called from.  The
+    canonical check reads each row's typing; only the clone reads its
+    class."""
+    gen = load_benchmark_module("gen")
+    kb = KnowledgeBase()
+    kb.assert_membership(kb.resolve("shared_resource"), kb.resolve("Resource"))
+    work = []
+    for item in gen.growth_mix(random.Random(7)):
+        agent = declare_agent(kb, kb.resolve(f"agent_{item.tag}"))
+        behaviour = derive_behaviour(
+            kb, build_template(kb, gen.consumer_template(item.tag)), agent
+        )
+        process = build_process(kb, item.spec)
+        states = [kb.resolve(s) for s in gen.state_names(item.spec)]
+        work.append((process, {s: (agent, behaviour) for s in states}))
+    assert validate(kb) == []  # every gate below is a region pass over nothing
+
+    cloned: Counter = Counter()  # rows handed to clone_tree, per node
+    clone_tree = engine.clone_tree
+
+    def counting_clone_tree(kb, rows, *args, **kwargs):
+        cloned.update(node for node, _, _ in rows)
+        return clone_tree(kb, rows, *args, **kwargs)
+
+    derived: Counter = Counter()  # tree_class calls, per node
+    code = trees.tree_class.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            rec = frame.f_locals["rec"]
+            derived[None if rec is None else rec.iri] += 1
+
+    monkeypatch.setattr(engine, "clone_tree", counting_clone_tree)
+    sys.setprofile(profile)
+    try:
+        for process, assignment in work:
+            realize_process(kb, process, assignment).run_to_completion()
+    finally:
+        sys.setprofile(None)
+    assert sum(cloned.values()) > len(work)
+    assert derived == cloned

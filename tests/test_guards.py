@@ -159,6 +159,17 @@ GUARDS = [
         "declare a frozen record's fields in __slots__ and _defaults",
         'set_field(self, "name", name)',
     ),
+    # KnowledgeBase.load, the store's one insert loop, builds each
+    # assertion as a terms._Triple and assigns it Assertion's class, the
+    # two sharing one layout; everywhere else an assertion is built
+    # through Assertion's own constructor
+    (
+        "Assertions built past their constructor only in the store's insert loop",
+        r"__class__\s*=[^=]|\b_Triple\b",
+        ("terms.py", "core.py"),
+        "build assertions through Assertion(subject, predicate, object)",
+        "edge.__class__ = Assertion",
+    ),
     # typing.NamedTuple and collections.namedtuple build their
     # classes from generated code; records subclass terms.Record or
     # terms.Frozen like the rest

@@ -9,13 +9,16 @@ out the same, in the same order.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
 import store_oracle
 from conftest import store_state
-from oasiskg import Iri, KnowledgeBase, vocab
+from oasiskg import Assertion, Iri, KnowledgeBase, vocab
 from oasiskg.core import LayerConstraintViolated
 from oasiskg.vocab import RDF_TYPE
 
@@ -138,3 +141,45 @@ def test_a_refused_batch_writes_nothing():
     assert not kb.entities
     assert kb.journal == []
     assert not kb._literal_in
+
+
+FIELDS = ("subject", "predicate", "object")
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_every_stored_assertion_is_a_frozen_assertion(seed: int):
+    """``load`` builds each assertion past ``Assertion``'s constructor; what
+    it stores is an ``Assertion`` all the same, wherever the store keeps
+    it: in the assertion set, the edge lists, the literal buckets and the
+    journal."""
+    rng = random.Random(seed)
+    kb = KnowledgeBase()
+    kb.journal = []
+    for _ in range(6):
+        apply(kb, KnowledgeBase.load, random_batch(rng))
+    subject, predicate, obj = random_triple(rng)
+    kb.assert_property(subject, predicate, obj)
+    kb.assert_membership(subject, rng.choice(CLASSES))
+    stored = {id(a): a for a in kb.assertions}
+    for pool in (
+        kb.journal,
+        *(rec.edges for rec in kb.entities.values()),
+        *(rec._in for rec in kb.entities.values()),
+        *kb._literal_in.values(),
+    ):
+        assert all(stored.get(id(a)) is a for a in pool)
+    assert stored
+    for a in stored.values():
+        built = Assertion(a.subject, a.predicate, a.object)
+        assert type(a) is Assertion
+        for field in FIELDS:
+            with pytest.raises(FrozenInstanceError):
+                setattr(a, field, built.subject)
+            with pytest.raises(FrozenInstanceError):
+                delattr(a, field)
+        assert a == built and hash(a) == hash(built)
+        assert repr(a) == repr(built)
+        for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+            assert type(twin) is Assertion
+            assert twin == a and hash(twin) == hash(a)
+            assert [getattr(twin, f) for f in FIELDS] == [getattr(a, f) for f in FIELDS]
