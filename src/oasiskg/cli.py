@@ -8,7 +8,8 @@ file.
 Each command imports the modules it runs when it runs: ``validate``
 loads the validator, ``run`` the engine (and the validator under it),
 ``races`` the race search and ``build`` the builder.  Only the store,
-its vocabulary and the graph reader load with this module.
+its vocabulary and the graph reader load with this module.  ``run``
+checks the graph it would write through ``validate`` alone.
 
 The environment variable OASIS_PREFIX_MAP may name a JSON file of
 additional prefix bindings ({"pfx": "http://..."}) applied to every
@@ -207,14 +208,17 @@ def cmd_build(args: argparse.Namespace) -> int:
     return OK
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    from .validator import validate
-
-    kb = _read_graph(args.path)
-    violations = validate(kb)
+def _report(violations: list) -> int:
+    """Print each finding on its own line; exit 2 if there are any."""
     for violation in violations:
         print(violation.render())
     return FINDINGS if violations else OK
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    from .validator import validate
+
+    return _report(validate(_read_graph(args.path)))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -243,26 +247,18 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     try:
         handle = engine.realize_process(kb, kb.resolve(args.process), assignment)
+        steps = handle.run_to_completion()
+        # the graph it would write, checked before anything is written or
+        # printed; after a certified run this pass has nothing to re-read
+        violations = validate(kb)
     except engine.ValidationFailed as err:
-        for violation in err.violations:
-            print(violation.render())
-        return FINDINGS
+        return _report(err.violations)
     except (engine.PerformerLacksCapability, engine.RoleDeprecatedUse) as err:
         return _fail(str(err), FINDINGS)
     except ModelError as err:
         return _fail(str(err), OPERATIONAL)
-    try:
-        steps = handle.run_to_completion()
-    except ModelError as err:
-        return _fail(str(err), OPERATIONAL)
-    if kb.journal:
-        # the engine kept writes it could not certify clean: check them
-        # before anything is written or printed
-        violations = validate(kb)
-        if violations:
-            for violation in violations:
-                print(violation.render())
-            return FINDINGS
+    if violations:
+        return _report(violations)
     lines = [step.trace_line() for step in steps]
     outputs = {}
     if args.trace:

@@ -31,10 +31,11 @@ it serves tests and the benchmark's tracer.  ``objects`` and
 ``subjects`` scan one subject's or object's edges and match the
 predicate by identity (IRIs are interned), building no set per call;
 ``objects`` with ``entail`` tests each predicate against the
-predicate's ``SUB_CLOSURE`` entry instead.  ``edges`` and ``in_edges``
-hand out the store's own list, in insertion order, as does
-``EntityRecord.edges``: callers read it and must not mutate it, nor
-write to the store while iterating it.  The edge lists are not record
+predicate's ``SUB_CLOSURE`` entry instead, and ``entails`` reads
+subproperties through it, so the store reads them one way.  ``edges``
+and ``in_edges`` hand out the store's own list, in insertion order, as
+does ``EntityRecord.edges``: callers read it and must not mutate it,
+nor write to the store while iterating it.  The edge lists are not record
 fields: a record shows and compares by its IRI and memberships, and a
 copy of one carries its lists along as extra state, so a copied store
 keeps its edges.
@@ -301,12 +302,8 @@ class KnowledgeBase:
 
     def entails(self, subject: Iri, predicate: Iri, obj: Obj) -> bool:
         """True when the triple is asserted directly or via a declared
-        subproperty of ``predicate``."""
-        preds = vocab.SUB_CLOSURE.get(predicate, (predicate,))
-        for p in preds:
-            if Assertion(subject, p, obj) in self.assertions:
-                return True
-        return False
+        subproperty of ``predicate``: one entailing ``objects`` read."""
+        return obj in self.objects(subject, predicate, entail=True)
 
     def query(
         self,

@@ -107,11 +107,6 @@ class Record:
         return self.__class__, self._fields(self)
 
 
-#: how a record that writes its own ``__init__`` sets a frozen field,
-#: past ``__setattr__``
-set_field = object.__setattr__
-
-
 class Frozen(Record):
     """A record whose fields are set once, as it is built; later
     assignment and deletion raise dataclasses' ``FrozenInstanceError``.

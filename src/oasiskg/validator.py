@@ -10,11 +10,13 @@ run only on what the store's change journal can reach, each assertion
 object once, with the same result as a whole-graph pass; a removal can
 cost a whole-graph pass, never a wrong verdict.  An empty journal means
 the graph is clean and only certified engine writes have happened since
-(see ``engine``), so a pass over it checks nothing.  Endpoint constraints
-are read here, not in the store, and capability too, for the performer
-check and the engine's gate alike.  The whole pass and the region pass
-alike test each edge against its property's check row, compiled once
-from ``vocab.PROPERTIES``, and ``constraint_problem`` words any failure.
+(see ``engine``), so a pass over it checks nothing: the engine's gate
+and ``run``'s check after its writes both rely on that.  Endpoint
+constraints are read here, not in the store, and capability too, for
+the performer check and the engine's gate alike.  The whole pass and
+the region pass alike test each edge against its property's check row,
+compiled once from ``vocab.PROPERTIES``, and ``constraint_problem``
+words a failure from that row and the endpoints' memberships.
 ``check_mirror`` verifies that a linked tree retraces its source tree
 edge by edge through the right family subproperties; one walk of the
 source tree reads each node's record, child edges and family links
@@ -28,7 +30,7 @@ from enum import Enum
 
 from . import vocab
 from .core import EntityRecord, KnowledgeBase
-from .terms import Assertion, Frozen, Iri, ModelError, Obj
+from .terms import Assertion, Frozen, Iri, ModelError
 from .trees import CHILD_RANK, depth_first, tree_class, tree_rows
 from .vocab import RDF_TYPE
 
@@ -398,14 +400,13 @@ def _layer_class(layer: vocab.LayerTag | None) -> Iri | None:
     return None if layer is None else layer.class_iri
 
 
-#: property -> its check row: the spec, the finding code, the literal
-#: flag, the subject's layer class and class set, the object's, and
-#: whether both endpoints must be typed; ``None`` leaves a slot
-#: unconstrained.  An endpoint passes when it has the layer class and
-#: one of the classes; one that does not goes to ``constraint_problem``
+#: property -> its check row: the finding code, the literal flag, the
+#: subject's layer class and class set, the object's, and whether both
+#: endpoints must be typed; ``None`` leaves a slot unconstrained.  An
+#: endpoint passes when it has the layer class and one of the classes;
+#: an edge with one that does not goes to ``constraint_problem``
 _CHECKS: dict[Iri, tuple] = {
     pred: (
-        spec,
         _FAMILY_CODES.get(pred, Code.LAYER_CONSTRAINT),
         spec.literal_object,
         _layer_class(spec.subject_layer),
@@ -418,42 +419,30 @@ _CHECKS: dict[Iri, tuple] = {
 }
 
 
-def _off_layer(rec: EntityRecord | None, layer: vocab.LayerTag) -> bool:
-    """Whether an edge's endpoint is outside ``layer``.  An endpoint with
-    several layer classes is not: mixed endpoints are reported on their
-    own, not per edge."""
-    tags = vocab.LAYER_CLASSES.intersection(rec.memberships) if rec is not None else ()
-    if len(tags) != 1:
-        return not tags
-    (cls,) = tags
-    return vocab.LAYER_TAG_OF_CLASS[cls] is not layer
-
-
 def constraint_problem(
-    kb: KnowledgeBase, spec: vocab.PropertySpec, subject: Iri, obj: Obj
+    row: tuple, s_in: dict[Iri, None], o_in: dict[Iri, None] | None
 ) -> str | None:
-    """First endpoint-constraint violation for the edge, or ``None``."""
-    if spec.literal_object != isinstance(obj, str):
-        return (
-            "object must be a literal"
-            if spec.literal_object
-            else "object must be an IRI"
-        )
-    s_rec = kb.entities.get(subject)
-    if spec.subject_layer is not None and _off_layer(s_rec, spec.subject_layer):
-        return f"subject must be in the {spec.subject_layer.value} layer"
-    if spec.subject_classes is not None:
-        if s_rec is None or not spec.subject_classes.intersection(s_rec.memberships):
-            names = "/".join(sorted(c.local for c in spec.subject_classes))
-            return f"subject must be a {names}"
-    if isinstance(obj, Iri):
-        o_rec = kb.entities.get(obj)
-        if spec.object_layer is not None and _off_layer(o_rec, spec.object_layer):
-            return f"object must be in the {spec.object_layer.value} layer"
-        if spec.object_classes is not None:
-            if o_rec is None or not spec.object_classes.intersection(o_rec.memberships):
-                names = "/".join(sorted(c.local for c in spec.object_classes))
-                return f"object must be a {names}"
+    """First endpoint-constraint violation of an edge against its check
+    row, or ``None``.  ``s_in`` and ``o_in`` are the endpoints' class
+    memberships, ``o_in`` ``None`` for a literal object.  An endpoint
+    with several layer classes is not outside a layer: mixed endpoints
+    are reported on their own, not per edge."""
+    _, literal, s_layer, s_classes, o_layer, o_classes, _ = row
+    if literal != (o_in is None):
+        return "object must be a literal" if literal else "object must be an IRI"
+    layer_of = vocab.LAYER_TAG_OF_CLASS
+    if s_layer is not None and s_layer not in s_in and len(layer_of.keys() & s_in) < 2:
+        return f"subject must be in the {layer_of[s_layer].value} layer"
+    if s_classes is not None and s_classes.isdisjoint(s_in):
+        names = "/".join(sorted(c.local for c in s_classes))
+        return f"subject must be a {names}"
+    if o_in is None:
+        return None
+    if o_layer is not None and o_layer not in o_in and len(layer_of.keys() & o_in) < 2:
+        return f"object must be in the {layer_of[o_layer].value} layer"
+    if o_classes is not None and o_classes.isdisjoint(o_in):
+        names = "/".join(sorted(c.local for c in o_classes))
+        return f"object must be a {names}"
     return None
 
 
@@ -478,7 +467,7 @@ def _assertion_checks(
         if row is None:
             unknown[pred] = None
             continue
-        spec, code, literal, s_layer, s_classes, o_layer, o_classes, typed = row
+        code, literal, s_layer, s_classes, o_layer, o_classes, typed = row
         subject, obj = a.subject, a.object
         rec = entities.get(subject)
         s_in = rec.memberships if rec is not None else _UNTYPED
@@ -498,7 +487,7 @@ def _assertion_checks(
             and (s_layer is None or s_layer in s_in)
             and (s_classes is None or not s_classes.isdisjoint(s_in))
         ):
-            problem = constraint_problem(kb, spec, subject, obj)
+            problem = constraint_problem(row, s_in, o_in)
             if problem is not None:
                 subjects = (subject,) if o_in is None else (subject, obj)
                 out.append(Violation(code, subjects, f"{pred.local}: {problem}"))

@@ -803,13 +803,27 @@ def test_run_checks_the_writes_it_could_not_certify(witness, code, tmp_path, cap
 
 
 def test_a_certified_run_validates_only_at_its_gate(built_kb, tmp_path, monkeypatch):
-    """A run the engine certifies leaves the journal empty, so nothing is
-    checked after its writes."""
+    """The gate makes the run's one whole-graph pass.  The engine
+    certifies the run's writes, so the journal is empty after them, and
+    run's check of the graph it would write is a region pass over no
+    candidates."""
     kb_path, roots = built_kb
     assign = tmp_path / "assign.json"
     assign.write_text(json.dumps(assignment_doc(roots, "a")))
-    calls = []
-    monkeypatch.setattr(validator, "validate", lambda kb: calls.append(kb) or [])
+    passes = []
+    whole, reach = validator._whole, validator._reach
+
+    def counted_whole(kb):
+        passes.append("whole")
+        return whole(kb)
+
+    def counted_reach(kb, journal):
+        candidates = reach(kb, journal)
+        passes.append(("region", list(journal), [list(c) for c in candidates]))
+        return candidates
+
+    monkeypatch.setattr(validator, "_whole", counted_whole)
+    monkeypatch.setattr(validator, "_reach", counted_reach)
     code, lines = run_cli(
         "run",
         "--kb", str(kb_path),
@@ -817,7 +831,7 @@ def test_a_certified_run_validates_only_at_its_gate(built_kb, tmp_path, monkeypa
         "--assign", str(assign),
     )
     assert code == 0 and len(lines) == 3
-    assert calls == []
+    assert passes == ["whole", ("region", [], [[], [], []])]
 
 
 def test_run_rejects_bad_assignment_files(built_kb, tmp_path, capsys):

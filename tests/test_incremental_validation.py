@@ -431,23 +431,30 @@ def _step(rng: random.Random, kb: KnowledgeBase, world: _World, n: int, dirty: b
     return op
 
 
+def seeded_world(seed: int) -> tuple[random.Random, KnowledgeBase, _World]:
+    """A sequence's generator and its starting graph: a consumer, a helper
+    granted its behaviour through a role, and a process."""
+    rng = random.Random(seed)
+    kb = KnowledgeBase()
+    world = _World()
+    kb.assert_membership(kb.resolve("shared_resource"), kb.resolve("Resource"))
+    agent = declare_agent(kb, kb.resolve("agent_c0"))
+    template = build_template(kb, consumer_template("c0"))
+    behaviour = derive_behaviour(kb, template, agent)
+    world.owned.append((agent, behaviour))
+    helper = declare_agent(kb, kb.resolve("helper_c0"))
+    role = grant_role(kb, helper, kb.resolve("Courier"), [behaviour])
+    world.granted.append((helper, behaviour, role))
+    world.processes.append(build_process(kb, protocol_process_spec("p0")))
+    return rng, kb, world
+
+
 def test_seeded_sequences_match_the_whole_graph_pass():
     verdicts: Counter = Counter()
     codes_found_incrementally: set = set()
     ops: Counter = Counter()
     for seed in range(200):
-        rng = random.Random(seed)
-        kb = KnowledgeBase()
-        world = _World()
-        kb.assert_membership(kb.resolve("shared_resource"), kb.resolve("Resource"))
-        agent = declare_agent(kb, kb.resolve("agent_c0"))
-        template = build_template(kb, consumer_template("c0"))
-        behaviour = derive_behaviour(kb, template, agent)
-        world.owned.append((agent, behaviour))
-        helper = declare_agent(kb, kb.resolve("helper_c0"))
-        role = grant_role(kb, helper, kb.resolve("Courier"), [behaviour])
-        world.granted.append((helper, behaviour, role))
-        world.processes.append(build_process(kb, protocol_process_spec("p0")))
+        rng, kb, world = seeded_world(seed)
         dirty = False
         for n in range(1, 9):
             op = _step(rng, kb, world, n, dirty)

@@ -7,13 +7,18 @@ kinds, mirror roots and performers found by ``KnowledgeBase.query``,
 and its own copies of the entity, assertion and mirror checks, from
 before each edge was tested against its property's check row.  Their
 rendered findings must be equal, line for line, on every mutation table
-entry alone and in pairs, and on realized growth graphs.
+entry alone and in pairs, and on realized growth graphs.  Edge by edge,
+``constraint_problem`` worded from a property's check row must equal the
+oracle's, worded from its spec, on the mutation corpus and on the seeded
+sequences of ``tests/test_incremental_validation.py``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
+from collections import Counter
 
 from oasiskg import (
     KnowledgeBase,
@@ -26,6 +31,8 @@ from oasiskg import (
     vocab,
 )
 from oasiskg.engine import procedure_order, state_chain
+from oasiskg.terms import Iri
+from oasiskg.validator import _CHECKS, _UNTYPED, constraint_problem
 from oasiskg.vocab import RDF_TYPE
 
 from conftest import (
@@ -36,6 +43,7 @@ from conftest import (
 )
 import validation_oracle
 from mutations import MUTATIONS
+from test_incremental_validation import _step, seeded_world
 from validation_oracle import whole_pass
 
 
@@ -53,6 +61,60 @@ def rendered(kb: KnowledgeBase) -> tuple[list[str], list[str]]:
 def test_the_oracle_runs_its_own_checks():
     for name in ("_entity_checks", "_assertion_checks", "constraint_problem", "check_mirror"):
         assert getattr(validation_oracle, name).__module__ == "validation_oracle", name
+
+
+def edge_problems(kb: KnowledgeBase) -> list[tuple[str | None, bool]]:
+    """For each declared edge, ``constraint_problem`` on its check row and
+    its endpoints' memberships, held to the oracle's wording from the
+    property spec, passing edges included; and whether an endpoint
+    carries several layer classes."""
+
+    def memberships(end: Iri) -> dict[Iri, None]:
+        rec = kb.entities.get(end)
+        return rec.memberships if rec is not None else _UNTYPED
+
+    out = []
+    for a in kb.assertions:
+        row = _CHECKS.get(a.predicate)
+        if row is None:
+            continue
+        s_in = memberships(a.subject)
+        o_in = memberships(a.object) if isinstance(a.object, Iri) else None
+        got = constraint_problem(row, s_in, o_in)
+        spec = vocab.PROPERTIES[a.predicate]
+        assert got == validation_oracle.constraint_problem(kb, spec, a.subject, a.object), a
+        mixed = any(
+            len(vocab.LAYER_CLASSES.intersection(m)) > 1 for m in (s_in, o_in or {})
+        )
+        out.append((got, mixed))
+    return out
+
+
+def test_endpoint_failures_are_worded_from_their_check_row():
+    """On every edge of the mutation corpus and of the seeded incremental
+    sequences, after each step, the check row words what the property
+    spec does; every kind of message turns up."""
+    seen: Counter = Counter()
+    for mutation in MUTATIONS:
+        kb = KnowledgeBase()
+        ctx = build_protocol_scenario(kb, with_events=True)
+        mutation.apply(kb, ctx)
+        seen.update(edge_problems(kb))
+    for seed in range(200):
+        rng, kb, world = seeded_world(seed)
+        dirty = False
+        for n in range(1, 9):
+            _step(rng, kb, world, n, dirty)
+            seen.update(edge_problems(kb))
+            dirty = bool(validate(kb))
+    kinds = {
+        re.match(r"(subject|object) must be (in the|an IRI|a literal|a)", problem).group()
+        for problem, _ in seen
+        if problem is not None
+    }
+    assert len(kinds) == 6, kinds
+    assert seen[(None, False)] > 100_000
+    assert seen[(None, True)] > 0  # mixed endpoints are reported on their own
 
 
 def test_every_mutation_alone_and_in_pairs_matches_the_oracle():

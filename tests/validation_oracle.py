@@ -22,7 +22,7 @@ from collections.abc import Iterable
 
 from oasiskg import vocab
 from oasiskg.core import EntityRecord, KnowledgeBase
-from oasiskg.terms import Assertion, Frozen, Iri, Obj, set_field
+from oasiskg.terms import Assertion, Frozen, Iri, Obj
 from oasiskg.trees import depth_first
 from oasiskg.validator import (
     _CAPABILITY_MESSAGES,
@@ -47,23 +47,13 @@ def whole_pass(kb: KnowledgeBase) -> list[Violation]:
 
 
 class _Candidates(Frozen):
-    """What each check looks at: all of the graph, or what a journal reaches."""
+    """What each check looks at: all of the graph, or what a journal
+    reaches.  ``entities`` for layer mix, states, events and executions;
+    ``assertions`` for unknown predicates, endpoints and dangling ones;
+    ``trees``, mirror roots as (source, target, family); ``procedures``
+    for chains; ``performs``, performers as (agent, execution root)."""
 
     __slots__ = ("entities", "assertions", "trees", "procedures", "performs")
-
-    def __init__(
-        self,
-        entities: Iterable[EntityRecord],  # layer mix, states, events, executions
-        assertions: Iterable[Assertion],  # unknown predicate, endpoints, dangling
-        trees: Iterable[tuple[Iri, Iri, Iri]],  # mirror roots: source, target; family
-        procedures: Iterable[Iri],  # chains
-        performs: Iterable[tuple[Iri, Obj]],  # performers: agent, execution root
-    ) -> None:
-        set_field(self, "entities", entities)
-        set_field(self, "assertions", assertions)
-        set_field(self, "trees", trees)
-        set_field(self, "procedures", procedures)
-        set_field(self, "performs", performs)
 
 
 def _findings(kb: KnowledgeBase, c: _Candidates) -> list[Violation]:
