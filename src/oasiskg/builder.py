@@ -46,7 +46,6 @@ from .trees import (
     is_root,
     link_procedures,
     link_states,
-    plan_tasks,
     state_classes,
     tree_class,
     tree_rows,

@@ -20,31 +20,42 @@ The search visits each distinct state once.  A resource's lock state
 holds only what ``interpret_step`` reads: the holder, the last writer
 and the latest writer before it other than that one, so a Modify keeps
 at most two writers, not the whole history.  Each lock state is given
-a small int id when first seen, so a search state is a flat tuple of
-ints: the runs' positions, then each resource's lock-state id.  Each
-state is numbered when first reached and its moves are kept by number,
-so one copy of each state is stored.  Each distinct (agent, step kind)
-is an action numbered from 0, and a transition table keyed by the one
-int ``lock-state id * actions + action`` gives the next id, or blocked,
-and the hazard raised, so ``interpret_step`` runs once per distinct
-transition, not once per state and run.  ``sum(positions)`` fixes
-step indices and the bound cut, so a state reached again was searched,
-at the same depth, before.  Hazards are taken on the step that raises
-them, in pre-order: the order "first schedule in depth-first order,
-then step order" of a walk over every schedule.  A report's schedule is
-its prefix plus the leftmost completion below, so reports match that
-walk's byte for byte.
+a small int id when first seen.  With A distinct agents there are at
+most (A + 1)(A² + 1) lock states, a holder or none times no, one or two
+distinct last writers, which fixes the width of a lock-state id.  A
+search state is one int of fixed bit fields: from bit 0 up, each
+resource's lock-state id, then each run's position, as wide as its
+length needs.  A move adds one to its run's field and swaps its
+resource's id, with one addition to the int.  Each state is numbered
+when first reached and its moves are kept by number, so one copy of
+each state is stored.  Each distinct (agent, step kind) is an action
+numbered from 0, and a transition table at the one int ``lock-state id
+* actions + action`` gives the next id, or blocked, and the hazard
+raised, so ``interpret_step`` runs once per distinct transition, not
+once per state and run.  ``sum(positions)`` fixes step indices and the
+bound cut, so a state reached again was searched, at the same depth,
+before.  The walk keeps one list of frames, one per state on the path
+above the current one, each with the run index its next move is tried
+from; a leaf at the cut gets no frame.  Hazards are taken on the step
+that raises them, in pre-order: the order "first schedule in
+depth-first order, then step order" of a walk over every schedule.  The
+frames spell the path, so a hazard's prefix is read off them when it is
+first raised, and no state keeps its own.  A report's schedule is that
+prefix plus the leftmost completion below, so reports match that walk's
+byte for byte.
 
 ``extract_runs`` rebuilds runs from realized processes.  It reads each
 task's edges once, sorting their IRI objects into the operators and
 the three resource-bearing predicates, and each referenced node's
-edges once, exact references before new ones.
+edges once, exact references before new ones.  One call memoizes the
+step kind of each operator target, once mapped, so an unmapped name
+still fails for each task that carries it, and whether each referenced
+individual is typed by a class named Resource.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from enum import Enum
 
 from .core import KnowledgeBase
@@ -188,11 +199,11 @@ def interpret_step(state: ResourceState, agent: Iri, kind: StepKind) -> StepOutc
 # Exploration
 # ---------------------------------------------------------------------------
 
-#: a search state: run positions, then lock-state ids by first-named resource
-_Key = tuple[int, ...]
 #: by state number: each move as (run index, next state's number)
 _Moves = list[tuple[tuple[int, int], ...]]
 _STATUSES = ("complete", "deadlock", "truncated")
+#: the schedule counts of a leaf, by status
+_COMPLETE, _DEADLOCK, _TRUNCATED = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
 
 class RaceSearch(Frozen):
@@ -204,28 +215,45 @@ class RaceSearch(Frozen):
 def _search(
     runs: list[ProtocolRun], bound: int
 ) -> tuple[_Moves, list[tuple[int, ...]], list[RaceReport]]:
-    """Depth-first search over distinct states, on an explicit stack of
-    one generator per state on the path.  States are numbered in the
-    order they are first reached, the start state 0.  Returns by state
-    number the moves and the schedules below counted in ``_STATUSES``
-    order, then the reports."""
+    """Depth-first search over distinct states, each packed in one int,
+    on a list of frames, one per state on the path above the current
+    one.  States are numbered in the order they are first reached, the
+    start state 0.  Returns by state number the moves and the schedules
+    below counted in ``_STATUSES`` order, then the reports."""
     resources = list(dict.fromkeys(s.resource for run in runs for s in run.steps))
-    #: each resource's lock-state id sits in the key after the positions
-    cell_of = {resource: len(runs) + n for n, resource in enumerate(resources)}
+    agents = len({run.agent for run in runs})
+    #: a lock state holds a holder or none and no, one or two distinct
+    #: last writers: at most (A + 1)(A² + 1) of them for A agents
+    lock_bits = ((agents + 1) * (agents * agents + 1) - 1).bit_length()
+    lock_mask = (1 << lock_bits) - 1
+    #: from bit 0 up, each resource's lock-state id field, then each
+    #: run's position field
+    lock_shift = {resource: n * lock_bits for n, resource in enumerate(resources)}
+    shift = len(resources) * lock_bits
     #: each distinct (agent, step kind), numbered in order of appearance
     actions: dict[tuple[Iri, StepKind], int] = {}
-    #: per run, each step as (key cell of its resource, action), then None
-    plans = [
-        [
-            (cell_of[s.resource], actions.setdefault((run.agent, s.kind), len(actions)))
+    #: per run: each step as (its resource's field shift, action), then
+    #: None; the position field's shift and mask; and the key's increment
+    #: for one step of the run
+    fields = []
+    for run in runs:
+        width = len(run.steps).bit_length()
+        plan = [
+            (lock_shift[s.resource], actions.setdefault((run.agent, s.kind), len(actions)))
             for s in run.steps
         ]
-        + [None]
-        for run in runs
-    ]
+        fields.append((plan + [None], shift, (1 << width) - 1, 1 << shift))
+        shift += width
+    n_runs = len(fields)
     agent_kinds = list(actions)
     n_actions = len(actions)
     total = sum(len(run.steps) for run in runs)
+    cut = max(0, min(total, bound))
+    #: every leaf that is no deadlock is at depth ``cut``, so all of
+    #: them complete or all are truncated
+    leaf = _COMPLETE if cut == total else _TRUNCATED
+    if cut == 0:  # the start state is the only leaf
+        return [()], [leaf], []
     #: each distinct lock state by id, and ids by state
     lock_states = [ResourceState()]
     lock_ids = {ResourceState(): 0}
@@ -234,14 +262,14 @@ def _search(
     #: lock-state id * n_actions + action -> (next lock-state id or -1
     #: if the step blocks, hazard or -1)
     table: dict[int, tuple[int, int]] = {}
-    root: _Key = (0,) * (len(runs) + len(resources))
-    #: each state reached by number; its moves and counts, by number,
-    #: are filled in when its search ends
-    numbers = {root: 0}
+    #: each state reached by number, the start state all zeros; its
+    #: moves and counts, by number, are filled in when its search ends
+    numbers = {0: 0}
     moves: _Moves = [()]
     counts: list[tuple[int, ...]] = [()]
-    #: the first (prefix, next state) to raise each (hazard, key cell)
-    found: dict[tuple[int, int], tuple[tuple[int, ...], _Key]] = {}
+    #: the first (schedule prefix, next state's number) to raise each
+    #: (hazard, resource's field shift)
+    found: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
 
     def transition(lid: int, action: int) -> tuple[int, int]:
         """The entry of ``table`` for ``action`` on lock state ``lid``."""
@@ -249,78 +277,80 @@ def _search(
         outcome = interpret_step(lock_states[lid], agent, kind)
         if outcome.blocked:
             return -1, -1
-        if outcome.state not in lock_ids:
-            lock_ids[outcome.state] = len(lock_states)
+        lid = lock_ids.get(outcome.state)
+        if lid is None:
+            lid = lock_ids[outcome.state] = len(lock_states)
             lock_states.append(outcome.state)
         hazard = -1
         if outcome.race and outcome.other:
             triple = (outcome.race, agent, outcome.other)
             hazard = hazards.setdefault(triple, len(hazards))
-        return lock_ids[outcome.state], hazard
+        return lid, hazard
 
-    def visit(
-        key: _Key, number: int, prefix: tuple[int, ...]
-    ) -> Iterator[tuple[_Key, int, tuple[int, ...]]]:
-        """Take ``key``'s moves in run order, yielding each next state
-        reached for the first time so that it is searched before the
-        next move is taken; then count the schedules below ``key``."""
-        depth = len(prefix)  # the sum of the run positions
-        if depth == total or depth >= bound:
-            counts[number] = (1, 0, 0) if depth == total else (0, 0, 1)
-            return
-        out: list[tuple[int, int]] = []
-        for i, plan in enumerate(plans):
-            step = plan[key[i]]
+    #: the states on the path above the current one, each as (key,
+    #: number, the run index its next move is tried from, its moves so
+    #: far); each frame's next run index is one past the move taken
+    frames: list[tuple[int, int, int, list[tuple[int, int]]]] = []
+    key = number = start = depth = 0  # the current state; depth: sum(positions)
+    out: list[tuple[int, int]] = []
+    while True:
+        # take the current state's moves in run order from ``start``; a
+        # next state reached for the first time is searched before the
+        # next move is taken, unless it is a leaf at the cut
+        last = depth + 1 == cut
+        for i in range(start, n_runs):
+            plan, run_shift, run_mask, run_one = fields[i]
+            step = plan[(key >> run_shift) & run_mask]
             if step is None:
                 continue
-            cell, action = step
-            probe = key[cell] * n_actions + action
+            shift, action = step
+            lid = (key >> shift) & lock_mask
+            probe = lid * n_actions + action
             move = table.get(probe)
             if move is None:
-                move = table[probe] = transition(key[cell], action)
-            lid, hazard = move
-            if lid < 0:
+                move = table[probe] = transition(lid, action)
+            new, hazard = move
+            if new < 0:
                 continue
-            cells = list(key)
-            cells[i] += 1
-            cells[cell] = lid
-            child = tuple(cells)
-            if hazard >= 0 and (hazard, cell) not in found:
-                found[hazard, cell] = (prefix + (i,), child)
+            child = key + run_one + ((new - lid) << shift)
             n = numbers.get(child)
-            if n is None:  # reached for the first time: search it now
+            fresh = n is None
+            if fresh:
                 n = numbers[child] = len(moves)
                 moves.append(())
-                counts.append(())
-                yield child, n, prefix + (i,)
+                counts.append(leaf if last else ())
+            if hazard >= 0 and (hazard, shift) not in found:
+                prefix = tuple(frame[2] - 1 for frame in frames) + (i,)
+                found[hazard, shift] = (prefix, n)
             out.append((i, n))
-        moves[number] = tuple(out)
-        if not out:
-            counts[number] = (0, 1, 0)
-            return
-        complete = deadlock = truncated = 0
-        for _, n in out:
-            c, d, t = counts[n]
-            complete += c
-            deadlock += d
-            truncated += t
-        counts[number] = (complete, deadlock, truncated)
-
-    stack = [visit(root, 0, ())]
-    while stack:
-        for child, number, prefix in stack[-1]:
-            stack.append(visit(child, number, prefix))
-            break
+            if fresh and not last:
+                frames.append((key, number, i + 1, out))
+                key, number, start, out = child, n, 0, []
+                depth += 1
+                break
         else:
-            stack.pop()
+            # every move taken: count the schedules below the state
+            moves[number] = tuple(out)
+            if out:
+                complete = deadlock = truncated = 0
+                for _, n in out:
+                    c, d, t = counts[n]
+                    complete += c
+                    deadlock += d
+                    truncated += t
+                counts[number] = (complete, deadlock, truncated)
+            else:
+                counts[number] = _DEADLOCK
+            if not frames:
+                break
+            key, number, start, out = frames.pop()
+            depth -= 1
     reports = []
     triples = list(hazards)
-    for (hazard, cell), (schedule, child) in found.items():
+    for (hazard, shift), (schedule, number) in found.items():
         kind, actor, other = triples[hazard]
-        resource = resources[cell - len(runs)]
-        conflict = Conflict(resource, actor, other, len(schedule) - 1)
-        number = numbers[child]
-        while moves[number]:  # complete the schedule leftmost below ``child``
+        conflict = Conflict(resources[shift // lock_bits], actor, other, len(schedule) - 1)
+        while moves[number]:  # complete the schedule leftmost below
             i, number = moves[number][0]
             schedule += (i,)
         reports.append(RaceReport(schedule, conflict, kind))
@@ -391,34 +421,51 @@ def _refs(kb: KnowledgeBase, node: Iri) -> list[Iri]:
 
 
 def _step(
-    kb: KnowledgeBase, task: Iri, op_map: dict[str, StepKind], fallback: Iri
+    kb: KnowledgeBase,
+    task: Iri,
+    op_map: dict[str, StepKind],
+    fallback: Iri,
+    kinds: dict[Iri | None, StepKind],
+    resources: dict[Iri, bool],
 ) -> Step:
     """A task's step from one read of its edges.  The kind comes from the
     first target the operators refer to; the resource is the first
     referenced individual typed by a class named Resource, else the
-    first referenced individual, else the fallback."""
+    first referenced individual, else the fallback.  ``kinds`` memoizes
+    the kind by target (``None`` for no target), and only once mapped,
+    so an unmapped name fails for each task that has it; ``resources``
+    memoizes whether an individual is typed by a Resource class."""
     slots: tuple[list[Iri], ...] = ([], [], [], [])
     for a in kb.edges(task):
         slot = _SLOT_OF.get(a.predicate)
         if slot is not None and isinstance(a.object, Iri):
             slots[slot].append(a.object)
     operators, *bearing = slots
-    local = ""
+    target = None
     for operator in operators:
         targets = _refs(kb, operator)
         if targets:
-            local = targets[0].local.lower()
+            target = targets[0]
             break
-    kind = op_map.get(local)
+    kind = kinds.get(target)
     if kind is None:
-        matches = sorted({k.value for key, k in op_map.items() if key in local})
-        if len(matches) != 1:
-            raise UnknownStepKind(task, local)
-        kind = StepKind(matches[0])
+        local = "" if target is None else target.local.lower()
+        kind = op_map.get(local)
+        if kind is None:
+            matches = sorted({k.value for key, k in op_map.items() if key in local})
+            if len(matches) != 1:
+                raise UnknownStepKind(task, local)
+            kind = StepKind(matches[0])
+        kinds[target] = kind
     candidates = [ref for nodes in bearing for node in nodes for ref in _refs(kb, node)]
     for candidate in candidates:
-        rec = kb.entity(candidate)
-        if rec and any(cls.local == "Resource" for cls in rec.memberships):
+        typed = resources.get(candidate)
+        if typed is None:
+            rec = kb.entity(candidate)
+            typed = resources[candidate] = rec is not None and any(
+                cls.local == "Resource" for cls in rec.memberships
+            )
+        if typed:
             return Step(kind, candidate)
     return Step(kind, candidates[0] if candidates else fallback)
 
@@ -437,6 +484,10 @@ def extract_runs(
     mapping = dict(DEFAULT_OP_MAP)
     if op_map:
         mapping.update({k.lower(): v for k, v in op_map.items()})
+    #: one call's memos for ``_step``: step kinds by operator target,
+    #: and whether each referenced individual is a Resource
+    kinds: dict[Iri | None, StepKind] = {}
+    resources: dict[Iri, bool] = {}
     runs: list[ProtocolRun] = []
     for handle in handles:
         if not is_root(kb, handle, PROCESS, LayerTag.EXECUTION):
@@ -462,7 +513,7 @@ def extract_runs(
                     elif agent != performers[0]:
                         raise MixedAgents(handle)
                 for task in plan_tasks(kb, plan_exec):
-                    steps.append(_step(kb, task, mapping, plan_exec))
+                    steps.append(_step(kb, task, mapping, plan_exec, kinds, resources))
         if agent is None:
             raise UnknownHandle(handle)
         runs.append(ProtocolRun(agent=agent, steps=tuple(steps)))

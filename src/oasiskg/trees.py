@@ -298,9 +298,11 @@ def plan_tasks(kb: KnowledgeBase, root: Iri) -> list[Iri]:
     order, tasks within each goal topologically sorted by dependsOn with
     assertion order breaking ties.
 
-    Kahn's algorithm with the ready tasks in a heap on assertion index,
-    so each goal costs O((tasks + edges) log tasks).  Tasks on or behind
-    a dependency cycle follow in assertion order; dependsOn edges that
+    A goal with no in-goal dependsOn edge keeps assertion order, what
+    the sort gives then, and builds no heap.  Otherwise Kahn's algorithm
+    with the ready tasks in a heap on assertion index, so each goal
+    costs O((tasks + edges) log tasks).  Tasks on or behind a
+    dependency cycle follow in assertion order; dependsOn edges that
     leave the goal are ignored.
     """
     out: list[Iri] = []
@@ -309,14 +311,21 @@ def plan_tasks(kb: KnowledgeBase, root: Iri) -> list[Iri]:
             continue
         tasks = [t for t in kb.objects(goal, CONSISTS_OF_TASK) if isinstance(t, Iri)]
         index = {task: i for i, task in enumerate(tasks)}
+        #: each in-goal dependsOn edge, as (task index, its dependency's)
+        edges = [
+            (i, j)
+            for i, task in enumerate(tasks)
+            for dep in kb.objects(task, DEPENDS_ON)
+            if (j := index.get(dep)) is not None
+        ]
+        if not edges:
+            out.extend(tasks)
+            continue
         waiting = [0] * len(tasks)  # unplaced in-goal dependencies per task
         dependents: list[list[int]] = [[] for _ in tasks]
-        for i, task in enumerate(tasks):
-            for dep in kb.objects(task, DEPENDS_ON):
-                j = index.get(dep)
-                if j is not None:
-                    waiting[i] += 1
-                    dependents[j].append(i)
+        for i, j in edges:
+            waiting[i] += 1
+            dependents[j].append(i)
         ready = [i for i, count in enumerate(waiting) if count == 0]
         placed: dict[Iri, None] = {}
         while ready:

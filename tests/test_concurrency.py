@@ -40,6 +40,7 @@ from oasiskg.concurrency import (
 )
 
 import race_oracle
+import search_oracle
 from conftest import build_protocol_scenario
 
 
@@ -410,6 +411,62 @@ def test_memoized_search_matches_the_oracle_when_states_recur():
             with_races += bool(expected)
     assert statuses == {"complete", "deadlock", "truncated"}
     assert with_races >= 60
+
+
+def packed_runs(rng: random.Random) -> list[ProtocolRun]:
+    """1-8 runs by 1-8 distinct agents, shared when there are fewer
+    agents than runs, over 1-4 resources, at most 14 steps in all; a run
+    may be empty or take up to 9 steps, so every position field width
+    from 0 to 4 bits and every lock field width from 2 to 10 occurs."""
+    resources = [Iri(f"http://example.org/r{n}") for n in range(rng.randint(1, 4))]
+    count = rng.randint(1, 8)
+    pool = [Iri(f"http://example.org/agent_{n}") for n in range(rng.randint(1, count))]
+    agents = pool + [rng.choice(pool) for _ in range(count - len(pool))]
+    rng.shuffle(agents)
+    budget = 14
+    runs = []
+    for agent in agents:
+        length = min(budget, rng.choice((0, 1, 1, 2, 3, 5, 9)))
+        budget -= length
+        steps = tuple(
+            Step(rng.choice(list(StepKind)), rng.choice(resources))
+            for _ in range(length)
+        )
+        runs.append(ProtocolRun(agent, steps))
+    return runs
+
+
+def test_packed_search_matches_the_generator_search_it_replaced():
+    """The frame walk over one-int states against the search it
+    replaced, kept in ``tests/search_oracle.py``: the same moves and
+    counts by state number, reports and state counts."""
+    widths: set[int] = set()
+    agent_counts: set[int] = set()
+    resource_counts: set[int] = set()
+    statuses: set[int] = set()
+    with_races = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        runs = packed_runs(rng)
+        total = sum(len(r.steps) for r in runs)
+        for bound in (1, 3, 8, total):
+            moves, counts, reports = concurrency._search(runs, bound)
+            want_moves, want_counts, want_reports = search_oracle._search(runs, bound)
+            assert moves == want_moves, (seed, bound)
+            assert counts == want_counts, (seed, bound)
+            lines = [r.json_line() for r in reports]
+            assert lines == [r.json_line() for r in want_reports], (seed, bound)
+            assert search_races(runs, bound).states == len(want_counts), (seed, bound)
+            statuses.update(n for n, c in enumerate(counts[0]) if c)
+            with_races += bool(lines)
+        widths.update(len(r.steps).bit_length() for r in runs)
+        agent_counts.add(len({r.agent for r in runs}))
+        resource_counts.add(len({s.resource for r in runs for s in r.steps}))
+    assert widths == {0, 1, 2, 3, 4}
+    assert agent_counts == set(range(1, 9))
+    assert resource_counts >= {1, 2, 3, 4}
+    assert statuses == {0, 1, 2}  # complete, deadlock and truncated
+    assert with_races >= 100
 
 
 @pytest.mark.parametrize("agents, states", [(4, 1_741), (5, 11_116)])

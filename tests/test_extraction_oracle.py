@@ -188,10 +188,12 @@ def cases(kb: KnowledgeBase, task: Iri, plan: Iri, mapping, want) -> set[str]:
 def test_each_step_matches_the_oracle(seed):
     kb, handles, op_map = scenario(seed)
     mapping = mapping_of(op_map)
+    # one extraction's memos, shared by every task of the graph
+    kinds, resources = {}, {}
     for handle in handles:
         for task, plan in tasks_of(kb, handle):
             want = outcome(lambda: oracle_step(kb, task, mapping, plan))
-            got = outcome(lambda: _step(kb, task, mapping, plan))
+            got = outcome(lambda: _step(kb, task, mapping, plan, kinds, resources))
             assert got == want, (seed, task)
 
 

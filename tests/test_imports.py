@@ -1,8 +1,13 @@
-"""The tests and the benchmark need pytest and nothing else installed.
+"""The tests and the benchmark need pytest and nothing else installed,
+and the package imports only what it reads.
 
 Every module in ``tests/`` and ``perfbench/`` imports only the standard
 library, ``pytest``, ``oasiskg`` or a module beside it, so the whole
-gate runs on any interpreter that has pytest.
+gate runs on any interpreter that has pytest.  Every name a module of
+``src/oasiskg`` binds by an import, ``__future__`` features aside, is
+read somewhere in that module.  ``oasiskg/__init__.py`` re-exports its
+public names lazily, as strings in ``_EXPORTS``, not by importing them,
+so it needs no exemption.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "oasiskg"
 ALLOWED = frozenset(sys.stdlib_module_names) | {"pytest", "oasiskg"}
 
 
@@ -45,3 +51,39 @@ def test_imported_reads_every_import_statement(tmp_path):
         "def h():\n    import i\n"
     )
     assert imported(module) == {"a", "c", "d", "i"}
+
+
+def unread_imports(path: Path) -> list[str]:
+    """The names ``path`` binds by an import, anywhere in it, that it
+    never reads; ``from __future__`` features are no names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(bound - read)
+
+
+def test_package_modules_read_every_name_they_import():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 10
+    unread = {path.name: unread_imports(path) for path in modules}
+    assert {name: names for name, names in unread.items() if names} == {}
+
+
+def test_unread_imports_names_only_unread_imports(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import a.b, c as d\nfrom e import f, g as h, i\n"
+        "def j(x: f) -> None:\n    import k\n    return a.b.x, k\n"
+        "i = 1\n"
+    )
+    assert unread_imports(module) == ["d", "h", "i"]

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from oasiskg import vocab
+from oasiskg import trees, vocab
 from oasiskg.builder import StructureMismatch, pair_trees, submit_plan
 from oasiskg.core import KnowledgeBase
 from oasiskg.terms import Iri
@@ -76,12 +76,20 @@ def test_plan_tasks_matches_the_oracle_on_random_goals(seed, acyclic):
     "goals, edges",
     [
         ([3], [(0, 1, 0, 1)]),  # a self-dependency
+        ([1, 2], [(0, 0, 0, 0)]),  # a one-task goal depending on itself
         ([4], [(0, 0, 0, 1), (0, 1, 0, 0), (0, 3, 0, 2)]),  # a two-cycle before a chain
         ([3], [(0, 0, 0, 2), (0, 2, 0, 1), (0, 1, 0, 2)]),  # a task behind a cycle
         ([2, 2], [(0, 0, 1, 1), (1, 0, 0, 1), (1, 1, 1, 0)]),  # edges leaving the goal
         ([5], [(0, i, 0, i + 1) for i in range(4)]),  # a reversed chain
     ],
-    ids=["self", "two-cycle", "behind-a-cycle", "leaving-the-goal", "reversed-chain"],
+    ids=[
+        "self",
+        "one-task-self",
+        "two-cycle",
+        "behind-a-cycle",
+        "leaving-the-goal",
+        "reversed-chain",
+    ],
 )
 def test_plan_tasks_matches_the_oracle_on_edge_cases(goals, edges):
     kb, root = goal_tree(goals, edges)
@@ -92,6 +100,37 @@ def test_plan_tasks_ignores_literal_dependencies():
     kb, root = goal_tree([2], [(0, 1, 0, 0)])
     kb.assert_property(Iri("http://x/g0_t0"), DEPENDS_ON, "http://x/g0_t1")
     assert [t.local for t in plan_tasks(kb, root)] == ["g0_t0", "g0_t1"]
+
+
+@pytest.mark.parametrize(
+    "goals, edges",
+    [
+        ([1], []),  # a one-task goal
+        ([4, 2], []),  # goals with no dependsOn edge
+        ([3, 2], [(0, 0, 1, 1), (0, 2, 1, 0), (1, 1, 0, 0)]),  # only edges leaving the goal
+    ],
+    ids=["one-task", "no-edges", "only-leaving"],
+)
+def test_plan_tasks_keeps_assertion_order_without_in_goal_dependencies(
+    monkeypatch, goals, edges
+):
+    kb, root = goal_tree(goals, edges)
+    want = plan_oracle.plan_tasks(kb, root)
+    monkeypatch.setattr(trees, "heapq", None)  # no heap is built
+    assert plan_tasks(kb, root) == want
+    assert want == [Iri(f"http://x/g{g}_t{i}") for g, n in enumerate(goals) for i in range(n)]
+
+
+def test_plan_tasks_matches_the_oracle_beside_literal_dependencies(monkeypatch):
+    # a literal naming a task of the goal is no dependency: alone it
+    # leaves assertion order, next to a real edge the sort runs
+    kb, root = goal_tree([2, 3], [(1, 0, 1, 2)])
+    kb.assert_property(Iri("http://x/g0_t0"), DEPENDS_ON, "http://x/g0_t1")
+    kb.assert_property(Iri("http://x/g1_t0"), DEPENDS_ON, "http://x/g1_t1")
+    kb.assert_property(Iri("http://x/g1_t1"), DEPENDS_ON, "http://x/g1_t0")
+    want = plan_oracle.plan_tasks(kb, root)
+    assert [t.local for t in want] == ["g0_t0", "g0_t1", "g1_t1", "g1_t2", "g1_t0"]
+    assert plan_tasks(kb, root) == want
 
 
 def test_plan_tasks_orders_a_long_reversed_chain():
