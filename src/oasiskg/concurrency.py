@@ -19,30 +19,40 @@ the first schedule that exhibits a hazard wins.
 The search visits each distinct state once.  A resource's lock state
 holds only what ``interpret_step`` reads: the holder, the last writer
 and the latest writer before it other than that one, so a Modify keeps
-at most two writers, not the whole history.  Each lock state is given
-a small int id when first seen.  With A distinct agents there are at
-most (A + 1)(A² + 1) lock states, a holder or none times no, one or two
-distinct last writers, which fixes the width of a lock-state id.  A
+at most two writers, not the whole history.  The search numbers the A
+distinct agents from 0 by first appearance over the runs, and a lock
+state names them by index.  Its id is arithmetic: ``holder code *
+(A² + 1) + writers code``.  The holder code is 0 for no holder, else
+1 + i.  The writers code is 0 for no writer, 1 + w for one, and
+``1 + A + w1 * (A - 1) + w2 - (w2 > w1)`` for (w1, w2).  The largest of
+these ids, ``(A + 1)(A² + 1) - 1`` (a holder or none, times no, one or
+two distinct last writers), fixes the width of a lock-state id.  A
 search state is one int of fixed bit fields: from bit 0 up, each
 resource's lock-state id, then each run's position, as wide as its
 length needs.  A move adds one to its run's field and swaps its
 resource's id, with one addition to the int.  Each state is numbered
 when first reached and its moves are kept by number, so one copy of
-each state is stored.  Each distinct (agent, step kind) is an action
-numbered from 0, and a transition table at the one int ``lock-state id
-* actions + action`` gives the next id, or blocked, and the hazard
-raised, so ``interpret_step`` runs once per distinct transition, not
-once per state and run.  ``sum(positions)`` fixes step indices and the
-bound cut, so a state reached again was searched, at the same depth,
-before.  The walk keeps one list of frames, one per state on the path
-above the current one, each with the run index its next move is tried
-from; a leaf at the cut gets no frame.  Hazards are taken on the step
-that raises them, in pre-order: the order "first schedule in
-depth-first order, then step order" of a walk over every schedule.  The
-frames spell the path, so a hazard's prefix is read off them when it is
-first raised, and no state keeps its own.  A report's schedule is that
-prefix plus the leftmost completion below, so reports match that walk's
-byte for byte.
+each state is stored.  A step is the action ``agent index * 3 + step
+kind code``.  A transition table, probed at the one int
+``lock-state id * 3A + action``, gives the next id, or blocked, and the
+hazard raised, as ``(race code * A + actor) * A + other``.  Ids,
+actions and hazards mean the same in every search over A agents, so
+there is one table per agent count, shared by every search and kept as
+long as the process.  An entry is filled, by ``interpret_step`` on the
+lock state its id names, the first time any search needs it, so
+``interpret_step`` runs once per distinct transition per agent count in
+a process, not once per search, state and run.  Hazards name agents by
+IRI again only when reports are built.  ``sum(positions)`` fixes step
+indices and the bound cut, so a state reached again was searched, at
+the same depth, before.  The walk keeps one list of frames, one per
+state on the path above the current one, each with the run index its
+next move is tried from; a leaf at the cut gets no frame.  Hazards are
+taken on the step that raises them, in pre-order: the order "first
+schedule in depth-first order, then step order" of a walk over every
+schedule.  The frames spell the path, so a hazard's prefix is read off
+them when it is first raised, and no state keeps its own.  A report's
+schedule is that prefix plus the leftmost completion below, so reports
+match that walk's byte for byte.
 
 ``extract_runs`` rebuilds runs from realized processes.  It reads each
 task's edges once, sorting their IRI objects into the operators and
@@ -98,7 +108,8 @@ class ProtocolRun(Frozen):
 class ResourceState(Frozen):
     # modified_by, after a Modify: the latest earlier writer other than
     # the last one, if any, then the last writer; all that
-    # ``interpret_step`` reads
+    # ``interpret_step`` reads.  Agents are IRIs, or in the search their
+    # indices
     __slots__ = ("holder", "modified_by")
     _defaults = {"holder": None, "modified_by": ()}
 
@@ -167,8 +178,9 @@ class MixedAgents(ModelError):
 # ---------------------------------------------------------------------------
 
 
-def interpret_step(state: ResourceState, agent: Iri, kind: StepKind) -> StepOutcome:
-    """Outcome of one step against one resource's lock state."""
+def interpret_step(state: ResourceState, agent: Iri | int, kind: StepKind) -> StepOutcome:
+    """Outcome of one step against one resource's lock state; agents are
+    compared by equality only, so IRIs and agent indices both work."""
     if kind is StepKind.REQUEST:
         if state.holder is None:
             return StepOutcome(ResourceState(agent, state.modified_by))
@@ -212,41 +224,109 @@ class RaceSearch(Frozen):
     __slots__ = ("reports", "schedules", "states")
 
 
+#: the codes of step kinds and race kinds, in declaration order
+_KINDS = tuple(StepKind)
+_KIND_CODE = {kind: n for n, kind in enumerate(_KINDS)}
+_RACES = tuple(RaceKind)
+_RACE_CODE = {race: n for n, race in enumerate(_RACES)}
+
+#: by agent count A, the transition table every search over A agents
+#: shares, ``lock-state id * 3A + action`` -> (next lock-state id, or -1
+#: if the step blocks; hazard or -1), and the lock states by id that
+#: fills have built so far.  Each entry is filled when a search first
+#: needs it, and always with the same value, so the tables live as long
+#: as the process: at most (A + 1)(A² + 1) * 3A entries each
+_TABLES: dict[int, tuple[dict[int, tuple[int, int]], list[ResourceState | None]]] = {}
+
+
+def _lock_id(state: ResourceState, agents: int) -> int:
+    """The id of a lock state over agent indices ``0 .. agents - 1``, as
+    the module docstring gives it."""
+    holder = 0 if state.holder is None else 1 + state.holder
+    writers = state.modified_by
+    if not writers:
+        code = 0
+    elif len(writers) == 1:
+        code = 1 + writers[0]
+    else:
+        w1, w2 = writers
+        code = 1 + agents + w1 * (agents - 1) + w2 - (w2 > w1)
+    return holder * (agents * agents + 1) + code
+
+
+def _lock_state(lid: int, agents: int) -> ResourceState:
+    """The lock state over agent indices whose id is ``lid``: the
+    inverse of :func:`_lock_id`."""
+    holder, code = divmod(lid, agents * agents + 1)
+    if code == 0:
+        writers: tuple[int, ...] = ()
+    elif code <= agents:
+        writers = (code - 1,)
+    else:
+        w1, w2 = divmod(code - 1 - agents, agents - 1)
+        writers = (w1, w2 + (w2 >= w1))
+    return ResourceState(holder - 1 if holder else None, writers)
+
+
+def _transition(
+    states: list[ResourceState | None], agents: int, lid: int, action: int
+) -> tuple[int, int]:
+    """The table entry for ``action`` on lock state ``lid``: one step by
+    ``interpret_step`` on the lock state over agent indices, decoded only
+    if no earlier fill kept it.  A hazard is the one int ``(race code *
+    A + actor) * A + other``."""
+    state = states[lid]
+    if state is None:
+        state = states[lid] = _lock_state(lid, agents)
+    agent = action // 3
+    outcome = interpret_step(state, agent, _KINDS[action % 3])
+    if outcome.blocked:
+        return -1, -1
+    hazard = -1
+    if outcome.race is not None:
+        hazard = (_RACE_CODE[outcome.race] * agents + agent) * agents + outcome.other
+    new = _lock_id(outcome.state, agents)
+    states[new] = outcome.state
+    return new, hazard
+
+
 def _search(
     runs: list[ProtocolRun], bound: int
 ) -> tuple[_Moves, list[tuple[int, ...]], list[RaceReport]]:
     """Depth-first search over distinct states, each packed in one int,
     on a list of frames, one per state on the path above the current
-    one.  States are numbered in the order they are first reached, the
-    start state 0.  Returns by state number the moves and the schedules
-    below counted in ``_STATUSES`` order, then the reports."""
+    one.  Agents are numbered by first appearance over the runs, and
+    lock states and hazards name them by index; the transition table is
+    the one shared by every search over as many agents.  States are
+    numbered in the order they are first reached, the start state 0.
+    Returns by state number the moves and the schedules below counted in
+    ``_STATUSES`` order, then the reports."""
     resources = list(dict.fromkeys(s.resource for run in runs for s in run.steps))
-    agents = len({run.agent for run in runs})
+    index: dict[Iri, int] = {}
+    for run in runs:
+        index.setdefault(run.agent, len(index))
+    agents = len(index)
     #: a lock state holds a holder or none and no, one or two distinct
     #: last writers: at most (A + 1)(A² + 1) of them for A agents
-    lock_bits = ((agents + 1) * (agents * agents + 1) - 1).bit_length()
+    n_locks = (agents + 1) * (agents * agents + 1)
+    lock_bits = (n_locks - 1).bit_length()
     lock_mask = (1 << lock_bits) - 1
     #: from bit 0 up, each resource's lock-state id field, then each
     #: run's position field
     lock_shift = {resource: n * lock_bits for n, resource in enumerate(resources)}
     shift = len(resources) * lock_bits
-    #: each distinct (agent, step kind), numbered in order of appearance
-    actions: dict[tuple[Iri, StepKind], int] = {}
-    #: per run: each step as (its resource's field shift, action), then
-    #: None; the position field's shift and mask; and the key's increment
-    #: for one step of the run
+    #: per run: each step as (its resource's field shift, action: agent
+    #: index * 3 + step kind code), then None; the position field's
+    #: shift and mask; and the key's increment for one step of the run
     fields = []
     for run in runs:
         width = len(run.steps).bit_length()
-        plan = [
-            (lock_shift[s.resource], actions.setdefault((run.agent, s.kind), len(actions)))
-            for s in run.steps
-        ]
+        actor = 3 * index[run.agent]
+        plan = [(lock_shift[s.resource], actor + _KIND_CODE[s.kind]) for s in run.steps]
         fields.append((plan + [None], shift, (1 << width) - 1, 1 << shift))
         shift += width
     n_runs = len(fields)
-    agent_kinds = list(actions)
-    n_actions = len(actions)
+    n_actions = 3 * agents
     total = sum(len(run.steps) for run in runs)
     cut = max(0, min(total, bound))
     #: every leaf that is no deadlock is at depth ``cut``, so all of
@@ -254,14 +334,10 @@ def _search(
     leaf = _COMPLETE if cut == total else _TRUNCATED
     if cut == 0:  # the start state is the only leaf
         return [()], [leaf], []
-    #: each distinct lock state by id, and ids by state
-    lock_states = [ResourceState()]
-    lock_ids = {ResourceState(): 0}
-    #: each distinct (race kind, agent, other agent), numbered
-    hazards: dict[tuple[RaceKind, Iri, Iri], int] = {}
-    #: lock-state id * n_actions + action -> (next lock-state id or -1
-    #: if the step blocks, hazard or -1)
-    table: dict[int, tuple[int, int]] = {}
+    shared = _TABLES.get(agents)
+    if shared is None:
+        shared = _TABLES[agents] = ({}, [None] * n_locks)
+    table, states = shared
     #: each state reached by number, the start state all zeros; its
     #: moves and counts, by number, are filled in when its search ends
     numbers = {0: 0}
@@ -270,23 +346,6 @@ def _search(
     #: the first (schedule prefix, next state's number) to raise each
     #: (hazard, resource's field shift)
     found: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
-
-    def transition(lid: int, action: int) -> tuple[int, int]:
-        """The entry of ``table`` for ``action`` on lock state ``lid``."""
-        agent, kind = agent_kinds[action]
-        outcome = interpret_step(lock_states[lid], agent, kind)
-        if outcome.blocked:
-            return -1, -1
-        lid = lock_ids.get(outcome.state)
-        if lid is None:
-            lid = lock_ids[outcome.state] = len(lock_states)
-            lock_states.append(outcome.state)
-        hazard = -1
-        if outcome.race and outcome.other:
-            triple = (outcome.race, agent, outcome.other)
-            hazard = hazards.setdefault(triple, len(hazards))
-        return lid, hazard
-
     #: the states on the path above the current one, each as (key,
     #: number, the run index its next move is tried from, its moves so
     #: far); each frame's next run index is one past the move taken
@@ -308,7 +367,7 @@ def _search(
             probe = lid * n_actions + action
             move = table.get(probe)
             if move is None:
-                move = table[probe] = transition(lid, action)
+                move = table[probe] = _transition(states, agents, lid, action)
             new, hazard = move
             if new < 0:
                 continue
@@ -346,14 +405,17 @@ def _search(
             key, number, start, out = frames.pop()
             depth -= 1
     reports = []
-    triples = list(hazards)
+    iris = list(index)
     for (hazard, shift), (schedule, number) in found.items():
-        kind, actor, other = triples[hazard]
-        conflict = Conflict(resources[shift // lock_bits], actor, other, len(schedule) - 1)
+        race, pair = divmod(hazard, agents * agents)
+        actor, other = divmod(pair, agents)
+        conflict = Conflict(
+            resources[shift // lock_bits], iris[actor], iris[other], len(schedule) - 1
+        )
         while moves[number]:  # complete the schedule leftmost below
             i, number = moves[number][0]
             schedule += (i,)
-        reports.append(RaceReport(schedule, conflict, kind))
+        reports.append(RaceReport(schedule, conflict, _RACES[race]))
     return moves, counts, reports
 
 

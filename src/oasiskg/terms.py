@@ -177,8 +177,9 @@ class Iri:
     Equality and hashing are identity, so they run in C; two IRIs with
     the same value are the same object.  A value is checked once, when
     it is first minted.  The table holds weak references only: an IRI
-    nothing else refers to is dropped from it.  Comparison and sorting
-    are plain codepoint order of ``value``.  Instances are immutable,
+    nothing else refers to is dropped from it.  ``<`` is plain codepoint
+    order of ``value``, which is all sorting needs; ``>`` is its
+    reflection, and ``<=`` and ``>=`` are not defined.  Instances are immutable,
     and pickling or copying one gives back the interned instance.
     """
 
@@ -206,21 +207,6 @@ class Iri:
         if not isinstance(other, Iri):
             return NotImplemented
         return self.value < other.value
-
-    def __le__(self, other: object) -> bool:
-        if not isinstance(other, Iri):
-            return NotImplemented
-        return self.value <= other.value
-
-    def __gt__(self, other: object) -> bool:
-        if not isinstance(other, Iri):
-            return NotImplemented
-        return self.value > other.value
-
-    def __ge__(self, other: object) -> bool:
-        if not isinstance(other, Iri):
-            return NotImplemented
-        return self.value >= other.value
 
     def __repr__(self) -> str:
         return f"Iri(value={self.value!r})"

@@ -55,6 +55,15 @@ def run_of(agent: Iri, *kinds: StepKind, resource: Iri = R1) -> ProtocolRun:
     return ProtocolRun(agent, tuple(Step(k, resource) for k in kinds))
 
 
+@pytest.fixture(autouse=True)
+def cleared_tables():
+    """Each test starts and ends with no shared transition table, so one
+    filled under a patched ``interpret_step`` reaches no other test."""
+    concurrency._TABLES.clear()
+    yield
+    concurrency._TABLES.clear()
+
+
 # ---------------------------------------------------------------------------
 # Step semantics, case by case
 # ---------------------------------------------------------------------------
@@ -439,41 +448,47 @@ def packed_runs(rng: random.Random) -> list[ProtocolRun]:
 def test_packed_search_matches_the_generator_search_it_replaced():
     """The frame walk over one-int states against the search it
     replaced, kept in ``tests/search_oracle.py``: the same moves and
-    counts by state number, reports and state counts."""
+    counts by state number, reports and state counts.  The sets are
+    searched twice: forward, each on the shared tables that the sets
+    before it filled, then in reverse order on tables cleared first."""
     widths: set[int] = set()
     agent_counts: set[int] = set()
     resource_counts: set[int] = set()
     statuses: set[int] = set()
     with_races = 0
-    for seed in range(150):
-        rng = random.Random(seed)
-        runs = packed_runs(rng)
-        total = sum(len(r.steps) for r in runs)
-        for bound in (1, 3, 8, total):
-            moves, counts, reports = concurrency._search(runs, bound)
-            want_moves, want_counts, want_reports = search_oracle._search(runs, bound)
-            assert moves == want_moves, (seed, bound)
-            assert counts == want_counts, (seed, bound)
-            lines = [r.json_line() for r in reports]
-            assert lines == [r.json_line() for r in want_reports], (seed, bound)
-            assert search_races(runs, bound).states == len(want_counts), (seed, bound)
-            statuses.update(n for n, c in enumerate(counts[0]) if c)
-            with_races += bool(lines)
-        widths.update(len(r.steps).bit_length() for r in runs)
-        agent_counts.add(len({r.agent for r in runs}))
-        resource_counts.add(len({s.resource for r in runs for s in r.steps}))
+    seeds = range(150)
+    for order in (seeds, seeds[::-1]):
+        concurrency._TABLES.clear()
+        for seed in order:
+            rng = random.Random(seed)
+            runs = packed_runs(rng)
+            total = sum(len(r.steps) for r in runs)
+            for bound in (1, 3, 8, total):
+                moves, counts, reports = concurrency._search(runs, bound)
+                want_moves, want_counts, want_reports = search_oracle._search(runs, bound)
+                assert moves == want_moves, (seed, bound)
+                assert counts == want_counts, (seed, bound)
+                lines = [r.json_line() for r in reports]
+                assert lines == [r.json_line() for r in want_reports], (seed, bound)
+                want_states = len(want_counts)
+                assert search_races(runs, bound).states == want_states, (seed, bound)
+                statuses.update(n for n, c in enumerate(counts[0]) if c)
+                with_races += bool(lines)
+            widths.update(len(r.steps).bit_length() for r in runs)
+            agent_counts.add(len({r.agent for r in runs}))
+            resource_counts.add(len({s.resource for r in runs for s in r.steps}))
     assert widths == {0, 1, 2, 3, 4}
     assert agent_counts == set(range(1, 9))
     assert resource_counts >= {1, 2, 3, 4}
     assert statuses == {0, 1, 2}  # complete, deadlock and truncated
-    assert with_races >= 100
+    assert with_races >= 200
 
 
 @pytest.mark.parametrize("agents, states", [(4, 1_741), (5, 11_116)])
 def test_search_interprets_each_distinct_state_once(monkeypatch, agents, states):
     """Three free modifies per agent: 369,600 schedules for 4x3 and
     40,656,000 cut at 12 steps for 5x3, but only ``states`` distinct
-    states."""
+    states, stepped from a cleared table."""
     calls = 0
 
     def counting(*args):
@@ -501,7 +516,9 @@ def test_search_interprets_each_distinct_transition_once(
 ):
     """Free modify chains reach 1 + n + n(n-1) distinct lock states (none
     modified, one last writer, or a last writer and the one before it),
-    each stepped by n agents' modifies: 17 x 4 and 26 x 5 transitions."""
+    each stepped by n agents' modifies: 17 x 4 and 26 x 5 transitions
+    from a cleared table, and none when the same runs are searched
+    again."""
     calls = 0
 
     def counting(*args):
@@ -512,6 +529,47 @@ def test_search_interprets_each_distinct_transition_once(
     monkeypatch.setattr(concurrency, "interpret_step", counting)
     detect_races(free_chains(agents), 12)
     assert calls == transitions
+    # the table is shared by every search over as many agents
+    calls = 0
+    detect_races(free_chains(agents), 12)
+    assert calls == 0
+
+
+@pytest.mark.parametrize("agents", range(1, 11))
+def test_every_lock_state_id_decodes_to_a_distinct_state_and_back(agents):
+    """Ids 0 .. (A + 1)(A² + 1) - 1 name every lock state over agent
+    indices, a holder or none and no, one or two distinct last writers,
+    and the largest fits the width the search gives a lock field."""
+    count = (agents + 1) * (agents * agents + 1)
+    states = [concurrency._lock_state(lid, agents) for lid in range(count)]
+    assert len(set(states)) == count
+    assert [concurrency._lock_id(state, agents) for state in states] == list(range(count))
+    everyone = range(agents)
+    for state in states:
+        assert state.holder is None or state.holder in everyone
+        assert len(state.modified_by) <= 2
+        assert len(set(state.modified_by)) == len(state.modified_by)
+        assert set(state.modified_by) <= set(everyone)
+    assert states[0] == ResourceState()
+    # the largest id: the last agent holds the lock, agent A - 2 wrote
+    # last, and the last agent wrote before that
+    last = agents - 1
+    largest = ResourceState(last, (last, last - 1) if agents > 1 else (last,))
+    assert concurrency._lock_id(largest, agents) == count - 1
+    # a search that puts it in the first lock field, below a second
+    # resource's field, agrees with the oracle, so it fits its field
+    iris = [Iri(f"http://example.org/agent_{n}") for n in everyone]
+    runs = [run_of(agent, StepKind.RELEASE) for agent in iris[:-2]]
+    if agents > 1:
+        runs.append(run_of(iris[-2], StepKind.MODIFY))
+    reach = (Step(StepKind.MODIFY, R1), Step(StepKind.REQUEST, R1), Step(StepKind.MODIFY, R2))
+    runs.append(ProtocolRun(iris[-1], reach))
+    total = sum(len(r.steps) for r in runs)
+    moves, counts, reports = concurrency._search(runs, total)
+    want_moves, want_counts, want_reports = search_oracle._search(runs, total)
+    assert (moves, counts) == (want_moves, want_counts)
+    assert [r.json_line() for r in reports] == [r.json_line() for r in want_reports]
+    assert count - 1 in {lid for lid, _ in concurrency._TABLES[agents][0].values()}
 
 
 @pytest.mark.parametrize(

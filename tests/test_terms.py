@@ -68,7 +68,11 @@ def test_pickles_and_copies_are_the_interned_instance(clone):
 def test_ordering_and_repr_follow_the_value():
     b, a, c = Iri("http://x/b"), Iri(X), Iri("http://x/c")
     assert sorted([b, c, a]) == [a, b, c]
-    assert a < b <= b < c and c > b >= b > a
+    assert a < b < c and c > b > a
+    with pytest.raises(TypeError):
+        a <= b
+    with pytest.raises(TypeError):
+        b >= a
     assert not a < a
     assert repr(a) == "Iri(value='http://x/a')"
     assert str(a) == X
