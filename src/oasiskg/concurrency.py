@@ -39,7 +39,9 @@ hazard raised, as ``(race code * A + actor) * A + other``.  Ids,
 actions and hazards mean the same in every search over A agents, so
 there is one table per agent count, shared by every search and kept as
 long as the process.  An entry is filled, by ``interpret_step`` on the
-lock state its id names, the first time any search needs it, so
+lock state its id names, the first time any search needs it.  The
+table keeps each lock state a fill reaches, seeded with the free state
+at id 0, so it grows only with what searches reach.  So
 ``interpret_step`` runs once per distinct transition per agent count in
 a process, not once per search, state and run.  Hazards name agents by
 IRI again only when reports are built.  ``sum(positions)`` fixes step
@@ -233,10 +235,12 @@ _RACE_CODE = {race: n for n, race in enumerate(_RACES)}
 #: by agent count A, the transition table every search over A agents
 #: shares, ``lock-state id * 3A + action`` -> (next lock-state id, or -1
 #: if the step blocks; hazard or -1), and the lock states by id that
-#: fills have built so far.  Each entry is filled when a search first
-#: needs it, and always with the same value, so the tables live as long
-#: as the process: at most (A + 1)(A² + 1) * 3A entries each
-_TABLES: dict[int, tuple[dict[int, tuple[int, int]], list[ResourceState | None]]] = {}
+#: the table has reached, seeded with id 0, the free state every lock
+#: field starts at.  Each entry is filled when a search first needs it,
+#: and always with the same value, so the tables live as long as the
+#: process, each growing only with the transitions searches have taken:
+#: at most (A + 1)(A² + 1) * 3A entries
+_TABLES: dict[int, tuple[dict[int, tuple[int, int]], dict[int, ResourceState]]] = {}
 
 
 def _lock_id(state: ResourceState, agents: int) -> int:
@@ -254,32 +258,15 @@ def _lock_id(state: ResourceState, agents: int) -> int:
     return holder * (agents * agents + 1) + code
 
 
-def _lock_state(lid: int, agents: int) -> ResourceState:
-    """The lock state over agent indices whose id is ``lid``: the
-    inverse of :func:`_lock_id`."""
-    holder, code = divmod(lid, agents * agents + 1)
-    if code == 0:
-        writers: tuple[int, ...] = ()
-    elif code <= agents:
-        writers = (code - 1,)
-    else:
-        w1, w2 = divmod(code - 1 - agents, agents - 1)
-        writers = (w1, w2 + (w2 >= w1))
-    return ResourceState(holder - 1 if holder else None, writers)
-
-
 def _transition(
-    states: list[ResourceState | None], agents: int, lid: int, action: int
+    states: dict[int, ResourceState], agents: int, lid: int, action: int
 ) -> tuple[int, int]:
     """The table entry for ``action`` on lock state ``lid``: one step by
-    ``interpret_step`` on the lock state over agent indices, decoded only
-    if no earlier fill kept it.  A hazard is the one int ``(race code *
-    A + actor) * A + other``."""
-    state = states[lid]
-    if state is None:
-        state = states[lid] = _lock_state(lid, agents)
+    ``interpret_step`` on the lock state over agent indices that the
+    table keeps under that id, and the next state kept under its own.
+    A hazard is the one int ``(race code * A + actor) * A + other``."""
     agent = action // 3
-    outcome = interpret_step(state, agent, _KINDS[action % 3])
+    outcome = interpret_step(states[lid], agent, _KINDS[action % 3])
     if outcome.blocked:
         return -1, -1
     hazard = -1
@@ -336,7 +323,7 @@ def _search(
         return [()], [leaf], []
     shared = _TABLES.get(agents)
     if shared is None:
-        shared = _TABLES[agents] = ({}, [None] * n_locks)
+        shared = _TABLES[agents] = ({}, {0: ResourceState()})
     table, states = shared
     #: each state reached by number, the start state all zeros; its
     #: moves and counts, by number, are filled in when its search ends

@@ -535,22 +535,27 @@ def test_search_interprets_each_distinct_transition_once(
     assert calls == 0
 
 
-@pytest.mark.parametrize("agents", range(1, 11))
-def test_every_lock_state_id_decodes_to_a_distinct_state_and_back(agents):
-    """Ids 0 .. (A + 1)(A² + 1) - 1 name every lock state over agent
-    indices, a holder or none and no, one or two distinct last writers,
-    and the largest fits the width the search gives a lock field."""
-    count = (agents + 1) * (agents * agents + 1)
-    states = [concurrency._lock_state(lid, agents) for lid in range(count)]
-    assert len(set(states)) == count
-    assert [concurrency._lock_id(state, agents) for state in states] == list(range(count))
+def lock_states(agents: int) -> list[ResourceState]:
+    """Every lock state over agent indices ``0 .. agents - 1``: a holder
+    or none, and no, one or two distinct last writers."""
     everyone = range(agents)
-    for state in states:
-        assert state.holder is None or state.holder in everyone
-        assert len(state.modified_by) <= 2
-        assert len(set(state.modified_by)) == len(state.modified_by)
-        assert set(state.modified_by) <= set(everyone)
-    assert states[0] == ResourceState()
+    writers = [()] + [(w,) for w in everyone] + [
+        (w1, w2) for w1 in everyone for w2 in everyone if w1 != w2
+    ]
+    return [ResourceState(h, w) for h in (None, *everyone) for w in writers]
+
+
+@pytest.mark.parametrize("agents", range(1, 11))
+def test_lock_state_ids_number_every_lock_state_once(agents):
+    """``_lock_id`` maps the lock states over agent indices one to one
+    onto 0 .. (A + 1)(A² + 1) - 1, the free state to 0, and the largest
+    id fits the width the search gives a lock field."""
+    count = (agents + 1) * (agents * agents + 1)
+    states = lock_states(agents)
+    assert len(set(states)) == len(states) == count
+    assert sorted(concurrency._lock_id(state, agents) for state in states) == list(range(count))
+    assert concurrency._lock_id(ResourceState(), agents) == 0
+    everyone = range(agents)
     # the largest id: the last agent holds the lock, agent A - 2 wrote
     # last, and the last agent wrote before that
     last = agents - 1
@@ -569,7 +574,22 @@ def test_every_lock_state_id_decodes_to_a_distinct_state_and_back(agents):
     want_moves, want_counts, want_reports = search_oracle._search(runs, total)
     assert (moves, counts) == (want_moves, want_counts)
     assert [r.json_line() for r in reports] == [r.json_line() for r in want_reports]
-    assert count - 1 in {lid for lid, _ in concurrency._TABLES[agents][0].values()}
+    table, kept = concurrency._TABLES[agents]
+    assert count - 1 in {lid for lid, _ in table.values()}
+    assert kept[count - 1] == largest
+
+
+def test_a_table_keeps_only_the_lock_states_searches_reach():
+    """One step by each of 1,000 agents: a lock field could take about
+    10⁹ ids, but the table keeps the free state and the 1,000 states one
+    Modify leaves, and one entry per agent."""
+    agents = 1_000
+    iris = [Iri(f"http://example.org/agent_{n}") for n in range(agents)]
+    search = search_races([run_of(agent, StepKind.MODIFY) for agent in iris], 1)
+    assert search.schedules == {"complete": 0, "deadlock": 0, "truncated": agents}
+    table, kept = concurrency._TABLES[agents]
+    assert len(table) == agents
+    assert len(kept) == agents + 1
 
 
 @pytest.mark.parametrize(
