@@ -56,13 +56,22 @@ them when it is first raised, and no state keeps its own.  A report's
 schedule is that prefix plus the leftmost completion below, so reports
 match that walk's byte for byte.
 
-``extract_runs`` rebuilds runs from realized processes.  It reads each
-task's edges once, sorting their IRI objects into the operators and
-the three resource-bearing predicates, and each referenced node's
-edges once, exact references before new ones.  One call memoizes the
-step kind of each operator target, once mapped, so an unmapped name
-still fails for each task that carries it, and whether each referenced
-individual is typed by a class named Resource.
+``extract_runs`` rebuilds runs from realized processes and reads each
+record's edges once.  ``trees.chain_rows`` walks a procedure's states
+and hands on the edges it read of each, in which one scan finds the
+state's plan execution; one scan of the plan execution's in-edges
+takes the least performer.  ``trees.plan_tasks`` reads the plan's
+and each goal's edges once; a goal of fewer than two tasks has no
+order to find, so its task's edges are read only by its step.  A step
+makes one pass over its task's edges: it reads the operators in order
+until one refers to a target, and sorts the IRI objects of the three
+resource-bearing predicates into their slots.  It reads each operator's
+and each resource-bearing node's edges at most once, exact references
+before new ones, tests the candidate resources in that order and stops
+at the first Resource.  One call memoizes the step kind of each operator target,
+once mapped, so an unmapped name still fails for each task that
+carries it, and whether each referenced individual is typed by a class
+named Resource.
 """
 
 from __future__ import annotations
@@ -72,7 +81,7 @@ from enum import Enum
 
 from .core import KnowledgeBase
 from .terms import Frozen, Iri, ModelError
-from .trees import is_root, plan_tasks, procedure_order, state_chain
+from .trees import chain_rows, is_root, plan_tasks, procedure_order
 from .vocab import (
     DEFAULT_BOUND,
     HAS_TASK_INPUT_PARAMETER,
@@ -451,9 +460,8 @@ DEFAULT_OP_MAP: dict[str, StepKind] = {
 _RESOURCE_BEARING = (
     HAS_TASK_OBJECT, HAS_TASK_OUTPUT_PARAMETER, HAS_TASK_INPUT_PARAMETER
 )
-#: a task's edge predicates that ``_step`` reads, by slot: the operator,
-#: then the resource-bearing ones in ``_RESOURCE_BEARING`` order
-_SLOT_OF = {pred: n for n, pred in enumerate((HAS_TASK_OPERATOR, *_RESOURCE_BEARING))}
+#: the resource-bearing predicates, by slot in ``_RESOURCE_BEARING`` order
+_SLOT_OF = {pred: n for n, pred in enumerate(_RESOURCE_BEARING)}
 
 
 def _refs(kb: KnowledgeBase, node: Iri) -> list[Iri]:
@@ -477,25 +485,27 @@ def _step(
     kinds: dict[Iri | None, StepKind],
     resources: dict[Iri, bool],
 ) -> Step:
-    """A task's step from one read of its edges.  The kind comes from the
-    first target the operators refer to; the resource is the first
-    referenced individual typed by a class named Resource, else the
-    first referenced individual, else the fallback.  ``kinds`` memoizes
-    the kind by target (``None`` for no target), and only once mapped,
-    so an unmapped name fails for each task that has it; ``resources``
-    memoizes whether an individual is typed by a Resource class."""
-    slots: tuple[list[Iri], ...] = ([], [], [], [])
-    for a in kb.edges(task):
-        slot = _SLOT_OF.get(a.predicate)
-        if slot is not None and isinstance(a.object, Iri):
-            slots[slot].append(a.object)
-    operators, *bearing = slots
+    """A task's step from one pass over its edges, which reads the
+    operators in order until one refers to a target and sorts the
+    resource-bearing nodes into their three slots.  The kind comes from
+    that first target; the resource is the first referenced individual
+    typed by a class named Resource, else the first referenced
+    individual, else the fallback.  Candidates are read and tested in
+    that order, and the first Resource ends the scan.
+    ``kinds`` memoizes the kind by target (``None`` for no target), and
+    only once mapped, so an unmapped name fails for each task that has
+    it; ``resources`` memoizes whether an individual is typed by a
+    Resource class."""
     target = None
-    for operator in operators:
-        targets = _refs(kb, operator)
-        if targets:
-            target = targets[0]
-            break
+    bearing: tuple[list[Iri], ...] = ([], [], [])
+    for a in kb.edges(task):
+        node = a.object
+        if isinstance(node, Iri):
+            if a.predicate is HAS_TASK_OPERATOR:
+                if target is None and (targets := _refs(kb, node)):
+                    target = targets[0]
+            elif (slot := _SLOT_OF.get(a.predicate)) is not None:
+                bearing[slot].append(node)
     kind = kinds.get(target)
     if kind is None:
         local = "" if target is None else target.local.lower()
@@ -506,17 +516,21 @@ def _step(
                 raise UnknownStepKind(task, local)
             kind = StepKind(matches[0])
         kinds[target] = kind
-    candidates = [ref for nodes in bearing for node in nodes for ref in _refs(kb, node)]
-    for candidate in candidates:
-        typed = resources.get(candidate)
-        if typed is None:
-            rec = kb.entity(candidate)
-            typed = resources[candidate] = rec is not None and any(
-                cls.local == "Resource" for cls in rec.memberships
-            )
-        if typed:
-            return Step(kind, candidate)
-    return Step(kind, candidates[0] if candidates else fallback)
+    first = None
+    for nodes in bearing:
+        for node in nodes:
+            for candidate in _refs(kb, node):
+                typed = resources.get(candidate)
+                if typed is None:
+                    rec = kb.entity(candidate)
+                    typed = resources[candidate] = rec is not None and any(
+                        cls.local == "Resource" for cls in rec.memberships
+                    )
+                if typed:
+                    return Step(kind, candidate)
+                if first is None:
+                    first = candidate
+    return Step(kind, fallback if first is None else first)
 
 
 def extract_runs(
@@ -527,8 +541,11 @@ def extract_runs(
     """Rebuild protocol runs from realized process roots.
 
     Each handle contributes one run: its states in chain order, one step
-    per task of each state's plan execution.  Step kinds come from the
-    operator's referenced action name through ``op_map``.
+    per task of each state's plan execution, the first IRI the state is
+    described by.  The run's agent is each plan execution's least
+    performer; plan executions that name different ones raise
+    ``MixedAgents``.  Step kinds come from the operator's referenced
+    action name through ``op_map``.
     """
     mapping = dict(DEFAULT_OP_MAP)
     if op_map:
@@ -544,22 +561,25 @@ def extract_runs(
         agent: Iri | None = None
         steps: list[Step] = []
         for proc in procedure_order(kb, handle):
-            for state in state_chain(kb, proc):
-                plans = [
-                    o
-                    for o in kb.objects(state, IS_DESCRIBED_BY)
-                    if isinstance(o, Iri)
-                ]
-                if not plans:
+            for _, edges in chain_rows(kb, proc):
+                for a in edges:
+                    plan_exec = a.object
+                    if a.predicate is IS_DESCRIBED_BY and isinstance(plan_exec, Iri):
+                        break
+                else:
                     continue
-                plan_exec = plans[0]
-                performers = sorted(
-                    kb.subjects(PERFORMS_PLAN_EXECUTION, plan_exec)
+                performer = min(
+                    (
+                        a.subject
+                        for a in kb.in_edges(plan_exec)
+                        if a.predicate is PERFORMS_PLAN_EXECUTION
+                    ),
+                    default=None,
                 )
-                if performers:
+                if performer is not None:
                     if agent is None:
-                        agent = performers[0]
-                    elif agent != performers[0]:
+                        agent = performer
+                    elif agent is not performer:
                         raise MixedAgents(handle)
                 for task in plan_tasks(kb, plan_exec):
                     steps.append(_step(kb, task, mapping, plan_exec, kinds, resources))

@@ -22,12 +22,18 @@ a node's tree-node class reads it from the row's record with
 tree from its rows, read before the first write, and hands the store
 one batch: the clones' memberships, their edges, then the family links
 between each node and its clone.
+
+A procedure's state chain is walked by ``chain_rows`` alone, one row
+per state with the edges it read of the state, so a caller that wants
+more of a state than its successor reads no edge twice.
+``plan_tasks`` reads each goal's edges once, and a task's only when
+its goal has two or more tasks to order.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Hashable, Iterable, Iterator, KeysView
+from collections.abc import Callable, Hashable, Iterable, Iterator, KeysView, Sequence
 
 from .core import EntityRecord, KnowledgeBase, Triple
 from .terms import Assertion, Iri
@@ -51,6 +57,7 @@ from .vocab import (
     PROC_CONSISTS_NON_TERMINATING,
     RDF_TYPE,
     REFERS_PREDICATES,
+    SUB_CLOSURE,
     TREE_NODE_CLASSES,
 )
 
@@ -298,32 +305,44 @@ def plan_tasks(kb: KnowledgeBase, root: Iri) -> list[Iri]:
     order, tasks within each goal topologically sorted by dependsOn with
     assertion order breaking ties.
 
-    A goal with no in-goal dependsOn edge keeps assertion order, what
-    the sort gives then, and builds no heap.  Otherwise Kahn's algorithm
-    with the ready tasks in a heap on assertion index, so each goal
-    costs O((tasks + edges) log tasks).  Tasks on or behind a
-    dependency cycle follow in assertion order; dependsOn edges that
-    leave the goal are ignored.
+    One read of the root's edges and of each goal's, matching predicates
+    by identity.  A goal with fewer than two tasks has no order to find,
+    so its task's edges are not read.  Otherwise each task's edges are
+    read once, for its in-goal dependsOn edges.  A goal with none of
+    those keeps assertion order, what the sort gives then, and builds no
+    heap.  Otherwise Kahn's algorithm with the ready tasks in a heap on
+    assertion index, so each goal costs O((tasks + edges) log tasks).
+    Tasks on or behind a dependency cycle follow in assertion order;
+    dependsOn edges that leave the goal are ignored.
     """
+    edges = kb.edges
     out: list[Iri] = []
-    for goal in kb.objects(root, CONSISTS_OF_GOAL):
-        if not isinstance(goal, Iri):
+    for g in edges(root):
+        goal = g.object
+        if g.predicate is not CONSISTS_OF_GOAL or not isinstance(goal, Iri):
             continue
-        tasks = [t for t in kb.objects(goal, CONSISTS_OF_TASK) if isinstance(t, Iri)]
+        tasks = [
+            a.object
+            for a in edges(goal)
+            if a.predicate is CONSISTS_OF_TASK and isinstance(a.object, Iri)
+        ]
+        if len(tasks) < 2:
+            out.extend(tasks)
+            continue
         index = {task: i for i, task in enumerate(tasks)}
         #: each in-goal dependsOn edge, as (task index, its dependency's)
-        edges = [
+        deps = [
             (i, j)
             for i, task in enumerate(tasks)
-            for dep in kb.objects(task, DEPENDS_ON)
-            if (j := index.get(dep)) is not None
+            for a in edges(task)
+            if a.predicate is DEPENDS_ON and (j := index.get(a.object)) is not None
         ]
-        if not edges:
+        if not deps:
             out.extend(tasks)
             continue
         waiting = [0] * len(tasks)  # unplaced in-goal dependencies per task
         dependents: list[list[int]] = [[] for _ in tasks]
-        for i, j in edges:
+        for i, j in deps:
             waiting[i] += 1
             dependents[j].append(i)
         ready = [i for i, count in enumerate(waiting) if count == 0]
@@ -370,22 +389,43 @@ def procedure_order(kb: KnowledgeBase, process: Iri) -> list[Iri]:
     return chain if len(chain) == len(members) else members
 
 
-def state_chain(kb: KnowledgeBase, procedure: Iri) -> list[Iri]:
-    """States of a procedure from its initial state along successor edges."""
-    initials = [
-        o for o in kb.objects(procedure, PROC_CONSISTS_INITIAL) if isinstance(o, Iri)
-    ]
-    if not initials:
+#: one state of a procedure's chain with its out-edges, the store's own
+#: list
+ChainRow = tuple[Iri, Sequence[Assertion]]
+#: the successor predicates of a state chain: hasNext and its subproperties
+_NEXT = SUB_CLOSURE[HAS_NEXT]
+
+
+def chain_rows(kb: KnowledgeBase, procedure: Iri) -> list[ChainRow]:
+    """Each state of a procedure from its initial state along successor
+    edges, with its out-edges: the one state-chain walk.  It reads the
+    procedure's edges until its first initial state, and each state's
+    edges once, in which the first successor edge, in assertion order,
+    to an IRI not yet on the chain gives the next state.  The rows hand
+    the caller the same reads, so a state's own edges need no second
+    lookup."""
+    edges = kb.edges
+    for a in edges(procedure):
+        state = a.object
+        if a.predicate is PROC_CONSISTS_INITIAL and isinstance(state, Iri):
+            break
+    else:
         return []
-    chain = [initials[0]]
-    seen = {initials[0]}
+    rows: list[ChainRow] = []
+    seen = {state}
     while True:
-        nexts = [
-            o
-            for o in kb.objects(chain[-1], HAS_NEXT, entail=True)
-            if isinstance(o, Iri) and o not in seen
-        ]
-        if not nexts:
-            return chain
-        chain.append(nexts[0])
-        seen.add(nexts[0])
+        out = edges(state)
+        rows.append((state, out))
+        for a in out:
+            state = a.object
+            if a.predicate in _NEXT and isinstance(state, Iri) and state not in seen:
+                break
+        else:
+            return rows
+        seen.add(state)
+
+
+def state_chain(kb: KnowledgeBase, procedure: Iri) -> list[Iri]:
+    """States of a procedure from its initial state along successor
+    edges: ``chain_rows``' states, each state's edges read once."""
+    return [state for state, _ in chain_rows(kb, procedure)]

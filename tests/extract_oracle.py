@@ -5,8 +5,12 @@ These are ``_refs``, ``_step_kind`` and ``_step_resource`` as
 in one pass, kept unchanged as the oracle for the differential tests.
 ``_refs`` asks the store once per refers predicate, ``_step_kind`` once
 for the operators and ``_step_resource`` once per resource-bearing
-predicate.  ``extract_runs`` is the package's walk over processes,
-states, plans and tasks, with these building each step.
+predicate.  ``is_root``, ``procedure_order`` and ``state_chain`` are
+``oasiskg.trees``' as they were before the state chain read each
+state's edges once, each successor query an entailing ``objects``
+call, and the task order is ``plan_oracle.plan_tasks``, so nothing
+here runs the package's walk.  ``extract_runs`` walks processes,
+states, plans and tasks with these, building each step.
 """
 
 from __future__ import annotations
@@ -22,8 +26,10 @@ from oasiskg.concurrency import (
 )
 from oasiskg.core import KnowledgeBase
 from oasiskg.terms import Iri
-from oasiskg.trees import is_root, plan_tasks, procedure_order, state_chain
 from oasiskg.vocab import (
+    CONSISTS_OF_PROCEDURE,
+    HAS_NEXT,
+    HAS_NEXT_PROCEDURE,
     HAS_TASK_INPUT_PARAMETER,
     HAS_TASK_OBJECT,
     HAS_TASK_OPERATOR,
@@ -31,14 +37,72 @@ from oasiskg.vocab import (
     IS_DESCRIBED_BY,
     LayerTag,
     PERFORMS_PLAN_EXECUTION,
+    PROC_CONSISTS_INITIAL,
     PROCESS,
     REFERS_AS_NEW_TO,
     REFERS_EXACTLY_TO,
 )
 
+from plan_oracle import plan_tasks
+
 _RESOURCE_BEARING = (
     HAS_TASK_OBJECT, HAS_TASK_OUTPUT_PARAMETER, HAS_TASK_INPUT_PARAMETER
 )
+
+
+def is_root(kb: KnowledgeBase, iri: Iri, cls: Iri, layer: LayerTag) -> bool:
+    """Whether ``iri`` is typed ``cls`` and tagged with ``layer`` alone."""
+    rec = kb.entity(iri)
+    return rec is not None and cls in rec.memberships and rec.layer is layer
+
+
+def procedure_order(kb: KnowledgeBase, process: Iri) -> list[Iri]:
+    """Procedures of a process in hasNextProcedure chain order; falls
+    back to assertion order when the chain is absent or broken."""
+    members = [
+        o for o in kb.objects(process, CONSISTS_OF_PROCEDURE) if isinstance(o, Iri)
+    ]
+    if len(members) <= 1:
+        return members
+    member_set = set(members)
+    succ: dict[Iri, Iri] = {}
+    has_pred: set[Iri] = set()
+    for proc in members:
+        for nxt in kb.objects(proc, HAS_NEXT_PROCEDURE):
+            if isinstance(nxt, Iri) and nxt in member_set:
+                succ[proc] = nxt
+                has_pred.add(nxt)
+                break
+    heads = [m for m in members if m not in has_pred]
+    if len(heads) != 1:
+        return members
+    chain = [heads[0]]
+    seen = {heads[0]}
+    while chain[-1] in succ and succ[chain[-1]] not in seen:
+        chain.append(succ[chain[-1]])
+        seen.add(chain[-1])
+    return chain if len(chain) == len(members) else members
+
+
+def state_chain(kb: KnowledgeBase, procedure: Iri) -> list[Iri]:
+    """States of a procedure from its initial state along successor edges."""
+    initials = [
+        o for o in kb.objects(procedure, PROC_CONSISTS_INITIAL) if isinstance(o, Iri)
+    ]
+    if not initials:
+        return []
+    chain = [initials[0]]
+    seen = {initials[0]}
+    while True:
+        nexts = [
+            o
+            for o in kb.objects(chain[-1], HAS_NEXT, entail=True)
+            if isinstance(o, Iri) and o not in seen
+        ]
+        if not nexts:
+            return chain
+        chain.append(nexts[0])
+        seen.add(nexts[0])
 
 
 def _refs(kb: KnowledgeBase, node: Iri) -> list[Iri]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -38,6 +39,9 @@ from oasiskg.concurrency import (
     UnknownStepKind,
     search_races,
 )
+from oasiskg.core import EntityRecord
+from oasiskg.trees import plan_tasks, procedure_order, state_chain
+from oasiskg.vocab import IS_DESCRIBED_BY
 
 import race_oracle
 import search_oracle
@@ -653,6 +657,60 @@ def test_extract_runs_recovers_the_lock_protocol(kb):
     schedules = enumerate_schedules(runs)
     assert len([s for s in schedules if s.complete]) == 2
     assert detect_races(runs) == []
+
+
+def count_store_reads(kb: KnowledgeBase, monkeypatch) -> Counter:
+    """Count every read of the store from now on, by (how, node): each
+    call of ``objects``, ``subjects``, ``edges``, ``in_edges`` and
+    ``entity``, and each read of a record's ``edges``."""
+    reads: Counter = Counter()
+
+    def spy(name: str, at: int) -> None:
+        method = getattr(kb, name)
+
+        def counting(*args, **kwargs):
+            reads[name, args[at]] += 1
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(kb, name, counting)
+
+    for name in ("objects", "edges", "in_edges", "entity"):
+        spy(name, 0)
+    spy("subjects", 1)
+    record_edges = EntityRecord.edges.fget
+
+    def counting_record_edges(rec):
+        reads["record edges", rec.iri] += 1
+        return record_edges(rec)
+
+    monkeypatch.setattr(EntityRecord, "edges", property(counting_record_edges))
+    return reads
+
+
+def test_extract_runs_reads_each_state_and_task_once(kb, monkeypatch):
+    ctx = build_protocol_scenario(kb)
+    handles = [ctx[t]["handle"].exec_process for t in ("a", "b")]
+    want = extract_runs(kb, handles)
+    states = [s for h in handles for p in procedure_order(kb, h) for s in state_chain(kb, p)]
+    plans = [kb.objects(state, IS_DESCRIBED_BY)[0] for state in states]
+    tasks = [task for plan in plans for task in plan_tasks(kb, plan)]
+    assert (len(states), len(tasks)) == (6, 6)
+    reads = count_store_reads(kb, monkeypatch)
+    assert extract_runs(kb, handles) == want
+    monkeypatch.undo()
+    out = Counter()  # out-edge reads per node, by any of the three ways
+    for (how, node), count in reads.items():
+        if how in ("objects", "edges", "record edges"):
+            out[node] += count
+    assert {node: out[node] for node in states + tasks} == dict.fromkeys(states + tasks, 1)
+    assert max(out.values()) == 1  # nor any other node's twice
+    # one in-edge read per plan execution, for its performer
+    assert {node: count for (how, node), count in reads.items() if how == "in_edges"} == (
+        dict.fromkeys(plans, 1)
+    )
+    # ``objects`` only for each handle's procedures, and no ``subjects``
+    assert {node for how, node in reads if how == "objects"} == set(handles)
+    assert not any(how == "subjects" for how, _ in reads)
 
 
 def test_extract_runs_rejects_non_execution_roots(kb):

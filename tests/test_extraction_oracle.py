@@ -1,13 +1,18 @@
-"""``concurrency.extract_runs`` against the step extraction it replaced.
+"""``concurrency.extract_runs`` against the extraction it replaced.
 
 ``tests/extract_oracle.py`` holds ``_refs``, ``_step_kind`` and
 ``_step_resource`` as they were before ``_step`` read each task's edges
-in one pass.  Each seed realizes the protocol scenario, then rewrites
-every execution task's operator and resource-bearing edges: fresh
-nodes, refers edges to action names and to individuals typed Resource
-or not, literal objects mixed in, and every new triple inserted in a
-shuffled order.  Each task's step, or the error it raises, and the
-whole ``extract_runs`` outcome must match the oracle's.
+in one pass, and its own copies of the walk over procedures, states and
+tasks as it was before each state's edges were read once.  Each seed
+realizes the protocol scenario, then rewrites execution tasks' operator
+and resource-bearing edges: fresh nodes, refers edges to action names
+and to individuals typed Resource or not, literal objects mixed in, and
+every new triple inserted in a shuffled order.  The structure seeds
+also change what lies above the tasks: more tasks in a goal, with
+dependsOn edges among them, cycles included; second performers of a
+plan execution; states whose plan is missing or a literal; branching
+state chains.  Each task's step, or the error it raises, and the whole
+``extract_runs`` outcome must match the oracle's.
 """
 
 from __future__ import annotations
@@ -19,20 +24,30 @@ import pytest
 import extract_oracle
 from conftest import build_protocol_scenario
 from oasiskg import Iri, KnowledgeBase, extract_runs
-from oasiskg.concurrency import DEFAULT_OP_MAP, Step, StepKind, _step
+from oasiskg.concurrency import DEFAULT_OP_MAP, MixedAgents, Step, StepKind, _step
 from oasiskg.terms import ModelError
-from oasiskg.trees import plan_tasks, procedure_order, state_chain
 from oasiskg.vocab import (
+    CONSISTS_OF_GOAL,
+    CONSISTS_OF_TASK,
+    DEPENDS_ON,
+    HAS_FINAL_STATE,
+    HAS_NEXT,
+    HAS_NEXT_NON_TERMINATING,
     HAS_TASK_INPUT_PARAMETER,
     HAS_TASK_OBJECT,
     HAS_TASK_OPERATOR,
     HAS_TASK_OUTPUT_PARAMETER,
     IS_DESCRIBED_BY,
+    PERFORMS_PLAN_EXECUTION,
     REFERS_AS_NEW_TO,
     REFERS_EXACTLY_TO,
 )
+from plan_oracle import plan_tasks
 
+#: seeds that rewrite task edges only, then seeds that change the
+#: structure above the tasks too
 SEEDS = range(60)
+STRUCTURE_SEEDS = range(60, 120)
 REFERS = (REFERS_EXACTLY_TO, REFERS_AS_NEW_TO)
 BEARING = (HAS_TASK_OBJECT, HAS_TASK_OUTPUT_PARAMETER, HAS_TASK_INPUT_PARAMETER)
 #: action names: exact keys in any case, loose matches, one that the
@@ -44,14 +59,32 @@ ACTIONS = (
 )
 OP_MAPS = (None, {"Grab": StepKind.REQUEST}, {"CYCLE": StepKind.MODIFY})
 LITERALS = ("request", "shared_resource", "")
+NEXT = (HAS_NEXT, HAS_NEXT_NON_TERMINATING, HAS_FINAL_STATE)
+#: performers a structure seed adds: the scenario's two agents, and one
+#: IRI below and one above both
+PERFORMERS = ("agent_a", "agent_b", "http://a.example/agent", "http://z.example/agent")
+
+
+def states_of(kb: KnowledgeBase, handle: Iri) -> list[Iri]:
+    """The states of ``handle``'s procedures, in the oracle's run order."""
+    return [
+        state
+        for proc in extract_oracle.procedure_order(kb, handle)
+        for state in extract_oracle.state_chain(kb, proc)
+    ]
+
+
+def plan_of(kb: KnowledgeBase, state: Iri) -> Iri | None:
+    return next((o for o in kb.objects(state, IS_DESCRIBED_BY) if isinstance(o, Iri)), None)
 
 
 def tasks_of(kb: KnowledgeBase, handle: Iri) -> list[tuple[Iri, Iri]]:
-    """Each task under ``handle`` with its plan execution, in run order."""
+    """Each task under ``handle`` with its plan execution, in the
+    oracle's run order."""
     out = []
-    for proc in procedure_order(kb, handle):
-        for state in state_chain(kb, proc):
-            plan = next(o for o in kb.objects(state, IS_DESCRIBED_BY) if isinstance(o, Iri))
+    for state in states_of(kb, handle):
+        plan = plan_of(kb, state)
+        if plan is not None:
             out.extend((task, plan) for task in plan_tasks(kb, plan))
     return out
 
@@ -86,6 +119,62 @@ def rewrite(kb: KnowledgeBase, rng: random.Random, task: Iri, fresh) -> None:
     kb.load(triples)
 
 
+def restructure(kb: KnowledgeBase, rng: random.Random, handles: list[Iri], fresh) -> None:
+    """One to four random changes above the tasks: tasks added to a goal
+    with dependsOn edges among its tasks, a performer added to one plan
+    execution or to every plan execution of a handle, a state's plan
+    edge removed, replaced by a literal or put behind one, or a
+    successor edge added from a state, the old one sometimes moved
+    behind it."""
+    states = {h: states_of(kb, h) for h in handles}
+    everything = [s for h in handles for s in states[h]]
+    actions = [kb.resolve(name) for name in ("request", "modify", "release")]
+    individuals = [kb.resolve(name) for name in ("shared_resource", "res0", "thing0")]
+    performers = [kb.resolve(name) for name in PERFORMERS]
+    for _ in range(rng.randint(1, 4)):
+        handle = rng.choice(handles)
+        state = rng.choice(states[handle])
+        plan = plan_of(kb, state)
+        kind = rng.choice(("tasks", "tasks", "performer", "performers", "plan", "branch"))
+        if kind == "tasks" and plan is not None:
+            goal = next(o for o in kb.objects(plan, CONSISTS_OF_GOAL) if isinstance(o, Iri))
+            tasks = [t for t in kb.objects(goal, CONSISTS_OF_TASK) if isinstance(t, Iri)]
+            for _ in range(rng.randint(1, 3)):
+                task, operator, obj = fresh(), fresh(), fresh()
+                kb.load([
+                    (goal, CONSISTS_OF_TASK, task),
+                    (task, HAS_TASK_OPERATOR, operator),
+                    (operator, REFERS_EXACTLY_TO, rng.choice(actions)),
+                    (task, HAS_TASK_OBJECT, obj),
+                    (obj, REFERS_EXACTLY_TO, rng.choice(individuals)),
+                ])
+                tasks.append(task)
+            for _ in range(rng.randint(1, 2 * len(tasks))):
+                dep = rng.choice(tasks + [rng.choice(everything), tasks[0].value])
+                kb.assert_property(rng.choice(tasks), DEPENDS_ON, dep)
+        elif kind == "performer" and plan is not None:
+            kb.assert_property(rng.choice(performers), PERFORMS_PLAN_EXECUTION, plan)
+        elif kind == "performers":
+            agent = rng.choice(performers)
+            for other in states[handle]:
+                if (other_plan := plan_of(kb, other)) is not None:
+                    kb.assert_property(agent, PERFORMS_PLAN_EXECUTION, other_plan)
+        elif kind == "plan" and plan is not None:
+            edge = next(a for a in kb.edges(state) if a.predicate is IS_DESCRIBED_BY and a.object is plan)
+            kb.remove(edge)
+            mode = rng.choice(("remove", "literal", "literal first"))
+            if mode != "remove":
+                kb.assert_property(state, IS_DESCRIBED_BY, plan.value)
+            if mode == "literal first":
+                kb.assert_property(state, IS_DESCRIBED_BY, plan)
+        elif kind == "branch":
+            old = [a for a in kb.edges(state) if a.predicate in NEXT]
+            kb.assert_property(state, rng.choice(NEXT), rng.choice(everything + [fresh()]))
+            if old and rng.random() < 0.5:
+                kb.remove(old[0])
+                kb.assert_property(state, old[0].predicate, old[0].object)  # to the end
+
+
 def scenario(seed: int):
     rng = random.Random(seed)
     kb = KnowledgeBase()
@@ -100,9 +189,13 @@ def scenario(seed: int):
     def fresh() -> Iri:
         return kb.resolve(f"node{next(counter)}")
 
+    structure = seed in STRUCTURE_SEEDS
     for handle in handles:
         for task, _plan in tasks_of(kb, handle):
-            rewrite(kb, rng, task, fresh)
+            if not structure or rng.random() < 0.1:
+                rewrite(kb, rng, task, fresh)
+    if structure:
+        restructure(kb, rng, handles, fresh)
     return kb, handles, rng.choice(OP_MAPS)
 
 
@@ -110,7 +203,7 @@ def outcome(make):
     try:
         return ("ok", make())
     except ModelError as err:
-        return ("error", type(err), getattr(err, "task", None), getattr(err, "local", None))
+        return ("error", type(err), getattr(err, "task", None), getattr(err, "local", None), str(err))
 
 
 def mapping_of(op_map) -> dict[str, StepKind]:
@@ -184,7 +277,42 @@ def cases(kb: KnowledgeBase, task: Iri, plan: Iri, mapping, want) -> set[str]:
     return seen
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+def structure_cases(kb: KnowledgeBase, handles: list[Iri], want) -> set[str]:
+    """The shapes above the tasks of one graph that the differential
+    covers; ``want`` is the oracle's ``extract_runs`` outcome."""
+    seen = set()
+    if want[0] == "error" and want[1] is MixedAgents:
+        seen.add("MixedAgents")
+    for n, handle in enumerate(handles):
+        for state in states_of(kb, handle):
+            nexts = {a.object for a in kb.edges(state) if a.predicate in NEXT and isinstance(a.object, Iri)}
+            if len(nexts) > 1:
+                seen.add("branching state chain")
+            described = kb.objects(state, IS_DESCRIBED_BY)
+            if any(not isinstance(o, Iri) for o in described):
+                seen.add("literal plan")
+            plan = plan_of(kb, state)
+            if plan is None:
+                seen.add("state without a plan")
+                continue
+            performers = kb.subjects(PERFORMS_PLAN_EXECUTION, plan)
+            if want[0] == "ok" and len(performers) > 1 and want[1][n].agent is min(performers):
+                if min(performers) is not performers[0]:
+                    seen.add("the lesser of two performers wins")
+            for goal in kb.objects(plan, CONSISTS_OF_GOAL):
+                tasks = [t for t in kb.objects(goal, CONSISTS_OF_TASK) if isinstance(t, Iri)]
+                if len(tasks) < 2:
+                    continue
+                order = plan_tasks(kb, plan)
+                deps = [(t, d) for t in tasks for d in kb.objects(t, DEPENDS_ON) if d in tasks]
+                if deps:
+                    seen.add("several tasks with in-goal dependsOn")
+                if any(order.index(t) <= order.index(d) for t, d in deps):
+                    seen.add("in-goal dependency cycle")
+    return seen
+
+
+@pytest.mark.parametrize("seed", [*SEEDS, *STRUCTURE_SEEDS])
 def test_each_step_matches_the_oracle(seed):
     kb, handles, op_map = scenario(seed)
     mapping = mapping_of(op_map)
@@ -197,7 +325,7 @@ def test_each_step_matches_the_oracle(seed):
             assert got == want, (seed, task)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", [*SEEDS, *STRUCTURE_SEEDS])
 def test_extract_runs_matches_the_oracle(seed):
     kb, handles, op_map = scenario(seed)
     want = outcome(lambda: extract_oracle.extract_runs(kb, handles, op_map))
@@ -216,6 +344,19 @@ def test_the_seeds_cover_every_case():
                 want = outcome(lambda: oracle_step(kb, task, mapping, plan))
                 seen |= cases(kb, task, plan, mapping, want)
         whole.add(outcome(lambda: extract_oracle.extract_runs(kb, handles, op_map))[0])
+    shapes: set[str] = set()
+    for seed in STRUCTURE_SEEDS:
+        kb, handles, op_map = scenario(seed)
+        shapes |= structure_cases(kb, handles, outcome(lambda: extract_oracle.extract_runs(kb, handles, op_map)))
+    assert shapes == {
+        "several tasks with in-goal dependsOn",
+        "in-goal dependency cycle",
+        "the lesser of two performers wins",
+        "MixedAgents",
+        "state without a plan",
+        "literal plan",
+        "branching state chain",
+    }, shapes
     assert seen >= {
         "literal operator",
         "two operators",

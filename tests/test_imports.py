@@ -7,7 +7,8 @@ gate runs on any interpreter that has pytest.  Every name a module of
 ``src/oasiskg`` binds by an import, ``__future__`` features aside, is
 read somewhere in that module.  ``oasiskg/__init__.py`` re-exports its
 public names lazily, as strings in ``_EXPORTS``, not by importing them,
-so it needs no exemption.
+so it needs no exemption.  The extraction oracle imports nothing from
+``oasiskg.trees``, whose walks it checks.
 """
 
 from __future__ import annotations
@@ -87,3 +88,34 @@ def test_unread_imports_names_only_unread_imports(tmp_path):
         "i = 1\n"
     )
     assert unread_imports(module) == ["d", "h", "i"]
+
+
+def tree_imports(path: Path) -> list[str]:
+    """What ``path`` imports from ``oasiskg.trees``, anywhere in it: the
+    module itself or any name of it."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith("oasiskg.trees")]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.startswith("oasiskg.trees"):
+                found += [f"{node.module}.{a.name}" for a in node.names]
+            elif node.module == "oasiskg":
+                found += [f"oasiskg.{a.name}" for a in node.names if a.name == "trees"]
+    return found
+
+
+def test_tree_imports_reads_every_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import oasiskg.trees\nfrom oasiskg import trees, core\n"
+        "from oasiskg.trees import state_chain\nfrom oasiskg.core import KnowledgeBase\n"
+        "def f():\n    import oasiskg.trees as t\n"
+    )
+    assert sorted(tree_imports(module)) == [
+        "oasiskg.trees", "oasiskg.trees", "oasiskg.trees", "oasiskg.trees.state_chain"
+    ]
+
+
+def test_the_extraction_oracle_imports_nothing_from_the_walk_it_checks():
+    assert tree_imports(ROOT / "tests" / "extract_oracle.py") == []

@@ -1,4 +1,5 @@
 """Tree queries: ``plan_tasks`` against the quadratic ordering it replaced,
+``state_chain`` against the entailing-``objects`` walk it replaced,
 ``depth_first`` against a recursive walk, and the one-read tree walks
 against the per-predicate scans they replaced."""
 
@@ -14,15 +15,18 @@ from oasiskg.core import KnowledgeBase
 from oasiskg.terms import Iri
 from oasiskg.trees import (
     CHILD_RANK,
+    chain_rows,
     clone_tree,
     depth_first,
     plan_tasks,
+    state_chain,
     tree_class,
     tree_rows,
 )
 from oasiskg.validator import check_mirror
 from oasiskg.vocab import DEPENDS_ON, LayerTag, term
 
+import extract_oracle
 import plan_oracle
 import tree_oracle
 from conftest import count_edge_reads, store_state
@@ -139,6 +143,108 @@ def test_plan_tasks_orders_a_long_reversed_chain():
     kb, root = goal_tree([n], [(0, i, 0, i + 1) for i in range(n - 1)])
     order = plan_tasks(kb, root)
     assert [t.local for t in order] == [f"g0_t{i}" for i in reversed(range(n))]
+
+
+# ---------------------------------------------------------------------------
+# state_chain against extract_oracle's entailing walk
+# ---------------------------------------------------------------------------
+
+#: hasNext and its two subproperties, the successor predicates of a chain
+NEXT = (vocab.HAS_NEXT, vocab.HAS_NEXT_NON_TERMINATING, vocab.HAS_FINAL_STATE)
+PROCEDURE = Iri("http://x/procedure")
+
+
+def random_chain(seed: int) -> tuple[KnowledgeBase, set[str]]:
+    """A procedure whose states are chained by random successor edges of
+    all three predicates, with more of those, literal objects, states
+    off the procedure and other predicates mixed in, inserted in a
+    shuffled order; some edges
+    are then removed, some of those added again at the end.  Returns the
+    store and the generator's own choices that the graph cannot show."""
+    rng = random.Random(seed)
+    kb = KnowledgeBase()
+    made = set()
+    states = [Iri(f"http://x/s{i}") for i in range(rng.randint(1, 7))]
+    outside = Iri("http://x/outside")
+    triples: list[tuple] = []
+    for state in rng.sample(states, min(len(states), rng.choice((0, 1, 1, 1, 2, 2)))):
+        triples.append((PROCEDURE, vocab.PROC_CONSISTS_INITIAL, state))
+    if rng.random() < 0.2:
+        triples.append((PROCEDURE, vocab.PROC_CONSISTS_INITIAL, "http://x/s0"))
+    for state in states:
+        triples.append((PROCEDURE, vocab.PROC_CONSISTS_NON_TERMINATING, state))
+    for left, right in zip(states, states[1:]):  # a chain to branch off
+        triples.append((left, rng.choice(NEXT), right))
+    for _ in range(rng.randint(0, 2 * len(states))):
+        obj = rng.choice(states + [outside, "http://x/s1"])
+        pred = rng.choice(NEXT + NEXT + (vocab.IS_DESCRIBED_BY, DEPENDS_ON))
+        triples.append((rng.choice(states), pred, obj))
+    rng.shuffle(triples)
+    if rng.random() < 0.1:
+        made.add("no record")
+        triples = [t for t in triples if t[0] is not PROCEDURE]
+    if triples:
+        kb.load(triples)
+    if kb.assertions and rng.random() < 0.4:
+        made.add("removed edges")
+        for a in rng.sample(list(kb.assertions), k=max(1, len(kb) // 6)):
+            kb.remove(a)
+            if rng.random() < 0.5:
+                kb.assert_property(a.subject, a.predicate, a.object)  # to the end
+    return kb, made
+
+
+def chain_cases(kb: KnowledgeBase, chain: list[Iri]) -> set[str]:
+    """The shapes of one random procedure's chain that the seeds cover."""
+    seen = set()
+    initials = [o for o in kb.objects(PROCEDURE, vocab.PROC_CONSISTS_INITIAL) if isinstance(o, Iri)]
+    if len(initials) in (0, 2):
+        seen.add(f"{len(initials)} initial states")
+    taken = set()
+    for i, state in enumerate(chain):
+        nexts = [a for a in kb.edges(state) if a.predicate in NEXT]
+        if any(not isinstance(a.object, Iri) for a in nexts):
+            seen.add("literal next object")
+        if any(a.object in chain[: i + 1] for a in nexts):
+            seen.add("cycle back into the chain")
+        if len({a.object for a in nexts if isinstance(a.object, Iri) and a.object not in chain[:i]}) > 1:
+            seen.add("branching next edges")
+        if i + 1 < len(chain):
+            taken.add(next(a.predicate for a in nexts if a.object is chain[i + 1]))
+    if taken == set(NEXT):
+        seen.add("hasNext mixed with both subproperties")
+    return seen
+
+
+STATE_CHAIN_SEEDS = range(80)
+
+
+@pytest.mark.parametrize("seed", STATE_CHAIN_SEEDS)
+def test_state_chain_matches_the_oracle(seed, monkeypatch):
+    kb, _ = random_chain(seed)
+    want = extract_oracle.state_chain(kb, PROCEDURE)
+    reads = count_edge_reads(kb, monkeypatch)
+    assert state_chain(kb, PROCEDURE) == want
+    assert reads == {PROCEDURE: 1, **dict.fromkeys(want, 1)}  # each state read once
+    monkeypatch.undo()
+    assert chain_rows(kb, PROCEDURE) == [(state, kb.edges(state)) for state in want]
+
+
+def test_the_state_chain_seeds_cover_every_case():
+    seen = set()
+    for seed in STATE_CHAIN_SEEDS:
+        kb, made = random_chain(seed)
+        seen |= made | chain_cases(kb, extract_oracle.state_chain(kb, PROCEDURE))
+    assert seen == {
+        "hasNext mixed with both subproperties",
+        "branching next edges",
+        "cycle back into the chain",
+        "literal next object",
+        "0 initial states",
+        "2 initial states",
+        "no record",
+        "removed edges",
+    }, seen
 
 
 # ---------------------------------------------------------------------------
