@@ -21,12 +21,11 @@ holds only what ``interpret_step`` reads: the holder, the last writer
 and the latest writer before it other than that one, so a Modify keeps
 at most two writers, not the whole history.  The search numbers the A
 distinct agents from 0 by first appearance over the runs, and a lock
-state names them by index.  Its id is arithmetic: ``holder code *
-(A² + 1) + writers code``.  The holder code is 0 for no holder, else
-1 + i.  The writers code is 0 for no writer, 1 + w for one, and
-``1 + A + w1 * (A - 1) + w2 - (w2 > w1)`` for (w1, w2).  The largest of
-these ids, ``(A + 1)(A² + 1) - 1`` (a holder or none, times no, one or
-two distinct last writers), fixes the width of a lock-state id.  A
+state names them by index.  Lock states are numbered in the order the
+transition table (below) first reaches them, the free state 0, as
+search states are; there are ``(A + 1)(A² + 1)`` of them (a holder or
+none, times no, one or two distinct last writers), which fixes the
+width of a lock-state id.  A
 search state is one int of fixed bit fields: from bit 0 up, each
 resource's lock-state id, then each run's position, as wide as its
 length needs.  A move adds one to its run's field and swaps its
@@ -35,13 +34,13 @@ when first reached and its moves are kept by number, so one copy of
 each state is stored.  A step is the action ``agent index * 3 + step
 kind code``.  A transition table, probed at the one int
 ``lock-state id * 3A + action``, gives the next id, or blocked, and the
-hazard raised, as ``(race code * A + actor) * A + other``.  Ids,
-actions and hazards mean the same in every search over A agents, so
-there is one table per agent count, shared by every search and kept as
-long as the process.  An entry is filled, by ``interpret_step`` on the
-lock state its id names, the first time any search needs it.  The
-table keeps each lock state a fill reaches, seeded with the free state
-at id 0, so it grows only with what searches reach.  So
+hazard raised, as ``(race code * A + actor) * A + other``.  The table
+numbers the lock states, so ids, actions and hazards mean the same in
+every search over A agents: there is one table per agent count, shared
+by every search and kept as long as the process.  An entry is filled,
+by ``interpret_step`` on the lock state its id names, the first time
+any search needs it, so the table grows only with what searches
+reach.  So
 ``interpret_step`` runs once per distinct transition per agent count in
 a process, not once per search, state and run.  Hazards name agents by
 IRI again only when reports are built.  ``sum(positions)`` fixes step
@@ -241,39 +240,31 @@ _KIND_CODE = {kind: n for n, kind in enumerate(_KINDS)}
 _RACES = tuple(RaceKind)
 _RACE_CODE = {race: n for n, race in enumerate(_RACES)}
 
+#: a lock state over agent indices as the plain (holder, modified_by),
+#: the key of its id: a tuple hashes in C, a ``ResourceState`` in Python
+_Lock = tuple[int | None, tuple[int, ...]]
 #: by agent count A, the transition table every search over A agents
 #: shares, ``lock-state id * 3A + action`` -> (next lock-state id, or -1
-#: if the step blocks; hazard or -1), and the lock states by id that
-#: the table has reached, seeded with id 0, the free state every lock
-#: field starts at.  Each entry is filled when a search first needs it,
-#: and always with the same value, so the tables live as long as the
-#: process, each growing only with the transitions searches have taken:
-#: at most (A + 1)(A² + 1) * 3A entries
-_TABLES: dict[int, tuple[dict[int, tuple[int, int]], dict[int, ResourceState]]] = {}
-
-
-def _lock_id(state: ResourceState, agents: int) -> int:
-    """The id of a lock state over agent indices ``0 .. agents - 1``, as
-    the module docstring gives it."""
-    holder = 0 if state.holder is None else 1 + state.holder
-    writers = state.modified_by
-    if not writers:
-        code = 0
-    elif len(writers) == 1:
-        code = 1 + writers[0]
-    else:
-        w1, w2 = writers
-        code = 1 + agents + w1 * (agents - 1) + w2 - (w2 > w1)
-    return holder * (agents * agents + 1) + code
+#: if the step blocks; hazard or -1); the lock states it has reached, by
+#: id; and their ids, by (holder, modified_by).  Both are seeded with
+#: the free state, id 0, that every lock field starts at, and a lock
+#: state gets the next id when a fill first reaches it.  Each entry is
+#: filled when a search first needs it, and always with the same value,
+#: so the tables live as long as the process, each growing only with the
+#: transitions searches have taken: at most (A + 1)(A² + 1) * 3A entries
+_TABLES: dict[
+    int, tuple[dict[int, tuple[int, int]], list[ResourceState], dict[_Lock, int]]
+] = {}
 
 
 def _transition(
-    states: dict[int, ResourceState], agents: int, lid: int, action: int
+    states: list[ResourceState], ids: dict[_Lock, int], agents: int, lid: int, action: int
 ) -> tuple[int, int]:
     """The table entry for ``action`` on lock state ``lid``: one step by
     ``interpret_step`` on the lock state over agent indices that the
-    table keeps under that id, and the next state kept under its own.
-    A hazard is the one int ``(race code * A + actor) * A + other``."""
+    table keeps under that id, and the next state's id, the next free
+    one if the table has not reached it before.  A hazard is the one int
+    ``(race code * A + actor) * A + other``."""
     agent = action // 3
     outcome = interpret_step(states[lid], agent, _KINDS[action % 3])
     if outcome.blocked:
@@ -281,8 +272,10 @@ def _transition(
     hazard = -1
     if outcome.race is not None:
         hazard = (_RACE_CODE[outcome.race] * agents + agent) * agents + outcome.other
-    new = _lock_id(outcome.state, agents)
-    states[new] = outcome.state
+    state = outcome.state
+    new = ids.setdefault((state.holder, state.modified_by), len(states))
+    if new == len(states):
+        states.append(state)
     return new, hazard
 
 
@@ -303,7 +296,8 @@ def _search(
         index.setdefault(run.agent, len(index))
     agents = len(index)
     #: a lock state holds a holder or none and no, one or two distinct
-    #: last writers: at most (A + 1)(A² + 1) of them for A agents
+    #: last writers: (A + 1)(A² + 1) of them for A agents, so ids
+    #: numbered by first reach stay below that
     n_locks = (agents + 1) * (agents * agents + 1)
     lock_bits = (n_locks - 1).bit_length()
     lock_mask = (1 << lock_bits) - 1
@@ -332,8 +326,8 @@ def _search(
         return [()], [leaf], []
     shared = _TABLES.get(agents)
     if shared is None:
-        shared = _TABLES[agents] = ({}, {0: ResourceState()})
-    table, states = shared
+        shared = _TABLES[agents] = ({}, [ResourceState()], {(None, ()): 0})
+    table, states, ids = shared
     #: each state reached by number, the start state all zeros; its
     #: moves and counts, by number, are filled in when its search ends
     numbers = {0: 0}
@@ -363,7 +357,7 @@ def _search(
             probe = lid * n_actions + action
             move = table.get(probe)
             if move is None:
-                move = table[probe] = _transition(states, agents, lid, action)
+                move = table[probe] = _transition(states, ids, agents, lid, action)
             new, hazard = move
             if new < 0:
                 continue

@@ -550,23 +550,45 @@ def lock_states(agents: int) -> list[ResourceState]:
 
 
 @pytest.mark.parametrize("agents", range(1, 11))
-def test_lock_state_ids_number_every_lock_state_once(agents):
-    """``_lock_id`` maps the lock states over agent indices one to one
-    onto 0 .. (A + 1)(A² + 1) - 1, the free state to 0, and the largest
-    id fits the width the search gives a lock field."""
+def test_lock_states_are_closed_under_steps_and_all_reachable(agents):
+    """The (A + 1)(A² + 1) lock states over agent indices ``0 .. A - 1``
+    are closed under ``interpret_step`` for every agent and step kind,
+    and each is reached from the free state, so an id numbered by first
+    reach is always below that count, the size of a lock field."""
     count = (agents + 1) * (agents * agents + 1)
-    states = lock_states(agents)
-    assert len(set(states)) == len(states) == count
-    assert sorted(concurrency._lock_id(state, agents) for state in states) == list(range(count))
-    assert concurrency._lock_id(ResourceState(), agents) == 0
+    states = set(lock_states(agents))
+    assert len(states) == count
+    steps = [(agent, kind) for agent in range(agents) for kind in StepKind]
+    # every state reached from the free state, a set closed under steps
+    # by construction, so its equality with ``states`` shows both
+    reached = {ResourceState()}
+    frontier = [ResourceState()]
+    while frontier:
+        state = frontier.pop()
+        for agent, kind in steps:
+            after = interpret_step(state, agent, kind).state
+            if after not in reached:
+                reached.add(after)
+                frontier.append(after)
+    assert reached == states
+
+
+@pytest.mark.parametrize("agents", range(1, 11))
+def test_the_last_lock_state_id_fits_its_field(agents):
+    """A table that has numbered every lock state, the one a search
+    reaches last, holds the largest id, (A + 1)(A² + 1) - 1.  A search
+    that puts it in the first lock field, below a second resource's
+    field, agrees with the oracle, so it fits its field."""
+    count = (agents + 1) * (agents * agents + 1)
     everyone = range(agents)
-    # the largest id: the last agent holds the lock, agent A - 2 wrote
-    # last, and the last agent wrote before that
+    # the last agent holds the lock, agent A - 2 wrote last, and the
+    # last agent wrote before that
     last = agents - 1
     largest = ResourceState(last, (last, last - 1) if agents > 1 else (last,))
-    assert concurrency._lock_id(largest, agents) == count - 1
-    # a search that puts it in the first lock field, below a second
-    # resource's field, agrees with the oracle, so it fits its field
+    kept = [state for state in lock_states(agents) if state != largest] + [largest]
+    assert kept[0] == ResourceState() and len(kept) == count
+    ids = {(state.holder, state.modified_by): n for n, state in enumerate(kept)}
+    concurrency._TABLES[agents] = ({}, kept, ids)
     iris = [Iri(f"http://example.org/agent_{n}") for n in everyone]
     runs = [run_of(agent, StepKind.RELEASE) for agent in iris[:-2]]
     if agents > 1:
@@ -578,22 +600,24 @@ def test_lock_state_ids_number_every_lock_state_once(agents):
     want_moves, want_counts, want_reports = search_oracle._search(runs, total)
     assert (moves, counts) == (want_moves, want_counts)
     assert [r.json_line() for r in reports] == [r.json_line() for r in want_reports]
-    table, kept = concurrency._TABLES[agents]
+    table = concurrency._TABLES[agents][0]
     assert count - 1 in {lid for lid, _ in table.values()}
-    assert kept[count - 1] == largest
+    assert len(kept) == len(ids) == count  # the search added none
 
 
 def test_a_table_keeps_only_the_lock_states_searches_reach():
     """One step by each of 1,000 agents: a lock field could take about
-    10⁹ ids, but the table keeps the free state and the 1,000 states one
-    Modify leaves, and one entry per agent."""
+    10⁹ ids, but the table keeps the free state, id 0, and the 1,000
+    states one Modify leaves, numbered 1 .. 1,000 in run order, and one
+    entry per agent."""
     agents = 1_000
     iris = [Iri(f"http://example.org/agent_{n}") for n in range(agents)]
     search = search_races([run_of(agent, StepKind.MODIFY) for agent in iris], 1)
     assert search.schedules == {"complete": 0, "deadlock": 0, "truncated": agents}
-    table, kept = concurrency._TABLES[agents]
+    table, kept, ids = concurrency._TABLES[agents]
     assert len(table) == agents
-    assert len(kept) == agents + 1
+    assert kept == [ResourceState()] + [ResourceState(None, (n,)) for n in range(agents)]
+    assert ids == {(state.holder, state.modified_by): n for n, state in enumerate(kept)}
 
 
 @pytest.mark.parametrize(
